@@ -1,21 +1,18 @@
 #!/usr/bin/env python
 """CI fault-injection smoke: faulty runs must match fault-free runs.
 
-Runs four comparisons with deterministic worker faults injected through
+Runs three comparisons with deterministic worker faults injected through
 :class:`repro.runtime.FaultPlan`:
 
 1. A small line-size sweep (``sweep_design_space``) where one group's
    worker is killed mid-sweep: the executor must fall back / retry and
    produce results identical to the fault-free sweep.
-2. The same faulty sweep with zero-copy shared-memory trace shipping
-   forced: results must stay identical, the journal must show
-   ``shm_attach`` events with bytes mapped exceeding bytes shipped, and
-   no ``/dev/shm`` segment may survive the sweep.
-3. A design-space sweep with ``count_parallelism=2`` — per-line-size
-   counting fanned over the pool with shm-shipped streams — where one
-   counting worker is killed: results must match the fault-free
-   designspace sweep and no shared segment may leak.
-4. A small spacewalker exploration where the first attempt of every
+2. A faulty ``max_workers=2`` sweep over an in-memory trace, which
+   workers read from a temporary spill file: results must stay
+   identical, the journal must record the retry or fallback and a
+   ``trace_shipping`` event with bytes mapped exceeding bytes shipped,
+   and no spill file may survive in the temp directory.
+3. A small spacewalker exploration where the first attempt of every
    icache priming pass raises: the retried run's Pareto frontier must
    match the fault-free frontier exactly.
 
@@ -84,125 +81,56 @@ def check_sweep(journal: RunJournal) -> None:
     print(f"sweep: {len(faulty)} configs identical under injected worker death")
 
 
-def check_shm_sweep(journal: RunJournal) -> None:
-    """Zero-copy shipping under faults: identical results, no leaks."""
-    from repro.runtime.executor import segment_manager, shm_available
+def check_spill_sweep(journal: RunJournal) -> None:
+    """Spill-file trace shipping under faults: identical, no leaks.
 
-    if not shm_available():
-        print("shm sweep: skipped (POSIX shared memory unavailable)")
-        return
+    A ``max_workers=2`` sweep over an in-memory trace spills the trace
+    to a temporary chunked file and ships each worker its path.  With a
+    worker killed mid-sweep, results must match the fault-free sweep,
+    the journal must record the recovery and the shipping accounting,
+    and no spill file may survive in the temp directory.
+    """
+    import tempfile
+
     baseline = sweep_design_space(SWEEP_CONFIGS, sweep_trace())
     policy = ExecutorPolicy(
         max_workers=2,
         retries=2,
         backoff=0.0,
-        trace_shipping="shm",
         fault=FaultPlan("exit", match="16", times=1),
     )
-    faulty = sweep_design_space(
-        SWEEP_CONFIGS, sweep_trace, policy=policy, journal=journal
+    first_event = len(journal)
+    saved_tempdir = tempfile.tempdir
+    with tempfile.TemporaryDirectory(prefix="spill-check-") as spill_dir:
+        tempfile.tempdir = spill_dir
+        try:
+            faulty = sweep_design_space(
+                SWEEP_CONFIGS, sweep_trace(), policy=policy, journal=journal
+            )
+        finally:
+            tempfile.tempdir = saved_tempdir
+        leftovers = sorted(Path(spill_dir).iterdir())
+    assert faulty == baseline, "spill-shipped sweep diverged from baseline"
+    window = journal.events[first_event:]
+    recoveries = [e for e in window if e["event"] in ("retry", "fallback")]
+    assert recoveries, (
+        "journal recorded neither a retry nor a fallback for the killed "
+        "worker"
     )
-    assert faulty == baseline, "shm-shipped sweep diverged from baseline"
-    attaches = journal.select("shm_attach")
-    assert attaches, "journal recorded no shm_attach events"
-    shipped = sum(e["bytes_shipped"] for e in attaches)
-    mapped = sum(e["bytes_mapped"] for e in attaches)
+    shipping = [e for e in window if e["event"] == "trace_shipping"]
+    assert shipping, "journal recorded no trace_shipping event"
+    shipped = sum(e["bytes_shipped"] for e in shipping)
+    mapped = sum(e["bytes_mapped"] for e in shipping)
     assert mapped > shipped, (
-        f"shm shipping saved nothing: {shipped} B shipped for "
+        f"path shipping saved nothing: {shipped} B shipped for "
         f"{mapped} B mapped"
     )
-    assert segment_manager().active() == {}, (
-        f"segments still tracked after sweep: {segment_manager().active()}"
-    )
-    from multiprocessing import shared_memory
-
-    for event in journal.select("shm_segment"):
-        if event["action"] != "create":
-            continue
-        try:
-            segment = shared_memory.SharedMemory(name=event["segment"])
-        except FileNotFoundError:
-            continue
-        segment.close()
-        raise AssertionError(
-            f"shm segment {event['segment']} leaked into /dev/shm"
-        )
+    assert not leftovers, f"spill files survived the sweep: {leftovers}"
     print(
-        f"shm sweep: {len(faulty)} configs identical under injected worker "
-        f"death; {len(attaches)} zero-copy jobs shipped "
-        f"{shipped} B for {mapped} B mapped, no segment leaked"
-    )
-
-
-def check_count_parallel_sweep(journal: RunJournal) -> None:
-    """Multicore counting under faults: identical results, no leaks."""
-    from repro.runtime.executor import segment_manager, shm_available
-    from repro.runtime.journal import use_journal
-
-    if not shm_available():
-        print(
-            "count-parallel sweep: skipped "
-            "(POSIX shared memory unavailable)"
-        )
-        return
-    baseline = sweep_design_space(
-        SWEEP_CONFIGS, sweep_trace(), strategy="designspace"
-    )
-    recoveries_before = len(journal.select("retry")) + len(
-        journal.select("fallback")
-    )
-    policy = ExecutorPolicy(
-        retries=2,
-        backoff=0.0,
-        count_parallelism=2,
-        fault=FaultPlan("exit", match="32", times=1),
-    )
-    # The designspace internals journal through the *active* journal.
-    with use_journal(journal):
-        faulty = sweep_design_space(
-            SWEEP_CONFIGS,
-            sweep_trace(),
-            policy=policy,
-            journal=journal,
-            strategy="designspace",
-        )
-    assert faulty == baseline, (
-        "count-parallel sweep diverged from the designspace baseline"
-    )
-    pool_events = [
-        e for e in journal.select("designspace") if e.get("mode") == "parallel"
-    ]
-    assert pool_events, "journal recorded no parallel designspace event"
-    assert all(e["parallelism"] == 2 for e in pool_events)
-    recoveries = (
-        len(journal.select("retry"))
-        + len(journal.select("fallback"))
-        - recoveries_before
-    )
-    assert recoveries > 0, (
-        "journal recorded neither a retry nor a fallback for the "
-        "killed counting worker"
-    )
-    assert segment_manager().active() == {}, (
-        f"segments still tracked after sweep: {segment_manager().active()}"
-    )
-    from multiprocessing import shared_memory
-
-    for event in journal.select("shm_segment"):
-        if event["action"] != "create":
-            continue
-        try:
-            segment = shared_memory.SharedMemory(name=event["segment"])
-        except FileNotFoundError:
-            continue
-        segment.close()
-        raise AssertionError(
-            f"shm segment {event['segment']} leaked into /dev/shm"
-        )
-    print(
-        f"count-parallel sweep: {len(faulty)} configs identical under "
-        f"injected counting-worker death at parallelism 2, no segment "
-        f"leaked"
+        f"spill sweep: {len(faulty)} configs identical under injected "
+        f"worker death; {sum(e['jobs'] for e in shipping)} path-shipped "
+        f"jobs shipped {shipped} B for {mapped} B mapped, no spill file "
+        f"left"
     )
 
 
@@ -430,8 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with RunJournal(args.journal) as journal:
         check_sweep(journal)
-        check_shm_sweep(journal)
-        check_count_parallel_sweep(journal)
+        check_spill_sweep(journal)
         check_explore(journal)
         check_recorded_fault_run(journal)
         check_recording_overhead()

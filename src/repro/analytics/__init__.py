@@ -6,7 +6,7 @@ journal-derived summary) plus one ``run_rows`` row per
 (design, benchmark, repetition) carrying the measured metrics
 (misses / cycles / cost / area) *and* journal-derived execution columns
 (pass wall time, kernel seconds, retries, timeouts, cache hits, bytes
-shipped over shm).  Both tables live in the same sqlite database as the
+shipped to workers).  Both tables live in the same sqlite database as the
 :class:`~repro.service.store.ResultStore`, so the evidence trail shares
 the store's durability, WAL concurrency and backup story.
 

@@ -185,7 +185,7 @@ def derive_journal_columns(
         elif kind == "service_dedup":
             dedup_store += int(event.get("from_store", 0) or 0)
             dedup_sim += int(event.get("simulated", 0) or 0)
-        elif kind == "shm_attach":
+        elif kind == "trace_shipping":
             bytes_shipped += int(event.get("bytes_shipped", 0) or 0)
             bytes_mapped += int(event.get("bytes_mapped", 0) or 0)
         elif kind == "job":

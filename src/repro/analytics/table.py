@@ -88,7 +88,7 @@ RUN_TABLE_COLUMNS: tuple[tuple[str, str, str, str], ...] = (
     ("cache_misses", "journal", "count",
      "Checkpoint misses + configs actually simulated (run-level)."),
     ("bytes_shipped", "journal", "bytes",
-     "Bytes shipped to workers over shm handles in the window "
+     "Bytes shipped to workers as trace-file handles in the window "
      "(run-level)."),
     ("extra", "result", "JSON",
      "Row-specific extras (sampling plan detail, dilation, ...)."),

@@ -66,7 +66,6 @@ sweep checkpoints interoperate either way.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -75,7 +74,6 @@ from repro.cache._util import as_int64_array
 from repro.cache.cheetah import (
     SCALAR_BATCH_LIMIT,
     CheetahSimulator,
-    _ensure_stacks,
     _PreparedFamily,
 )
 from repro.cache.config import CacheConfig
@@ -94,14 +92,6 @@ from repro.cache.stackdist import (
     stack_distances_fused,
 )
 from repro.errors import ConfigurationError, TraceError
-from repro.runtime.executor import (
-    ExecutorPolicy,
-    Job,
-    SharedArrayHandle,
-    run_jobs,
-    segment_manager,
-    shm_available,
-)
 from repro.runtime.journal import active_journal
 
 __all__ = ["MAX_DERIVE_FACTOR", "TOWER_MODES", "DesignSpaceSimulator"]
@@ -156,10 +146,6 @@ class DesignSpaceSimulator:
         derivation plan with per-family dispatch; ``fused`` forces the
         fused dispatch at any size (results are bit-identical every
         way).
-    policy:
-        Optional :class:`~repro.runtime.executor.ExecutorPolicy`; its
-        ``count_parallelism`` (> 1) fans per-line-size counting out
-        over the fault-tolerant worker pool with shm-backed streams.
     """
 
     def __init__(
@@ -167,7 +153,6 @@ class DesignSpaceSimulator:
         spec: Mapping[int, tuple[Sequence[int], int]],
         engine: str = "auto",
         mode: str = "auto",
-        policy: ExecutorPolicy | None = None,
     ):
         if not spec:
             raise ConfigurationError("design-space spec is empty")
@@ -178,7 +163,6 @@ class DesignSpaceSimulator:
             )
         self.engine = engine
         self.mode = mode
-        self.policy = policy
         self.simulators: dict[int, CheetahSimulator] = {
             int(line_size): CheetahSimulator(
                 int(line_size), set_counts, max_assoc, engine=engine
@@ -203,7 +187,6 @@ class DesignSpaceSimulator:
         configs: Iterable[CacheConfig],
         engine: str = "auto",
         mode: str = "auto",
-        policy: ExecutorPolicy | None = None,
     ) -> "DesignSpaceSimulator":
         """Build from a configuration list (one group per line size)."""
         groups: dict[int, list[CacheConfig]] = {}
@@ -219,7 +202,6 @@ class DesignSpaceSimulator:
             },
             engine=engine,
             mode=mode,
-            policy=policy,
         )
 
     @classmethod
@@ -232,7 +214,6 @@ class DesignSpaceSimulator:
         sim = cls.__new__(cls)
         sim.engine = engine
         sim.mode = "auto"
-        sim.policy = None
         sim.simulators = {
             int(line_size): CheetahSimulator.from_state(
                 int(line_size),
@@ -273,19 +254,6 @@ class DesignSpaceSimulator:
         if len(starts_arr) != len(sizes_arr):
             raise TraceError("starts and sizes must have equal length")
         digest = trace_digest(starts_arr, sizes_arr)
-        policy = self.policy
-        if (
-            policy is not None
-            and policy.count_parallelism > 1
-            and len(self.simulators) > 1
-            and self.engine != "scalar"
-            and shm_available()
-            and not any(
-                sim.carrying_state() for sim in self.simulators.values()
-            )
-            and self._simulate_parallel(starts_arr, sizes_arr, digest)
-        ):
-            return
         for tower in self._towers:
             self._consume_tower(tower, starts_arr, sizes_arr, digest)
 
@@ -543,100 +511,6 @@ class DesignSpaceSimulator:
             self.consume_seconds[line_size] += share
             self.kernel_seconds[line_size] += share
 
-    def _simulate_parallel(
-        self, starts: np.ndarray, sizes: np.ndarray, digest: bytes
-    ) -> bool:
-        """Fan per-line-size counting out over the worker pool.
-
-        Streams for every line size derive in the parent (memoized
-        cross-size derivation) and ship zero-copy through one shared
-        segment; each worker counts one line size with a fresh
-        :class:`CheetahSimulator` and returns its histograms plus
-        materialized LRU stacks, folded back in ascending line-size
-        order so results are independent of completion order.  Jobs
-        that fail terminally (after the policy's retries) are recounted
-        in-process with the same kernel — bit-identical either way.
-        Returns False (nothing consumed) when the trace is empty.
-        """
-        policy = self.policy
-        assert policy is not None
-        line_sizes = self.line_sizes
-        streams = {
-            ls: line_stream(starts, sizes, ls, digest=digest)
-            for ls in line_sizes
-        }
-        if not any(len(s.lines) for s in streams.values()):
-            return False
-        journal = active_journal()
-        manager = segment_manager()
-        key = f"dscount:{digest.hex()}:{'-'.join(map(str, line_sizes))}"
-        with journal.timed(
-            "designspace",
-            line_sizes=line_sizes,
-            refs=len(streams[line_sizes[0]].lines),
-            mode="parallel",
-            parallelism=policy.count_parallelism,
-        ) as extra:
-            handle = manager.acquire(
-                key,
-                {f"lines_{ls}": streams[ls].lines for ls in line_sizes},
-                journal,
-            )
-            try:
-                jobs = [
-                    Job(
-                        key=ls,
-                        fn=_count_stream_job,
-                        args=(
-                            ls,
-                            list(self.simulators[ls].set_counts),
-                            self.simulators[ls].max_assoc,
-                            self.engine,
-                            handle,
-                            f"lines_{ls}",
-                            streams[ls].accesses,
-                        ),
-                    )
-                    for ls in line_sizes
-                ]
-                t0 = time.perf_counter()
-                outcome = run_jobs(
-                    jobs,
-                    replace(policy, max_workers=policy.count_parallelism),
-                    journal=journal,
-                )
-                wall = time.perf_counter() - t0
-                failed = []
-                for ls in line_sizes:
-                    result = outcome[ls]
-                    if result.ok:
-                        self._fold_counted(ls, result.value)
-                        self.consume_seconds[ls] += result.wall_s
-                    else:
-                        failed.append(ls)
-                for ls in failed:
-                    self._consume(ls, streams[ls], None)
-            finally:
-                manager.release(key, journal)
-            extra["failed"] = len(failed)
-            extra["pool_wall_s"] = wall
-        return True
-
-    def _fold_counted(
-        self,
-        line_size: int,
-        payload: tuple[int, dict[int, tuple[list[int], list[list[int]]]]],
-    ) -> None:
-        """Adopt one worker's counting result for one line size."""
-        accesses, families = payload
-        sim = self.simulators[line_size]
-        sim.accesses += int(accesses)
-        for nsets, (hist, stacks) in families.items():
-            fam = sim._families[int(nsets)]
-            fam.hist = [a + b for a, b in zip(fam.hist, hist)]
-            fam.stacks = [list(stack) for stack in stacks]
-            fam.pending = None
-
     # ------------------------------------------------------------------
     # Queries and state export.
     # ------------------------------------------------------------------
@@ -672,39 +546,6 @@ class DesignSpaceSimulator:
     def states(self) -> dict[int, tuple[int, dict[int, list[int]]]]:
         """Exportable per-line-size states (see :meth:`from_states`)."""
         return {ls: self.simulators[ls].state() for ls in self.line_sizes}
-
-
-def _count_stream_job(
-    line_size: int,
-    set_counts: list[int],
-    max_assoc: int,
-    engine: str,
-    handle: SharedArrayHandle,
-    field: str,
-    accesses: int,
-) -> tuple[int, dict[int, tuple[list[int], list[list[int]]]]]:
-    """Worker: count one line size's stream from a shared segment.
-
-    Returns ``(accesses, {nsets: (hist, stacks)})`` with the LRU stacks
-    materialized — plain lists only, so nothing in the result references
-    the shared segment after the handle closes, and the parent simulator
-    stays appendable (a later batch splices the stacks back in exactly
-    like any carried state).
-    """
-    with handle.open() as arrays:
-        stream = LineStream(lines=arrays[field], accesses=int(accesses))
-        sim = CheetahSimulator(
-            line_size, set_counts, max_assoc, engine=engine
-        )
-        sim.consume(stream)
-        out: dict[int, tuple[list[int], list[list[int]]]] = {}
-        for nsets, fam in sim._families.items():
-            _ensure_stacks(fam)
-            out[nsets] = (
-                list(fam.hist),
-                [[int(line) for line in stack] for stack in fam.stacks],
-            )
-        return sim.accesses, out
 
 
 def _build_towers(line_sizes: list[int]) -> list[list[int]]:

@@ -20,17 +20,13 @@ of each per line size.  ``strategy="perline"`` keeps the independent
 per-line-size passes (the equivalence oracle; results are bit-identical
 either way).
 
-Trace residency: each group's trace is materialized only when its job is
-submitted and the parent's copy is dropped right after submission, so
-parent-side residency is bounded by the executor's in-flight window
-(``max_workers + 1`` groups), never the whole design space.  When the
-trace is supplied as a *picklable* factory, the factory itself is
-shipped to the workers and the parent never materializes the arrays at
-all (unless checkpointing needs a digest).  Otherwise, when the platform
-has POSIX shared memory, the arrays are materialized **once** into a
-refcounted shared segment and each job ships only a ~200-byte
-:class:`~repro.runtime.executor.SharedArrayHandle`; workers map the
-arrays zero-copy (``policy.trace_shipping`` selects the mode).
+Trace shipping: a worker receives its trace only as the ``(path,
+digest)`` of a :class:`~repro.trace.chunkstore.ChunkedTrace`.  An
+on-disk chunked trace ships as itself; an in-memory trace (or a factory's
+output) is materialized once in the parent and spilled to a temporary
+one-chunk file (:func:`~repro.trace.chunkstore.spilled_trace`) that is
+unlinked when the jobs finish.  :func:`run_group_jobs` is that single
+path, shared with evaluator and pipeline priming.
 
 Sweeps can checkpoint completed groups into an
 :class:`~repro.explore.evalcache.EvaluationCache` (one durable flush per
@@ -42,8 +38,16 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from contextlib import ExitStack
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 import numpy as np
 
@@ -53,16 +57,9 @@ from repro.cache.config import CacheConfig
 from repro.cache.designspace import DesignSpaceSimulator
 from repro.cache.simulator import MissResult, SampledMissResult
 from repro.errors import ConfigurationError, RuntimeExecutionError
-from repro.runtime.executor import (
-    ExecutorPolicy,
-    Job,
-    SharedArrayHandle,
-    run_jobs,
-    segment_manager,
-    shm_available,
-)
+from repro.runtime.executor import ExecutorPolicy, Job, JobResult, run_jobs
 from repro.runtime.journal import RunJournal, resolve_journal
-from repro.trace.chunkstore import ChunkedTrace
+from repro.trace.chunkstore import ChunkedTrace, spilled_trace
 from repro.trace.sampling import SamplePlan, extrapolate, plan_windows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -77,6 +74,11 @@ TraceFactory = Callable[[], tuple[Sequence[int], Sequence[int]]]
 #: chunked trace fed to the engines chunk-at-a-time.
 Trace = "tuple[Sequence[int], Sequence[int]] | TraceFactory | ChunkedTrace"
 
+#: One group-simulation job: ``(job key, trace name, line_size,
+#: set_counts, max_assoc)``; the trace name indexes :func:`run_group_jobs`'
+#: ``traces`` mapping.
+GroupUnit = tuple[Hashable, Hashable, int, Sequence[int], int]
+
 
 def simulate_group_state(
     line_size: int,
@@ -85,57 +87,14 @@ def simulate_group_state(
     starts: np.ndarray,
     sizes: np.ndarray,
 ) -> tuple[int, dict[int, list[int]]]:
-    """Run one single-pass simulation and export its histogram state.
+    """Run one single-pass simulation in-process; export its histograms.
 
-    Module-level (picklable) so it can serve as a process-pool work unit;
-    also used by :meth:`repro.explore.evaluators.MemoryEvaluator.prime`.
+    The in-process entry point of the per-line-size sweep;
+    :func:`simulate_group_from_chunks` is its worker-side twin.
     """
     sim = CheetahSimulator(line_size, set_counts, max_assoc)
     sim.simulate(starts, sizes)
     return sim.state()
-
-
-def simulate_group_from_factory(
-    line_size: int,
-    set_counts: Sequence[int],
-    max_assoc: int,
-    factory: TraceFactory,
-) -> tuple[int, dict[int, list[int]]]:
-    """Worker-side variant: materialize the trace *inside* the worker.
-
-    Used when the trace factory is picklable, so the parent process never
-    holds the expanded arrays.
-    """
-    starts, sizes = factory()
-    return simulate_group_state(
-        line_size,
-        set_counts,
-        max_assoc,
-        as_int64_array(starts),
-        as_int64_array(sizes),
-    )
-
-
-def simulate_group_from_shm(
-    line_size: int,
-    set_counts: Sequence[int],
-    max_assoc: int,
-    handle: SharedArrayHandle,
-) -> tuple[int, dict[int, list[int]]]:
-    """Worker-side variant: map the trace from shared memory (zero-copy).
-
-    The parent owns the segment and unlinks it after the sweep; the
-    simulation only reads the arrays, so the read-only mapped views feed
-    it directly.
-    """
-    with handle.open() as arrays:
-        return simulate_group_state(
-            line_size,
-            set_counts,
-            max_assoc,
-            arrays["starts"],
-            arrays["sizes"],
-        )
 
 
 def simulate_group_from_chunks(
@@ -145,11 +104,12 @@ def simulate_group_from_chunks(
     path: str,
     digest: str,
 ) -> tuple[int, dict[int, list[int]]]:
-    """Worker-side variant: mmap an on-disk chunked trace by path.
+    """Worker function: mmap a chunked trace by path and simulate it.
 
-    Ships only the path and expected content digest (a few hundred
-    bytes); the worker maps the file and feeds the engine one chunk at a
-    time, so neither side ever holds the whole trace decoded.
+    The only worker-side group simulator.  Ships only the path and
+    expected content digest (a few hundred bytes); the worker maps the
+    file and feeds the engine one chunk at a time, so a one-chunk spill
+    file runs the same single ``simulate`` call as the in-memory path.
     """
     with ChunkedTrace(path) as ctrace:
         if ctrace.digest != digest:
@@ -163,34 +123,59 @@ def simulate_group_from_chunks(
         return sim.state()
 
 
+def run_group_jobs(
+    units: Sequence[GroupUnit],
+    traces: Mapping[Hashable, "tuple[np.ndarray, np.ndarray] | ChunkedTrace"],
+    policy: ExecutorPolicy,
+    journal: RunJournal,
+) -> dict[Hashable, JobResult]:
+    """Run group simulations under the fault-tolerant executor.
+
+    Every fan-out of single-pass simulations (sweeps, evaluator and
+    pipeline priming) goes through here.  Each distinct trace in
+    ``traces`` is spilled once (:func:`spilled_trace`), every job ships
+    only that file's ``(path, digest)`` to
+    :func:`simulate_group_from_chunks`, and the spill files are unlinked
+    once the jobs finish — whatever happened to the workers.  The
+    ``trace_shipping`` journal event records the pickled handle bytes
+    shipped and the file bytes each worker maps, summed over jobs.
+    """
+    with ExitStack() as stack:
+        files = {
+            name: stack.enter_context(spilled_trace(trace))
+            for name, trace in traces.items()
+        }
+        jobs = []
+        shipped = mapped = 0
+        for key, name, line_size, set_counts, max_assoc in units:
+            ctrace = files[name]
+            handle = (str(ctrace.path), ctrace.digest)
+            jobs.append(
+                Job(
+                    key=key,
+                    fn=simulate_group_from_chunks,
+                    args=(line_size, list(set_counts), max_assoc, *handle),
+                )
+            )
+            shipped += len(pickle.dumps(handle))
+            mapped += ctrace.path.stat().st_size
+        journal.record(
+            "trace_shipping",
+            mode="chunkpath",
+            jobs=len(jobs),
+            trace_ranges=sum(f.n_ranges for f in files.values()),
+            chunks=sum(f.n_chunks for f in files.values()),
+            bytes_shipped=shipped,
+            bytes_mapped=mapped,
+        )
+        return run_jobs(jobs, policy, journal)
+
+
 def _materialize(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(trace, ChunkedTrace):
         return trace.materialize()
     starts, sizes = trace() if callable(trace) else trace
     return as_int64_array(starts), as_int64_array(sizes)
-
-
-def _group_args(
-    line_size: int,
-    set_counts: list[int],
-    max_assoc: int,
-    trace: Trace,
-    journal: RunJournal,
-) -> tuple:
-    """Late argument materialization for one group's job (parent side)."""
-    starts, sizes = _materialize(trace)
-    journal.record(
-        "trace_materialized", line_size=line_size, trace_ranges=len(starts)
-    )
-    return (line_size, set_counts, max_assoc, starts, sizes)
-
-
-def _is_picklable(obj: object) -> bool:
-    try:
-        pickle.dumps(obj)
-    except Exception:  # noqa: BLE001 - any pickling failure means "no"
-        return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +357,7 @@ class _SweepCheckpoint:
 
 def sweep_design_space(
     configs: Iterable[CacheConfig],
-    trace: "tuple[Sequence[int], Sequence[int]] | TraceFactory",
+    trace: "tuple[Sequence[int], Sequence[int]] | TraceFactory | ChunkedTrace",
     max_workers: int | None = None,
     *,
     policy: ExecutorPolicy | None = None,
@@ -384,23 +369,28 @@ def sweep_design_space(
 ) -> dict[CacheConfig, MissResult]:
     """Simulate every configuration, one pass per distinct line size.
 
-    ``trace`` is either a ``(starts, sizes)`` pair or a zero-argument
-    callable producing one (called once per line-size group, at job
-    submission time).
+    ``trace`` is a ``(starts, sizes)`` pair, a zero-argument callable
+    producing one, or an on-disk
+    :class:`~repro.trace.chunkstore.ChunkedTrace` (streamed chunk by
+    chunk in-process; resumable mid-trace through ``checkpoint``).
 
     With ``max_workers`` > 1 (or ``policy.max_workers`` > 1) and more
     than one line-size group, the groups run concurrently in worker
     processes under the fault-tolerant executor: failed attempts are
     retried per ``policy``, a broken pool degrades to in-process serial
-    execution, and results fold in completion order.
+    execution, and results fold in completion order.  Workers receive
+    the trace as a chunked file's ``(path, digest)``; an in-memory trace
+    is spilled to a temporary one-chunk file first
+    (:func:`run_group_jobs`).
 
     ``strategy`` selects the in-process engine: ``"auto"`` feeds every
     pending line size through one
     :class:`~repro.cache.designspace.DesignSpaceSimulator` (one
-    expansion, one sort) whenever the sweep runs in-process without
-    fault injection; ``"designspace"`` forces that kernel (in-process,
-    even when workers were requested — one shared sort usually beats a
-    per-line-size fan-out); ``"perline"`` forces the independent
+    expansion, one sort) whenever an in-memory sweep runs in-process
+    without fault injection; ``"designspace"`` forces that kernel
+    (in-process, even when workers were requested — one shared sort
+    usually beats a per-line-size fan-out); ``"perline"`` forces the
+    independent per-line-size passes.  Chunked traces always use
     per-line-size passes.  Results are bit-identical across strategies.
 
     ``checkpoint`` (an :class:`~repro.explore.evalcache.EvaluationCache`)
@@ -454,225 +444,38 @@ def sweep_design_space(
             _fold_group(results, groups[line_size], line_size, max_assoc, state)
         else:
             pending.append(line_size)
-    if not pending:
-        if ck is not None:
-            journal.observe_cache(ck.cache, label="sweep-checkpoint")
-        return results
 
-    if isinstance(trace, ChunkedTrace):
-        # Chunked traces bypass the whole-design-space kernel (it wants
-        # the full arrays); each group streams the chunks through one
-        # carrying CheetahSimulator instead, and parallel groups ship
-        # only the file path.  Results are bit-identical either way.
-        return _sweep_chunked(
-            trace, groups, meta, pending, results, policy, journal, ck,
-            on_error,
-        )
-
+    chunked = isinstance(trace, ChunkedTrace)
+    # "designspace" keeps in-memory sweeps in-process; chunked traces
+    # never feed that kernel (it wants the full arrays), so they fan out.
     parallel = (
         policy.max_workers is not None
         and policy.max_workers > 1
         and len(pending) > 1
-        and strategy != "designspace"
+        and (chunked or strategy != "designspace")
     )
-    # The whole-design-space simulator runs all pending line sizes from
-    # shared work; with count_parallelism > 1 it also owns the parallel
-    # fan-out of the per-size counting (through the same fault-tolerant
-    # pool), so a fault plan no longer forces the per-group path.
-    use_designspace = (
-        not parallel
-        and (
-            strategy == "designspace"
-            or (strategy == "auto" and len(pending) > 1)
-        )
-        and (policy.fault is None or policy.count_parallelism > 1)
-    )
-    if use_designspace:
-        starts, sizes = _materialize(trace)
-        journal.record(
-            "trace_materialized", line_size="all", trace_ranges=len(starts)
-        )
-        space = DesignSpaceSimulator(
-            {line_size: meta[line_size] for line_size in pending},
-            policy=policy,
-        )
-        space.simulate(starts, sizes)
-        trace_ranges = len(starts)
-        del starts, sizes
-        for line_size in pending:
-            set_counts, max_assoc = meta[line_size]
-            state = space.state(line_size)
-            journal.record(
-                "pass",
-                role="sweep",
-                line_size=line_size,
-                where="serial",
-                trace_ranges=trace_ranges,
-                wall_s=round(space.consume_seconds[line_size], 6),
-                kernel_s=round(
-                    space.kernel_seconds.get(line_size, 0.0), 6
-                ),
-            )
-            if ck is not None:
-                ck.store(line_size, set_counts, max_assoc, state)
-            _fold_group(
-                results, groups[line_size], line_size, max_assoc, state
-            )
-        if ck is not None:
-            journal.observe_cache(ck.cache, label="sweep-checkpoint")
-        return results
-    if not parallel and policy.fault is None:
-        for line_size in pending:
-            set_counts, max_assoc = meta[line_size]
-            with journal.timed(
-                "pass", role="sweep", line_size=line_size, where="serial"
-            ) as extra:
-                # Attribute this pass's stack-distance kernel time: the
-                # simulator records one "stackdist" event per family into
-                # the same (active) journal, so the events appended while
-                # the pass runs are exactly this pass's kernel calls.
-                # Serial/in-process only — worker events never cross the
-                # pool boundary, so parallel passes carry no kernel_s.
-                kernels_before = len(journal.select("stackdist"))
-                starts, sizes = _materialize(trace)
-                extra["trace_ranges"] = len(starts)
-                state = simulate_group_state(
-                    line_size, set_counts, max_assoc, starts, sizes
-                )
-                extra["kernel_s"] = round(
-                    sum(
-                        e.get("wall_s", 0.0)
-                        for e in journal.select("stackdist")[kernels_before:]
-                    ),
-                    6,
-                )
-            del starts, sizes
-            if ck is not None:
-                ck.store(line_size, set_counts, max_assoc, state)
-            _fold_group(results, groups[line_size], line_size, max_assoc, state)
-        if ck is not None:
-            journal.observe_cache(ck.cache, label="sweep-checkpoint")
-        return results
-
-    # Resolve the shipping mode.  A picklable factory beats everything
-    # (workers materialize their own trace, the parent never holds the
-    # arrays); otherwise shared memory materializes the arrays exactly
-    # once and ships a ~200-byte handle per job; per-job pickling is the
-    # legacy fallback.  "shm"/"pickle" force their respective paths.
-    ship_factory = callable(trace) and _is_picklable(trace)
-    mode = policy.trace_shipping
-    if mode == "auto":
-        mode = (
-            "factory"
-            if ship_factory
-            else "shm" if shm_available() else "pickle"
-        )
-    elif mode == "shm":
-        if not shm_available():
-            raise RuntimeExecutionError(
-                "trace_shipping='shm' requested but POSIX shared memory "
-                "is unavailable on this platform"
-            )
-    elif ship_factory:  # "pickle": legacy behavior shipped the factory
-        mode = "factory"
-
-    manager = shm_key = handle = None
-    try:
-        if mode == "shm":
-            starts, sizes = _materialize(trace)
-            journal.record(
-                "trace_materialized",
-                line_size="all",
-                trace_ranges=len(starts),
-            )
-            if ck is not None:
-                trace_id = ck.trace_id
-            elif trace_key is not None:
-                trace_id = f"key={trace_key}"
-            else:
-                trace_id = trace_digest(starts, sizes)
-            shm_key = f"sweep:{trace_id}"
-            manager = segment_manager()
-            handle = manager.acquire(
-                shm_key, {"starts": starts, "sizes": sizes}, journal
-            )
-            handle_bytes = len(pickle.dumps(handle))
-            del starts, sizes
-
-        jobs = []
-        for line_size in pending:
-            set_counts, max_assoc = meta[line_size]
-            if mode == "shm":
-                jobs.append(
-                    Job(
-                        key=line_size,
-                        fn=simulate_group_from_shm,
-                        args=(line_size, set_counts, max_assoc, handle),
-                    )
-                )
-                journal.record(
-                    "shm_attach",
-                    key=str(line_size),
-                    segment=handle.name,
-                    bytes_shipped=handle_bytes,
-                    bytes_mapped=handle.nbytes,
-                )
-            elif mode == "factory":
-                jobs.append(
-                    Job(
-                        key=line_size,
-                        fn=simulate_group_from_factory,
-                        args=(line_size, set_counts, max_assoc, trace),
-                    )
-                )
-            else:
-                jobs.append(
-                    Job(
-                        key=line_size,
-                        fn=simulate_group_state,
-                        args_factory=partial(
-                            _group_args,
-                            line_size,
-                            set_counts,
-                            max_assoc,
-                            trace,
-                            journal,
-                        ),
-                    )
-                )
-        journal.record("trace_shipping", mode=mode, jobs=len(jobs))
-        outcomes = run_jobs(jobs, policy, journal)
-    finally:
-        # Parent-owned unlink on every exit path: worker kills, pool
-        # restarts and serial fallback all funnel through here.
-        if manager is not None:
-            manager.release(shm_key, journal)
-
     failures: list[tuple[int, str]] = []
-    for line_size in pending:
-        outcome = outcomes[line_size]
+    if not pending:
+        passes: Iterator[tuple[int, tuple]] = iter(())
+    elif parallel or policy.fault is not None:
+        passes = _worker_passes(
+            trace, groups, meta, pending, policy, journal, failures
+        )
+    elif chunked:
+        passes = _chunked_passes(trace, meta, pending, journal, ck)
+    elif strategy == "designspace" or (
+        strategy == "auto" and len(pending) > 1
+    ):
+        passes = _designspace_passes(trace, meta, pending, journal)
+    else:
+        passes = _perline_passes(trace, meta, pending, journal)
+    # Store and fold each group as it completes, so a killed sweep
+    # resumes from every group finished before the kill.
+    for line_size, state in passes:
         set_counts, max_assoc = meta[line_size]
-        if not outcome.ok:
-            failures.append((line_size, outcome.error or "unknown error"))
-            journal.record(
-                "group_failed",
-                line_size=line_size,
-                configs=len(groups[line_size]),
-                error=outcome.error,
-            )
-            continue
-        journal.record(
-            "pass",
-            role="sweep",
-            line_size=line_size,
-            where=outcome.where,
-            wall_s=round(outcome.wall_s, 6),
-        )
         if ck is not None:
-            ck.store(line_size, set_counts, max_assoc, outcome.value)
-        _fold_group(
-            results, groups[line_size], line_size, max_assoc, outcome.value
-        )
+            ck.store(line_size, set_counts, max_assoc, state)
+        _fold_group(results, groups[line_size], line_size, max_assoc, state)
     if ck is not None:
         journal.observe_cache(ck.cache, label="sweep-checkpoint")
     if failures and on_error == "raise":
@@ -684,104 +487,147 @@ def sweep_design_space(
     return results
 
 
-def _sweep_chunked(
+def _perline_passes(
+    trace: Trace,
+    meta: dict[int, tuple[list[int], int]],
+    pending: list[int],
+    journal: RunJournal,
+) -> Iterator[tuple[int, tuple]]:
+    """In-process per-line-size passes, materializing the trace per pass."""
+    for line_size in pending:
+        set_counts, max_assoc = meta[line_size]
+        with journal.timed(
+            "pass", role="sweep", line_size=line_size, where="serial"
+        ) as extra:
+            # Attribute this pass's stack-distance kernel time: the
+            # simulator records one "stackdist" event per family into
+            # the same (active) journal, so the events appended while
+            # the pass runs are exactly this pass's kernel calls.
+            # Serial/in-process only — worker events never cross the
+            # pool boundary, so parallel passes carry no kernel_s.
+            kernels_before = len(journal.select("stackdist"))
+            starts, sizes = _materialize(trace)
+            extra["trace_ranges"] = len(starts)
+            state = simulate_group_state(
+                line_size, set_counts, max_assoc, starts, sizes
+            )
+            extra["kernel_s"] = round(
+                sum(
+                    e.get("wall_s", 0.0)
+                    for e in journal.select("stackdist")[kernels_before:]
+                ),
+                6,
+            )
+        del starts, sizes
+        yield line_size, state
+
+
+def _designspace_passes(
+    trace: Trace,
+    meta: dict[int, tuple[list[int], int]],
+    pending: list[int],
+    journal: RunJournal,
+) -> Iterator[tuple[int, tuple]]:
+    """Every pending line size from one shared expansion and sort."""
+    starts, sizes = _materialize(trace)
+    journal.record(
+        "trace_materialized", line_size="all", trace_ranges=len(starts)
+    )
+    space = DesignSpaceSimulator(
+        {line_size: meta[line_size] for line_size in pending}
+    )
+    space.simulate(starts, sizes)
+    trace_ranges = len(starts)
+    del starts, sizes
+    for line_size in pending:
+        journal.record(
+            "pass",
+            role="sweep",
+            line_size=line_size,
+            where="serial",
+            trace_ranges=trace_ranges,
+            wall_s=round(space.consume_seconds[line_size], 6),
+            kernel_s=round(space.kernel_seconds.get(line_size, 0.0), 6),
+        )
+        yield line_size, space.state(line_size)
+
+
+def _chunked_passes(
     ctrace: ChunkedTrace,
+    meta: dict[int, tuple[list[int], int]],
+    pending: list[int],
+    journal: RunJournal,
+    ck: "_SweepCheckpoint | None",
+) -> Iterator[tuple[int, tuple]]:
+    """In-process passes streaming an on-disk trace chunk at a time.
+
+    Each group snapshots full state (histograms + LRU stacks) into the
+    checkpoint between chunks, so a killed run resumes mid-trace.
+    """
+    for line_size in pending:
+        set_counts, max_assoc = meta[line_size]
+        with journal.timed(
+            "pass", role="sweep", line_size=line_size, where="serial"
+        ) as extra:
+            sim = None
+            first_chunk = 0
+            if ck is not None:
+                resume = ck.lookup_chunk(line_size, set_counts, max_assoc)
+                if resume is not None and 0 < resume[0] <= ctrace.n_chunks:
+                    first_chunk, accesses, families = resume
+                    if sorted(families) == list(set_counts):
+                        sim = CheetahSimulator.from_full_state(
+                            line_size, max_assoc, accesses, families
+                        )
+                    else:
+                        first_chunk = 0
+            if sim is None:
+                sim = CheetahSimulator(line_size, set_counts, max_assoc)
+            for index in range(first_chunk, ctrace.n_chunks):
+                starts, sizes = ctrace.chunk(index)
+                sim.simulate(starts, sizes)
+                del starts, sizes
+                if ck is not None and index + 1 < ctrace.n_chunks:
+                    ck.store_chunk(
+                        line_size,
+                        set_counts,
+                        max_assoc,
+                        index + 1,
+                        sim.full_state(),
+                    )
+            state = sim.state()
+            extra["trace_ranges"] = ctrace.n_ranges
+            extra["chunks"] = ctrace.n_chunks
+            if first_chunk:
+                extra["resumed_at_chunk"] = first_chunk
+        del sim
+        yield line_size, state
+
+
+def _worker_passes(
+    trace: Trace,
     groups: dict[int, list[CacheConfig]],
     meta: dict[int, tuple[list[int], int]],
     pending: list[int],
-    results: dict[CacheConfig, MissResult],
     policy: ExecutorPolicy,
     journal: RunJournal,
-    ck: "_SweepCheckpoint | None",
-    on_error: str,
-) -> dict[CacheConfig, MissResult]:
-    """Run the pending groups of a sweep over an on-disk chunked trace.
+    failures: list[tuple[int, str]],
+) -> Iterator[tuple[int, tuple]]:
+    """Pending groups as fault-tolerant jobs (see :func:`run_group_jobs`).
 
-    Serial groups stream chunk-at-a-time through one carrying simulator,
-    snapshotting full state (histograms + LRU stacks) into the
-    checkpoint between chunks so a killed run resumes mid-trace.
-    Parallel groups ship ``(path, digest)`` to the workers — a few
-    hundred bytes per job — and each worker mmaps the file itself.
+    Groups that still fail after retries and fallback are journaled and
+    appended to ``failures`` instead of being yielded.
     """
-    parallel = (
-        policy.max_workers is not None
-        and policy.max_workers > 1
-        and len(pending) > 1
-    )
-    if not parallel and policy.fault is None:
-        for line_size in pending:
-            set_counts, max_assoc = meta[line_size]
-            with journal.timed(
-                "pass", role="sweep", line_size=line_size, where="serial"
-            ) as extra:
-                sim = None
-                first_chunk = 0
-                if ck is not None:
-                    resume = ck.lookup_chunk(line_size, set_counts, max_assoc)
-                    if resume is not None and 0 < resume[0] <= ctrace.n_chunks:
-                        first_chunk, accesses, families = resume
-                        if sorted(families) == list(set_counts):
-                            sim = CheetahSimulator.from_full_state(
-                                line_size, max_assoc, accesses, families
-                            )
-                        else:
-                            first_chunk = 0
-                if sim is None:
-                    sim = CheetahSimulator(line_size, set_counts, max_assoc)
-                for index in range(first_chunk, ctrace.n_chunks):
-                    starts, sizes = ctrace.chunk(index)
-                    sim.simulate(starts, sizes)
-                    del starts, sizes
-                    if ck is not None and index + 1 < ctrace.n_chunks:
-                        ck.store_chunk(
-                            line_size,
-                            set_counts,
-                            max_assoc,
-                            index + 1,
-                            sim.full_state(),
-                        )
-                state = sim.state()
-                extra["trace_ranges"] = ctrace.n_ranges
-                extra["chunks"] = ctrace.n_chunks
-                if first_chunk:
-                    extra["resumed_at_chunk"] = first_chunk
-            del sim
-            if ck is not None:
-                ck.store(line_size, set_counts, max_assoc, state)
-            _fold_group(results, groups[line_size], line_size, max_assoc, state)
-        if ck is not None:
-            journal.observe_cache(ck.cache, label="sweep-checkpoint")
-        return results
-
-    jobs = []
-    for line_size in pending:
-        set_counts, max_assoc = meta[line_size]
-        jobs.append(
-            Job(
-                key=line_size,
-                fn=simulate_group_from_chunks,
-                args=(
-                    line_size,
-                    set_counts,
-                    max_assoc,
-                    str(ctrace.path),
-                    ctrace.digest,
-                ),
-            )
+    if not isinstance(trace, ChunkedTrace):
+        trace = _materialize(trace)
+        journal.record(
+            "trace_materialized", line_size="all", trace_ranges=len(trace[0])
         )
-    journal.record(
-        "trace_shipping",
-        mode="chunkpath",
-        jobs=len(jobs),
-        trace_ranges=ctrace.n_ranges,
-        chunks=ctrace.n_chunks,
-    )
-    outcomes = run_jobs(jobs, policy, journal)
-
-    failures: list[tuple[int, str]] = []
+    units = [(ls, "trace", ls, *meta[ls]) for ls in pending]
+    outcomes = run_group_jobs(units, {"trace": trace}, policy, journal)
+    del trace
     for line_size in pending:
         outcome = outcomes[line_size]
-        set_counts, max_assoc = meta[line_size]
         if not outcome.ok:
             failures.append((line_size, outcome.error or "unknown error"))
             journal.record(
@@ -798,20 +644,7 @@ def _sweep_chunked(
             where=outcome.where,
             wall_s=round(outcome.wall_s, 6),
         )
-        if ck is not None:
-            ck.store(line_size, set_counts, max_assoc, outcome.value)
-        _fold_group(
-            results, groups[line_size], line_size, max_assoc, outcome.value
-        )
-    if ck is not None:
-        journal.observe_cache(ck.cache, label="sweep-checkpoint")
-    if failures and on_error == "raise":
-        line_size, error = failures[0]
-        raise RuntimeExecutionError(
-            f"{len(failures)} line-size group(s) failed after retries "
-            f"(first: line {line_size}: {error})"
-        )
-    return results
+        yield line_size, outcome.value
 
 
 def sampled_sweep_design_space(

@@ -27,9 +27,7 @@ Gives the repository's main flows a shell entry point:
 Common options: ``--scale`` (workload footprint multiplier),
 ``--visits`` (emulation budget), ``--benchmarks`` (subset),
 ``--max-workers``/``--job-timeout``/``--job-retries`` (parallel
-priming), ``--trace-shipping`` (zero-copy shared memory vs per-job
-pickling), ``--count-parallelism`` (multicore per-line-size
-stack-distance counting), ``--journal`` (structured JSON-lines run
+priming), ``--journal`` (structured JSON-lines run
 journal), ``--runs-db`` (record the command's results as a durable run
 in an analytics sqlite database, browsable with ``repro runs``).
 """
@@ -52,7 +50,6 @@ from repro.experiments.runner import (
     run_table4,
 )
 from repro.machine.presets import PAPER_PROCESSORS
-from repro.runtime.executor import TRACE_SHIPPING_MODES
 from repro.runtime.journal import RunJournal, use_journal
 from repro.workloads.suite import BENCHMARK_NAMES
 
@@ -119,27 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="re-attempts per failed simulation pass (default: 2)",
-    )
-    common.add_argument(
-        "--trace-shipping",
-        choices=TRACE_SHIPPING_MODES,
-        default="auto",
-        help=(
-            "how parallel runs ship trace arrays to workers: 'auto' "
-            "prefers zero-copy shared memory, 'shm' requires it, "
-            "'pickle' forces per-job pickling (default: auto)"
-        ),
-    )
-    common.add_argument(
-        "--count-parallelism",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the per-line-size stack-distance "
-            "counting of multi-line-size sweeps (streams ship zero-copy; "
-            "default: 1, in-process)"
-        ),
     )
     common.add_argument(
         "--journal",
@@ -508,8 +484,6 @@ def _settings(args: argparse.Namespace) -> RunnerSettings:
         max_workers=args.max_workers,
         job_timeout=args.job_timeout,
         job_retries=args.job_retries,
-        trace_shipping=getattr(args, "trace_shipping", "auto"),
-        count_parallelism=getattr(args, "count_parallelism", 1),
     )
 
 

@@ -20,7 +20,6 @@ spacewalker can drive it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Mapping
 
 from repro.ahh.modeler import (
@@ -30,7 +29,7 @@ from repro.ahh.modeler import (
 )
 from repro.ahh.params import TraceParameters
 from repro.cache.config import WORD_BYTES, CacheConfig
-from repro.cache.sweep import simulate_group_state
+from repro.cache.sweep import run_group_jobs
 from repro.core.dilated_trace import dilate_binary
 from repro.core.dilation import DilationInfo, measure_dilation
 from repro.core.hierarchy_eval import processor_cycles
@@ -41,7 +40,7 @@ from repro.iformat.linker import Binary, link
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import REFERENCE_PROCESSOR
 from repro.machine.processor import VliwProcessor
-from repro.runtime.executor import ExecutorPolicy, Job, run_jobs
+from repro.runtime.executor import ExecutorPolicy
 from repro.runtime.journal import RunJournal, resolve_journal
 from repro.trace.emulator import Emulator
 from repro.trace.events import EventTrace
@@ -289,12 +288,13 @@ class ExperimentPipeline:
 
         One work unit per (processor, role, line size); with
         ``max_workers`` > 1 the units run concurrently in worker
-        processes under the fault-tolerant executor
-        (:func:`repro.runtime.run_jobs`), and their single-pass
-        histogram states are merged back into the per-processor
-        simulation banks.  Worker faults cost retries (or an in-process
-        fallback), and subsequent :meth:`actual_misses` calls are pure
-        lookups either way, so results are identical to the serial path.
+        processes (:func:`repro.cache.sweep.run_group_jobs`; each
+        distinct trace is spilled to one temporary file), and their
+        single-pass histogram states are merged back into the
+        per-processor simulation banks.  Worker faults cost retries (or
+        an in-process fallback), and subsequent :meth:`actual_misses`
+        calls are pure lookups either way, so results are identical to
+        the serial path.
 
         Artifact construction (compile/assemble/emulate/trace) stays in
         the parent process — it is memoized and shared across roles.
@@ -338,15 +338,15 @@ class ExperimentPipeline:
             for bank in banks:
                 bank.prime()
             return len(units)
-        jobs = [
-            Job(
-                key=(bank_index, *key),
-                fn=simulate_group_state,
-                args_factory=partial(banks[bank_index].unit_job, *key),
+        jobs: list[tuple] = []
+        traces: dict[tuple, tuple] = {}
+        for bank_index, bank in enumerate(banks):
+            bank_units, bank_traces = bank.group_units(
+                bank.pending_units(), tag=(bank_index,)
             )
-            for bank_index, key in units
-        ]
-        outcomes = run_jobs(jobs, policy, journal)
+            jobs.extend(bank_units)
+            traces.update(bank_traces)
+        outcomes = run_group_jobs(jobs, traces, policy, journal)
         failures = [r for r in outcomes.values() if not r.ok]
         if failures:
             first = failures[0]

@@ -45,10 +45,6 @@ class RunnerSettings:
     job_timeout: float | None = None
     #: Re-attempts per failed simulation pass before giving up.
     job_retries: int = 2
-    #: How parallel runs ship trace arrays to workers (auto/shm/pickle).
-    trace_shipping: str = "auto"
-    #: Workers for per-line-size stack-distance counting (1 = in-process).
-    count_parallelism: int = 1
 
     def executor_policy(self) -> ExecutorPolicy:
         """The fault-tolerance policy these settings describe."""
@@ -56,8 +52,6 @@ class RunnerSettings:
             max_workers=self.max_workers,
             timeout=self.job_timeout,
             retries=self.job_retries,
-            trace_shipping=self.trace_shipping,
-            count_parallelism=self.count_parallelism,
         )
 
 

@@ -15,44 +15,29 @@ Every process-pool call site in the library routes through
 * **submission-order-independent folding** — results are keyed by job,
   so callers fold them in any order and one failed job fails only its
   own key;
-* **lazy argument materialization** — a job may carry an
-  ``args_factory`` called only at submit time, and the parent's copy of
-  the arguments is dropped right after submission.  Combined with the
-  bounded in-flight window (``max_workers + 1`` submissions
-  outstanding), parent-side residency of large arguments is a handful
-  of jobs' worth, never the whole batch;
 * **deterministic fault injection** (:class:`FaultPlan`) — tests and CI
   can crash, kill or hang specific attempts and assert the journal and
-  the recovered results;
-* **zero-copy argument shipping** (:class:`SharedSegmentManager`) —
-  large read-only arrays (trace ``starts``/``sizes``) are materialized
-  once into a ``multiprocessing.shared_memory`` segment and workers map
-  them in place via a tiny picklable :class:`SharedArrayHandle`,
-  instead of re-pickling megabytes per job.  Segments are refcounted in
-  the parent, which owns the unlink: release runs in the caller's
-  ``finally``, so killed workers, pool restarts and serial fallback all
-  leave ``/dev/shm`` clean (an ``atexit`` sweep is the backstop).
+  the recovered results.
+
+Job arguments are pickled to the workers as they are, so callers ship
+small handles rather than large arrays: trace simulations ship the
+``(path, digest)`` of a chunked trace file
+(:func:`repro.cache.sweep.run_group_jobs`).
 
 Everything the executor does is recorded in the active
 :class:`~repro.runtime.journal.RunJournal` (retries, timeouts,
-fallbacks, per-job wall time, end-of-run worker utilization, shm
-segment lifecycle).
+fallbacks, per-job wall time, end-of-run worker utilization).
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, Hashable, Iterable, Mapping
-
-import numpy as np
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.errors import RuntimeExecutionError
 from repro.runtime.journal import RunJournal, resolve_journal
@@ -63,19 +48,11 @@ __all__ = [
     "InjectedWorkerFault",
     "Job",
     "JobResult",
-    "SharedArrayHandle",
-    "SharedSegmentManager",
-    "TRACE_SHIPPING_MODES",
     "run_jobs",
-    "segment_manager",
-    "shm_available",
 ]
 
 #: Clock slack when deciding whether an in-flight job has timed out.
 _TIMEOUT_SLACK = 1e-3
-
-#: Valid values of :attr:`ExecutorPolicy.trace_shipping`.
-TRACE_SHIPPING_MODES = ("auto", "shm", "pickle")
 
 
 class InjectedWorkerFault(RuntimeError):
@@ -122,20 +99,6 @@ class ExecutorPolicy:
     times before it is declared failed.  ``timeout`` is per attempt, in
     seconds (None disables; unenforceable in serial fallback).
     ``backoff`` is the base of an exponential delay between attempts.
-
-    ``trace_shipping`` selects how callers ship large read-only arrays
-    to workers: ``"auto"`` prefers zero-copy shared memory when the
-    platform supports it, ``"shm"`` requires it, ``"pickle"`` forces the
-    legacy per-job pickling path.  The executor itself only validates
-    and carries the knob; call sites (e.g.
-    :func:`repro.cache.sweep.sweep_design_space`) resolve it.
-
-    ``count_parallelism`` fans the per-line-size stack-distance
-    *counting* of a multi-line-size batch out over this many workers
-    (shm-backed streams, deterministic fold order); 1 keeps counting
-    in-process.  Like ``trace_shipping`` it is carried here and
-    resolved by the call sites
-    (:class:`repro.cache.designspace.DesignSpaceSimulator`).
     """
 
     max_workers: int | None = None
@@ -144,19 +107,6 @@ class ExecutorPolicy:
     backoff: float = 0.05
     serial_fallback: bool = True
     fault: FaultPlan | None = None
-    trace_shipping: str = "auto"
-    count_parallelism: int = 1
-
-    def __post_init__(self) -> None:
-        if self.trace_shipping not in TRACE_SHIPPING_MODES:
-            raise RuntimeExecutionError(
-                f"unknown trace shipping mode {self.trace_shipping!r}; "
-                f"expected one of {', '.join(TRACE_SHIPPING_MODES)}"
-            )
-        if self.count_parallelism < 1:
-            raise RuntimeExecutionError(
-                f"count_parallelism must be >= 1, got {self.count_parallelism}"
-            )
 
     def fault_kind(self, key: Hashable, attempt: int) -> str | None:
         """The injected fault kind for this attempt, or None."""
@@ -173,23 +123,11 @@ class ExecutorPolicy:
 
 @dataclass(frozen=True)
 class Job:
-    """One unit of work: a picklable function plus its arguments.
-
-    ``args_factory`` defers argument materialization to submit time (and
-    re-materializes on retry); it runs in the parent, so it need not be
-    picklable — only its return value crosses the process boundary.
-    """
+    """One unit of work: a picklable function plus its arguments."""
 
     key: Hashable
     fn: Callable[..., Any]
     args: tuple = ()
-    args_factory: Callable[[], tuple] | None = None
-
-    def materialize(self) -> tuple:
-        """The job's argument tuple (built fresh when a factory is set)."""
-        if self.args_factory is not None:
-            return tuple(self.args_factory())
-        return self.args
 
 
 @dataclass
@@ -207,240 +145,6 @@ class JobResult:
     def ok(self) -> bool:
         """True when the job produced a value."""
         return self.error is None
-
-
-# -- zero-copy shared-memory shipping ----------------------------------
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without taking ownership of it.
-
-    Python 3.13 grew ``track=False`` for exactly this; on older runtimes
-    an attach silently registers the segment with the resource tracker,
-    which would unlink it when *this* process exits — yanking it out
-    from under the owning parent.  Unregister-after-attach is the usual
-    workaround, but the tracker's registry is a set shared across forked
-    workers, so the extra unregister steals the creator's registration
-    and the creator's own unlink then trips a tracker KeyError.  Instead
-    the register call is suppressed for the duration of the attach.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        pass
-    with _ATTACH_LOCK:
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-_ATTACH_LOCK = threading.Lock()
-
-
-_SHM_PROBE: bool | None = None
-
-
-def shm_available() -> bool:
-    """Whether POSIX shared memory works here (probed once, cached)."""
-    global _SHM_PROBE
-    if _SHM_PROBE is None:
-        try:
-            seg = shared_memory.SharedMemory(create=True, size=16)
-            seg.close()
-            seg.unlink()
-            _SHM_PROBE = True
-        except Exception:  # noqa: BLE001 - any failure means unavailable
-            _SHM_PROBE = False
-    return _SHM_PROBE
-
-
-@dataclass(frozen=True)
-class SharedArrayHandle:
-    """Tiny picklable reference to numpy arrays living in one segment.
-
-    ``fields`` holds ``(name, dtype_str, shape, offset)`` per array.
-    Workers call :meth:`open` and index the attachment by field name;
-    the views are read-only (the segment is shared by many workers) and
-    valid only inside the ``with`` block.
-    """
-
-    name: str
-    fields: tuple[tuple[str, str, tuple[int, ...], int], ...]
-    nbytes: int
-
-    def open(self) -> "_AttachedArrays":
-        """Context manager mapping the segment's arrays (zero-copy)."""
-        return _AttachedArrays(self)
-
-
-class _AttachedArrays:
-    """One process's attachment to a :class:`SharedArrayHandle`."""
-
-    def __init__(self, handle: SharedArrayHandle):
-        self._handle = handle
-        self._segment: shared_memory.SharedMemory | None = None
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def __enter__(self) -> "_AttachedArrays":
-        self._segment = _attach_segment(self._handle.name)
-        for field, dtype, shape, offset in self._handle.fields:
-            view = np.ndarray(
-                shape,
-                dtype=np.dtype(dtype),
-                buffer=self._segment.buf,
-                offset=offset,
-            )
-            view.flags.writeable = False
-            self._arrays[field] = view
-        return self
-
-    def __getitem__(self, field: str) -> np.ndarray:
-        return self._arrays[field]
-
-    def __exit__(self, *exc: Any) -> None:
-        # Views into the buffer must be gone before close(): exporting a
-        # live memoryview makes BufferError ("cannot close exported
-        # pointers exist").
-        self._arrays.clear()
-        segment, self._segment = self._segment, None
-        if segment is not None:
-            segment.close()
-
-
-def _align(offset: int) -> int:
-    return (offset + 63) & ~63
-
-
-class SharedSegmentManager:
-    """Parent-side registry of refcounted shared-memory segments.
-
-    ``acquire(key, arrays)`` materializes the arrays into one segment
-    (or bumps the refcount of the existing segment for ``key``) and
-    returns a :class:`SharedArrayHandle`; ``release(key)`` drops a
-    reference and unlinks on the last one.  Callers pair the two in
-    ``try/finally``, so every exit path — worker kills, pool restarts,
-    serial fallback, exceptions — unlinks in the parent.  An ``atexit``
-    sweep backstops anything still held when the process ends.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # key -> [segment, handle, refcount]
-        self._segments: dict[Hashable, list[Any]] = {}
-
-    def acquire(
-        self,
-        key: Hashable,
-        arrays: Mapping[str, np.ndarray],
-        journal: RunJournal | None = None,
-    ) -> SharedArrayHandle:
-        """A handle for ``arrays`` under ``key``, creating or reusing."""
-        journal = resolve_journal(journal)
-        with self._lock:
-            entry = self._segments.get(key)
-            if entry is not None:
-                entry[2] += 1
-                journal.record(
-                    "shm_segment",
-                    action="reuse",
-                    key=str(key),
-                    segment=entry[1].name,
-                    bytes=entry[1].nbytes,
-                    refs=entry[2],
-                )
-                return entry[1]
-            fields = []
-            offset = 0
-            for field, array in arrays.items():
-                array = np.ascontiguousarray(array)
-                offset = _align(offset)
-                fields.append(
-                    (field, array.dtype.str, tuple(array.shape), offset)
-                )
-                offset += array.nbytes
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(offset, 1)
-            )
-            for (field, dtype, shape, off), array in zip(
-                fields, arrays.values()
-            ):
-                view = np.ndarray(
-                    shape,
-                    dtype=np.dtype(dtype),
-                    buffer=segment.buf,
-                    offset=off,
-                )
-                view[...] = array
-                del view
-            handle = SharedArrayHandle(
-                name=segment.name, fields=tuple(fields), nbytes=offset
-            )
-            self._segments[key] = [segment, handle, 1]
-            journal.record(
-                "shm_segment",
-                action="create",
-                key=str(key),
-                segment=handle.name,
-                bytes=handle.nbytes,
-                refs=1,
-            )
-            return handle
-
-    def release(
-        self, key: Hashable, journal: RunJournal | None = None
-    ) -> None:
-        """Drop one reference; the last one unlinks the segment."""
-        journal = resolve_journal(journal)
-        with self._lock:
-            entry = self._segments.get(key)
-            if entry is None:
-                return
-            entry[2] -= 1
-            if entry[2] > 0:
-                return
-            del self._segments[key]
-            segment, handle = entry[0], entry[1]
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        journal.record(
-            "shm_segment",
-            action="unlink",
-            key=str(key),
-            segment=handle.name,
-            bytes=handle.nbytes,
-        )
-
-    def active(self) -> dict[Hashable, str]:
-        """Currently held segments, ``{key: segment name}`` (for tests)."""
-        with self._lock:
-            return {key: entry[1].name for key, entry in self._segments.items()}
-
-    def shutdown(self) -> None:
-        """Unlink every held segment (atexit backstop)."""
-        with self._lock:
-            entries = list(self._segments.values())
-            self._segments.clear()
-        for segment, _, _ in entries:
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:  # noqa: BLE001 - best effort at exit
-                pass
-
-
-_MANAGER = SharedSegmentManager()
-atexit.register(_MANAGER.shutdown)
-
-
-def segment_manager() -> SharedSegmentManager:
-    """The process-wide segment manager (one per parent process)."""
-    return _MANAGER
 
 
 def _invoke(fault_kind: str | None, fn: Callable[..., Any], *args: Any) -> Any:
@@ -502,7 +206,7 @@ def _run_serial(
                     raise InjectedWorkerFault(
                         f"injected {kind} fault (in-process)"
                     )
-                value = job.fn(*job.materialize())
+                value = job.fn(*job.args)
             except Exception as exc:  # noqa: BLE001 - jobs may raise anything
                 if attempt >= policy.retries:
                     wall = time.perf_counter() - start
@@ -617,24 +321,16 @@ class _ParallelRun:
         return self.results
 
     def _top_up(self) -> None:
-        """Submit jobs up to the bounded in-flight window.
-
-        Arguments are materialized here, per submission, and the local
-        reference dropped immediately — the window (not the batch size)
-        bounds how many jobs' arguments the parent holds at once.
-        """
+        """Submit jobs up to the bounded in-flight window."""
         while self.queue and len(self.in_flight) < self.workers + 1:
             job, attempt = self.queue.popleft()
             kind = self.policy.fault_kind(job.key, attempt)
-            args = job.materialize()
             try:
-                future = self.pool.submit(_invoke, kind, job.fn, *args)
+                future = self.pool.submit(_invoke, kind, job.fn, *job.args)
             except (BrokenProcessPool, RuntimeError):
                 self.queue.appendleft((job, attempt))
                 self._abandon_pool(terminate=False)
                 return
-            finally:
-                del args
             self.in_flight[future] = (job, attempt, time.perf_counter())
 
     def _drain(self) -> None:

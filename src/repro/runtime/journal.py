@@ -33,8 +33,7 @@ any event type):
     One whole-design-space tower consume (one shared sort serving a
     ladder of line sizes): ``line_sizes``, ``refs``, ``mode``
     (``"links"``/``"streams"``, prefixed ``"fused-"`` when the tower's
-    counting ran as one fused dispatch, or ``"parallel"`` when the
-    per-size counting fanned out over workers), ``sorts``, ``splits``,
+    counting ran as one fused dispatch), ``sorts``, ``splits``,
     ``wall_s``.
 ``stackdist_fused``
     One fused stack-distance dispatch (every family of a tower counted
@@ -42,15 +41,13 @@ any event type):
     ``line_sizes``, ``problems``, ``refs``, ``sorted_refs``,
     ``dominance_refs``, ``window``, ``residues``, ``by_path``, per-tier
     ``sort_s``/``scan_s``/``expand_s``/``dominance_s``, ``wall_s``.
-``shm_segment``
-    Shared-memory segment lifecycle in the parent: ``action``
-    (``"create"``/``"reuse"``/``"unlink"``), ``key``, ``segment``,
-    ``bytes``, ``refs``.
-``shm_attach`` / ``trace_shipping``
-    Per-job shipping accounting, recorded parent-side at submit:
-    ``shm_attach`` carries ``key``, ``bytes_shipped`` (the pickled
-    handle) and ``bytes_mapped`` (the segment the worker maps);
-    ``trace_shipping`` carries the resolved ``mode`` and ``jobs``.
+``trace_shipping``
+    One fan-out of group simulations to workers, recorded parent-side
+    before submission: ``mode`` (always ``"chunkpath"`` — jobs ship a
+    chunked trace file's path and digest), ``jobs``, ``trace_ranges``,
+    ``chunks``, ``bytes_shipped`` (the pickled handles, summed over
+    jobs) and ``bytes_mapped`` (the trace-file bytes each worker maps,
+    summed over jobs).
 ``cache``
     An :class:`~repro.explore.evalcache.EvaluationCache` snapshot:
     ``hits``, ``misses``, ``hit_rate``, ``entries``.
@@ -288,17 +285,15 @@ class RunJournal:
                     sum(e.get("wall_s", 0.0) for e in fused), 6
                 ),
             }
-        attaches = self.select("shm_attach")
-        segments = self.select("shm_segment")
-        if attaches or segments:
-            shipped = sum(int(e.get("bytes_shipped", 0)) for e in attaches)
-            mapped = sum(int(e.get("bytes_mapped", 0)) for e in attaches)
+        shippings = self.select("trace_shipping")
+        if shippings:
+            shipped = sum(int(e.get("bytes_shipped", 0)) for e in shippings)
+            mapped = sum(int(e.get("bytes_mapped", 0)) for e in shippings)
             summary["trace_shipping"] = {
-                "shm_jobs": len(attaches),
+                "jobs": sum(int(e.get("jobs", 0)) for e in shippings),
                 "bytes_shipped": shipped,
                 "bytes_mapped": mapped,
                 "bytes_saved": max(0, mapped - shipped),
-                "segments": _count_by(segments, "action"),
             }
         if caches:
             summary["caches"] = {
@@ -325,7 +320,6 @@ class RunJournal:
                 "workers": _count_by(fleet, "action"),
                 "fence_rejections": len(fences),
             }
-        shippings = self.select("trace_shipping")
         chunked = [e for e in shippings if e.get("mode") == "chunkpath"]
         chunk_passes = [e for e in passes if "chunks" in e]
         if chunked or chunk_passes:
@@ -425,14 +419,11 @@ class RunJournal:
             )
         ship = s.get("trace_shipping")
         if ship:
-            segments = ", ".join(
-                f"{k}={v}" for k, v in sorted(ship["segments"].items())
-            ) or "none"
             lines.append(
-                f"trace shipping: {ship['shm_jobs']} shm jobs, "
+                f"trace shipping: {ship['jobs']} jobs, "
                 f"{ship['bytes_shipped']} B shipped for "
                 f"{ship['bytes_mapped']} B mapped "
-                f"({ship['bytes_saved']} B saved; segments: {segments})"
+                f"({ship['bytes_saved']} B saved)"
             )
         if s["fallbacks"]:
             reasons = ", ".join(

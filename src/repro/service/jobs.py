@@ -49,8 +49,7 @@ Every spec is *content-addressed*: :func:`trace_key` is a digest of the
 canonical spec JSON, so two clients submitting the same trace (however
 phrased) share store entries.
 
-All execution knobs (``max_workers``, ``job_timeout``, ``job_retries``,
-``trace_shipping``, ``count_parallelism``)
+All execution knobs (``max_workers``, ``job_timeout``, ``job_retries``)
 route into :class:`repro.runtime.executor.ExecutorPolicy`, so service
 jobs inherit the fault-tolerant runtime: per-pass timeouts, bounded
 retries, fault injection and journal events all carry over.
@@ -323,8 +322,6 @@ def spec_policy(spec: dict[str, Any]) -> ExecutorPolicy:
         max_workers=spec.get("max_workers"),
         timeout=spec.get("job_timeout"),
         retries=int(spec.get("job_retries", 2)),
-        trace_shipping=str(spec.get("trace_shipping", "auto")),
-        count_parallelism=int(spec.get("count_parallelism", 1)),
     )
 
 
@@ -548,8 +545,6 @@ def _execute_estimate(
         max_workers=spec.get("max_workers"),
         job_timeout=spec.get("job_timeout"),
         job_retries=int(spec.get("job_retries", 2)),
-        trace_shipping=str(spec.get("trace_shipping", "auto")),
-        count_parallelism=int(spec.get("count_parallelism", 1)),
     )
     bench_id = (
         f"{benchmark}:scale={settings.scale:g}:visits={settings.max_visits}"
@@ -638,8 +633,6 @@ def _execute_explore(
         max_workers=spec.get("max_workers"),
         job_timeout=spec.get("job_timeout"),
         job_retries=int(spec.get("job_retries", 2)),
-        trace_shipping=str(spec.get("trace_shipping", "auto")),
-        count_parallelism=int(spec.get("count_parallelism", 1)),
     )
     space = _system_space(spec.get("space"))
     try:

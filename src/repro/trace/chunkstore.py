@@ -3,16 +3,16 @@
 Every engine in the stack consumes *range traces* — parallel
 ``starts``/``sizes`` arrays — and until now a trace had to exist as one
 in-memory numpy pair, capping trace length at RAM and forcing whole-array
-pickling (or one big shm segment) to reach worker processes.  This module
-is the streaming alternative: a single flat file holding the trace as a
-sequence of fixed-size **chunks**, each chunk two independently encoded
-columns, plus a JSON footer index, so that
+pickling to reach worker processes.  This module is the streaming
+alternative: a single flat file holding the trace as a sequence of
+fixed-size **chunks**, each chunk two independently encoded columns,
+plus a JSON footer index, so that
 
 * writers stream a trace of any length in bounded memory
   (:class:`ChunkedTraceWriter` buffers one chunk);
 * readers (:class:`ChunkedTrace`) hand out one chunk's arrays at a time —
   the whole file is mapped with ``mmap`` on open, and with the ``raw``
-  codec a chunk read is a zero-copy ``np.frombuffer`` view of the map;
+  codec a chunk read is one copy out of the map, with no inflate;
 * worker processes attach by **path**: a job ships the file path plus the
   footer-indexed offsets (a few hundred bytes), not the arrays, and the
   OS page cache shares the backing pages across every attached process;
@@ -52,7 +52,9 @@ import json
 import mmap
 import os
 import struct
+import tempfile
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -243,6 +245,39 @@ def write_chunked(
     ) as writer:
         writer.append(starts, sizes)
     return ChunkedTrace(path)
+
+
+@contextmanager
+def spilled_trace(
+    trace: "tuple[Sequence[int], Sequence[int]] | ChunkedTrace",
+) -> Iterator["ChunkedTrace"]:
+    """Yield ``trace`` as an open :class:`ChunkedTrace`, spilling if needed.
+
+    This is how a trace reaches a worker process: jobs ship the file's
+    ``(path, digest)`` and the worker maps it.  A ``ChunkedTrace`` passes
+    through unchanged.  An in-memory ``(starts, sizes)`` pair is written
+    to a temporary **one-chunk**, ``codec="raw"`` file, so a worker
+    reads the whole trace in one verified chunk and runs the same single
+    ``simulate`` call as the in-memory path.  The temporary file is
+    unlinked on every exit path, including worker faults and exceptions.
+    """
+    if isinstance(trace, ChunkedTrace):
+        yield trace
+        return
+    starts, sizes = trace
+    fd, path = tempfile.mkstemp(prefix="repro-spill-", suffix=".rcht")
+    os.close(fd)
+    try:
+        with write_chunked(
+            path,
+            starts,
+            sizes,
+            chunk_ranges=max(1, len(starts)),
+            codec="raw",
+        ) as ctrace:
+            yield ctrace
+    finally:
+        os.unlink(path)
 
 
 class ChunkedTrace:

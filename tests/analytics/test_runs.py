@@ -197,8 +197,8 @@ class TestDeriveJournalColumns:
             {"event": "checkpoint", "action": "miss"},
             {"event": "checkpoint", "action": "store"},
             {"event": "service_dedup", "from_store": 3, "simulated": 2},
-            {"event": "shm_attach", "bytes_shipped": 10,
-             "bytes_mapped": 100},
+            {"event": "trace_shipping", "mode": "chunkpath", "jobs": 2,
+             "bytes_shipped": 10, "bytes_mapped": 100},
             {"event": "job", "id": "j1"},
             {"event": "job_failed", "id": "j2"},
         ]

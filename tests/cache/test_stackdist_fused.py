@@ -1,4 +1,4 @@
-"""Property tests for fused cross-size counting and parallel counting.
+"""Property tests for fused cross-size counting.
 
 The fused kernel's contract is *bit-identical distances*: for any list
 of counting problems, :func:`stack_distances_fused` must return exactly
@@ -6,10 +6,8 @@ what one :func:`stack_distances` call per problem returns — across
 forced tiers (scan / expansion / dominance fallback), mixed ``vmax``
 towers sharing one fused sort, precomputed links, empty and
 single-segment problems.  On top of the kernel,
-:class:`DesignSpaceSimulator` in ``mode="fused"`` and with
-``count_parallelism`` > 1 (shm-shipped streams over the fault-tolerant
-pool, including injected worker faults) must match the per-size
-serial simulators state-for-state.
+:class:`DesignSpaceSimulator` in ``mode="fused"`` must match the
+per-size serial simulators state-for-state.
 """
 
 import hypothesis.strategies as st
@@ -26,12 +24,6 @@ from repro.cache.stackdist import (
     radix_argsort,
     stack_distances,
     stack_distances_fused,
-)
-from repro.runtime.executor import (
-    ExecutorPolicy,
-    FaultPlan,
-    segment_manager,
-    shm_available,
 )
 
 #: Kernel knobs forcing each tier (applied to fused and per-size alike).
@@ -225,61 +217,3 @@ class TestDesignSpaceFused:
         space.simulate(starts[:2000], sizes[:2000])
         space.simulate(starts[2000:], sizes[2000:])
         assert space.states() == reference
-
-
-@pytest.mark.skipif(not shm_available(), reason="needs POSIX shared memory")
-class TestParallelCounting:
-    @pytest.mark.parametrize("parallelism", [1, 2, 4])
-    def test_count_parallelism_matches_serial(self, parallelism):
-        starts, sizes = _trace()
-        spec = _spec()
-        clear_line_stream_cache()
-        reference = _reference_states(starts, sizes, spec)
-        policy = ExecutorPolicy(count_parallelism=parallelism)
-        space = DesignSpaceSimulator(spec, policy=policy)
-        space.simulate(starts, sizes)
-        assert space.states() == reference
-        assert segment_manager().active() == {}
-
-    @pytest.mark.parametrize(
-        "fault",
-        [
-            FaultPlan(kind="raise", match="", times=2),     # retried
-            FaultPlan(kind="raise", match="16", times=9),   # terminal
-            FaultPlan(kind="exit", match="32", times=9),    # dead worker
-        ],
-        ids=["retry", "terminal-raise", "terminal-exit"],
-    )
-    def test_count_parallelism_fault_injection(self, fault):
-        starts, sizes = _trace()
-        spec = _spec()
-        clear_line_stream_cache()
-        reference = _reference_states(starts, sizes, spec)
-        policy = ExecutorPolicy(
-            count_parallelism=2, retries=1, fault=fault
-        )
-        space = DesignSpaceSimulator(spec, policy=policy)
-        space.simulate(starts, sizes)
-        assert space.states() == reference
-        assert segment_manager().active() == {}
-
-    def test_parallel_then_append_stays_exact(self):
-        starts, sizes = _trace()
-        spec = _spec()
-        clear_line_stream_cache()
-        reference = _reference_states(starts, sizes, spec)
-        policy = ExecutorPolicy(count_parallelism=2)
-        space = DesignSpaceSimulator(spec, policy=policy)
-        space.simulate(starts[:2000], sizes[:2000])
-        # carried LRU state forces the serial tower path for batch 2
-        space.simulate(starts[2000:], sizes[2000:])
-        assert space.states() == reference
-        assert segment_manager().active() == {}
-
-
-class TestPolicyValidation:
-    def test_count_parallelism_must_be_positive(self):
-        from repro.errors import RuntimeExecutionError
-
-        with pytest.raises(RuntimeExecutionError, match="count_parallelism"):
-            ExecutorPolicy(count_parallelism=0)

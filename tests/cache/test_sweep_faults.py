@@ -7,7 +7,6 @@ from repro.cache.sweep import sweep_design_space
 from repro.errors import ConfigurationError, RuntimeExecutionError
 from repro.explore.evalcache import EvaluationCache
 from repro.runtime import ExecutorPolicy, FaultPlan, RunJournal
-from repro.runtime.executor import shm_available
 
 CONFIGS = [
     CacheConfig(8, 1, 16),
@@ -207,8 +206,8 @@ class TestCheckpointResume:
 
 
 class TestTraceResidency:
-    def test_unpicklable_factory_materialized_once_into_shm(self):
-        """An unpicklable factory runs once; workers map shared memory."""
+    def test_unpicklable_factory_materialized_once_into_spill(self):
+        """An unpicklable factory runs once; workers read one spill file."""
         calls = []
 
         def factory():
@@ -217,42 +216,13 @@ class TestTraceResidency:
 
         results = sweep_design_space(CONFIGS, factory, max_workers=2)
         assert results == BASELINE
-        assert len(calls) == (1 if shm_available() else 3)
-
-    def test_factory_called_per_group_with_pickle_shipping(self):
-        """Legacy pickling materializes per submission, not all upfront."""
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return trace()
-
-        policy = ExecutorPolicy(max_workers=2, trace_shipping="pickle")
-        results = sweep_design_space(CONFIGS, factory, policy=policy)
-        assert results == BASELINE
-        assert len(calls) == 3  # closure is unpicklable -> parent, per group
+        assert len(calls) == 1
 
     def test_picklable_factory_ships_to_workers(self):
         results = sweep_design_space(CONFIGS, trace, max_workers=2)
         assert results == BASELINE
 
-    def test_journal_shows_late_materialization(self):
-        journal = RunJournal()
-
-        def factory():
-            return trace()
-
-        policy = ExecutorPolicy(max_workers=2, trace_shipping="pickle")
-        sweep_design_space(CONFIGS, factory, policy=policy, journal=journal)
-        events = journal.select("trace_materialized")
-        assert len(events) == 3
-        assert {e["line_size"] for e in events} == {16, 32, 64}
-        jobs = journal.select("job")
-        assert len(jobs) == 3
-
-    def test_journal_shows_shm_shipping(self):
-        if not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
+    def test_journal_shows_chunkpath_shipping(self):
         journal = RunJournal()
 
         def factory():
@@ -262,9 +232,9 @@ class TestTraceResidency:
         events = journal.select("trace_materialized")
         assert len(events) == 1 and events[0]["line_size"] == "all"
         shipping = journal.select("trace_shipping")
-        assert shipping and shipping[0]["mode"] == "shm"
-        attaches = journal.select("shm_attach")
-        assert len(attaches) == 3
-        assert all(
-            e["bytes_mapped"] > e["bytes_shipped"] > 0 for e in attaches
-        )
+        assert len(shipping) == 1
+        event = shipping[0]
+        assert event["mode"] == "chunkpath"
+        assert event["jobs"] == 3
+        assert event["chunks"] == 1  # one-chunk spill file
+        assert event["bytes_mapped"] > event["bytes_shipped"] > 0

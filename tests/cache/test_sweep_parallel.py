@@ -2,7 +2,6 @@
 
 from repro.cache.config import CacheConfig
 from repro.cache.sweep import simulate_group_state, sweep_design_space
-from repro.runtime.executor import shm_available
 
 CONFIGS = [
     CacheConfig(8, 1, 16),
@@ -37,10 +36,9 @@ class TestParallelSweep:
 
         parallel = sweep_design_space(CONFIGS, factory, max_workers=2)
         serial = sweep_design_space(CONFIGS, trace())
-        # Unpicklable closure: shared-memory shipping materializes the
-        # trace once in the parent (per-job pickling would call it per
-        # group instead).
-        assert len(calls) == (1 if shm_available() else 3)
+        # The parent materializes the trace once and spills it to one
+        # file that every group's worker reads.
+        assert len(calls) == 1
         assert parallel == serial
 
     def test_single_group_stays_serial(self):

@@ -67,24 +67,6 @@ class TestSerial:
         assert len(journal.select("retry")) == 2
         assert len(journal.select("job_failed")) == 1
 
-    def test_args_factory_called_per_attempt(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return (4,)
-
-        fault = FaultPlan("raise", match="k", times=1)
-        results = run_jobs(
-            [Job(key="k", fn=square, args_factory=factory)],
-            ExecutorPolicy(retries=2, backoff=0.0, fault=fault),
-        )
-        assert results["k"].value == 16
-        assert results["k"].attempts == 2
-        # The failing attempt fires before the job function runs, so
-        # only the succeeding attempt materialized arguments.
-        assert len(calls) == 1
-
 
 class TestParallel:
     def test_parallel_matches_serial(self):

@@ -165,13 +165,10 @@ class TestFullVocabularySummary:
         j.record("checkpoint", action="store", key="k2")
         j.record("cache", label="sweep-checkpoint", hits=1, misses=1,
                  hit_rate=0.5, entries=2)
-        # Zero-copy trace shipping.
-        j.record("shm_segment", action="create", name="seg0",
-                 bytes=1 << 20)
-        j.record("shm_attach", line_size=16, bytes_shipped=100,
-                 bytes_mapped=1 << 20)
+        # Trace shipping: jobs carry a chunked trace file's handle.
         j.record("trace_shipping", mode="chunkpath", jobs=2,
-                 trace_ranges=1000, chunks=4)
+                 trace_ranges=1000, chunks=4, bytes_shipped=100,
+                 bytes_mapped=1 << 20)
         # Worker pool utilization.
         j.record("worker_util", workers=4, busy_s=2.0, wall_s=1.0,
                  utilization=0.5)
@@ -196,7 +193,7 @@ class TestFullVocabularySummary:
 
     def test_summary_covers_every_family(self):
         s = self.build().summary()
-        assert s["events"] == 30
+        assert s["events"] == 28
         assert s["passes"]["count"] == 2
         assert s["passes"]["by_where"] == {"serial": 1, "worker": 1}
         assert s["stackdist"]["count"] == 1
@@ -216,7 +213,7 @@ class TestFullVocabularySummary:
         assert s["caches"]["sweep-checkpoint"]["hit_rate"] == 0.5
         assert s["trace_shipping"]["bytes_shipped"] == 100
         assert s["trace_shipping"]["bytes_saved"] == (1 << 20) - 100
-        assert s["trace_shipping"]["segments"] == {"create": 1}
+        assert s["trace_shipping"]["jobs"] == 2
         assert s["worker_util"]["utilization"] == 0.5
         assert s["fleet"]["leases"] == {"grant": 1, "expired": 1}
         assert s["fleet"]["workers"] == {"register": 1, "reaped": 1}
@@ -242,7 +239,7 @@ class TestFullVocabularySummary:
             "fused stack-distance dispatches: 1",
             "jobs: 1 completed, 1 failed, 1 retries, 1 timeouts",
             "design-space towers: 1",
-            "trace shipping: 1 shm jobs",
+            "trace shipping: 2 jobs, 100 B shipped",
             "fallbacks: broken_pool x1",
             "checkpoints: hit=1, miss=1, store=1",
             "sweep-checkpoint: hits=1",

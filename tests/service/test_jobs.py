@@ -13,6 +13,7 @@ from repro.service.jobs import (
     execute_job,
     parse_configs,
     result_key,
+    spec_policy,
     trace_key,
     validate_spec,
 )
@@ -231,6 +232,60 @@ class TestSweepExecution:
         result = execute_job(reordered, store)
         assert result["from_store"] == 4
         assert result["simulated"] == 0
+
+
+class TestRetiredKnobs:
+    """Specs written when jobs could pick a trace-shipping mode and a
+    counting parallelism still validate, execute and dedup unchanged."""
+
+    LEGACY = {"trace_shipping": "shm", "count_parallelism": 2}
+
+    def test_validate_and_policy_ignore_retired_knobs(self):
+        legacy = sweep_spec(max_workers=2, **self.LEGACY)
+        assert validate_spec(legacy) is legacy
+        assert spec_policy(legacy) == spec_policy(sweep_spec(max_workers=2))
+
+    def test_keys_are_byte_identical(self):
+        legacy = sweep_spec(**self.LEGACY)
+        assert trace_key(legacy["trace"]) == trace_key(SYNTH)
+        config = CacheConfig(8, 1, 16)
+        assert result_key(trace_key(legacy["trace"]), config) == (
+            result_key(trace_key(SYNTH), config)
+        )
+
+    def test_legacy_spec_executes_and_dedups(self, store):
+        plain = execute_job(sweep_spec(), store)
+        legacy = execute_job(sweep_spec(max_workers=2, **self.LEGACY), store)
+        assert legacy["trace_key"] == plain["trace_key"]
+        assert legacy["from_store"] == 4
+        assert legacy["simulated"] == 0
+        assert [d["misses"] for d in legacy["results"]] == (
+            [d["misses"] for d in plain["results"]]
+        )
+
+    def test_legacy_spec_simulates_like_a_plain_one(self, tmp_path):
+        plain = execute_job(
+            sweep_spec(), ResultStore(tmp_path / "plain.sqlite")
+        )
+        legacy = execute_job(
+            sweep_spec(
+                configs={
+                    "sets": [8, 16], "assocs": [1, 2],
+                    "line_sizes": [16, 32],
+                },
+                max_workers=2,
+                **self.LEGACY,
+            ),
+            ResultStore(tmp_path / "legacy.sqlite"),
+        )
+        assert legacy["simulated"] == 8
+        by_config = {
+            (d["sets"], d["assoc"], d["line_size"]): d["misses"]
+            for d in legacy["results"]
+        }
+        for doc in plain["results"]:
+            key = (doc["sets"], doc["assoc"], doc["line_size"])
+            assert by_config[key] == doc["misses"]
 
 
 class TestEstimateAndExplore:
