@@ -552,7 +552,8 @@ def run_streaming(trace, *, reps: int) -> dict:
     Writes the epic trace to a chunked store once, then times
     ``sweep_design_space`` fed the in-memory arrays (whole-design-space
     kernel) against the same sweep fed the :class:`ChunkedTrace`
-    (chunk-at-a-time per line size, bounded working set).  Every grid
+    (the same kernel fed chunk by chunk, every line size per chunk
+    read, bounded working set).  Every grid
     point is asserted bit-identical — streaming changes memory behaviour,
     never results.
     """

@@ -209,6 +209,12 @@ class CheetahSimulator:
             }
         return self.accesses, out
 
+    def settle(self) -> None:
+        """Materialize deferred LRU stacks, dropping the partitioned
+        stream a kernel batch keeps for them."""
+        for fam in self._families.values():
+            _ensure_stacks(fam)
+
     @classmethod
     def from_full_state(
         cls,

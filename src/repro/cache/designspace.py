@@ -79,6 +79,7 @@ from repro.cache.cheetah import (
 from repro.cache.config import CacheConfig
 from repro.cache.linestream import (
     LineStream,
+    derive_stream,
     line_access_count,
     line_stream,
     trace_digest,
@@ -247,13 +248,20 @@ class DesignSpaceSimulator:
         self,
         starts: Sequence[int] | Iterable[int],
         sizes: Sequence[int] | Iterable[int],
+        *,
+        memoize: bool = True,
     ) -> None:
-        """Feed a whole range trace to every line size (appendable)."""
+        """Feed a range trace to every line size (appendable).
+
+        ``memoize=False`` keeps this batch's line streams out of the
+        process-wide :mod:`~repro.cache.linestream` memo, for one chunk
+        of a longer trace that will never be seen again.
+        """
         starts_arr = as_int64_array(starts)
         sizes_arr = as_int64_array(sizes)
         if len(starts_arr) != len(sizes_arr):
             raise TraceError("starts and sizes must have equal length")
-        digest = trace_digest(starts_arr, sizes_arr)
+        digest = trace_digest(starts_arr, sizes_arr) if memoize else None
         for tower in self._towers:
             self._consume_tower(tower, starts_arr, sizes_arr, digest)
 
@@ -262,10 +270,18 @@ class DesignSpaceSimulator:
         tower: list[int],
         starts: np.ndarray,
         sizes: np.ndarray,
-        digest: bytes,
+        digest: bytes | None,
     ) -> None:
         base = tower[0]
-        fine = line_stream(starts, sizes, base, digest=digest)
+        memoize = digest is not None
+        fine = line_stream(starts, sizes, base, memoize=memoize, digest=digest)
+
+        def coarser(line_size: int) -> LineStream:
+            if memoize:
+                return line_stream(starts, sizes, line_size, digest=digest)
+            factor = line_size // base
+            return derive_stream(fine, factor, starts, sizes, line_size)
+
         n = len(fine.lines)
         if n == 0:
             return
@@ -299,10 +315,7 @@ class DesignSpaceSimulator:
             # lengths: the linked plan splits at the fine length once
             # per level, the streams plan re-sorts each collapsed
             # stream inside its simulator.
-            coarse = {
-                ls: line_stream(starts, sizes, ls, digest=digest)
-                for ls in tower[1:]
-            }
+            coarse = {ls: coarser(ls) for ls in tower[1:]}
             split_cost = (len(tower) - 1) * n * _SPLIT_COST_PASSES
             vmax = fine.max_line if fine.min_line >= 0 else None
             passes = 1 if vmax is not None and vmax < (1 << 16) else 2
@@ -333,8 +346,7 @@ class DesignSpaceSimulator:
                     stream = (
                         fine
                         if line_size == base
-                        else coarse.get(line_size)
-                        or line_stream(starts, sizes, line_size, digest=digest)
+                        else coarse.get(line_size) or coarser(line_size)
                     )
                     self._consume(line_size, stream, None, collect)
             if collect:

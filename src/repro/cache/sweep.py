@@ -4,34 +4,38 @@ Implements the paper's first efficiency technique (Section 1): group the
 cache design space by line size and run one single-pass Cheetah simulation
 per distinct line size, rather than one simulation per configuration.
 
-Distinct line-size groups are independent single-pass simulations, so the
-driver can fan them out over worker processes (``max_workers``) through
-the fault-tolerant executor in :mod:`repro.runtime`: each worker
-simulates one group and ships back the stack-depth histograms, which the
-parent folds — in completion order, keyed by line size — into the
-ordinary :class:`~repro.cache.simulator.MissResult` mapping.  Callers
-see the same API either way, and a crashed or hung worker costs a retry
-(or an in-process fallback), not the sweep.
+A sweep reads its trace as chunks: a
+:class:`~repro.trace.chunkstore.ChunkedTrace` is its own chunks, an
+in-memory ``(starts, sizes)`` pair (or a factory's output, called once)
+is one chunk.  In-process, one
+:class:`~repro.cache.designspace.DesignSpaceSimulator` is fed chunk by
+chunk, so each chunk is read once and one expansion and one sort per
+chunk serve every line size.  ``strategy="perline"`` runs independent
+per-line-size passes instead: the reference producer (results are
+bit-identical either way).
 
-In-process sweeps use the whole-design-space kernel
-(:class:`~repro.cache.designspace.DesignSpaceSimulator`): one line-stream
-expansion and one value sort shared by every line size, instead of one
-of each per line size.  ``strategy="perline"`` keeps the independent
-per-line-size passes (the equivalence oracle; results are bit-identical
-either way).
+Distinct line-size groups are independent single-pass simulations, so a
+sweep can also fan them out over worker processes (``max_workers``)
+through the fault-tolerant executor in :mod:`repro.runtime`: each worker
+runs the same chunk loop for one group and ships back the stack-depth
+histograms, which the parent folds — in completion order, keyed by line
+size — into the ordinary :class:`~repro.cache.simulator.MissResult`
+mapping.  Callers see the same API either way, and a crashed or hung
+worker costs a retry (or an in-process fallback), not the sweep.
 
 Trace shipping: a worker receives its trace only as the ``(path,
 digest)`` of a :class:`~repro.trace.chunkstore.ChunkedTrace`.  An
-on-disk chunked trace ships as itself; an in-memory trace (or a factory's
-output) is materialized once in the parent and spilled to a temporary
-one-chunk file (:func:`~repro.trace.chunkstore.spilled_trace`) that is
-unlinked when the jobs finish.  :func:`run_group_jobs` is that single
-path, shared with evaluator and pipeline priming.
+on-disk chunked trace ships as itself; an in-memory trace is spilled to
+a temporary one-chunk file
+(:func:`~repro.trace.chunkstore.spilled_trace`) that is unlinked when the
+jobs finish.  :func:`run_group_jobs` is that single path, shared with
+evaluator and pipeline priming.
 
 Sweeps can checkpoint completed groups into an
 :class:`~repro.explore.evalcache.EvaluationCache` (one durable flush per
 group, via :meth:`~repro.explore.evalcache.EvaluationCache.bulk`), so a
-killed run resumes from the finished groups instead of restarting.
+killed run resumes from the finished groups instead of restarting; a
+multi-chunk sweep also snapshots every group at each chunk boundary.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from contextlib import ExitStack
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -46,6 +51,7 @@ from typing import (
     Iterable,
     Iterator,
     Mapping,
+    NamedTuple,
     Sequence,
 )
 
@@ -65,9 +71,9 @@ from repro.trace.sampling import SamplePlan, extrapolate, plan_windows
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.explore.evalcache import EvaluationCache
 
-#: A range trace: callable returning (starts, sizes).  Sweeps accept a
-#: factory rather than arrays so multi-gigabyte traces can be re-generated
-#: lazily per pass instead of held resident.
+#: A range trace: callable returning (starts, sizes).  A sweep calls it
+#: at most once and holds the result in memory for the whole sweep;
+#: traces too long for memory belong in a ChunkedTrace.
 TraceFactory = Callable[[], tuple[Sequence[int], Sequence[int]]]
 
 #: A trace argument: the (starts, sizes) pair, a factory, or an on-disk
@@ -80,21 +86,66 @@ Trace = "tuple[Sequence[int], Sequence[int]] | TraceFactory | ChunkedTrace"
 GroupUnit = tuple[Hashable, Hashable, int, Sequence[int], int]
 
 
-def simulate_group_state(
-    line_size: int,
-    set_counts: Sequence[int],
-    max_assoc: int,
-    starts: np.ndarray,
-    sizes: np.ndarray,
-) -> tuple[int, dict[int, list[int]]]:
-    """Run one single-pass simulation in-process; export its histograms.
+class _InMemoryTrace(NamedTuple):
+    """An in-memory trace as one chunk (the ChunkedTrace read interface);
+    still a ``(starts, sizes)`` pair, so it spills like any other."""
 
-    The in-process entry point of the per-line-size sweep;
-    :func:`simulate_group_from_chunks` is its worker-side twin.
+    starts: np.ndarray
+    sizes: np.ndarray
+
+    n_chunks = 1
+
+    @property
+    def n_ranges(self) -> int:
+        return len(self.starts)
+
+    @property
+    def trace_id(self) -> str:
+        return trace_digest(self.starts, self.sizes)
+
+    def chunk(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.starts, self.sizes
+
+    def window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.starts[lo:hi], self.sizes[lo:hi]
+
+
+#: What every sweep reads: a trace as chunks.
+Chunks = "ChunkedTrace | _InMemoryTrace"
+
+
+def _chunks(trace: Trace, journal: RunJournal) -> Chunks:
+    """``trace`` as chunks; a factory is called here, exactly once."""
+    if isinstance(trace, ChunkedTrace):
+        return trace
+    starts, sizes = trace() if callable(trace) else trace
+    chunks = _InMemoryTrace(as_int64_array(starts), as_int64_array(sizes))
+    journal.record(
+        "trace_materialized", line_size="all", trace_ranges=chunks.n_ranges
+    )
+    return chunks
+
+
+def _feed_chunks(
+    space: DesignSpaceSimulator,
+    chunks: Chunks,
+    first: int = 0,
+    boundary: Callable[[int], None] | None = None,
+) -> None:
+    """Feed chunks ``first..`` to ``space``: the one sweep chunk loop.
+
+    A multi-chunk trace's line streams stay out of the process-wide memo
+    (they would outlive their chunk), and its deferred LRU stacks are
+    settled after every chunk, before ``boundary(next_chunk)`` runs.
     """
-    sim = CheetahSimulator(line_size, set_counts, max_assoc)
-    sim.simulate(starts, sizes)
-    return sim.state()
+    n_chunks = chunks.n_chunks
+    for index in range(first, n_chunks):
+        space.simulate(*chunks.chunk(index), memoize=n_chunks == 1)
+        if index + 1 < n_chunks:
+            for sim in space.simulators.values():
+                sim.settle()
+            if boundary is not None:
+                boundary(index + 1)
 
 
 def simulate_group_from_chunks(
@@ -108,8 +159,9 @@ def simulate_group_from_chunks(
 
     The only worker-side group simulator.  Ships only the path and
     expected content digest (a few hundred bytes); the worker maps the
-    file and feeds the engine one chunk at a time, so a one-chunk spill
-    file runs the same single ``simulate`` call as the in-memory path.
+    file and runs the in-process chunk loop for one line size, so a
+    one-chunk spill file makes the same single ``simulate`` call as the
+    in-memory path.
     """
     with ChunkedTrace(path) as ctrace:
         if ctrace.digest != digest:
@@ -117,10 +169,9 @@ def simulate_group_from_chunks(
                 f"chunked trace at {path} has digest {ctrace.digest}, "
                 f"job expected {digest}"
             )
-        sim = CheetahSimulator(line_size, set_counts, max_assoc)
-        for starts, sizes in ctrace.iter_chunks():
-            sim.simulate(starts, sizes)
-        return sim.state()
+        space = DesignSpaceSimulator({line_size: (set_counts, max_assoc)})
+        _feed_chunks(space, ctrace)
+        return space.state(line_size)
 
 
 def run_group_jobs(
@@ -169,13 +220,6 @@ def run_group_jobs(
             bytes_mapped=mapped,
         )
         return run_jobs(jobs, policy, journal)
-
-
-def _materialize(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(trace, ChunkedTrace):
-        return trace.materialize()
-    starts, sizes = trace() if callable(trace) else trace
-    return as_int64_array(starts), as_int64_array(sizes)
 
 
 # ----------------------------------------------------------------------
@@ -272,30 +316,22 @@ class _SweepCheckpoint:
     """
 
     def __init__(
-        self,
-        cache: "EvaluationCache",
-        trace: Trace,
-        trace_key: str | None,
-        journal: RunJournal,
+        self, cache: "EvaluationCache", trace_id: str, journal: RunJournal
     ):
         self.cache = cache
         self.journal = journal
-        if trace_key is not None:
-            self.trace_id = f"key={trace_key}"
-        elif isinstance(trace, ChunkedTrace):
-            # The chunk index already carries a content digest; no need
-            # to materialize anything.
-            self.trace_id = trace.trace_id
-        else:
-            # All line-size groups share one trace, so one digest
-            # identifies the whole sweep; materialize once and drop.
-            starts, sizes = _materialize(trace)
-            self.trace_id = trace_digest(starts, sizes)
+        self.trace_id = trace_id
 
     def key(
-        self, line_size: int, set_counts: Sequence[int], max_assoc: int
+        self,
+        line_size: int,
+        set_counts: Sequence[int],
+        max_assoc: int,
+        prefix: str = "sweep",
     ) -> str:
-        return group_state_key(self.trace_id, line_size, set_counts, max_assoc)
+        return group_state_key(
+            self.trace_id, line_size, set_counts, max_assoc, prefix
+        )
 
     def lookup(
         self, line_size: int, set_counts: Sequence[int], max_assoc: int
@@ -320,39 +356,44 @@ class _SweepCheckpoint:
             self.cache.put(key, encode_group_state(state))
         self.journal.record("checkpoint", action="store", key=key)
 
-    def chunk_key(
-        self, line_size: int, set_counts: Sequence[int], max_assoc: int
-    ) -> str:
-        return group_state_key(
-            self.trace_id, line_size, set_counts, max_assoc, prefix="sweepchunk"
-        )
-
-    def lookup_chunk(
-        self, line_size: int, set_counts: Sequence[int], max_assoc: int
-    ) -> tuple[int, int, dict[int, dict]] | None:
-        key = self.chunk_key(line_size, set_counts, max_assoc)
-        state = decode_chunk_state(self.cache.get(key))
-        if state is not None:
+    def lookup_chunks(
+        self, spec: Mapping[int, tuple[list[int], int]], n_chunks: int
+    ) -> tuple[int, dict[int, tuple[int, dict[int, dict]]]]:
+        """``(next_chunk, {line_size: full state})`` to resume from, when
+        every group of ``spec`` holds a snapshot at the same chunk over
+        its own set counts; else ``(0, {})`` (e.g. line-outer snapshots
+        of earlier releases, left at different chunks)."""
+        snaps = {}
+        for line_size, (set_counts, max_assoc) in spec.items():
+            key = self.key(line_size, set_counts, max_assoc, "sweepchunk")
+            snap = decode_chunk_state(self.cache.get(key))
+            if snap is None or sorted(snap[2]) != list(set_counts):
+                return 0, {}
             self.journal.record(
-                "checkpoint", action="chunk_hit", key=key, chunk=state[0]
+                "checkpoint", action="chunk_hit", key=key, chunk=snap[0]
             )
-            return state
-        return None
+            snaps[line_size] = snap
+        chunks = {snap[0] for snap in snaps.values()}
+        if len(chunks) != 1 or not 0 < min(chunks) <= n_chunks:
+            return 0, {}
+        return min(chunks), {ls: snap[1:] for ls, snap in snaps.items()}
 
-    def store_chunk(
+    def store_chunks(
         self,
-        line_size: int,
-        set_counts: Sequence[int],
-        max_assoc: int,
+        spec: Mapping[int, tuple[list[int], int]],
         next_chunk: int,
-        full_state: tuple[int, dict[int, dict]],
+        space: DesignSpaceSimulator,
     ) -> None:
-        key = self.chunk_key(line_size, set_counts, max_assoc)
+        """Snapshot every group at one chunk boundary, in one flush."""
         with self.cache.bulk():
-            self.cache.put(key, encode_chunk_state(next_chunk, full_state))
-        self.journal.record(
-            "checkpoint", action="chunk_store", key=key, chunk=next_chunk
-        )
+            for line_size, (set_counts, max_assoc) in spec.items():
+                key = self.key(line_size, set_counts, max_assoc, "sweepchunk")
+                state = space.simulators[line_size].full_state()
+                self.cache.put(key, encode_chunk_state(next_chunk, state))
+                self.journal.record(
+                    "checkpoint", action="chunk_store", key=key,
+                    chunk=next_chunk,
+                )
 
 
 def sweep_design_space(
@@ -370,9 +411,16 @@ def sweep_design_space(
     """Simulate every configuration, one pass per distinct line size.
 
     ``trace`` is a ``(starts, sizes)`` pair, a zero-argument callable
-    producing one, or an on-disk
+    producing one (called at most once), or an on-disk
     :class:`~repro.trace.chunkstore.ChunkedTrace` (streamed chunk by
-    chunk in-process; resumable mid-trace through ``checkpoint``).
+    chunk; resumable mid-trace through ``checkpoint``).
+
+    In-process, every pending line size shares one
+    :class:`~repro.cache.designspace.DesignSpaceSimulator` fed chunk by
+    chunk (an in-memory trace is one chunk).  ``strategy="perline"``
+    runs independent per-line-size passes instead, the reference
+    producer; ``"designspace"`` is a retired synonym of ``"auto"``.
+    Results are bit-identical across strategies.
 
     With ``max_workers`` > 1 (or ``policy.max_workers`` > 1) and more
     than one line-size group, the groups run concurrently in worker
@@ -382,16 +430,6 @@ def sweep_design_space(
     the trace as a chunked file's ``(path, digest)``; an in-memory trace
     is spilled to a temporary one-chunk file first
     (:func:`run_group_jobs`).
-
-    ``strategy`` selects the in-process engine: ``"auto"`` feeds every
-    pending line size through one
-    :class:`~repro.cache.designspace.DesignSpaceSimulator` (one
-    expansion, one sort) whenever an in-memory sweep runs in-process
-    without fault injection; ``"designspace"`` forces that kernel
-    (in-process, even when workers were requested — one shared sort
-    usually beats a per-line-size fan-out); ``"perline"`` forces the
-    independent per-line-size passes.  Chunked traces always use
-    per-line-size passes.  Results are bit-identical across strategies.
 
     ``checkpoint`` (an :class:`~repro.explore.evalcache.EvaluationCache`)
     persists each completed group's simulation state, keyed by a trace
@@ -429,11 +467,15 @@ def sweep_design_space(
         for line_size, group in groups.items()
     }
 
-    ck = (
-        _SweepCheckpoint(checkpoint, trace, trace_key, journal)
-        if checkpoint is not None
-        else None
-    )
+    # Read the trace only when needed: a fully checkpointed sweep keyed
+    # by ``trace_key`` never touches it.
+    chunks = None
+    ck = None
+    if checkpoint is not None:
+        if trace_key is None:
+            chunks = _chunks(trace, journal)
+        trace_id = f"key={trace_key}" if chunks is None else chunks.trace_id
+        ck = _SweepCheckpoint(checkpoint, trace_id, journal)
 
     results: dict[CacheConfig, MissResult] = {}
     pending: list[int] = []
@@ -445,30 +487,24 @@ def sweep_design_space(
         else:
             pending.append(line_size)
 
-    chunked = isinstance(trace, ChunkedTrace)
-    # "designspace" keeps in-memory sweeps in-process; chunked traces
-    # never feed that kernel (it wants the full arrays), so they fan out.
     parallel = (
         policy.max_workers is not None
         and policy.max_workers > 1
         and len(pending) > 1
-        and (chunked or strategy != "designspace")
     )
     failures: list[tuple[int, str]] = []
+    if pending and chunks is None:
+        chunks = _chunks(trace, journal)
     if not pending:
         passes: Iterator[tuple[int, tuple]] = iter(())
     elif parallel or policy.fault is not None:
         passes = _worker_passes(
-            trace, groups, meta, pending, policy, journal, failures
+            chunks, groups, meta, pending, policy, journal, failures
         )
-    elif chunked:
-        passes = _chunked_passes(trace, meta, pending, journal, ck)
-    elif strategy == "designspace" or (
-        strategy == "auto" and len(pending) > 1
-    ):
-        passes = _designspace_passes(trace, meta, pending, journal)
+    elif strategy == "perline":
+        passes = _perline_passes(chunks, meta, pending, journal)
     else:
-        passes = _perline_passes(trace, meta, pending, journal)
+        passes = _chunk_passes(chunks, meta, pending, journal, ck)
     # Store and fold each group as it completes, so a killed sweep
     # resumes from every group finished before the kill.
     for line_size, state in passes:
@@ -487,30 +523,67 @@ def sweep_design_space(
     return results
 
 
+def _chunk_passes(
+    chunks: Chunks,
+    meta: dict[int, tuple[list[int], int]],
+    pending: list[int],
+    journal: RunJournal,
+    ck: "_SweepCheckpoint | None",
+) -> Iterator[tuple[int, tuple]]:
+    """Every pending line size from one simulator fed chunk by chunk,
+    resuming from and snapshotting to ``ck`` at chunk boundaries."""
+    spec = {line_size: meta[line_size] for line_size in pending}
+    first, snapshots = (
+        ck.lookup_chunks(spec, chunks.n_chunks)
+        if ck is not None and chunks.n_chunks > 1
+        else (0, {})
+    )
+    space = DesignSpaceSimulator(spec)
+    for line_size, (accesses, families) in snapshots.items():
+        space.simulators[line_size] = CheetahSimulator.from_full_state(
+            line_size, spec[line_size][1], accesses, families
+        )
+    boundary = partial(ck.store_chunks, spec, space=space) if ck else None
+    _feed_chunks(space, chunks, first, boundary)
+    extra = {"chunks": chunks.n_chunks} if chunks.n_chunks > 1 else {}
+    if first:
+        extra["resumed_at_chunk"] = first
+    for line_size in pending:
+        journal.record(
+            "pass",
+            role="sweep",
+            line_size=line_size,
+            where="serial",
+            trace_ranges=chunks.n_ranges,
+            wall_s=round(space.consume_seconds[line_size], 6),
+            kernel_s=round(space.kernel_seconds[line_size], 6),
+            **extra,
+        )
+        yield line_size, space.state(line_size)
+
+
 def _perline_passes(
-    trace: Trace,
+    chunks: Chunks,
     meta: dict[int, tuple[list[int], int]],
     pending: list[int],
     journal: RunJournal,
 ) -> Iterator[tuple[int, tuple]]:
-    """In-process per-line-size passes, materializing the trace per pass."""
+    """Independent per-line-size passes: the reference producer."""
     for line_size in pending:
         set_counts, max_assoc = meta[line_size]
         with journal.timed(
-            "pass", role="sweep", line_size=line_size, where="serial"
+            "pass",
+            role="sweep",
+            line_size=line_size,
+            where="serial",
+            trace_ranges=chunks.n_ranges,
         ) as extra:
-            # Attribute this pass's stack-distance kernel time: the
-            # simulator records one "stackdist" event per family into
-            # the same (active) journal, so the events appended while
-            # the pass runs are exactly this pass's kernel calls.
-            # Serial/in-process only — worker events never cross the
-            # pool boundary, so parallel passes carry no kernel_s.
+            # The "stackdist" events appended during the pass are
+            # exactly this pass's kernel calls.
             kernels_before = len(journal.select("stackdist"))
-            starts, sizes = _materialize(trace)
-            extra["trace_ranges"] = len(starts)
-            state = simulate_group_state(
-                line_size, set_counts, max_assoc, starts, sizes
-            )
+            sim = CheetahSimulator(line_size, set_counts, max_assoc)
+            for index in range(chunks.n_chunks):
+                sim.simulate(*chunks.chunk(index))
             extra["kernel_s"] = round(
                 sum(
                     e.get("wall_s", 0.0)
@@ -518,94 +591,11 @@ def _perline_passes(
                 ),
                 6,
             )
-        del starts, sizes
-        yield line_size, state
-
-
-def _designspace_passes(
-    trace: Trace,
-    meta: dict[int, tuple[list[int], int]],
-    pending: list[int],
-    journal: RunJournal,
-) -> Iterator[tuple[int, tuple]]:
-    """Every pending line size from one shared expansion and sort."""
-    starts, sizes = _materialize(trace)
-    journal.record(
-        "trace_materialized", line_size="all", trace_ranges=len(starts)
-    )
-    space = DesignSpaceSimulator(
-        {line_size: meta[line_size] for line_size in pending}
-    )
-    space.simulate(starts, sizes)
-    trace_ranges = len(starts)
-    del starts, sizes
-    for line_size in pending:
-        journal.record(
-            "pass",
-            role="sweep",
-            line_size=line_size,
-            where="serial",
-            trace_ranges=trace_ranges,
-            wall_s=round(space.consume_seconds[line_size], 6),
-            kernel_s=round(space.kernel_seconds.get(line_size, 0.0), 6),
-        )
-        yield line_size, space.state(line_size)
-
-
-def _chunked_passes(
-    ctrace: ChunkedTrace,
-    meta: dict[int, tuple[list[int], int]],
-    pending: list[int],
-    journal: RunJournal,
-    ck: "_SweepCheckpoint | None",
-) -> Iterator[tuple[int, tuple]]:
-    """In-process passes streaming an on-disk trace chunk at a time.
-
-    Each group snapshots full state (histograms + LRU stacks) into the
-    checkpoint between chunks, so a killed run resumes mid-trace.
-    """
-    for line_size in pending:
-        set_counts, max_assoc = meta[line_size]
-        with journal.timed(
-            "pass", role="sweep", line_size=line_size, where="serial"
-        ) as extra:
-            sim = None
-            first_chunk = 0
-            if ck is not None:
-                resume = ck.lookup_chunk(line_size, set_counts, max_assoc)
-                if resume is not None and 0 < resume[0] <= ctrace.n_chunks:
-                    first_chunk, accesses, families = resume
-                    if sorted(families) == list(set_counts):
-                        sim = CheetahSimulator.from_full_state(
-                            line_size, max_assoc, accesses, families
-                        )
-                    else:
-                        first_chunk = 0
-            if sim is None:
-                sim = CheetahSimulator(line_size, set_counts, max_assoc)
-            for index in range(first_chunk, ctrace.n_chunks):
-                starts, sizes = ctrace.chunk(index)
-                sim.simulate(starts, sizes)
-                del starts, sizes
-                if ck is not None and index + 1 < ctrace.n_chunks:
-                    ck.store_chunk(
-                        line_size,
-                        set_counts,
-                        max_assoc,
-                        index + 1,
-                        sim.full_state(),
-                    )
-            state = sim.state()
-            extra["trace_ranges"] = ctrace.n_ranges
-            extra["chunks"] = ctrace.n_chunks
-            if first_chunk:
-                extra["resumed_at_chunk"] = first_chunk
-        del sim
-        yield line_size, state
+        yield line_size, sim.state()
 
 
 def _worker_passes(
-    trace: Trace,
+    chunks: Chunks,
     groups: dict[int, list[CacheConfig]],
     meta: dict[int, tuple[list[int], int]],
     pending: list[int],
@@ -618,14 +608,8 @@ def _worker_passes(
     Groups that still fail after retries and fallback are journaled and
     appended to ``failures`` instead of being yielded.
     """
-    if not isinstance(trace, ChunkedTrace):
-        trace = _materialize(trace)
-        journal.record(
-            "trace_materialized", line_size="all", trace_ranges=len(trace[0])
-        )
     units = [(ls, "trace", ls, *meta[ls]) for ls in pending]
-    outcomes = run_group_jobs(units, {"trace": trace}, policy, journal)
-    del trace
+    outcomes = run_group_jobs(units, {"trace": chunks}, policy, journal)
     for line_size in pending:
         outcome = outcomes[line_size]
         if not outcome.ok:
@@ -674,16 +658,9 @@ def sampled_sweep_design_space(
     if not groups:
         return {}
 
-    if isinstance(trace, ChunkedTrace):
-        total = trace.n_ranges
-        read = trace.window
-    else:
-        starts, sizes = _materialize(trace)
-        total = len(starts)
-
-        def read(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            return starts[lo:hi], sizes[lo:hi]
-
+    chunks = _chunks(trace, journal)
+    total = chunks.n_ranges
+    read = chunks.window
     windows = plan_windows(total, plan)
     results: dict[CacheConfig, SampledMissResult] = {}
     if not windows:  # empty trace

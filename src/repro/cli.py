@@ -197,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "designspace", "perline"),
         default="auto",
         help=(
-            "in-process engine: one whole-design-space pass "
-            "('designspace'), independent per-line-size passes "
-            "('perline'), or pick automatically (default: auto)"
+            "in-process engine: 'auto' (default) feeds every line size "
+            "from one whole-design-space simulator, chunk by chunk; "
+            "'perline' runs independent per-line-size reference passes; "
+            "'designspace' is a retired synonym of 'auto'"
         ),
     )
     sweep.add_argument(

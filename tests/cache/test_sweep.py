@@ -1,8 +1,11 @@
 """Unit tests for repro.cache.sweep."""
 
+import pytest
+
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate_trace
 from repro.cache.sweep import simulation_passes_required, sweep_design_space
+from repro.explore.evalcache import EvaluationCache
 
 
 def small_trace():
@@ -38,7 +41,7 @@ class TestSweep:
         # derives every coarser line size from the finest stream.
         assert len(calls) == 1
 
-    def test_trace_factory_called_per_line_size_with_perline(self):
+    def test_trace_factory_called_once_with_perline(self):
         calls = []
 
         def factory():
@@ -46,8 +49,35 @@ class TestSweep:
             return small_trace()
 
         configs = [CacheConfig(8, 1, 16), CacheConfig(8, 1, 32)]
-        sweep_design_space(configs, factory, strategy="perline")
-        assert len(calls) == 2
+        results = sweep_design_space(configs, factory, strategy="perline")
+        # The reference producer reads the same one-chunk in-memory
+        # trace as every other path; only the simulation is per line.
+        assert len(calls) == 1
+        assert results == sweep_design_space(configs, small_trace())
+
+    @pytest.mark.parametrize(
+        "line_sizes, max_workers",
+        [((16, 32), None), ((16,), None), ((16, 32), 2)],
+        ids=["in-process", "one-group", "workers"],
+    )
+    def test_checkpointed_sweep_calls_factory_once(
+        self, line_sizes, max_workers
+    ):
+        """The checkpoint digest and the simulation share one read."""
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return small_trace()
+
+        configs = [CacheConfig(8, 1, line) for line in line_sizes]
+        cache = EvaluationCache()
+        results = sweep_design_space(
+            configs, factory, max_workers=max_workers, checkpoint=cache
+        )
+        assert len(calls) == 1
+        assert results == sweep_design_space(configs, small_trace())
+        assert len(cache) == len(line_sizes)
 
     def test_passes_required_counts_distinct_line_sizes(self):
         configs = [

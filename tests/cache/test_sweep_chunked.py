@@ -1,12 +1,20 @@
 """Chunked-trace sweeps: bit-identity, resume, sampling, shipping."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.cache.cheetah import CheetahSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate_trace
+from repro.cache.designspace import DesignSpaceSimulator
+from repro.cache.linestream import (
+    clear_line_stream_cache,
+    line_stream_cache_stats,
+)
 from repro.cache.sweep import (
+    _feed_chunks,
     encode_chunk_state,
     group_state_key,
     sampled_sweep_design_space,
@@ -14,7 +22,7 @@ from repro.cache.sweep import (
 )
 from repro.explore.evalcache import EvaluationCache
 from repro.runtime.journal import RunJournal
-from repro.trace.chunkstore import write_chunked
+from repro.trace.chunkstore import ChunkedTrace, write_chunked
 from repro.trace.sampling import SamplePlan
 
 
@@ -82,6 +90,69 @@ class TestBitIdentity:
             assert got[config].misses == exact[config].misses
 
 
+class TestChunkReads:
+    def test_each_chunk_read_once_for_every_line_size(
+        self, tmp_path, arrays, monkeypatch
+    ):
+        starts, sizes = arrays
+        configs = [
+            CacheConfig(sets, 2, line_size)
+            for line_size in (16, 32, 64, 128)
+            for sets in (8, 32)
+        ]
+        reads = []
+        original = ChunkedTrace.chunk
+
+        def counting_chunk(self, index):
+            reads.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(ChunkedTrace, "chunk", counting_chunk)
+        with write_chunked(
+            tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
+        ) as trace:
+            got = sweep_design_space(configs, trace)
+            assert reads == list(range(trace.n_chunks))
+        assert got == sweep_design_space(configs, arrays)
+
+
+class TestChunkMemory:
+    def test_chunk_streams_stay_out_of_the_memo(self, tmp_path, arrays):
+        starts, sizes = arrays
+        clear_line_stream_cache()
+        with write_chunked(
+            tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
+        ) as trace:
+            sweep_design_space(CONFIGS, trace)
+        assert line_stream_cache_stats()["resident_entries"] == 0
+        # A one-chunk in-memory sweep still memoizes its streams.
+        sweep_design_space(CONFIGS, arrays)
+        assert line_stream_cache_stats()["resident_entries"] > 0
+        clear_line_stream_cache()
+
+    def test_stacks_settled_at_every_boundary(self, tmp_path, arrays):
+        starts, sizes = arrays
+        space = DesignSpaceSimulator.from_configs(CONFIGS)
+        unsettled = []
+
+        def boundary(next_chunk):
+            unsettled.extend(
+                next_chunk
+                for sim in space.simulators.values()
+                for fam in sim._families.values()
+                if fam.pending is not None
+            )
+
+        with write_chunked(
+            tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
+        ) as trace:
+            _feed_chunks(space, trace, boundary=boundary)
+        assert unsettled == []
+        reference = DesignSpaceSimulator.from_configs(CONFIGS)
+        reference.simulate(starts, sizes)
+        assert space.results() == reference.results()
+
+
 class TestFullStateRoundTrip:
     def test_resumed_simulator_matches_straight_run(self, arrays):
         starts, sizes = arrays
@@ -135,6 +206,105 @@ class TestChunkCheckpointResume:
             if e["event"] == "pass" and e.get("resumed_at_chunk") == 2
         ]
         assert len(resumed) == 2  # both line-size groups resumed
+
+    def test_snapshots_at_different_chunks_restart_from_zero(
+        self, tmp_path, arrays, exact
+    ):
+        """Line-outer snapshots (one group further along) are not resumed."""
+        starts, sizes = arrays
+        with write_chunked(
+            tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
+        ) as trace:
+            cache = EvaluationCache()
+            for line_size, done in ((16, 3), (32, 1)):
+                group = [c for c in CONFIGS if c.line_size == line_size]
+                set_counts = sorted({c.sets for c in group})
+                max_assoc = max(c.assoc for c in group)
+                sim = CheetahSimulator(line_size, set_counts, max_assoc)
+                sim.simulate(starts[: done * 1000], sizes[: done * 1000])
+                key = group_state_key(
+                    trace.trace_id, line_size, set_counts, max_assoc,
+                    prefix="sweepchunk",
+                )
+                cache.put(key, encode_chunk_state(done, sim.full_state()))
+            journal = RunJournal()
+            got = sweep_design_space(
+                CONFIGS, trace, checkpoint=cache, journal=journal
+            )
+        for config in CONFIGS:
+            assert got[config].misses == exact[config].misses
+            assert got[config].accesses == exact[config].accesses
+        passes = [e for e in journal.events if e["event"] == "pass"]
+        assert len(passes) == 2
+        assert not any(e.get("resumed_at_chunk") for e in passes)
+
+    def test_boundary_snapshots_share_one_flush(self, tmp_path, arrays):
+        starts, sizes = arrays
+        cache = EvaluationCache(tmp_path / "ck.json")
+        blocks: list[list[tuple[str, int]]] = []
+        original_bulk, original_put = cache.bulk, cache.put
+
+        @contextmanager
+        def recording_bulk():
+            blocks.append([])
+            with original_bulk():
+                yield cache
+
+        def recording_put(key, value):
+            if blocks:
+                blocks[-1].append((key, value[0]))
+            original_put(key, value)
+
+        cache.bulk, cache.put = recording_bulk, recording_put
+        with write_chunked(
+            tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
+        ) as trace:
+            sweep_design_space(CONFIGS, trace, checkpoint=cache)
+            n_chunks = trace.n_chunks
+        boundaries = [
+            block
+            for block in blocks
+            if any(key.startswith("sweepchunk:") for key, _ in block)
+        ]
+        assert len(boundaries) == n_chunks - 1
+        for index, block in enumerate(boundaries, start=1):
+            # Both line-size groups, snapshotted at the same boundary.
+            assert sorted(key.split(":line=")[1][:2] for key, _ in block) == [
+                "16",
+                "32",
+            ]
+            assert {chunk for _, chunk in block} == {index}
+
+    def test_killed_sweep_resumes_at_last_boundary(
+        self, tmp_path, arrays, exact, monkeypatch
+    ):
+        starts, sizes = arrays
+        path = tmp_path / "ck.json"
+        original = ChunkedTrace.chunk
+
+        def failing_chunk(self, index):
+            if index == 3:
+                raise KeyboardInterrupt("killed")
+            return original(self, index)
+
+        with write_chunked(
+            tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
+        ) as trace:
+            monkeypatch.setattr(ChunkedTrace, "chunk", failing_chunk)
+            with pytest.raises(KeyboardInterrupt):
+                sweep_design_space(
+                    CONFIGS, trace, checkpoint=EvaluationCache(path)
+                )
+            monkeypatch.setattr(ChunkedTrace, "chunk", original)
+            journal = RunJournal()
+            got = sweep_design_space(
+                CONFIGS, trace, checkpoint=EvaluationCache(path),
+                journal=journal,
+            )
+        for config in CONFIGS:
+            assert got[config].misses == exact[config].misses
+        passes = [e for e in journal.events if e["event"] == "pass"]
+        assert [e.get("resumed_at_chunk") for e in passes] == [3, 3]
 
     def test_second_run_hits_group_checkpoint(self, tmp_path, arrays):
         starts, sizes = arrays

@@ -1,7 +1,9 @@
 """Parallel sweep_design_space must be result-identical to serial."""
 
+from repro.cache.cheetah import CheetahSimulator
 from repro.cache.config import CacheConfig
-from repro.cache.sweep import simulate_group_state, sweep_design_space
+from repro.cache.sweep import simulate_group_from_chunks, sweep_design_space
+from repro.trace.chunkstore import spilled_trace
 
 CONFIGS = [
     CacheConfig(8, 1, 16),
@@ -50,10 +52,11 @@ class TestParallelSweep:
 
 class TestGroupStateUnit:
     def test_state_round_trip(self):
-        from repro.cache.cheetah import CheetahSimulator
-
         starts, sizes = trace()
-        accesses, hists = simulate_group_state(16, [8, 16], 4, starts, sizes)
+        with spilled_trace((starts, sizes)) as ctrace:
+            accesses, hists = simulate_group_from_chunks(
+                16, [8, 16], 4, str(ctrace.path), ctrace.digest
+            )
         rebuilt = CheetahSimulator.from_state(16, 4, accesses, hists)
         direct = CheetahSimulator(16, [8, 16], max_assoc=4)
         direct.simulate(starts, sizes)

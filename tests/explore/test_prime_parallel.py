@@ -59,12 +59,17 @@ class TestParallelPrime:
         assert parallel.simulation_passes == 6
 
     def test_unit_job_feeds_group_state_worker(self):
-        from repro.cache.sweep import simulate_group_state
+        from repro.cache.cheetah import CheetahSimulator
 
         ev = make_evaluator()
         config = CacheConfig(4, 2, 16)
         ev.register("unified", [config])
-        accesses, hists = simulate_group_state(*ev.unit_job("unified", 16))
+        line_size, set_counts, max_assoc, starts, sizes = ev.unit_job(
+            "unified", 16
+        )
+        sim = CheetahSimulator(line_size, set_counts, max_assoc)
+        sim.simulate(starts, sizes)
+        accesses, hists = sim.state()
         ev.install_unit("unified", 16, accesses, hists)
         oracle = make_evaluator()
         assert ev.simulated_misses("unified", config) == (

@@ -15,11 +15,8 @@ import pytest
 
 from repro.analytics.runs import derive_journal_columns
 from repro.cache.config import CacheConfig
-from repro.cache.sweep import (
-    simulate_group_from_chunks,
-    simulate_group_state,
-    sweep_design_space,
-)
+from repro.cache.cheetah import CheetahSimulator
+from repro.cache.sweep import simulate_group_from_chunks, sweep_design_space
 from repro.errors import RuntimeExecutionError
 from repro.explore.evaluators import MemoryEvaluator
 from repro.runtime.executor import ExecutorPolicy, FaultPlan
@@ -93,7 +90,9 @@ class TestSpilledTrace:
             state = simulate_group_from_chunks(
                 16, [8, 16], 4, *pickle.loads(pickle.dumps(handle))
             )
-        assert state == simulate_group_state(16, [8, 16], 4, starts, sizes)
+        reference = CheetahSimulator(16, [8, 16], 4)
+        reference.simulate(starts, sizes)
+        assert state == reference.state()
 
     def test_digest_mismatch_rejected(self, spill_dir):
         with spilled_trace(trace()) as ctrace:
