@@ -1,9 +1,24 @@
 """Per-benchmark evaluation pipeline with memoized artifacts.
 
 One :class:`ExperimentPipeline` owns a workload and lazily produces, per
-processor: the compiled program, the synthesized/linked binary, the
-(decorated) event trace, and the three address traces — then answers the
-three miss questions of Section 6:
+processor, two memoized parts:
+
+* the **binary part** (:class:`ProcessorBinary`) — machine description,
+  compiled program and synthesized/linked binary.  Every processor the
+  pipeline is asked about gets one; dilation (Lemma 1, Eqs 4.12–4.15)
+  and processor cycles (Section 3.2) need nothing more;
+* the **trace part** — the processor's own (decorated) event trace and
+  its three address traces, completing :class:`ProcessorArtifacts`.
+  Only a processor whose own trace is simulated needs it: the reference
+  (every cache query), actual-miss measurements and the validation
+  experiments.  A design-space exploration emulates the reference once.
+
+Processor cycles take the reference trace's visit counts: the block
+visit sequence depends only on (program, seed, budget), never on the
+compiled program (see :mod:`repro.trace.emulator`).  Compilations share
+one dependence-graph cache for the pipeline's lifetime.
+
+The pipeline answers the three miss questions of Section 6:
 
 * **actual**   — simulate the processor's own traces;
 * **dilated**  — simulate the reference trace with every block stretched
@@ -47,17 +62,25 @@ from repro.trace.events import EventTrace
 from repro.trace.generator import TraceGenerator
 from repro.trace.ranges import RangeTrace
 from repro.vliwcomp.compile import CompiledProgram, compile_program
+from repro.vliwcomp.depgraph import GraphCache
 from repro.workloads.suite import Workload
 
 
 @dataclass(frozen=True)
-class ProcessorArtifacts:
-    """Everything derived for one (workload, processor) pair."""
+class ProcessorBinary:
+    """The binary part of one (workload, processor) pair."""
 
     processor: VliwProcessor
     mdes: MachineDescription
     compiled: CompiledProgram
     binary: Binary
+
+
+@dataclass(frozen=True)
+class ProcessorArtifacts(ProcessorBinary):
+    """Everything derived for one (workload, processor) pair: the binary
+    part plus the processor's own event trace and address traces."""
+
     events: EventTrace
     instruction_trace: RangeTrace
     data_trace: RangeTrace
@@ -98,7 +121,10 @@ class ExperimentPipeline:
         self.max_workers = max_workers
         #: Fault-tolerance knobs for parallel priming (timeout/retries).
         self.policy = (policy or ExecutorPolicy()).with_workers(max_workers)
+        self._binaries: dict[str, ProcessorBinary] = {}
         self._artifacts: dict[str, ProcessorArtifacts] = {}
+        # Dependence graphs shared by every compilation of the workload.
+        self._graphs: GraphCache = {}
         self._dilation_infos: dict[str, DilationInfo] = {}
         self._cycles: dict[str, int] = {}
         self._params: TraceParameters | None = None
@@ -152,9 +178,9 @@ class ExperimentPipeline:
     # Artifact construction.
     # ------------------------------------------------------------------
 
-    def artifacts(self, processor: VliwProcessor) -> ProcessorArtifacts:
-        """Compile, assemble, link, emulate and trace for ``processor``."""
-        cached = self._artifacts.get(processor.name)
+    def processor_binary(self, processor: VliwProcessor) -> ProcessorBinary:
+        """Compile, assemble and link for ``processor`` (memoized)."""
+        cached = self._binaries.get(processor.name)
         if cached is not None:
             return cached
         if not processor.compatible_reference(self.reference):
@@ -165,7 +191,9 @@ class ExperimentPipeline:
                 "feature combination (Section 4.1)"
             )
         mdes = MachineDescription(processor)
-        compiled = compile_program(self.workload.program, mdes)
+        compiled = compile_program(
+            self.workload.program, mdes, graphs=self._graphs
+        )
         assembled = assemble(compiled)
         binary = link(
             self.workload.program,
@@ -173,15 +201,32 @@ class ExperimentPipeline:
             packet_bytes=processor.issue_width * WORD_BYTES,
             processor_name=processor.name,
         )
+        part = ProcessorBinary(
+            processor=processor, mdes=mdes, compiled=compiled, binary=binary
+        )
+        self._binaries[processor.name] = part
+        return part
+
+    def artifacts(self, processor: VliwProcessor) -> ProcessorArtifacts:
+        """The binary part plus ``processor``'s own emulated event trace
+        and address traces (memoized).
+
+        Only a processor whose own trace is simulated needs this;
+        dilation and cycles read :meth:`processor_binary` alone.
+        """
+        cached = self._artifacts.get(processor.name)
+        if cached is not None:
+            return cached
+        part = self.processor_binary(processor)
         events = Emulator(
             self.workload.program, self.workload.streams, seed=self.seed
-        ).run(self.max_visits, compiled=compiled)
-        generator = TraceGenerator(binary, events)
+        ).run(self.max_visits, compiled=part.compiled)
+        generator = TraceGenerator(part.binary, events)
         artifacts = ProcessorArtifacts(
-            processor=processor,
-            mdes=mdes,
-            compiled=compiled,
-            binary=binary,
+            processor=part.processor,
+            mdes=part.mdes,
+            compiled=part.compiled,
+            binary=part.binary,
             events=events,
             instruction_trace=generator.instruction_trace(),
             data_trace=generator.data_trace(),
@@ -200,12 +245,12 @@ class ExperimentPipeline:
 
     def dilation_info(self, processor: VliwProcessor) -> DilationInfo:
         """Per-block and text dilation of ``processor`` vs the reference
-        (cached — binaries are fixed once artifacts exist)."""
+        (cached — binaries are fixed once built)."""
         info = self._dilation_infos.get(processor.name)
         if info is None:
             info = measure_dilation(
-                self.reference_artifacts().binary,
-                self.artifacts(processor).binary,
+                self.processor_binary(self.reference).binary,
+                self.processor_binary(processor).binary,
             )
             self._dilation_infos[processor.name] = info
         return info
@@ -241,11 +286,18 @@ class ExperimentPipeline:
         return self._ref_evaluator
 
     def processor_cycles(self, processor: VliwProcessor) -> int:
-        """Schedule-length cycles (DesignProvider protocol, cached)."""
+        """Schedule-length cycles (DesignProvider protocol, cached).
+
+        ``processor``'s schedule lengths times the reference trace's
+        visit counts, which every processor shares (see the module
+        docstring), so no processor but the reference is emulated.
+        """
         cycles = self._cycles.get(processor.name)
         if cycles is None:
-            art = self.artifacts(processor)
-            cycles = processor_cycles(art.compiled, art.events)
+            cycles = processor_cycles(
+                self.processor_binary(processor).compiled,
+                self.reference_artifacts().events,
+            )
             self._cycles[processor.name] = cycles
         return cycles
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.iformat.format_synth import InstructionFormat, synthesize_format
-from repro.isa.operations import OpClass
+from repro.isa.operations import OP_CLASSES
 from repro.vliwcomp.compile import CompiledBlock, CompiledProgram
 
 
@@ -75,11 +75,10 @@ def _assemble_block(
     per_gap = stalls // n_instr if n_instr else 0
     remainder = stalls - per_gap * n_instr if n_instr else 0
     for ordinal, instr in enumerate(schedule.instructions):
-        counts: dict[OpClass, int] = {}
+        counts = [0] * len(OP_CLASSES)
         for op_index in instr:
-            cls = cblock.operations[op_index].opclass
-            counts[cls] = counts.get(cls, 0) + 1
-        template = iformat.select_template(counts)
+            counts[OP_CLASSES.index(cblock.operations[op_index].opclass)] += 1
+        template = iformat.template_for(tuple(counts))
         size += iformat.template_width_bytes(template)
         gap = per_gap + (1 if ordinal < remainder else 0)
         overflow = max(0, gap - iformat.max_noop_run)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import EncodingError
 from repro.isa.operations import OP_CLASSES, OpClass
@@ -90,12 +91,38 @@ class InstructionFormat:
 
     def template_width_bytes(self, template: Template) -> int:
         """Encoded width rounded up to the instruction quantum, in bytes."""
-        bits = self.template_width_bits(template)
-        quantum = INSTRUCTION_QUANTUM_BITS
-        return (bits + quantum - 1) // quantum * (quantum // 8)
+        width = self._width_bytes.get(template)
+        if width is None:
+            bits = self.template_width_bits(template)
+            quantum = INSTRUCTION_QUANTUM_BITS
+            width = (bits + quantum - 1) // quantum * (quantum // 8)
+            self._width_bytes[template] = width
+        return width
 
     def select_template(self, op_counts: dict[OpClass, int]) -> Template:
-        """Greedy selection: the covering template with the fewest bits.
+        """Greedy selection: the covering template with the fewest bits
+        (memoized, see :meth:`template_for`)."""
+        return self.template_for(
+            tuple(op_counts.get(cls, 0) for cls in OP_CLASSES)
+        )
+
+    def template_for(self, counts: tuple[int, ...]) -> Template:
+        """:meth:`select_template` for op counts indexed like
+        ``OP_CLASSES``.
+
+        Memoized on the 4-tuple: the assembler asks for the same few
+        hundred counts tens of thousands of times per program.  A count
+        no template covers is not memoized, so it raises
+        :class:`EncodingError` on every call.
+        """
+        template = self._selected.get(counts)
+        if template is None:
+            template = self.scan_template(dict(zip(OP_CLASSES, counts)))
+            self._selected[counts] = template
+        return template
+
+    def scan_template(self, op_counts: dict[OpClass, int]) -> Template:
+        """The linear scan behind :meth:`select_template` (no memo).
 
         Ties break toward more total slots (more multi-no-op headroom),
         then deterministic template order — the paper's two greedy
@@ -116,9 +143,17 @@ class InstructionFormat:
         if best is None:
             raise EncodingError(
                 f"no template covers operation counts "
-                f"{ {c.value: n for c, n in op_counts.items()} }"
+                f"{ {c.value: n for c, n in op_counts.items() if n} }"
             )
         return best
+
+    @cached_property
+    def _selected(self) -> dict[tuple[int, ...], Template]:
+        return {}
+
+    @cached_property
+    def _width_bytes(self) -> dict[Template, int]:
+        return {}
 
     @property
     def max_noop_run(self) -> int:

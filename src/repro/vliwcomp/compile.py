@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from repro.isa.operations import Operation, make_load, make_store
 from repro.isa.program import Program
 from repro.machine.mdes import MachineDescription
+from repro.vliwcomp.depgraph import GraphCache, cached_dependence_graph
 from repro.vliwcomp.regalloc import SPILL_STREAM, estimate_spills
 from repro.vliwcomp.scheduler import BlockSchedule, schedule_block
 
@@ -89,9 +90,16 @@ def speculation_capacity(issue_width: int) -> int:
 
 
 def compile_program(
-    program: Program, mdes: MachineDescription
+    program: Program,
+    mdes: MachineDescription,
+    graphs: GraphCache | None = None,
 ) -> CompiledProgram:
-    """Compile every block of ``program`` for ``mdes.processor``."""
+    """Compile every block of ``program`` for ``mdes.processor``.
+
+    ``graphs`` is an optional dependence-graph cache shared across
+    compilations: processors with the same latency table and the same
+    hoisted/spill operations then build each block's graph once.
+    """
     compiled = CompiledProgram(program=program, mdes=mdes)
     capacity = (
         speculation_capacity(mdes.processor.issue_width)
@@ -104,11 +112,17 @@ def compile_program(
                 program, proc.name, blk.block_id, capacity
             )
             base_ops = list(blk.operations) + hoisted
-            schedule = schedule_block(base_ops, mdes)
+            schedule = schedule_block(
+                base_ops, mdes, cached_dependence_graph(base_ops, mdes, graphs)
+            )
             spills = estimate_spills(base_ops, schedule, mdes)
             final_ops = base_ops + _spill_ops(spills.total_ops)
             if spills.total_ops:
-                schedule = schedule_block(final_ops, mdes)
+                schedule = schedule_block(
+                    final_ops,
+                    mdes,
+                    cached_dependence_graph(final_ops, mdes, graphs),
+                )
             compiled.blocks[(proc.name, blk.block_id)] = CompiledBlock(
                 block_id=blk.block_id,
                 operations=tuple(final_ops),

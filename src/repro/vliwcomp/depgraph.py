@@ -6,11 +6,17 @@ separation; WAR edges allow same-cycle issue (reads happen before writes
 within a VLIW instruction).  Memory operations on the same stream are kept
 in order (a conservative store/load ordering, as a real compiler without
 memory disambiguation would).
+
+A graph depends only on the operation list and the latency table, so
+processors that share a latency table can share graphs:
+:func:`cached_dependence_graph` keys a caller-owned cache on exactly
+those two inputs.  Shared graphs are frozen (read-only).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.isa.operations import OpClass, Operation
 from repro.machine.mdes import MachineDescription
@@ -22,18 +28,56 @@ class DependenceGraph:
 
     ``succs[i]`` lists ``(j, delay)`` pairs: op ``j`` may issue no earlier
     than ``issue(i) + delay``.  ``height[i]`` is the critical-path height
-    used as the list-scheduling priority.
+    used as the list-scheduling priority.  A graph under construction
+    holds lists; :meth:`frozen` turns them into tuples.
     """
 
     n_ops: int
-    succs: list[list[tuple[int, int]]] = field(default_factory=list)
-    preds: list[list[tuple[int, int]]] = field(default_factory=list)
-    height: list[int] = field(default_factory=list)
+    succs: Sequence[Sequence[tuple[int, int]]] = field(default_factory=list)
+    preds: Sequence[Sequence[tuple[int, int]]] = field(default_factory=list)
+    height: Sequence[int] = field(default_factory=list)
 
     def add_edge(self, src: int, dst: int, delay: int) -> None:
         """Add edge: ``dst`` may issue no earlier than issue(src)+delay."""
         self.succs[src].append((dst, delay))
         self.preds[dst].append((src, delay))
+
+    def frozen(self) -> DependenceGraph:
+        """A read-only copy, for sharing: no scheduler can change it,
+        and the garbage collector stops tracking its all-int tuples, so
+        a cache of thousands of graphs does not slow every collection."""
+        return DependenceGraph(
+            self.n_ops,
+            succs=tuple(map(tuple, self.succs)),
+            preds=tuple(map(tuple, self.preds)),
+            height=tuple(self.height),
+        )
+
+
+#: Caller-owned cache of shared graphs (see :func:`cached_dependence_graph`).
+GraphCache = dict[tuple, DependenceGraph]
+
+
+def cached_dependence_graph(
+    operations: list[Operation],
+    mdes: MachineDescription,
+    cache: GraphCache | None,
+) -> DependenceGraph:
+    """The graph of ``operations`` on ``mdes``, shared through ``cache``.
+
+    The key covers everything :func:`build_dependence_graph` reads: the
+    operations themselves and the latency of every class.  Cached graphs
+    are :meth:`~DependenceGraph.frozen`.  Without a cache the graph is
+    built fresh.
+    """
+    if cache is None:
+        return build_dependence_graph(operations, mdes)
+    key = (tuple(operations), tuple(mdes.latencies.items()))
+    graph = cache.get(key)
+    if graph is None:
+        graph = build_dependence_graph(operations, mdes).frozen()
+        cache[key] = graph
+    return graph
 
 
 def build_dependence_graph(

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ScheduleError
-from repro.isa.operations import OpClass, Operation
+from repro.isa.operations import OP_CLASSES, OpClass, Operation
 from repro.machine.mdes import MachineDescription
-from repro.vliwcomp.depgraph import build_dependence_graph
+from repro.vliwcomp.depgraph import DependenceGraph, build_dependence_graph
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,14 @@ class BlockSchedule:
 
 
 def schedule_block(
-    operations: list[Operation], mdes: MachineDescription
+    operations: list[Operation],
+    mdes: MachineDescription,
+    graph: DependenceGraph | None = None,
 ) -> BlockSchedule:
     """List-schedule ``operations`` onto ``mdes.processor``.
+
+    ``graph`` is the operations' prebuilt dependence graph (built here
+    when absent); it is only read.
 
     Raises :class:`ScheduleError` if no progress can be made (which would
     indicate a dependence-graph bug, since every processor has at least
@@ -60,66 +65,67 @@ def schedule_block(
     if not operations:
         return BlockSchedule(instructions=(), cycles=0)
 
-    graph = build_dependence_graph(operations, mdes)
-    processor = mdes.processor
+    if graph is None:
+        graph = build_dependence_graph(operations, mdes)
     n = len(operations)
+    units = [mdes.processor.units[cls] for cls in OP_CLASSES]
+    unit_of = [OP_CLASSES.index(op.opclass) for op in operations]
+    # Position of each op in priority order: highest critical path
+    # first, index breaking ties deterministically.
+    rank = [0] * n
+    for position, i in enumerate(
+        sorted(range(n), key=lambda i: (-graph.height[i], i))
+    ):
+        rank[i] = position
 
-    issue_cycle = [-1] * n
+    # An op waits until every predecessor has issued in an earlier
+    # cycle; it is then ready once the edge delays have elapsed
+    # (``earliest``).
+    unissued_preds = [len(preds) for preds in graph.preds]
     earliest = [0] * n
-    unscheduled = set(range(n))
+    waiting = [i for i in range(n) if not unissued_preds[i]]
+    remaining = n
     instructions: list[tuple[int, ...]] = []
     cycle = 0
     last_issue = 0
     max_cycles = _cycle_budget(n, graph.height)
 
-    while unscheduled:
+    while remaining:
         if cycle > max_cycles:
             raise ScheduleError(
                 f"scheduler exceeded {max_cycles} cycles for a "
                 f"{n}-operation block; dependence graph is inconsistent"
             )
-        free = dict(processor.units)
+        free = units.copy()
         issued: list[int] = []
-        ready = [
-            i
-            for i in unscheduled
-            if earliest[i] <= cycle
-            and all(issue_cycle[p] >= 0 for p, _ in graph.preds[i])
-        ]
-        # Highest critical path first; index breaks ties deterministically.
-        ready.sort(key=lambda i: (-graph.height[i], i))
+        ready = sorted(
+            (i for i in waiting if earliest[i] <= cycle), key=rank.__getitem__
+        )
         for i in ready:
-            cls = operations[i].opclass
-            if free[cls] <= 0:
-                continue
-            if not _preds_satisfied(graph, issue_cycle, i, cycle):
-                continue
-            free[cls] -= 1
-            issue_cycle[i] = cycle
-            issued.append(i)
+            unit = unit_of[i]
+            if free[unit]:
+                free[unit] -= 1
+                issued.append(i)
         if issued:
+            issued.sort()
+            now_waiting = [i for i in waiting if i not in issued]
             for i in issued:
-                unscheduled.discard(i)
                 for succ, delay in graph.succs[i]:
                     need = cycle + delay
                     if need > earliest[succ]:
                         earliest[succ] = need
-            instructions.append(tuple(sorted(issued)))
+                    unissued_preds[succ] -= 1
+                    if not unissued_preds[succ]:
+                        now_waiting.append(succ)
+            waiting = now_waiting
+            instructions.append(tuple(issued))
+            remaining -= len(issued)
             last_issue = cycle
         cycle += 1
 
     return BlockSchedule(
         instructions=tuple(instructions), cycles=last_issue + 1
     )
-
-
-def _preds_satisfied(graph, issue_cycle, i, cycle) -> bool:
-    """All predecessors of i issued, with their delays elapsed by cycle."""
-    for pred, delay in graph.preds[i]:
-        when = issue_cycle[pred]
-        if when < 0 or when + delay > cycle:
-            return False
-    return True
 
 
 def _cycle_budget(n_ops: int, heights: list[int]) -> int:

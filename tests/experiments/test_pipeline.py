@@ -3,9 +3,15 @@
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.core import hierarchy_eval
 from repro.errors import ConfigurationError
+from repro.experiments.pipeline import ExperimentPipeline
+from repro.explore.spacewalker import Spacewalker
+from repro.explore.spec import SystemDesignSpace
 from repro.machine.presets import P1111, P3221
 from repro.machine.processor import make_processor
+from repro.trace.emulator import Emulator
+from repro.workloads.suite import load_benchmark
 
 
 class TestArtifacts:
@@ -24,6 +30,17 @@ class TestArtifacts:
         predicated = make_processor(2, 1, 1, 1, has_predication=True)
         with pytest.raises(ConfigurationError, match="predication"):
             tiny_pipeline.artifacts(predicated)
+        with pytest.raises(ConfigurationError, match="predication"):
+            tiny_pipeline.dilation(predicated)
+        with pytest.raises(ConfigurationError, match="predication"):
+            tiny_pipeline.processor_cycles(predicated)
+
+    def test_binary_part_is_shared_with_artifacts(self, tiny_pipeline):
+        part = tiny_pipeline.processor_binary(P3221)
+        assert tiny_pipeline.processor_binary(P3221) is part
+        art = tiny_pipeline.artifacts(P3221)
+        assert art.compiled is part.compiled
+        assert art.binary is part.binary
 
     def test_trace_role_accessor(self, tiny_pipeline):
         art = tiny_pipeline.reference_artifacts()
@@ -32,6 +49,34 @@ class TestArtifacts:
         assert art.trace("unified") is art.unified_trace
         with pytest.raises(ConfigurationError):
             art.trace("l3")
+
+
+class TestColdExplore:
+    """A cold exploration emulates the reference only; every other
+    processor is compiled, assembled and linked, never emulated."""
+
+    def test_explore_emulates_once(self, monkeypatch):
+        pipeline = ExperimentPipeline(
+            load_benchmark("epic", scale=0.25), max_visits=2_000
+        )
+        runs = []
+        run = Emulator.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(args)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Emulator, "run", counting_run)
+        Spacewalker(SystemDesignSpace(), pipeline).walk()
+        assert len(runs) == 1
+        assert set(pipeline._artifacts) == {pipeline.reference.name}
+        for processor in SystemDesignSpace().processors:
+            art = pipeline.artifacts(processor)
+            assert pipeline.processor_cycles(
+                processor
+            ) == hierarchy_eval.processor_cycles(art.compiled, art.events), (
+                processor.name
+            )
 
 
 class TestDilation:

@@ -1,10 +1,13 @@
 """Unit tests for repro.iformat.format_synth."""
 
+import itertools
+
 import pytest
 
 from repro.errors import EncodingError
+from repro.explore.spec import SystemDesignSpace
 from repro.iformat.format_synth import Template, synthesize_format
-from repro.isa.operations import OpClass
+from repro.isa.operations import OP_CLASSES, OpClass
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P2111, P6332
 
@@ -91,6 +94,37 @@ class TestSelection:
 
     def test_max_noop_run(self, narrow_format):
         assert narrow_format.max_noop_run == 3  # 2-bit field
+
+    @pytest.mark.parametrize(
+        "processor", SystemDesignSpace().processors, ids=lambda p: p.name
+    )
+    def test_memo_matches_linear_scan(self, processor):
+        """Every op count up to one past the widest template: the memoized
+        selection is the scan's, and an uncoverable count raises on
+        every call, not just the first."""
+        iformat = synthesize_format(MachineDescription(processor))
+        widest = [
+            max(t.slots[i] for t in iformat.templates)
+            for i in range(len(OP_CLASSES))
+        ]
+        uncoverable = 0
+        for key in itertools.product(*(range(w + 2) for w in widest)):
+            counts = {cls: n for cls, n in zip(OP_CLASSES, key) if n}
+            try:
+                expected = iformat.scan_template(counts)
+            except EncodingError:
+                uncoverable += 1
+                for _ in range(2):
+                    with pytest.raises(EncodingError, match="no template"):
+                        iformat.select_template(counts)
+                continue
+            assert iformat.select_template(counts) == expected, key
+            assert iformat.select_template(counts) is expected, key
+        assert uncoverable > 0
+        for template in iformat.templates:
+            bits = iformat.template_width_bits(template)
+            for _ in range(2):
+                assert iformat.template_width_bytes(template) == -(-bits // 8)
 
 
 class TestDilationSource:

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.explore.spec import SystemDesignSpace
 from repro.machine.mdes import MachineDescription
-from repro.machine.presets import P1111, P3221, P6332
+from repro.machine.presets import P1111, P3221, P6332, REFERENCE_PROCESSOR
+from repro.machine.processor import make_processor
 from repro.trace.emulator import Emulator, emulate
 from repro.vliwcomp.compile import compile_program
 from repro.vliwcomp.regalloc import SPILL_STREAM
+from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
 
 class TestDeterminism:
@@ -59,6 +62,40 @@ class TestProcessorIndependence:
         for other in traces[1:]:
             assert ref.blocks == other.blocks
             assert np.array_equal(ref.visit_blocks, other.visit_blocks)
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_visit_sequence_is_the_references_on_every_processor(
+        self, name
+    ):
+        """Every design-space processor visits the reference's blocks in
+        the reference's order.  This is what lets the pipeline take every
+        processor's cycle profile from the one reference emulation; it
+        breaks if decoration ever draws from the path RNG.  The design
+        space speculates but never spills, so an 8-register machine
+        adds spill decoration."""
+        workload = load_benchmark(name, scale=0.25)
+        graphs = {}
+
+        def events_on(processor):
+            compiled = compile_program(
+                workload.program, MachineDescription(processor), graphs
+            )
+            return emulate(
+                workload.program,
+                workload.streams,
+                seed=7,
+                max_visits=2_000,
+                compiled=compiled,
+            )
+
+        ref = events_on(REFERENCE_PROCESSOR)
+        spilling = make_processor(2, 1, 1, 1, int_registers=8, name="2111r8")
+        for processor in [*SystemDesignSpace().processors, spilling]:
+            events = events_on(processor)
+            assert events.blocks == ref.blocks, processor.name
+            assert np.array_equal(events.visit_blocks, ref.visit_blocks), (
+                processor.name
+            )
 
     def test_base_data_addresses_are_subset_preserved(self, tiny):
         """Non-spill, non-speculative refs are identical across machines."""

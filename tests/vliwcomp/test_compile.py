@@ -1,5 +1,8 @@
 """Unit tests for repro.vliwcomp.compile."""
 
+import copy
+
+from repro.isa.operations import OpClass
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P3221, P6332
 from repro.machine.processor import make_processor
@@ -85,3 +88,65 @@ class TestCompileProgram:
         )
         wide_cycles = sum(cb.issue_cycles for cb in wide.blocks.values())
         assert wide_cycles < narrow_cycles
+
+
+class TestSharedGraphCache:
+    """One dependence-graph cache shared across processors changes no
+    compiled block, and scheduling never writes to a shared graph."""
+
+    MDESES = (
+        MachineDescription(P1111),
+        MachineDescription(make_processor(2, 1, 1, 1)),
+        MachineDescription(P3221),
+        MachineDescription(make_processor(4, 2, 2, 1)),
+        MachineDescription(P6332),
+        MachineDescription(make_processor(2, 1, 1, 1, int_registers=8)),
+        MachineDescription(make_processor(4, 2, 2, 1, int_registers=8)),
+        MachineDescription(
+            P3221,
+            latencies={
+                OpClass.INT: 2,
+                OpClass.FLOAT: 4,
+                OpClass.MEMORY: 3,
+                OpClass.BRANCH: 1,
+            },
+        ),
+    )
+
+    def test_shared_cache_matches_fresh_compiles(self, tiny):
+        fresh = [compile_program(tiny.program, mdes) for mdes in self.MDESES]
+        capacities = {
+            speculation_capacity(mdes.processor.issue_width)
+            for mdes in self.MDESES
+        }
+        spill_totals = {
+            sum(cb.spill_ops for cb in compiled.blocks.values())
+            for compiled in fresh
+        }
+        assert len(capacities) >= 4
+        assert len(spill_totals) >= 3
+
+        graphs = {}
+        self._assert_compiles_match(tiny, graphs, fresh)
+        snapshot = {
+            key: copy.deepcopy((g.succs, g.preds, g.height))
+            for key, g in graphs.items()
+        }
+        # Second pass: every graph now comes from the cache.
+        self._assert_compiles_match(tiny, graphs, fresh)
+        n_blocks = sum(len(compiled.blocks) for compiled in fresh)
+        assert len(graphs) < n_blocks  # processors did share graphs
+        for key, graph in graphs.items():
+            assert (graph.succs, graph.preds, graph.height) == snapshot[key]
+
+    def _assert_compiles_match(self, tiny, graphs, fresh):
+        for mdes, want in zip(self.MDESES, fresh):
+            got = compile_program(tiny.program, mdes, graphs)
+            assert got.blocks.keys() == want.blocks.keys()
+            for key, block in want.blocks.items():
+                other = got.blocks[key]
+                assert other.operations == block.operations
+                assert other.schedule == block.schedule
+                assert other.spill_ops == block.spill_ops
+                assert other.speculative_streams == block.speculative_streams
+                assert other.predicted_successor == block.predicted_successor

@@ -9,9 +9,89 @@ from repro.isa.operations import (
     make_int,
     make_load,
 )
+import pytest
+
+from repro.explore.spec import SystemDesignSpace
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P4221, P6332
-from repro.vliwcomp.scheduler import schedule_block, schedule_is_legal
+from repro.machine.processor import make_processor
+from repro.vliwcomp.compile import compile_program
+from repro.vliwcomp.depgraph import build_dependence_graph
+from repro.vliwcomp.scheduler import (
+    BlockSchedule,
+    schedule_block,
+    schedule_is_legal,
+)
+from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
+
+
+def scan_schedule(operations, mdes):
+    """Reference list scheduler: every cycle rescans every unscheduled
+    op and its predecessors for readiness."""
+    if not operations:
+        return BlockSchedule(instructions=(), cycles=0)
+    graph = build_dependence_graph(operations, mdes)
+    n = len(operations)
+    issue_cycle = [-1] * n
+    earliest = [0] * n
+    unscheduled = set(range(n))
+    instructions = []
+    cycle = 0
+    last_issue = 0
+    while unscheduled:
+        free = dict(mdes.processor.units)
+        issued = []
+        ready = [
+            i
+            for i in unscheduled
+            if earliest[i] <= cycle
+            and all(issue_cycle[p] >= 0 for p, _ in graph.preds[i])
+        ]
+        ready.sort(key=lambda i: (-graph.height[i], i))
+        for i in ready:
+            cls = operations[i].opclass
+            if free[cls] <= 0:
+                continue
+            if any(
+                issue_cycle[p] < 0 or issue_cycle[p] + d > cycle
+                for p, d in graph.preds[i]
+            ):
+                continue
+            free[cls] -= 1
+            issue_cycle[i] = cycle
+            issued.append(i)
+        if issued:
+            for i in issued:
+                unscheduled.discard(i)
+                for succ, delay in graph.succs[i]:
+                    earliest[succ] = max(earliest[succ], cycle + delay)
+            instructions.append(tuple(sorted(issued)))
+            last_issue = cycle
+        cycle += 1
+    return BlockSchedule(instructions=tuple(instructions), cycles=last_issue + 1)
+
+
+def random_ops(rng, n=30):
+    """A random straight-line block ending in a branch."""
+    ops = []
+    defined = []
+    for _ in range(n):
+        roll = rng.random()
+        srcs = tuple(
+            rng.choice(defined) if defined and rng.random() < 0.6
+            else 1000 + rng.randrange(100)
+            for _ in range(2)
+        )
+        dest = rng.randrange(40)
+        if roll < 0.5:
+            ops.append(make_int(dest, srcs))
+        elif roll < 0.7:
+            ops.append(make_float(dest, srcs))
+        else:
+            ops.append(make_load(dest, srcs[0], stream=rng.randrange(3)))
+        defined.append(dest)
+    ops.append(make_branch((defined[-1],)))
+    return ops
 
 
 class TestBasicScheduling:
@@ -63,31 +143,10 @@ class TestBasicScheduling:
 
 
 class TestLegality:
-    def random_ops(self, rng, n=30):
-        ops = []
-        defined = []
-        for _ in range(n):
-            roll = rng.random()
-            srcs = tuple(
-                rng.choice(defined) if defined and rng.random() < 0.6
-                else 1000 + rng.randrange(100)
-                for _ in range(2)
-            )
-            dest = rng.randrange(40)
-            if roll < 0.5:
-                ops.append(make_int(dest, srcs))
-            elif roll < 0.7:
-                ops.append(make_float(dest, srcs))
-            else:
-                ops.append(make_load(dest, srcs[0], stream=rng.randrange(3)))
-            defined.append(dest)
-        ops.append(make_branch((defined[-1],)))
-        return ops
-
     def test_random_blocks_schedule_legally_on_all_machines(self):
         rng = random.Random(1234)
         for trial in range(10):
-            ops = self.random_ops(rng)
+            ops = random_ops(rng)
             for processor in (P1111, P4221, P6332):
                 mdes = MachineDescription(processor)
                 schedule = schedule_block(ops, mdes)
@@ -99,7 +158,7 @@ class TestLegality:
 
     def test_resource_counts_never_exceeded(self):
         rng = random.Random(7)
-        ops = self.random_ops(rng, n=50)
+        ops = random_ops(rng, n=50)
         mdes = MachineDescription(P4221)
         schedule = schedule_block(ops, mdes)
         for instr in schedule.instructions:
@@ -109,3 +168,37 @@ class TestLegality:
                 counts[cls] = counts.get(cls, 0) + 1
             for cls, used in counts.items():
                 assert used <= P4221.units[cls]
+
+
+class TestMatchesReferenceScan:
+    """The scheduler issues exactly what the rescanning reference does."""
+
+    MACHINES = (
+        P1111,
+        P4221,
+        P6332,
+        make_processor(2, 1, 1, 1, int_registers=8),
+        make_processor(4, 2, 2, 1, int_registers=8),
+    )
+
+    def test_random_blocks(self):
+        rng = random.Random(99)
+        for _ in range(40):
+            ops = random_ops(rng, n=rng.randrange(1, 60))
+            for processor in self.MACHINES:
+                mdes = MachineDescription(processor)
+                assert schedule_block(ops, mdes) == scan_schedule(ops, mdes)
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_suite_blocks(self, name):
+        """Every compiled block (hoisted and spill ops included) of a
+        suite benchmark, on every design-space processor."""
+        program = load_benchmark(name, scale=0.25).program
+        graphs = {}
+        for processor in [*SystemDesignSpace().processors, *self.MACHINES]:
+            mdes = MachineDescription(processor)
+            compiled = compile_program(program, mdes, graphs)
+            for key, block in compiled.blocks.items():
+                assert block.schedule == scan_schedule(
+                    list(block.operations), mdes
+                ), (processor.name, key)
