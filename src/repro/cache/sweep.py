@@ -31,11 +31,13 @@ a temporary one-chunk file
 jobs finish.  :func:`run_group_jobs` is that single path, shared with
 evaluator and pipeline priming.
 
-Sweeps can checkpoint completed groups into an
-:class:`~repro.explore.evalcache.EvaluationCache` (one durable flush per
-group, via :meth:`~repro.explore.evalcache.EvaluationCache.bulk`), so a
+Sweeps can checkpoint completed groups into a
+:class:`~repro.service.store.ResultStore` (or its HTTP twin
+:class:`~repro.service.worker.RemoteStore`) under
+:data:`CHECKPOINT_NAMESPACE`, one durable ``put`` per group, so a
 killed run resumes from the finished groups instead of restarting; a
-multi-chunk sweep also snapshots every group at each chunk boundary.
+multi-chunk sweep also snapshots every group at each chunk boundary, in
+one ``put_many`` per boundary.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from repro.trace.chunkstore import ChunkedTrace, spilled_trace
 from repro.trace.sampling import SamplePlan, extrapolate, plan_windows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.explore.evalcache import EvaluationCache
+    from repro.service.store import ResultStore
 
 #: A range trace: callable returning (starts, sizes).  A sweep calls it
 #: at most once and holds the result in memory for the whole sweep;
@@ -228,6 +230,10 @@ def run_group_jobs(
 # store).
 # ----------------------------------------------------------------------
 
+#: Store namespace of every group-state checkpoint (``sweep:``,
+#: ``sweepchunk:`` and ``prime:`` keys).
+CHECKPOINT_NAMESPACE = "evalcache"
+
 
 def trace_digest(starts: np.ndarray, sizes: np.ndarray) -> str:
     """Content address of a materialized trace (``sha256=<24 hex>``)."""
@@ -307,20 +313,41 @@ def decode_chunk_state(value) -> tuple[int, int, dict[int, dict]] | None:
 
 
 class _SweepCheckpoint:
-    """Group-state checkpointing through an EvaluationCache.
+    """Group-state checkpointing through a result store.
 
     One entry per (trace, line size, set counts, max assoc): the exported
-    single-pass histogram state.  Stores flush durably per group (inside
-    :meth:`EvaluationCache.bulk`, one write each), so a killed sweep
-    resumes from its completed groups.
+    single-pass histogram state.  Stores are durable per group (one
+    ``put`` each), so a killed sweep resumes from its completed groups.
+    Hits and misses count this sweep's checkpoint lookups only, not the
+    store's other traffic.
     """
 
     def __init__(
-        self, cache: "EvaluationCache", trace_id: str, journal: RunJournal
+        self, store: "ResultStore", trace_id: str, journal: RunJournal
     ):
-        self.cache = cache
+        self._store = store
         self.journal = journal
         self.trace_id = trace_id
+        self.hits = 0
+        self.misses = 0
+
+    def _get(self, key: str):
+        value = self._store.get(key, namespace=CHECKPOINT_NAMESPACE)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def stats(self) -> dict:
+        """Hit/miss accounting snapshot (journal-friendly)."""
+        lookups = self.hits + self.misses
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hits / lookups if lookups else 0.0,
+            "entries": self._store.count(namespace=CHECKPOINT_NAMESPACE),
+        }
 
     def key(
         self,
@@ -337,7 +364,7 @@ class _SweepCheckpoint:
         self, line_size: int, set_counts: Sequence[int], max_assoc: int
     ) -> tuple[int, dict[int, list[int]]] | None:
         key = self.key(line_size, set_counts, max_assoc)
-        state = decode_group_state(self.cache.get(key))
+        state = decode_group_state(self._get(key))
         if state is not None:
             self.journal.record("checkpoint", action="hit", key=key)
             return state
@@ -352,8 +379,9 @@ class _SweepCheckpoint:
         state: tuple[int, dict[int, list[int]]],
     ) -> None:
         key = self.key(line_size, set_counts, max_assoc)
-        with self.cache.bulk():
-            self.cache.put(key, encode_group_state(state))
+        self._store.put(
+            key, encode_group_state(state), namespace=CHECKPOINT_NAMESPACE
+        )
         self.journal.record("checkpoint", action="store", key=key)
 
     def lookup_chunks(
@@ -366,7 +394,7 @@ class _SweepCheckpoint:
         snaps = {}
         for line_size, (set_counts, max_assoc) in spec.items():
             key = self.key(line_size, set_counts, max_assoc, "sweepchunk")
-            snap = decode_chunk_state(self.cache.get(key))
+            snap = decode_chunk_state(self._get(key))
             if snap is None or sorted(snap[2]) != list(set_counts):
                 return 0, {}
             self.journal.record(
@@ -384,16 +412,19 @@ class _SweepCheckpoint:
         next_chunk: int,
         space: DesignSpaceSimulator,
     ) -> None:
-        """Snapshot every group at one chunk boundary, in one flush."""
-        with self.cache.bulk():
-            for line_size, (set_counts, max_assoc) in spec.items():
-                key = self.key(line_size, set_counts, max_assoc, "sweepchunk")
-                state = space.simulators[line_size].full_state()
-                self.cache.put(key, encode_chunk_state(next_chunk, state))
-                self.journal.record(
-                    "checkpoint", action="chunk_store", key=key,
-                    chunk=next_chunk,
-                )
+        """Snapshot every group at one chunk boundary, in one write."""
+        items = {
+            self.key(line_size, set_counts, max_assoc, "sweepchunk"):
+            encode_chunk_state(
+                next_chunk, space.simulators[line_size].full_state()
+            )
+            for line_size, (set_counts, max_assoc) in spec.items()
+        }
+        self._store.put_many(items, namespace=CHECKPOINT_NAMESPACE)
+        for key in items:
+            self.journal.record(
+                "checkpoint", action="chunk_store", key=key, chunk=next_chunk
+            )
 
 
 def sweep_design_space(
@@ -403,7 +434,7 @@ def sweep_design_space(
     *,
     policy: ExecutorPolicy | None = None,
     journal: RunJournal | None = None,
-    checkpoint: "EvaluationCache | None" = None,
+    checkpoint: "ResultStore | None" = None,
     trace_key: str | None = None,
     on_error: str = "raise",
     strategy: str = "auto",
@@ -431,11 +462,12 @@ def sweep_design_space(
     is spilled to a temporary one-chunk file first
     (:func:`run_group_jobs`).
 
-    ``checkpoint`` (an :class:`~repro.explore.evalcache.EvaluationCache`)
-    persists each completed group's simulation state, keyed by a trace
-    digest — or by ``trace_key`` when the caller has a cheaper stable
-    identity — so re-running the same sweep resumes instead of
-    re-simulating.
+    ``checkpoint`` (a :class:`~repro.service.store.ResultStore` or
+    :class:`~repro.service.worker.RemoteStore`) persists each completed
+    group's simulation state under :data:`CHECKPOINT_NAMESPACE`, keyed
+    by a trace digest — or by ``trace_key`` when the caller has a
+    cheaper stable identity — so re-running the same sweep resumes
+    instead of re-simulating.
 
     ``on_error`` controls what happens when a group still fails after
     retries and fallback: ``"raise"`` (default) raises
@@ -513,7 +545,7 @@ def sweep_design_space(
             ck.store(line_size, set_counts, max_assoc, state)
         _fold_group(results, groups[line_size], line_size, max_assoc, state)
     if ck is not None:
-        journal.observe_cache(ck.cache, label="sweep-checkpoint")
+        journal.observe_cache(ck, label="sweep-checkpoint")
     if failures and on_error == "raise":
         line_size, error = failures[0]
         raise RuntimeExecutionError(

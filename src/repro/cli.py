@@ -208,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "JSON evaluation-cache file for resumable group-state "
-            "checkpoints (default: no checkpointing)"
+            "sqlite result store for resumable group-state "
+            "checkpoints; may name the --runs-db file "
+            "(default: no checkpointing)"
         ),
     )
     sweep.add_argument(
@@ -567,11 +568,23 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         ]
     except Exception as exc:  # noqa: BLE001 - CacheConfig validates
         raise SystemExit(f"infeasible cache configuration: {exc}")
+    if args.checkpoint and args.sample_intervals:
+        raise SystemExit(
+            "--checkpoint cannot be combined with --sample-intervals: "
+            "sampled estimates are never checkpointed"
+        )
     checkpoint = None
     if args.checkpoint:
-        from repro.explore.evalcache import EvaluationCache
+        from repro.errors import EvaluationCacheError
+        from repro.service.store import ResultStore
 
-        checkpoint = EvaluationCache(args.checkpoint)
+        try:
+            checkpoint = ResultStore(args.checkpoint)
+        except EvaluationCacheError as exc:
+            raise SystemExit(
+                f"--checkpoint {args.checkpoint}: must be a sqlite result "
+                f"store ({exc})"
+            )
     plan = None
     if args.sample_intervals:
         from repro.trace.sampling import SamplePlan

@@ -2,11 +2,12 @@
 
 Layers mirror Figure 4: design-space specifications feed *walkers*, which
 insert candidate designs into *Pareto sets*; evaluations go through a
-persistent *evaluation cache* backed by *evaluators* that either compute
-metrics internally (cache area, dilation-model misses) or run simulations.
+persistent *evaluation cache* (the sqlite
+:class:`~repro.service.store.ResultStore`) backed by *evaluators* that
+either compute metrics internally (cache area, dilation-model misses) or
+run simulations.
 """
 
-from repro.explore.evalcache import EvaluationCache
 from repro.explore.evaluators import (
     EvaluationCosts,
     MemoryEvaluator,
@@ -34,7 +35,6 @@ __all__ = [
     "SystemDesignSpace",
     "ParetoPoint",
     "ParetoSet",
-    "EvaluationCache",
     "MemoryEvaluator",
     "EvaluationCosts",
     "exhaustive_evaluation_hours",

@@ -49,8 +49,9 @@ any event type):
     jobs) and ``bytes_mapped`` (the trace-file bytes each worker maps,
     summed over jobs).
 ``cache``
-    An :class:`~repro.explore.evalcache.EvaluationCache` snapshot:
-    ``hits``, ``misses``, ``hit_rate``, ``entries``.
+    A hit/miss snapshot of a store or of a sweep's checkpoint lookups
+    (label ``sweep-checkpoint``): ``hits``, ``misses``, ``hit_rate``,
+    ``entries``.
 ``worker_util``
     End-of-run pool accounting: ``workers``, ``busy_s``, ``wall_s``,
     ``utilization``.
@@ -139,7 +140,7 @@ class RunJournal:
             self.record(event, **fields, **extra, wall_s=round(wall, 6))
 
     def observe_cache(self, cache: Any, label: str = "evalcache") -> None:
-        """Snapshot an ``EvaluationCache``-style object's hit/miss stats."""
+        """Snapshot a hit/miss counter (its ``stats()`` when present)."""
         stats = cache.stats() if hasattr(cache, "stats") else {
             "hits": getattr(cache, "hits", 0),
             "misses": getattr(cache, "misses", 0),

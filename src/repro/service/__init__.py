@@ -1,13 +1,13 @@
 """Evaluation service: the shareable half of Section 5.1's architecture.
 
-The paper puts a *persistent disk-based database* (the EvaluationCache)
+The paper puts a *persistent disk-based database* (its evaluation cache)
 between the exploration layers and the expensive Evaluators.  This
 package turns that database into a long-lived, multi-process service:
 
 * :mod:`repro.service.store` — a durable, content-addressed result store
   backed by sqlite (WAL mode), safe for concurrent writers across
-  processes, with namespaces, GC and an adapter speaking the
-  :class:`~repro.explore.evalcache.EvaluationCache` API;
+  processes, with namespaces and GC; it is the only evaluation cache
+  (sweep and priming checkpoints live in its ``evalcache`` namespace);
 * :mod:`repro.service.queue` — a persistent job queue (queued → running
   → done/failed) with **lease-based claiming**: every claim carries a
   lease deadline and a fencing token, workers renew via heartbeat, and
@@ -31,11 +31,7 @@ from repro.service.client import ServiceClient
 from repro.service.jobs import execute_job, validate_spec
 from repro.service.queue import DEFAULT_LEASE, JobQueue, JobRecord
 from repro.service.server import EvalService, make_server, serve
-from repro.service.store import (
-    ResultStore,
-    StoreEvaluationCache,
-    open_evaluation_cache,
-)
+from repro.service.store import ResultStore
 from repro.service.worker import FleetWorker, RemoteStore, work
 
 __all__ = [
@@ -47,10 +43,8 @@ __all__ = [
     "RemoteStore",
     "ResultStore",
     "ServiceClient",
-    "StoreEvaluationCache",
     "execute_job",
     "make_server",
-    "open_evaluation_cache",
     "serve",
     "validate_spec",
     "work",

@@ -64,11 +64,15 @@ from typing import Any
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.sweep import sampled_sweep_design_space, sweep_design_space
+from repro.cache.sweep import (
+    CHECKPOINT_NAMESPACE,
+    sampled_sweep_design_space,
+    sweep_design_space,
+)
 from repro.errors import ReproError, ServiceError
 from repro.runtime.executor import ExecutorPolicy
 from repro.runtime.journal import RunJournal, resolve_journal
-from repro.service.store import ResultStore, StoreEvaluationCache
+from repro.service.store import ResultStore
 from repro.trace.chunkstore import ChunkedTrace
 from repro.trace.sampling import SamplePlan
 
@@ -80,7 +84,7 @@ TRACE_KINDS = ("ranges", "synthetic", "benchmark", "chunked")
 
 #: Store namespaces used by job execution.
 NS_METRICS = "metrics"
-NS_EVALCACHE = "evalcache"
+NS_EVALCACHE = CHECKPOINT_NAMESPACE
 NS_FRONTIERS = "frontiers"
 
 
@@ -486,15 +490,12 @@ def _execute_sweep(
                 # line-size group's single-pass state into the shared
                 # store, so even a *partially* overlapping grid reuses
                 # whole passes.
-                checkpoint = StoreEvaluationCache(
-                    store, namespace=NS_EVALCACHE
-                )
                 results = sweep_design_space(
                     missing,
                     trace,
                     policy=spec_policy(spec),
                     journal=journal,
-                    checkpoint=checkpoint,
+                    checkpoint=store,
                     trace_key=tkey,
                 )
                 for config, miss in results.items():
@@ -557,7 +558,7 @@ def _execute_estimate(
     # Priming passes checkpoint into the shared store, de-duplicating
     # across jobs, processes and restarts.
     evaluator.attach_checkpoint(
-        StoreEvaluationCache(store, namespace=NS_EVALCACHE),
+        store,
         trace_keys={r: f"{bench_id}:{r}" for r in ("icache", "dcache", "unified")},
     )
     sample_spec = spec.get("sample")
@@ -644,7 +645,7 @@ def _execute_explore(
         f"{benchmark}:scale={settings.scale:g}:visits={settings.max_visits}"
     )
     evaluator.attach_checkpoint(
-        StoreEvaluationCache(store, namespace=NS_EVALCACHE),
+        store,
         trace_keys={r: f"{bench_id}:{r}" for r in ("icache", "dcache", "unified")},
     )
     sample_spec = spec.get("sample")

@@ -26,7 +26,6 @@ checkpoints it had already uploaded spare the successor that work.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import socket
@@ -49,11 +48,11 @@ class RemoteStore:
     reads and writes through the service HTTP API.
 
     Implements the surface job execution touches — ``get`` /
-    ``put`` / ``put_many`` / ``contains`` / ``_fetch`` / ``count`` /
-    ``stats`` — so :func:`execute_job` and
-    :class:`~repro.service.store.StoreEvaluationCache` run unchanged on
-    a worker with no filesystem access to the sqlite database.  Hit and
-    miss counters describe this worker's lookup traffic.
+    ``put`` / ``put_many`` / ``contains`` / ``count`` / ``stats`` — so
+    :func:`execute_job` and its sweep and priming checkpoints run
+    unchanged on a worker with no filesystem access to the sqlite
+    database.  Hit and miss counters describe this worker's lookup
+    traffic.
     """
 
     def __init__(self, client: ServiceClient, namespace: str = "metrics"):
@@ -65,13 +64,6 @@ class RemoteStore:
 
     def _ns(self, namespace: str | None) -> str:
         return namespace if namespace is not None else self.namespace
-
-    def _fetch(self, key: str, namespace: str | None) -> dict[str, str] | None:
-        doc = self.client.result(key, namespace=self._ns(namespace))
-        if not doc.get("found"):
-            return None
-        # Same row shape StoreEvaluationCache expects from sqlite.
-        return {"value": json.dumps(doc.get("value"))}
 
     def get(self, key: str, namespace: str | None = None) -> Any:
         doc = self.client.result(key, namespace=self._ns(namespace))

@@ -23,7 +23,7 @@ from repro.cache.designspace import (
 from repro.cache.linestream import clear_line_stream_cache
 from repro.cache.sweep import sweep_design_space
 from repro.errors import ConfigurationError
-from repro.explore.evalcache import EvaluationCache
+from repro.service.store import ResultStore
 
 ALL_LINE_SIZES = [4, 8, 16, 32, 64, 128, 256]
 
@@ -302,13 +302,13 @@ class TestSweepInterop:
 
     def test_checkpoint_round_trip_across_strategies(self, tmp_path):
         configs, trace = self.configs(), self.trace()
-        cache = EvaluationCache(tmp_path / "ck.json")
+        cache = ResultStore(tmp_path / "ck.sqlite")
         first = sweep_design_space(
             configs, trace, checkpoint=cache, strategy="designspace"
         )
         # Resume from the same store with the per-line-size oracle: all
         # groups adopted, zero re-simulation, identical results.
-        resumed = EvaluationCache(tmp_path / "ck.json")
+        resumed = ResultStore(tmp_path / "ck.sqlite")
         second = sweep_design_space(
             configs, trace, checkpoint=resumed, strategy="perline"
         )

@@ -5,7 +5,6 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate_trace
 from repro.cache.sweep import simulation_passes_required, sweep_design_space
-from repro.explore.evalcache import EvaluationCache
 
 
 def small_trace():
@@ -61,7 +60,7 @@ class TestSweep:
         ids=["in-process", "one-group", "workers"],
     )
     def test_checkpointed_sweep_calls_factory_once(
-        self, line_sizes, max_workers
+        self, line_sizes, max_workers, checkpoint_store
     ):
         """The checkpoint digest and the simulation share one read."""
         calls = []
@@ -71,7 +70,7 @@ class TestSweep:
             return small_trace()
 
         configs = [CacheConfig(8, 1, line) for line in line_sizes]
-        cache = EvaluationCache()
+        cache = checkpoint_store
         results = sweep_design_space(
             configs, factory, max_workers=max_workers, checkpoint=cache
         )

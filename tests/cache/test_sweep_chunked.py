@@ -1,7 +1,5 @@
 """Chunked-trace sweeps: bit-identity, resume, sampling, shipping."""
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
@@ -14,14 +12,15 @@ from repro.cache.linestream import (
     line_stream_cache_stats,
 )
 from repro.cache.sweep import (
+    CHECKPOINT_NAMESPACE,
     _feed_chunks,
     encode_chunk_state,
     group_state_key,
     sampled_sweep_design_space,
     sweep_design_space,
 )
-from repro.explore.evalcache import EvaluationCache
 from repro.runtime.journal import RunJournal
+from repro.service.store import ResultStore
 from repro.trace.chunkstore import ChunkedTrace, write_chunked
 from repro.trace.sampling import SamplePlan
 
@@ -182,7 +181,9 @@ class TestChunkCheckpointResume:
         ) as trace:
             # Seed the cache with a genuine snapshot taken after 2 chunks,
             # as an interrupted sweep would have left it.
-            cache = EvaluationCache()
+            cache = ResultStore(
+                tmp_path / "ck.sqlite", namespace=CHECKPOINT_NAMESPACE
+            )
             for line_size in (16, 32):
                 group = [c for c in CONFIGS if c.line_size == line_size]
                 set_counts = sorted({c.sets for c in group})
@@ -215,7 +216,9 @@ class TestChunkCheckpointResume:
         with write_chunked(
             tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
         ) as trace:
-            cache = EvaluationCache()
+            cache = ResultStore(
+                tmp_path / "ck.sqlite", namespace=CHECKPOINT_NAMESPACE
+            )
             for line_size, done in ((16, 3), (32, 1)):
                 group = [c for c in CONFIGS if c.line_size == line_size]
                 set_counts = sorted({c.sets for c in group})
@@ -240,22 +243,15 @@ class TestChunkCheckpointResume:
 
     def test_boundary_snapshots_share_one_flush(self, tmp_path, arrays):
         starts, sizes = arrays
-        cache = EvaluationCache(tmp_path / "ck.json")
+        cache = ResultStore(tmp_path / "ck.sqlite")
         blocks: list[list[tuple[str, int]]] = []
-        original_bulk, original_put = cache.bulk, cache.put
+        original_put_many = cache.put_many
 
-        @contextmanager
-        def recording_bulk():
-            blocks.append([])
-            with original_bulk():
-                yield cache
+        def recording_put_many(items, namespace=None):
+            blocks.append([(key, value[0]) for key, value in items.items()])
+            original_put_many(items, namespace=namespace)
 
-        def recording_put(key, value):
-            if blocks:
-                blocks[-1].append((key, value[0]))
-            original_put(key, value)
-
-        cache.bulk, cache.put = recording_bulk, recording_put
+        cache.put_many = recording_put_many
         with write_chunked(
             tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
         ) as trace:
@@ -279,7 +275,7 @@ class TestChunkCheckpointResume:
         self, tmp_path, arrays, exact, monkeypatch
     ):
         starts, sizes = arrays
-        path = tmp_path / "ck.json"
+        path = tmp_path / "ck.sqlite"
         original = ChunkedTrace.chunk
 
         def failing_chunk(self, index):
@@ -293,12 +289,12 @@ class TestChunkCheckpointResume:
             monkeypatch.setattr(ChunkedTrace, "chunk", failing_chunk)
             with pytest.raises(KeyboardInterrupt):
                 sweep_design_space(
-                    CONFIGS, trace, checkpoint=EvaluationCache(path)
+                    CONFIGS, trace, checkpoint=ResultStore(path)
                 )
             monkeypatch.setattr(ChunkedTrace, "chunk", original)
             journal = RunJournal()
             got = sweep_design_space(
-                CONFIGS, trace, checkpoint=EvaluationCache(path),
+                CONFIGS, trace, checkpoint=ResultStore(path),
                 journal=journal,
             )
         for config in CONFIGS:
@@ -308,7 +304,7 @@ class TestChunkCheckpointResume:
 
     def test_second_run_hits_group_checkpoint(self, tmp_path, arrays):
         starts, sizes = arrays
-        cache = EvaluationCache()
+        cache = ResultStore(tmp_path / "ck.sqlite")
         with write_chunked(
             tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
         ) as trace:

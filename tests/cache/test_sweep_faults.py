@@ -3,10 +3,10 @@
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cache.sweep import sweep_design_space
+from repro.cache.sweep import CHECKPOINT_NAMESPACE, sweep_design_space
 from repro.errors import ConfigurationError, RuntimeExecutionError
-from repro.explore.evalcache import EvaluationCache
 from repro.runtime import ExecutorPolicy, FaultPlan, RunJournal
+from repro.service.store import ResultStore
 
 CONFIGS = [
     CacheConfig(8, 1, 16),
@@ -113,8 +113,8 @@ class TestFaultInjection:
 
 
 class TestCheckpointResume:
-    def test_second_run_simulates_nothing(self):
-        cache = EvaluationCache()
+    def test_second_run_simulates_nothing(self, checkpoint_store):
+        cache = checkpoint_store
         journal = RunJournal()
         first = sweep_design_space(
             CONFIGS, trace(), checkpoint=cache, journal=journal
@@ -135,8 +135,8 @@ class TestCheckpointResume:
 
     def test_kill_and_resume(self, tmp_path):
         """A run killed mid-sweep resumes from its completed groups."""
-        path = tmp_path / "checkpoint.json"
-        cache = EvaluationCache(path)
+        path = tmp_path / "checkpoint.sqlite"
+        cache = ResultStore(path, namespace=CHECKPOINT_NAMESPACE)
         policy = ExecutorPolicy(
             retries=0, fault=FaultPlan("raise", match="64", times=99)
         )
@@ -146,11 +146,12 @@ class TestCheckpointResume:
             sweep_design_space(
                 CONFIGS, trace(), policy=policy, checkpoint=cache
             )
-        assert len(EvaluationCache(path)) == 2  # groups 16 and 32 survived
+        # Groups 16 and 32 survived.
+        assert len(ResultStore(path, namespace=CHECKPOINT_NAMESPACE)) == 2
 
-        # Resume with a fresh process (fresh cache object from disk) and
+        # Resume with a fresh process (fresh store handle on the file) and
         # no fault: only the missing group simulates.
-        resumed_cache = EvaluationCache(path)
+        resumed_cache = ResultStore(path, namespace=CHECKPOINT_NAMESPACE)
         journal = RunJournal()
         results = sweep_design_space(
             CONFIGS, trace(), checkpoint=resumed_cache, journal=journal
@@ -160,14 +161,14 @@ class TestCheckpointResume:
         assert len(passes) == 1
         assert passes[0]["line_size"] == 64
 
-    def test_trace_key_avoids_digest(self):
+    def test_trace_key_avoids_digest(self, checkpoint_store):
         calls = []
 
         def factory():
             calls.append(1)
             return trace()
 
-        cache = EvaluationCache()
+        cache = checkpoint_store
         first = sweep_design_space(
             CONFIGS, factory, checkpoint=cache, trace_key="tiny-trace"
         )
@@ -179,8 +180,10 @@ class TestCheckpointResume:
         # The fully-warm rerun never needed the trace at all.
         assert len(calls) == materialized_first
 
-    def test_checkpoints_are_parallel_serial_compatible(self):
-        cache = EvaluationCache()
+    def test_checkpoints_are_parallel_serial_compatible(
+        self, checkpoint_store
+    ):
+        cache = checkpoint_store
         first = sweep_design_space(
             CONFIGS, trace(), max_workers=2, checkpoint=cache
         )
@@ -191,8 +194,28 @@ class TestCheckpointResume:
         assert first == second == BASELINE
         assert not journal.select("pass")
 
-    def test_distinct_traces_do_not_collide(self):
-        cache = EvaluationCache()
+    def test_snapshot_counts_only_checkpoint_lookups(self, checkpoint_store):
+        checkpoint_store.put("unrelated", 1, namespace="metrics")
+        journal = RunJournal()
+        sweep_design_space(
+            CONFIGS, trace(), checkpoint=checkpoint_store, journal=journal
+        )
+        checkpoint_store.get("unrelated", namespace="metrics")
+        sweep_design_space(
+            CONFIGS, trace(), checkpoint=checkpoint_store, journal=journal
+        )
+        snapshots = [
+            e for e in journal.select("cache")
+            if e["label"] == "sweep-checkpoint"
+        ]
+        assert [(e["hits"], e["misses"]) for e in snapshots] == [
+            (0, 3),
+            (3, 0),
+        ]
+        assert snapshots[-1]["entries"] == 3
+
+    def test_distinct_traces_do_not_collide(self, checkpoint_store):
+        cache = checkpoint_store
         sweep_design_space(CONFIGS, trace(), checkpoint=cache)
 
         starts, sizes = trace()

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.sweep import CHECKPOINT_NAMESPACE
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P6332
+from repro.service.store import ResultStore
 from repro.workloads.suite import tiny_workload
 
 
@@ -30,3 +32,11 @@ def mdes_narrow():
 @pytest.fixture(scope="session")
 def mdes_wide():
     return MachineDescription(P6332)
+
+
+@pytest.fixture
+def checkpoint_store(tmp_path):
+    """A fresh sqlite checkpoint store (``len`` counts checkpoint entries)."""
+    return ResultStore(
+        tmp_path / "checkpoint.sqlite", namespace=CHECKPOINT_NAMESPACE
+    )

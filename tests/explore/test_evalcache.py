@@ -1,177 +1,141 @@
-"""Unit tests for repro.explore.evalcache."""
+"""The evaluation cache: checkpoints in a ResultStore's ``evalcache``
+namespace (Section 5.1's persistent disk-based database)."""
 
 import multiprocessing
 import sys
 
 import pytest
 
+from repro.cache.sweep import CHECKPOINT_NAMESPACE
 from repro.errors import EvaluationCacheError
-from repro.explore.evalcache import EvaluationCache
+from repro.service.store import ResultStore
 
 
-class TestInMemory:
-    def test_get_put(self):
-        cache = EvaluationCache()
-        assert cache.get("k") is None
-        cache.put("k", 1.5)
-        assert cache.get("k") == 1.5
-        assert "k" in cache
-        assert len(cache) == 1
+def open_cache(path):
+    """A handle on the evaluation cache stored at ``path``."""
+    return ResultStore(path, namespace=CHECKPOINT_NAMESPACE)
 
-    def test_get_or_compute_calls_once(self):
-        cache = EvaluationCache()
-        calls = []
 
-        def compute():
-            calls.append(1)
-            return 42
-
-        assert cache.get_or_compute("k", compute) == 42
-        assert cache.get_or_compute("k", compute) == 42
-        assert len(calls) == 1
-        assert cache.hits == 1
-        assert cache.misses == 1
+@pytest.fixture
+def cache(tmp_path):
+    return open_cache(tmp_path / "metrics.sqlite")
 
 
 class TestHitMissAccounting:
-    """Regression pin: get/get_or_compute/bulk all count hits AND misses."""
+    """Regression pin: lookups count hits AND misses."""
 
-    def test_get_counts_misses(self):
-        cache = EvaluationCache()
+    def test_get_counts_misses(self, cache):
         assert cache.get("absent") is None
         assert (cache.hits, cache.misses) == (0, 1)
         cache.put("k", 1)
         assert cache.get("k") == 1
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_get_none_value_is_a_hit(self):
+    def test_get_none_value_is_a_hit(self, cache):
         # Present-with-None matches __contains__: stored null is a hit.
-        cache = EvaluationCache()
         cache.put("k", None)
         assert "k" in cache
         assert cache.get("k") is None
         assert (cache.hits, cache.misses) == (1, 0)
 
-    def test_get_or_compute_counts(self):
-        cache = EvaluationCache()
-        cache.get_or_compute("k", lambda: 7)
-        cache.get_or_compute("k", lambda: 7)
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_bulk_preserves_counts(self, tmp_path):
-        cache = EvaluationCache(tmp_path / "metrics.json")
-        with cache.bulk():
-            for i in range(4):
-                cache.get_or_compute(f"k{i}", lambda: i)
-            cache.get_or_compute("k0", lambda: 0)
-            assert cache.get("k1") == 1
-            assert cache.get("nope") is None
-        assert (cache.hits, cache.misses) == (2, 5)
-
-    def test_hit_rate_and_stats(self):
-        cache = EvaluationCache()
+    def test_hit_rate_and_stats(self, cache):
         assert cache.hit_rate == 0.0
         cache.put("k", 1)
         cache.get("k")
         cache.get("absent")
         assert cache.hit_rate == 0.5
-        assert cache.stats() == {
+        stats = cache.stats()
+        assert {k: stats[k] for k in ("hits", "misses", "hit_rate")} == {
             "hits": 1,
             "misses": 1,
             "hit_rate": 0.5,
-            "entries": 1,
         }
+        assert stats["entries"] == 1
+        assert stats["namespaces"] == {CHECKPOINT_NAMESPACE: 1}
 
 
 class TestPersistent:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        cache = EvaluationCache(path)
+        path = tmp_path / "metrics.sqlite"
+        cache = open_cache(path)
         cache.put("misses/gcc/ic32", 1234)
         cache.put("dilation/6332", 2.79)
-        reloaded = EvaluationCache(path)
+        reloaded = open_cache(path)
         assert reloaded.get("misses/gcc/ic32") == 1234
         assert reloaded.get("dilation/6332") == 2.79
 
     def test_structured_values(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        cache = EvaluationCache(path)
+        path = tmp_path / "metrics.sqlite"
+        cache = open_cache(path)
         cache.put("vector", [1, 2, 3])
         cache.put("table", {"a": 1.0})
-        reloaded = EvaluationCache(path)
+        reloaded = open_cache(path)
         assert reloaded.get("vector") == [1, 2, 3]
         assert reloaded.get("table") == {"a": 1.0}
 
     def test_corrupt_file_raises(self, tmp_path):
+        # A JSON checkpoint of earlier releases is not a result store.
         path = tmp_path / "metrics.json"
-        path.write_text("{not json")
-        with pytest.raises(EvaluationCacheError, match="unreadable"):
-            EvaluationCache(path)
-
-    def test_non_object_file_raises(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(EvaluationCacheError, match="not a JSON object"):
-            EvaluationCache(path)
+        path.write_text('{"sweep:key=x:line=16:sets=8:assoc=1": [0, {}]}')
+        with pytest.raises(EvaluationCacheError, match="not a database"):
+            open_cache(path)
 
     def test_empty_file_ok(self, tmp_path):
-        path = tmp_path / "metrics.json"
+        path = tmp_path / "metrics.sqlite"
         path.write_text("")
-        cache = EvaluationCache(path)
+        cache = open_cache(path)
         assert len(cache) == 0
 
     def test_parent_directory_created(self, tmp_path):
-        path = tmp_path / "deep" / "nest" / "metrics.json"
-        cache = EvaluationCache(path)
+        path = tmp_path / "deep" / "nest" / "metrics.sqlite"
+        cache = open_cache(path)
         cache.put("k", 1)
         assert path.exists()
 
 
 def _hammer_worker(path, worker, n_keys):
-    cache = EvaluationCache(path)
+    cache = open_cache(path)
     for i in range(n_keys):
         cache.put(f"w{worker}/k{i}", worker * 1000 + i)
+    cache.close()
 
 
 class TestConcurrentWriters:
-    """Regression: two flushers of one path must union, not clobber."""
+    """Two writers of one path must union, not clobber."""
 
     def test_two_instances_merge_on_flush(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        first = EvaluationCache(path)
-        second = EvaluationCache(path)
+        path = tmp_path / "metrics.sqlite"
+        first = open_cache(path)
+        second = open_cache(path)
         first.put("a", 1)
-        second.put("b", 2)  # pre-fix this flush dropped "a"
-        reloaded = EvaluationCache(path)
+        second.put("b", 2)
+        reloaded = open_cache(path)
         assert reloaded.get("a") == 1
         assert reloaded.get("b") == 2
 
     def test_later_writer_wins_per_key(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        first = EvaluationCache(path)
-        second = EvaluationCache(path)
+        path = tmp_path / "metrics.sqlite"
+        first = open_cache(path)
+        second = open_cache(path)
         first.put("k", "old")
         second.put("k", "new")
-        assert EvaluationCache(path).get("k") == "new"
+        assert open_cache(path).get("k") == "new"
 
     def test_bulk_flush_merges(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        first = EvaluationCache(path)
-        second = EvaluationCache(path)
-        with first.bulk():
-            for i in range(5):
-                first.put(f"first/{i}", i)
-        with second.bulk():
-            for i in range(5):
-                second.put(f"second/{i}", i)
-        reloaded = EvaluationCache(path)
+        path = tmp_path / "metrics.sqlite"
+        first = open_cache(path)
+        second = open_cache(path)
+        first.put_many({f"first/{i}": i for i in range(5)})
+        second.put_many({f"second/{i}": i for i in range(5)})
+        reloaded = open_cache(path)
         assert len(reloaded) == 10
 
     @pytest.mark.skipif(
-        sys.platform.startswith("win"), reason="fork + flock are POSIX"
+        sys.platform.startswith("win"), reason="fork is POSIX"
     )
     def test_multiprocess_hammer(self, tmp_path):
-        path = tmp_path / "metrics.json"
+        path = tmp_path / "metrics.sqlite"
+        open_cache(path)  # bootstrap the schema before forking
         ctx = multiprocessing.get_context("fork")
         workers, n_keys = 4, 20
         procs = [
@@ -183,33 +147,9 @@ class TestConcurrentWriters:
         for proc in procs:
             proc.join(timeout=60)
             assert proc.exitcode == 0
-        reloaded = EvaluationCache(path)
+        reloaded = open_cache(path)
         assert len(reloaded) == workers * n_keys
         for w in range(workers):
             for i in range(n_keys):
                 assert reloaded.get(f"w{w}/k{i}") == w * 1000 + i
 
-
-class TestTmpHygiene:
-    """Regression: interrupted flushes must not leak *.tmp siblings."""
-
-    def test_unserializable_value_leaves_no_tmp(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        cache = EvaluationCache(path)
-        cache.put("good", 1)
-        with pytest.raises(EvaluationCacheError, match="cannot write"):
-            cache.put("bad", object())  # json.dump raises TypeError
-        assert list(tmp_path.glob("*.tmp")) == []
-        # The cache file is still intact from the last good flush.
-        assert EvaluationCache(path).get("good") == 1
-
-    def test_stale_tmps_reaped_on_flush(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        stale = tmp_path / "metrics.jsonabc123.tmp"
-        stale.write_text("{}")
-        unrelated = tmp_path / "other.jsonxyz.tmp"
-        unrelated.write_text("{}")
-        cache = EvaluationCache(path)
-        cache.put("k", 1)
-        assert not stale.exists()
-        assert unrelated.exists()  # only this path's siblings are reaped

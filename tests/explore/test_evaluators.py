@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.cache.sweep import CHECKPOINT_NAMESPACE
 from repro.errors import ConfigurationError
 from repro.explore.evaluators import (
     EvaluationCosts,
@@ -109,13 +110,18 @@ class TestCostArithmetic:
         assert EvaluationCosts().total_hours == 14.0
 
 
+def _checkpoint(path):
+    """A handle on the sqlite store at ``path`` (``len`` counts checkpoints)."""
+    from repro.service.store import ResultStore
+
+    return ResultStore(path, namespace=CHECKPOINT_NAMESPACE)
+
+
 class TestCheckpointAdoption:
     """attach_checkpoint: priming states survive across evaluators."""
 
-    def _attached(self, tmp_path, name="ckpt.sqlite"):
-        from repro.service.store import open_evaluation_cache
-
-        cache = open_evaluation_cache(tmp_path / name)
+    def _attached(self, tmp_path):
+        cache = _checkpoint(tmp_path / "ckpt.sqlite")
         evaluator = make_evaluator()
         evaluator.attach_checkpoint(cache)
         return evaluator, cache
@@ -145,15 +151,13 @@ class TestCheckpointAdoption:
         assert second.prime() == 2  # both adopted from the checkpoint
         assert second.simulation_passes == 0
 
-    def test_json_backend_works_too(self, tmp_path):
-        first, cache = self._attached(tmp_path, name="ckpt.json")
+    def test_reopened_store_adopts_too(self, tmp_path):
+        first, cache = self._attached(tmp_path)
         config = CacheConfig(8, 1, 32)
         misses = first.simulated_misses("icache", config)
 
-        from repro.service.store import open_evaluation_cache
-
         second = make_evaluator()
-        second.attach_checkpoint(open_evaluation_cache(tmp_path / "ckpt.json"))
+        second.attach_checkpoint(_checkpoint(cache.path))
         assert second.simulated_misses("icache", config) == misses
         assert second.simulation_passes == 0
 

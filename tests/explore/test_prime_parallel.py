@@ -122,44 +122,15 @@ class TestFaultTolerantPrime:
 
 
 class TestEvalCacheBulk:
-    def test_bulk_defers_flushes(self, tmp_path):
-        from repro.explore.evalcache import EvaluationCache
-
-        path = tmp_path / "cache.json"
-        cache = EvaluationCache(path)
-        flushes = []
-        original = cache._flush
-
-        def counting_flush():
-            flushes.append(1)
-            original()
-
-        cache._flush = counting_flush
-        with cache.bulk():
-            for i in range(10):
-                cache.put(f"k{i}", i)
-        # 10 deferred no-op flushes + one real write on exit.
-        reloaded = EvaluationCache(path)
-        assert len(reloaded) == 10
-        assert reloaded.get("k3") == 3
-
     def test_put_many_single_write(self, tmp_path):
-        from repro.explore.evalcache import EvaluationCache
+        from repro.service.store import ResultStore
 
-        path = tmp_path / "cache.json"
-        cache = EvaluationCache(path)
+        path = tmp_path / "cache.sqlite"
+        cache = ResultStore(path)
+        statements = []
+        cache.connection().set_trace_callback(statements.append)
         cache.put_many({"a": 1, "b": [2, 3], "c": "x"})
-        reloaded = EvaluationCache(path)
+        assert statements.count("BEGIN IMMEDIATE") == 1
+        reloaded = ResultStore(path)
         assert reloaded.get("b") == [2, 3]
         assert len(reloaded) == 3
-
-    def test_bulk_nests_without_double_flush(self, tmp_path):
-        from repro.explore.evalcache import EvaluationCache
-
-        cache = EvaluationCache(tmp_path / "cache.json")
-        with cache.bulk():
-            with cache.bulk():
-                cache.put("inner", 1)
-            cache.put("outer", 2)
-        reloaded = EvaluationCache(tmp_path / "cache.json")
-        assert len(reloaded) == 2

@@ -268,11 +268,9 @@ class TestFleetWorker:
         assert "k1" in store
         assert store.contains("k2", namespace="evalcache")
         assert store.count(namespace="evalcache") == 2
-        row = store._fetch("k2", "evalcache")
-        assert row is not None
-        import json
-
-        assert json.loads(row["value"]) == [1, 2]
+        assert store.get("k2", namespace="evalcache") == [1, 2]
+        assert store.get("k3", namespace="evalcache") is None
+        assert store.hits == 3  # a present null is a hit
         assert store.stats()["backend"] == "remote"
 
 

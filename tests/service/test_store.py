@@ -5,14 +5,8 @@ import sys
 
 import pytest
 
-from repro.errors import EvaluationCacheError, ServiceError
-from repro.explore.evalcache import EvaluationCache
-from repro.service.store import (
-    ResultStore,
-    StoreEvaluationCache,
-    open_evaluation_cache,
-    require_store,
-)
+from repro.errors import EvaluationCacheError
+from repro.service.store import ResultStore
 
 
 @pytest.fixture
@@ -50,18 +44,6 @@ class TestKeyValue:
     def test_items_limit(self, store):
         store.put_many({f"k{i}": i for i in range(10)})
         assert len(store.items(limit=3)) == 3
-
-    def test_get_or_compute_calls_once(self, store):
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 42
-
-        assert store.get_or_compute("k", compute) == 42
-        assert store.get_or_compute("k", compute) == 42
-        assert len(calls) == 1
-        assert (store.hits, store.misses) == (1, 1)
 
     def test_unserializable_value_raises(self, store):
         with pytest.raises(EvaluationCacheError, match="JSON"):
@@ -191,100 +173,3 @@ class TestConcurrentProcesses:
         assert store.get("shared") in range(workers)
         assert store.count() == workers * n_keys + 1
 
-
-class TestAdapter:
-    """StoreEvaluationCache must behave exactly like the JSON backend."""
-
-    def _both(self, tmp_path):
-        json_cache = EvaluationCache(tmp_path / "metrics.json")
-        sqlite_cache = StoreEvaluationCache(
-            ResultStore(tmp_path / "metrics.sqlite")
-        )
-        return json_cache, sqlite_cache
-
-    def test_get_put_equivalence(self, tmp_path):
-        for cache in self._both(tmp_path):
-            assert cache.get("k") is None
-            cache.put("k", [1, 2.5, "x"])
-            assert cache.get("k") == [1, 2.5, "x"]
-            assert "k" in cache
-            assert len(cache) == 1
-            assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_null_value_hit_equivalence(self, tmp_path):
-        for cache in self._both(tmp_path):
-            cache.put("k", None)
-            assert "k" in cache
-            assert cache.get("k") is None
-            assert (cache.hits, cache.misses) == (1, 0)
-
-    def test_get_or_compute_equivalence(self, tmp_path):
-        for cache in self._both(tmp_path):
-            calls = []
-            cache.get_or_compute("k", lambda: calls.append(1) or 9)
-            assert cache.get_or_compute("k", lambda: 0) == 9
-            assert len(calls) == 1
-
-    def test_bulk_equivalence(self, tmp_path):
-        for cache in self._both(tmp_path):
-            with cache.bulk():
-                for i in range(4):
-                    cache.put(f"k{i}", i)
-                # Pending writes are visible inside the block.
-                assert cache.get("k0") == 0
-                assert "k3" in cache
-                assert len(cache) == 4
-            assert cache.get("k2") == 2
-
-    def test_bulk_is_one_transaction(self, tmp_path):
-        store = ResultStore(tmp_path / "s.sqlite")
-        cache = StoreEvaluationCache(store)
-        observer = ResultStore(tmp_path / "s.sqlite")
-        with cache.bulk():
-            cache.put("k", 1)
-            assert observer.contains("k", namespace="evalcache") is False
-        assert observer.contains("k", namespace="evalcache") is True
-
-    def test_put_many_and_stats(self, tmp_path):
-        for cache in self._both(tmp_path):
-            cache.put_many({"a": 1, "b": 2})
-            stats = cache.stats()
-            assert stats["entries"] == 2
-            assert set(stats) == {"hits", "misses", "hit_rate", "entries"}
-
-    def test_adapter_sees_other_writers_immediately(self, tmp_path):
-        path = tmp_path / "s.sqlite"
-        first = StoreEvaluationCache(ResultStore(path))
-        second = StoreEvaluationCache(ResultStore(path))
-        first.put("k", 1)
-        assert second.get("k") == 1  # read-through, no snapshot
-
-
-class TestOpenEvaluationCache:
-    def test_sqlite_suffixes_select_store(self, tmp_path):
-        for suffix in (".sqlite", ".sqlite3", ".db"):
-            cache = open_evaluation_cache(tmp_path / f"c{suffix}")
-            assert isinstance(cache, StoreEvaluationCache)
-            assert require_store(cache).path == tmp_path / f"c{suffix}"
-
-    def test_json_path_keeps_legacy_backend(self, tmp_path):
-        cache = open_evaluation_cache(tmp_path / "c.json")
-        assert isinstance(cache, EvaluationCache)
-        assert not isinstance(cache, StoreEvaluationCache)
-
-    def test_none_is_in_memory(self):
-        cache = open_evaluation_cache(None)
-        assert isinstance(cache, EvaluationCache)
-        assert cache.path is None
-
-    def test_backends_are_interchangeable(self, tmp_path):
-        """One code path, either backend: identical observable behavior."""
-        for name in ("c.json", "c.sqlite"):
-            cache = open_evaluation_cache(tmp_path / name)
-            cache.put("x", {"v": 1})
-            reopened = open_evaluation_cache(tmp_path / name)
-            assert reopened.get("x") == {"v": 1}
-
-    def test_require_store_rejects_json(self, tmp_path):
-        with pytest.raises(ServiceError, match="not store-backed"):
-            require_store(EvaluationCache(tmp_path / "c.json"))

@@ -248,3 +248,50 @@ class TestJournalFlag:
         out = capsys.readouterr().out
         assert "Run journal" in out
         assert "1 retries" in out
+
+
+class TestSweepCheckpoint:
+    """``repro sweep --checkpoint``: a sqlite result store, resumable."""
+
+    SWEEP = ["sweep", "--benchmarks", "epic", "--scale", "0.25"]
+
+    def test_round_trip_resumes_from_store(self, capsys, tmp_path):
+        from repro.cache.sweep import CHECKPOINT_NAMESPACE
+        from repro.runtime import RunJournal
+        from repro.service.store import ResultStore
+
+        ck = tmp_path / "ck.sqlite"
+        outs = []
+        for run in ("first", "second"):
+            journal = tmp_path / f"{run}.jsonl"
+            argv = [*self.SWEEP, "--checkpoint", str(ck),
+                    "--journal", str(journal)]
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        second = RunJournal.load(tmp_path / "second.jsonl")
+        assert second.select("pass") == []
+        hits = [
+            e for e in second.select("checkpoint") if e["action"] == "hit"
+        ]
+        line_sizes = build_parser().parse_args(self.SWEEP).line_sizes
+        assert len(hits) == len(line_sizes)
+        assert ResultStore(ck).count(namespace=CHECKPOINT_NAMESPACE) == 3
+
+    def test_json_checkpoint_file_is_rejected(self, tmp_path):
+        legacy = tmp_path / "ck.json"
+        legacy.write_text('{"sweep:key=x:line=16:sets=64:assoc=1": [0, {}]}')
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.SWEEP, "--checkpoint", str(legacy)])
+        message = str(excinfo.value)
+        assert str(legacy) in message
+        assert "must be a sqlite result store" in message
+
+    def test_checkpoint_with_sampling_is_rejected(self, tmp_path):
+        ck = tmp_path / "ck.sqlite"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.SWEEP, "--checkpoint", str(ck),
+                  "--sample-intervals", "4"])
+        message = str(excinfo.value)
+        assert "--checkpoint" in message and "--sample-intervals" in message
+        assert not ck.exists()
