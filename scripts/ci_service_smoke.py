@@ -12,7 +12,7 @@ ephemeral port — then drives it exactly as a user would:
    where they are computed);
 3. submit the *same* grid again and assert the rerun is served
    entirely from the content-addressed store (``from_store == total``,
-   zero new simulation);
+   zero new simulation), already ``done`` in the submit response;
 4. query ``/results`` and assert it matches the job's result documents.
 
 The service journal goes to ``--journal`` and the final ``/metrics``
@@ -110,7 +110,12 @@ def main() -> int:
                     f"{config.describe()} matches in-process simulation",
                 )
 
-            rerun = client.wait(client.submit(SPEC), timeout=300).result
+            submitted = client.submit_job(SPEC)
+            check(
+                submitted.state == "done",
+                "resubmission answered done in the submit response",
+            )
+            rerun = client.wait(submitted.id, timeout=300).result
             check(
                 rerun["from_store"] == n_configs and rerun["simulated"] == 0,
                 "identical resubmission served entirely from the store",

@@ -261,14 +261,14 @@ class RunRecorder:
         self.benchmark = benchmark
         self._rows: list[dict[str, Any]] = []
         self._reps: dict[tuple, int] = {}
-        self._baseline = len(self.journal.events)
+        self._window = self.journal.open_window()
         self._started = time.time()
         self._finished: dict[str, Any] | None = None
 
     # -- context manager ------------------------------------------------
 
     def __enter__(self) -> "RunRecorder":
-        self._baseline = len(self.journal.events)
+        self._window.clear()
         self._started = time.time()
         return self
 
@@ -444,7 +444,8 @@ class RunRecorder:
                 f"unknown run state {state!r}; expected one of {RUN_STATES}"
             )
         finished = time.time()
-        window = list(self.journal.events[self._baseline:])
+        self.journal.close_window(self._window)
+        window = list(self._window)
         derived = derive_journal_columns(window)
         by_ls = derived.pop("by_line_size")
         # Per-row attribution: a single-pass simulation serves every

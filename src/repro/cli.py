@@ -865,10 +865,10 @@ def _cmd_submit(args: argparse.Namespace) -> str:
         with open(args.spec, encoding="utf-8") as handle:
             spec = json.load(handle)
     client = ServiceClient(args.url)
-    job_id = client.submit(spec)
+    submitted = client.submit_job(spec)
     if not args.wait:
-        return json.dumps({"id": job_id, "state": "queued"})
-    record = client.wait(job_id, timeout=args.timeout)
+        return json.dumps({"id": submitted.id, "state": submitted.state})
+    record = client.wait(submitted.id, timeout=args.timeout)
     return json.dumps(record.to_dict(), indent=2)
 
 

@@ -4,7 +4,10 @@ A :class:`RunJournal` is an append-only event log.  Every event is one
 JSON object carrying an ``event`` type tag, a monotonically increasing
 ``seq`` number and a wall-clock ``ts``; with a ``path`` the events are
 also appended to disk as JSON lines, flushed per event, so a killed run
-still leaves a readable journal behind.
+still leaves a readable journal behind.  With ``keep`` only the most
+recent events stay in memory (between ``keep`` and ``2 * keep``), which
+bounds a long-lived service's journal; :meth:`RunJournal.open_window`
+collects a run's events whatever the journal keeps.
 
 Event vocabulary used by the library (all optional — the journal accepts
 any event type):
@@ -98,9 +101,16 @@ __all__ = [
 class RunJournal:
     """Append-only structured event log (JSON lines)."""
 
-    def __init__(self, path: str | Path | None = None):
+    def __init__(
+        self, path: str | Path | None = None, keep: int | None = None
+    ):
+        if keep is not None and keep < 1:
+            raise ReproError(f"journal keep must be >= 1, got {keep}")
         self.path = Path(path) if path is not None else None
         self.events: list[dict[str, Any]] = []
+        self.keep = keep
+        self._dropped = 0
+        self._windows: list[list[dict[str, Any]]] = []
         self._lock = threading.Lock()
         self._handle = None
         if self.path is not None:
@@ -115,14 +125,32 @@ class RunJournal:
         """Append one event; returns the recorded entry."""
         entry: dict[str, Any] = {"event": event, **fields}
         with self._lock:
-            entry["seq"] = len(self.events)
+            entry["seq"] = self._dropped + len(self.events)
             entry["ts"] = round(time.time(), 6)
             self.events.append(entry)
+            for window in self._windows:
+                window.append(entry)
+            if self.keep is not None and len(self.events) >= 2 * self.keep:
+                self._dropped += len(self.events) - self.keep
+                del self.events[: -self.keep]
             if self._handle is not None:
                 json.dump(entry, self._handle, default=str)
                 self._handle.write("\n")
                 self._handle.flush()
         return entry
+
+    def open_window(self) -> list[dict[str, Any]]:
+        """A list that receives every event recorded from now until
+        :meth:`close_window`, however few events the journal keeps."""
+        window: list[dict[str, Any]] = []
+        with self._lock:
+            self._windows.append(window)
+        return window
+
+    def close_window(self, window: list[dict[str, Any]]) -> None:
+        """Stop collecting into ``window``."""
+        with self._lock:
+            self._windows = [w for w in self._windows if w is not window]
 
     @contextmanager
     def timed(self, event: str, **fields: Any) -> Iterator[dict[str, Any]]:

@@ -3,8 +3,18 @@
 Speaks the JSON API of :mod:`repro.service.server` — both the
 submit/wait surface (``repro submit``, tests, CI) and the worker-fleet
 protocol (register / claim / heartbeat / complete / fail / result
-upload) used by :mod:`repro.service.worker`.  Only ``urllib.request``
-— no new dependencies.
+upload) used by :mod:`repro.service.worker`.  Only ``http.client`` —
+no new dependencies.
+
+Each thread sends its requests over one persistent (keep-alive)
+connection.  When a *reused* connection fails before any byte of the
+response arrives — the server closed it while it sat idle, or was
+restarted — the request is sent once more on a fresh connection; any
+other transport failure is a :class:`~repro.errors.ServiceError`.
+
+A sweep the store already answers comes back ``done`` from
+``POST /jobs``: :meth:`ServiceClient.submit` keeps that record and
+:meth:`ServiceClient.wait` returns it without another request.
 
 A **409** from a fenced transition surfaces as
 :class:`~repro.errors.StaleLeaseError` so workers can distinguish
@@ -13,16 +23,33 @@ A **409** from a fenced transition surfaces as
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Iterable, Mapping
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 from repro.errors import ServiceError, StaleLeaseError
 from repro.service.queue import JobRecord
+
+#: Terminal records kept from submit answers until waited on.
+MAX_ANSWERED = 1024
+
+
+class _Connection:
+    """One thread's keep-alive connection, closed as soon as it is
+    dropped: by :meth:`ServiceClient.close`, by its thread ending or by
+    the client going away."""
+
+    def __init__(self, http: http.client.HTTPConnection, prefix: str):
+        self.http = http
+        self.prefix = prefix
+        self.reused = False
+
+    def __del__(self) -> None:
+        self.http.close()
 
 
 class ServiceClient:
@@ -31,64 +58,107 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._local = threading.local()
+        self._answered: dict[str, JobRecord] = {}
+        self._answered_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Transport.
     # ------------------------------------------------------------------
 
+    def _connection(self) -> _Connection:
+        """This thread's connection (created lazily)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            url = urlsplit(self.base_url)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ServiceError(
+                    f"bad evaluation service URL {self.base_url!r}"
+                )
+            factory = (
+                http.client.HTTPSConnection
+                if url.scheme == "https"
+                else http.client.HTTPConnection
+            )
+            conn = _Connection(
+                factory(url.hostname, url.port, timeout=self.timeout),
+                url.path,
+            )
+            self._local.conn = conn
+        return conn
+
+    def close(self) -> None:
+        """Close this thread's connection (the next request reopens)."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.http.close()
+
+    def _exchange(
+        self, method: str, path: str, payload: Any | None = None
+    ) -> tuple[int, bytes]:
+        """One request/response; returns ``(status, body)``."""
+        body = None
+        headers = {"Accept": "application/json"}
+        if payload is not None:
+            body = json.dumps(payload).encode()
+            headers["Content-Type"] = "application/json"
+        while True:
+            conn = self._connection()
+            try:
+                conn.http.request(method, conn.prefix + path, body, headers)
+                response = conn.http.getresponse()
+            except (OSError, http.client.HTTPException) as exc:
+                self.close()
+                # A reused connection the server closed while idle fails
+                # before any answer arrives (ConnectionError covers
+                # http.client.RemoteDisconnected): send once more on a
+                # fresh connection.
+                if conn.reused and isinstance(exc, ConnectionError):
+                    continue
+                raise self._unreachable(exc) from exc
+            try:
+                raw = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                self.close()
+                raise self._unreachable(exc) from exc
+            if response.will_close:
+                self.close()
+            else:
+                conn.reused = True
+            return response.status, raw
+
+    def _unreachable(self, exc: BaseException) -> ServiceError:
+        return ServiceError(
+            f"cannot reach evaluation service at {self.base_url}: {exc}"
+        )
+
+    def _checked(
+        self, method: str, path: str, payload: Any | None = None
+    ) -> bytes:
+        """The response body; an HTTP error status raises."""
+        status, raw = self._exchange(method, path, payload)
+        if status < 400:
+            return raw
+        try:
+            detail = json.loads(raw).get("error", "")
+        except Exception:  # noqa: BLE001 - body may not be JSON
+            detail = ""
+        message = f"{method} {path} failed: HTTP {status}" + (
+            f" ({detail})" if detail else ""
+        )
+        if status == 409:
+            raise StaleLeaseError(message)
+        raise ServiceError(message)
+
     def _request(
         self, method: str, path: str, payload: Any | None = None
     ) -> Any:
-        url = self.base_url + path
-        data = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            data = json.dumps(payload).encode()
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            try:
-                detail = json.loads(exc.read()).get("error", "")
-            except Exception:  # noqa: BLE001 - body may not be JSON
-                detail = ""
-            message = f"{method} {path} failed: HTTP {exc.code}" + (
-                f" ({detail})" if detail else ""
-            )
-            if exc.code == 409:
-                raise StaleLeaseError(message) from exc
-            raise ServiceError(message) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach evaluation service at {self.base_url}: "
-                f"{exc.reason}"
-            ) from exc
+        return json.loads(self._checked(method, path, payload))
 
     def _request_text(self, path: str) -> str:
         """GET a non-JSON resource (CSV table, dashboard HTML)."""
-        url = self.base_url + path
-        request = urllib.request.Request(url, method="GET")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.read().decode()
-        except urllib.error.HTTPError as exc:
-            try:
-                detail = json.loads(exc.read()).get("error", "")
-            except Exception:  # noqa: BLE001 - body may not be JSON
-                detail = ""
-            raise ServiceError(
-                f"GET {path} failed: HTTP {exc.code}"
-                + (f" ({detail})" if detail else "")
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach evaluation service at {self.base_url}: "
-                f"{exc.reason}"
-            ) from exc
+        return self._checked("GET", path).decode()
 
     # ------------------------------------------------------------------
     # API surface.
@@ -100,10 +170,26 @@ class ServiceClient:
 
     def submit(self, spec: dict[str, Any], max_attempts: int = 3) -> str:
         """Submit a job spec; returns the job id."""
+        return self.submit_job(spec, max_attempts=max_attempts).id
+
+    def submit_job(
+        self, spec: dict[str, Any], max_attempts: int = 3
+    ) -> JobRecord:
+        """Submit a job spec; returns its record as of submission.
+
+        The record is ``done`` already when the store answered the
+        sweep; it is kept for :meth:`wait`.
+        """
         doc = self._request(
             "POST", "/jobs", {"spec": spec, "max_attempts": max_attempts}
         )
-        return doc["id"]
+        record = _record(doc["job"])
+        if record.terminal:
+            with self._answered_lock:
+                if len(self._answered) >= MAX_ANSWERED:
+                    self._answered.pop(next(iter(self._answered)))
+                self._answered[record.id] = record
+        return record
 
     def job(self, job_id: str) -> JobRecord:
         """One job's current state."""
@@ -132,12 +218,17 @@ class ServiceClient:
         up to ``poll_max``, so many waiting clients do not hammer the
         server in lockstep at a fixed rate.  Raises
         :class:`ServiceError` when the job fails or the timeout expires
-        (the error message carries the job's stored error).
+        (the error message carries the job's stored error).  A record
+        that :meth:`submit_job` received already terminal is used
+        without a request.
         """
         deadline = time.monotonic() + timeout
         interval = max(poll, 1e-3)
+        with self._answered_lock:
+            record = self._answered.pop(job_id, None)
         while True:
-            record = self.job(job_id)
+            if record is None:
+                record = self.job(job_id)
             if record.state == "done":
                 return record
             if record.state == "failed":
@@ -157,6 +248,7 @@ class ServiceClient:
             )
             time.sleep(max(sleep, 0.0))
             interval = min(interval * 2.0, poll_max)
+            record = None
 
     def results(
         self,
@@ -310,6 +402,18 @@ class ServiceClient:
         """One stored value: ``{"found": bool, "value": ...}``."""
         query = urlencode({"key": key, "namespace": namespace})
         return self._request("GET", f"/result?{query}")
+
+    def lookup_results(
+        self, keys: Iterable[str], namespace: str = "metrics"
+    ) -> dict[str, Any]:
+        """The stored values among ``keys`` (absent ones left out), in
+        one request."""
+        doc = self._request(
+            "POST",
+            "/results/lookup",
+            {"namespace": namespace, "keys": list(keys)},
+        )
+        return doc["items"]
 
     def put_results(
         self, items: Mapping[str, Any], namespace: str = "metrics"

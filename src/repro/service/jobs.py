@@ -177,19 +177,17 @@ def build_trace_arrays(trace_spec: dict[str, Any]) -> tuple[Any, Any]:
             raise ServiceError(
                 "ranges trace needs equal-length non-empty starts/sizes"
             )
-        return (
-            np.asarray(starts, dtype=np.int64),
-            np.asarray(sizes, dtype=np.int64),
-        )
-    if kind == "synthetic":
-        n = int(trace_spec.get("ranges", 512))
-        footprint = int(trace_spec.get("footprint", 65536))
-        max_size = int(trace_spec.get("max_size", 64))
-        seed = int(trace_spec.get("seed", 0))
-        if n < 1 or footprint < 1 or max_size < 1:
-            raise ServiceError(
-                "synthetic trace needs positive ranges/footprint/max_size"
+        try:
+            return (
+                np.asarray(starts, dtype=np.int64),
+                np.asarray(sizes, dtype=np.int64),
             )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ServiceError(
+                f"ranges trace starts/sizes must be integers: {exc}"
+            ) from None
+    if kind == "synthetic":
+        seed, n, footprint, max_size = synthetic_params(trace_spec)
         rng = np.random.default_rng(seed)
         starts = rng.integers(0, footprint, size=n, dtype=np.int64)
         sizes = rng.integers(1, max_size + 1, size=n, dtype=np.int64)
@@ -202,6 +200,34 @@ def build_trace_arrays(trace_spec: dict[str, Any]) -> tuple[Any, Any]:
     raise ServiceError(
         f"unknown trace kind {kind!r}; expected one of {TRACE_KINDS}"
     )
+
+
+def synthetic_params(trace_spec: dict[str, Any]) -> tuple[int, int, int, int]:
+    """A synthetic trace spec's ``(seed, ranges, footprint, max_size)``.
+
+    Checks the fields without generating anything: the seed must be a
+    non-negative integer, the rest positive integers.
+    """
+    params = []
+    for field, default, lowest in (
+        ("seed", 0, 0),
+        ("ranges", 512, 1),
+        ("footprint", 65536, 1),
+        ("max_size", 64, 1),
+    ):
+        value = trace_spec.get(field, default)
+        if (
+            not isinstance(value, int)
+            or isinstance(value, bool)
+            or value < lowest
+        ):
+            bound = "non-negative" if lowest == 0 else "positive"
+            raise ServiceError(
+                f"synthetic trace {field!r} must be a {bound} integer,"
+                f" got {value!r}"
+            )
+        params.append(value)
+    return tuple(params)
 
 
 def _open_chunked(trace_spec: dict[str, Any]) -> ChunkedTrace:
@@ -266,6 +292,13 @@ def validate_spec(spec: Any) -> dict[str, Any]:
     names happens at execution; this catches the malformed 90% before
     they occupy the queue.
     """
+    parse_spec(spec)
+    return spec
+
+
+def parse_spec(spec: Any) -> SweepRequest | None:
+    """Validate a job spec like :func:`validate_spec`; returns the
+    parsed :class:`SweepRequest` for a sweep, None for other kinds."""
     if not isinstance(spec, dict):
         raise ServiceError(f"job spec must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind")
@@ -303,10 +336,16 @@ def validate_spec(spec: Any) -> dict[str, Any]:
             path = _require(trace_spec, "path", "chunked trace")
             if not isinstance(path, str) or not path:
                 raise ServiceError("chunked trace 'path' must be a string")
-        elif trace_spec["kind"] != "benchmark":
-            build_trace_arrays(trace_spec)  # cheap: validates eagerly
-        parse_configs(_require(spec, "configs", kind))
-    elif kind == "estimate":
+        elif trace_spec["kind"] == "synthetic":
+            synthetic_params(trace_spec)
+        elif trace_spec["kind"] == "ranges":
+            build_trace_arrays(trace_spec)
+        return SweepRequest(
+            trace_spec,
+            parse_configs(_require(spec, "configs", kind)),
+            SamplePlan.from_spec(sample) if sample else None,
+        )
+    if kind == "estimate":
         _require(spec, "benchmark", kind)
         parse_configs(_require(spec, "configs", kind))
         dilations = spec.get("dilations", [1.0])
@@ -317,7 +356,84 @@ def validate_spec(spec: Any) -> dict[str, Any]:
             raise ServiceError(f"unknown role {role!r}")
     else:  # explore
         _require(spec, "benchmark", kind)
-    return spec
+    return None
+
+
+class SweepRequest:
+    """A validated sweep spec, parsed once: its trace spec, configs,
+    sampling plan and the trace identity its results are stored under.
+
+    :meth:`lookup` and :meth:`document` are shared by execution and by
+    the service's submit-time answer, so a sweep served from the store
+    at submit gets the very document execution would have returned.
+    """
+
+    def __init__(
+        self,
+        trace_spec: dict[str, Any],
+        configs: list[CacheConfig],
+        plan: SamplePlan | None,
+    ):
+        self.trace_spec = trace_spec
+        self.configs = configs
+        self.plan = plan
+        self.trace_key = trace_key(trace_spec)
+        if plan is not None:
+            # Estimates live under sample-specific keys so they can
+            # never shadow (or be shadowed by) exact results for the
+            # same trace.
+            self.result_trace = (
+                f"{self.trace_key}:sample={trace_key(plan.to_spec())[5:]}"
+            )
+        else:
+            self.result_trace = self.trace_key
+
+    def lookup(self, store: ResultStore) -> dict[CacheConfig, Any]:
+        """The configs whose miss results the store already holds, in
+        one batched read."""
+        keys = {
+            config: result_key(self.result_trace, config)
+            for config in self.configs
+        }
+        values = store.get_many(keys.values(), namespace=NS_METRICS)
+        stored = {}
+        for config, key in keys.items():
+            value = values.get(key)
+            if (
+                isinstance(value, dict)
+                and "misses" in value
+                and "accesses" in value
+            ):
+                stored[config] = value
+        return stored
+
+    def document(
+        self,
+        stored: dict[CacheConfig, Any],
+        simulated: dict[CacheConfig, Any],
+    ) -> dict[str, Any]:
+        """The job's result document from per-config result dicts."""
+        docs = []
+        for config in self.configs:
+            source = "store" if config in stored else "simulated"
+            doc = stored.get(config) or simulated[config]
+            docs.append(_config_doc(config, **doc, source=source))
+        return {
+            "kind": "sweep",
+            "trace_key": self.result_trace,
+            "total": len(self.configs),
+            "from_store": len(stored),
+            "simulated": len(simulated),
+            "sampled": self.plan is not None,
+            "results": docs,
+        }
+
+    def stored_document(self, store: ResultStore) -> dict[str, Any] | None:
+        """The result document when every config is stored, else None."""
+        stored = self.lookup(store)
+        if len(stored) < len(self.configs):
+            return None
+        return self.document(stored, {})
 
 
 def spec_policy(spec: dict[str, Any]) -> ExecutorPolicy:
@@ -361,7 +477,7 @@ def execute_job(
     from repro.analytics.runs import RunRecorder, supports_runs
 
     journal = resolve_journal(journal)
-    validate_spec(spec)
+    request = parse_spec(spec)
     kind = spec["kind"]
     recorder = None
     if record and supports_runs(store):
@@ -375,7 +491,7 @@ def execute_job(
         )
     try:
         if kind == "sweep":
-            result = _execute_sweep(spec, store, journal)
+            result = _execute_sweep(request, spec, store, journal)
         elif kind == "estimate":
             result = _execute_estimate(spec, store, journal)
         else:
@@ -434,39 +550,22 @@ def _config_doc(config: CacheConfig, **extra: Any) -> dict[str, Any]:
 
 
 def _execute_sweep(
-    spec: dict[str, Any], store: ResultStore, journal: RunJournal
+    request: SweepRequest,
+    spec: dict[str, Any],
+    store: ResultStore,
+    journal: RunJournal,
 ) -> dict[str, Any]:
-    trace_spec = spec["trace"]
-    configs = parse_configs(spec["configs"])
-    tkey = trace_key(trace_spec)
-    sample_spec = spec.get("sample")
-    plan = SamplePlan.from_spec(sample_spec) if sample_spec else None
-    if plan is not None:
-        # Estimates live under sample-specific keys so they can never
-        # shadow (or be shadowed by) exact results for the same trace.
-        rkey_trace = f"{tkey}:sample={trace_key(plan.to_spec())[5:]}"
-    else:
-        rkey_trace = tkey
-
+    plan = request.plan
+    rkey_trace = request.result_trace
     # Result-level de-duplication: configs whose misses are already
     # stored (for this exact trace + sampling identity) are served
     # without any simulation.
-    stored: dict[CacheConfig, Any] = {}
-    missing: list[CacheConfig] = []
-    for config in configs:
-        value = store.get(result_key(rkey_trace, config), namespace=NS_METRICS)
-        if (
-            isinstance(value, dict)
-            and "misses" in value
-            and "accesses" in value
-        ):
-            stored[config] = value
-        else:
-            missing.append(config)
+    stored = request.lookup(store)
+    missing = [c for c in request.configs if c not in stored]
 
     simulated: dict[CacheConfig, Any] = {}
     if missing:
-        trace = sweep_trace(trace_spec)
+        trace = sweep_trace(request.trace_spec)
         try:
             fresh = {}
             if plan is not None:
@@ -496,7 +595,7 @@ def _execute_sweep(
                     policy=spec_policy(spec),
                     journal=journal,
                     checkpoint=store,
-                    trace_key=tkey,
+                    trace_key=request.trace_key,
                 )
                 for config, miss in results.items():
                     doc = {"accesses": miss.accesses, "misses": miss.misses}
@@ -515,20 +614,7 @@ def _execute_sweep(
         simulated=len(simulated),
     )
     journal.observe_cache(store, label="result-store")
-    docs = []
-    for config in configs:
-        source = "store" if config in stored else "simulated"
-        doc = stored.get(config) or simulated[config]
-        docs.append(_config_doc(config, **doc, source=source))
-    return {
-        "kind": "sweep",
-        "trace_key": rkey_trace,
-        "total": len(configs),
-        "from_store": len(stored),
-        "simulated": len(simulated),
-        "sampled": plan is not None,
-        "results": docs,
-    }
+    return request.document(stored, simulated)
 
 
 def _execute_estimate(

@@ -149,6 +149,21 @@ class JobQueue:
         self, spec: dict[str, Any], max_attempts: int = 3
     ) -> str:
         """Enqueue a job spec; returns the new job id."""
+        return self.insert(spec, max_attempts=max_attempts).id
+
+    def insert(
+        self,
+        spec: dict[str, Any],
+        max_attempts: int = 3,
+        result: Any = None,
+    ) -> JobRecord:
+        """Write a new job row and return its record.
+
+        Without ``result`` the job is ``queued``.  With one it is
+        written ``done`` at once (``attempts=0``, submitted, started
+        and finished all now): a job answered at submission, which is
+        never leased, executed or fenced.
+        """
         if max_attempts < 1:
             raise ServiceError(
                 f"max_attempts must be >= 1, got {max_attempts}"
@@ -158,13 +173,42 @@ class JobQueue:
             text = json.dumps(spec)
         except (TypeError, ValueError) as exc:
             raise ServiceError(f"job spec is not JSON-representable: {exc}") from exc
+        try:
+            result_text = None if result is None else json.dumps(result)
+        except (TypeError, ValueError) as exc:
+            raise ServiceError(
+                f"job result is not JSON-representable: {exc}"
+            ) from exc
+        now = time.time()
+        ended = None if result is None else now
+        record = JobRecord(
+            id=job_id,
+            spec=spec,
+            state="queued" if result is None else "done",
+            attempts=0,
+            max_attempts=max_attempts,
+            result=result,
+            submitted=now,
+            started=ended,
+            finished=ended,
+        )
         with self.store.transaction() as conn:
             conn.execute(
                 "INSERT INTO jobs (id, spec, state, attempts, max_attempts,"
-                " submitted) VALUES (?, ?, 'queued', 0, ?, ?)",
-                (job_id, text, max_attempts, time.time()),
+                " result, submitted, started, finished)"
+                " VALUES (?, ?, ?, 0, ?, ?, ?, ?, ?)",
+                (
+                    job_id,
+                    text,
+                    record.state,
+                    max_attempts,
+                    result_text,
+                    now,
+                    ended,
+                    ended,
+                ),
             )
-        return job_id
+        return record
 
     def get(self, job_id: str) -> JobRecord:
         """The job's current durable state."""

@@ -11,7 +11,9 @@ remote worker processes (``repro work``) over the HTTP fleet protocol.
 speaking a small JSON API:
 
 ===============================  ======================================
-``POST /jobs``                   submit a job spec → ``{"id", "state"}``
+``POST /jobs``                   submit a job spec → ``{"id", "state",
+                                 "job"}``; a sweep whose every config
+                                 is stored comes back ``done``
 ``GET /jobs``                    recent jobs (``?state=`` filter)
 ``GET /jobs/<id>``               one job's status, attempts and result
 ``POST /workers``                register a worker (capability tags)
@@ -21,11 +23,13 @@ speaking a small JSON API:
 ``POST /jobs/<id>/complete``     finish a job (fenced by token)
 ``POST /jobs/<id>/fail``         fail an attempt (fenced by token)
 ``GET /result``                  one stored value (``?key=&namespace=``)
+``POST /results/lookup``         the stored values among ``keys``
 ``POST /results``                upload stored values (worker results)
 ``GET /results``                 query stored metrics (``?prefix=``,
                                  ``?namespace=``, ``?limit=``)
 ``GET /metrics``                 journal counters, store stats, queue
-                                 depths and worker registry size
+                                 depths, worker registry size and
+                                 HTTP request counts
 ``GET /metrics/history``         the reaper-sampled time-series ring
 ``GET /runs``                    recorded runs (``?kind=``, ``?limit=``)
 ``GET /runs/<id>``               one run + its rows
@@ -37,14 +41,17 @@ speaking a small JSON API:
 ===============================  ======================================
 
 Stale fencing tokens answer **409**; other errors are JSON too:
-``{"error": "..."}`` with a 4xx/5xx status.  ``repro serve`` is the CLI
-entry point; tests and the CI smoke/fleet jobs run :func:`make_server`
-on an ephemeral port in-process.
+``{"error": "..."}`` with a 4xx/5xx status.  Connections stay open
+between requests (HTTP/1.1 keep-alive) until idle for 30 s or until
+the server closes.  ``repro serve`` is the CLI entry point; tests and
+the CI smoke/fleet jobs run :func:`make_server` on an ephemeral port
+in-process.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -66,8 +73,8 @@ from repro.runtime.journal import (
     set_active_journal,
     use_journal,
 )
-from repro.service.jobs import execute_job, validate_spec
-from repro.service.queue import DEFAULT_LEASE, JobQueue
+from repro.service.jobs import execute_job, parse_spec
+from repro.service.queue import DEFAULT_LEASE, JobQueue, JobRecord
 from repro.service.store import ResultStore
 
 #: Request body ceiling (8 MiB: result uploads carry whole sweep grids).
@@ -76,6 +83,11 @@ MAX_BODY_BYTES = 8 << 20
 #: Longest lease a client may request over HTTP (a runaway value would
 #: park a job un-reapable for that long after a worker death).
 MAX_LEASE = 15 * 60.0
+
+#: Most recent events a journal the service creates keeps in memory
+#: (its file, when it has one, keeps every event), so a long-lived
+#: service's memory does not grow with the requests it has answered.
+JOURNAL_KEEP = 2048
 
 
 class EvalService:
@@ -111,7 +123,7 @@ class EvalService:
         # default when nothing is active) would silently leave empty.
         resolved = resolve_journal(journal)
         if isinstance(resolved, NullJournal):
-            resolved = RunJournal()
+            resolved = RunJournal(keep=JOURNAL_KEEP)
         self.journal = resolved
         self._installed_active_journal = False
         self.poll_interval = poll_interval
@@ -137,6 +149,10 @@ class EvalService:
         # fencing token; the reaper renews their leases.
         self._active: dict[str, int] = {}
         self._active_lock = threading.Lock()
+        # Answered HTTP requests, and how many of them failed (4xx/5xx).
+        self.http_requests = 0
+        self.http_errors = 0
+        self._http_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -203,14 +219,44 @@ class EvalService:
     # ------------------------------------------------------------------
 
     def submit(self, spec: dict[str, Any], max_attempts: int = 3) -> str:
-        """Validate and enqueue a job; wakes every idle worker."""
-        validate_spec(spec)
-        job_id = self.queue.submit(spec, max_attempts=max_attempts)
+        """Validate and submit a job (see :meth:`submit_job`); returns
+        its id."""
+        return self.submit_job(spec, max_attempts=max_attempts).id
+
+    def submit_job(
+        self, spec: dict[str, Any], max_attempts: int = 3
+    ) -> JobRecord:
+        """Validate a job and return its record as of submission.
+
+        A sweep whose every config result is already stored is answered
+        here: its row is written ``done`` with the result document that
+        execution would return, and no worker, lease or analytics run
+        is involved.  Any other job is enqueued and wakes every idle
+        worker.
+        """
+        request = parse_spec(spec)
+        result = (
+            request.stored_document(self.store)
+            if request is not None
+            else None
+        )
+        job = self.queue.insert(spec, max_attempts=max_attempts, result=result)
+        if result is not None:
+            # No service_dedup event: a run recorded by a concurrently
+            # executing job would count these hits as its own.
+            self.journal.record(
+                "service_job",
+                id=job.id,
+                state="done",
+                kind="sweep",
+                where="submit",
+            )
+            return job
         self.journal.record(
-            "service_job", id=job_id, state="queued", kind=spec.get("kind")
+            "service_job", id=job.id, state="queued", kind=spec.get("kind")
         )
         self._notify_queued()
-        return job_id
+        return job
 
     def _notify_queued(self) -> None:
         with self._cond:
@@ -376,13 +422,23 @@ class EvalService:
     # Introspection (the /metrics document).
     # ------------------------------------------------------------------
 
+    def count_request(self, failed: bool) -> None:
+        """Count one answered HTTP request (``/metrics`` ``"http"``)."""
+        with self._http_lock:
+            self.http_requests += 1
+            self.http_errors += failed
+
     def metrics(self) -> dict[str, Any]:
-        """Journal counters, store stats and queue depths, one document."""
+        """Journal counters, store stats, queue depths and HTTP request
+        counts, one document."""
+        with self._http_lock:
+            http = {"requests": self.http_requests, "errors": self.http_errors}
         return {
             "jobs": self.queue.counts(),
             "workers": len(self.queue.workers()),
             "store": self.store.stats(),
             "journal": self.journal.summary(),
+            "http": http,
         }
 
 
@@ -391,8 +447,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    # Small JSON answers on a kept-alive connection: without this,
+    # Nagle's algorithm holds each one until the client's delayed ACK.
+    disable_nagle_algorithm = True
+    #: Idle seconds before a kept-alive connection is closed and its
+    #: thread freed (also bounds a stalled read or write).
+    timeout = 30.0
 
     # -- plumbing -------------------------------------------------------
+
+    def log_request(self, code: Any = "-", size: Any = "-") -> None:
+        """Count every answered request; journal only failed ones.
+
+        An in-memory journal event per request would grow the journal
+        with every store-served resubmission; the job's own
+        ``service_job`` events already record what it did.
+        """
+        failed = isinstance(code, int) and code >= 400
+        self.server.service.count_request(failed)
+        if failed:
+            super().log_request(code, size)
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         """Route access logs into the journal instead of stderr."""
@@ -461,14 +535,12 @@ class _Handler(BaseHTTPRequestHandler):
                 key = query.get("key")
                 if not key:
                     raise ServiceError("GET /result needs a ?key=")
-                namespace = query.get("namespace", "metrics")
-                found = service.store.contains(key, namespace=namespace)
-                value = (
-                    service.store.get(key, namespace=namespace)
-                    if found
-                    else None
+                items = service.store.get_many(
+                    [key], namespace=query.get("namespace", "metrics")
                 )
-                self._send_json({"found": found, "value": value})
+                self._send_json(
+                    {"found": key in items, "value": items.get(key)}
+                )
             elif parts == ["results"]:
                 limit = query.get("limit")
                 items = service.store.items(
@@ -542,6 +614,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._post_claim()
             elif parts == ["results"]:
                 self._post_results()
+            elif parts == ["results", "lookup"]:
+                self._post_results_lookup()
             elif parts == ["runs"]:
                 self._post_run()
             elif len(parts) == 3 and parts[0] == "jobs" and parts[2] in (
@@ -583,8 +657,11 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             spec = payload
             max_attempts = 3
-        job_id = self.server.service.submit(spec, max_attempts=max_attempts)
-        self._send_json({"id": job_id, "state": "queued"}, status=201)
+        job = self.server.service.submit_job(spec, max_attempts=max_attempts)
+        self._send_json(
+            {"id": job.id, "state": job.state, "job": job.to_dict()},
+            status=201,
+        )
 
     def _post_run(self) -> None:
         payload = self._read_json()
@@ -672,6 +749,20 @@ class _Handler(BaseHTTPRequestHandler):
         service.store.put_many(items, namespace=namespace)
         self._send_json({"stored": len(items), "namespace": namespace})
 
+    def _post_results_lookup(self) -> None:
+        payload = self._read_json()
+        keys = payload.get("keys") if isinstance(payload, dict) else None
+        if not isinstance(keys, list) or not all(
+            isinstance(key, str) for key in keys
+        ):
+            raise ServiceError(
+                "result lookup must be {'namespace': ..., 'keys': [...]}"
+            )
+        items = self.server.service.store.get_many(
+            keys, namespace=str(payload.get("namespace", "metrics"))
+        )
+        self._send_json({"items": items})
+
     def _post_job_transition(self, job_id: str, action: str) -> None:
         payload = self._read_json()
         if not isinstance(payload, dict):
@@ -736,6 +827,34 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
     service: EvalService
 
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        # Accepted connections still open: a kept-alive one would
+        # otherwise go on serving this (closed) server's service.
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and close every open connection."""
+        super().server_close()
+        with self._open_lock:
+            open_now = list(self._open)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
 
 def make_server(
     service: EvalService, host: str = "127.0.0.1", port: int = 0
@@ -756,7 +875,7 @@ def serve(
     lease: float = DEFAULT_LEASE,
 ) -> None:
     """Blocking entry point behind ``repro serve``."""
-    journal = RunJournal(journal_path) if journal_path else RunJournal()
+    journal = RunJournal(journal_path, keep=JOURNAL_KEEP)
     with use_journal(journal):
         service = EvalService(
             db_path, workers=workers, journal=journal, lease=lease

@@ -28,6 +28,8 @@ The store is the only evaluation cache: sweep and priming checkpoints
 live in its ``evalcache`` namespace
 (:data:`repro.cache.sweep.CHECKPOINT_NAMESPACE`), read with :meth:`get`
 and written with one :meth:`put_many` transaction per boundary.
+:meth:`get_many` answers a whole batch of keys in one query per
+:data:`LOOKUP_BATCH` keys (a sweep's per-config dedup lookup).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import EvaluationCacheError
 
@@ -47,6 +49,10 @@ Metric = float | int | list | dict | str
 
 #: Default namespace for loose results.
 DEFAULT_NAMESPACE = "metrics"
+
+#: Keys per ``IN (...)`` query in :meth:`ResultStore.get_many` (well
+#: under sqlite's bound-parameter limit).
+LOOKUP_BATCH = 500
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
@@ -147,7 +153,8 @@ class ResultStore:
     every method also takes an explicit ``namespace=`` override so one
     store object can serve several logical tables.  Hit/miss counters
     are per-instance (they describe *this* process's lookup traffic, not
-    the shared database).
+    the shared database) and lock-guarded, since HTTP threads look up
+    results while a worker thread executes.
     """
 
     def __init__(
@@ -161,6 +168,7 @@ class ResultStore:
         self.timeout = timeout
         self.hits = 0
         self.misses = 0
+        self._count_lock = threading.Lock()
         self._local = threading.local()
         self._init_schema()
 
@@ -293,10 +301,41 @@ class ResultStore:
         """
         row = self._fetch(key, namespace)
         if row is None:
-            self.misses += 1
+            self._count(misses=1)
             return None
-        self.hits += 1
+        self._count(hits=1)
         return json.loads(row["value"])
+
+    def get_many(
+        self, keys: Iterable[str], namespace: str | None = None
+    ) -> dict[str, Metric]:
+        """The stored metrics among ``keys``: ``{key: value}`` for the
+        present ones, absent keys left out.
+
+        One ``IN (...)`` query per :data:`LOOKUP_BATCH` keys; each key
+        counts as a hit or a miss exactly as :meth:`get` would count it.
+        """
+        keys = list(keys)
+        ns = self._ns(namespace)
+        found: dict[str, Metric] = {}
+        conn = self.connection()
+        for lo in range(0, len(keys), LOOKUP_BATCH):
+            batch = keys[lo : lo + LOOKUP_BATCH]
+            marks = ",".join("?" * len(batch))
+            for row in conn.execute(
+                "SELECT key, value FROM results"
+                f" WHERE namespace = ? AND key IN ({marks})",
+                (ns, *batch),
+            ):
+                found[row["key"]] = json.loads(row["value"])
+        hits = sum(key in found for key in keys)
+        self._count(hits=hits, misses=len(keys) - hits)
+        return found
+
+    def _count(self, hits: int = 0, misses: int = 0) -> None:
+        with self._count_lock:
+            self.hits += hits
+            self.misses += misses
 
     def contains(self, key: str, namespace: str | None = None) -> bool:
         """Presence test without hit/miss accounting."""

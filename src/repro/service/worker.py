@@ -48,11 +48,11 @@ class RemoteStore:
     reads and writes through the service HTTP API.
 
     Implements the surface job execution touches — ``get`` /
-    ``put`` / ``put_many`` / ``contains`` / ``count`` / ``stats`` — so
-    :func:`execute_job` and its sweep and priming checkpoints run
-    unchanged on a worker with no filesystem access to the sqlite
-    database.  Hit and miss counters describe this worker's lookup
-    traffic.
+    ``get_many`` / ``put`` / ``put_many`` / ``contains`` / ``count`` /
+    ``stats`` — so :func:`execute_job` and its sweep and priming
+    checkpoints run unchanged on a worker with no filesystem access to
+    the sqlite database.  Hit and miss counters describe this worker's
+    lookup traffic (lock-guarded, like the store's).
     """
 
     def __init__(self, client: ServiceClient, namespace: str = "metrics"):
@@ -61,17 +61,33 @@ class RemoteStore:
         self.path = client.base_url
         self.hits = 0
         self.misses = 0
+        self._count_lock = threading.Lock()
 
     def _ns(self, namespace: str | None) -> str:
         return namespace if namespace is not None else self.namespace
 
+    def _count(self, hits: int = 0, misses: int = 0) -> None:
+        with self._count_lock:
+            self.hits += hits
+            self.misses += misses
+
     def get(self, key: str, namespace: str | None = None) -> Any:
         doc = self.client.result(key, namespace=self._ns(namespace))
         if not doc.get("found"):
-            self.misses += 1
+            self._count(misses=1)
             return None
-        self.hits += 1
+        self._count(hits=1)
         return doc.get("value")
+
+    def get_many(
+        self, keys: Iterable[str], namespace: str | None = None
+    ) -> dict[str, Any]:
+        """The stored values among ``keys``, in one request."""
+        keys = list(keys)
+        found = self.client.lookup_results(keys, namespace=self._ns(namespace))
+        hits = sum(key in found for key in keys)
+        self._count(hits=hits, misses=len(keys) - hits)
+        return found
 
     def contains(self, key: str, namespace: str | None = None) -> bool:
         return bool(

@@ -123,6 +123,15 @@ class TestRecorder:
         assert row["kernel_s"] == 0.5
         assert row["cache_hits"] == 0
 
+    def test_window_outlives_a_bounded_journal(self, store):
+        journal = RunJournal(keep=2)
+        with RunRecorder(store, "sweep", journal=journal) as rec:
+            for _ in range(10):
+                journal.record("pass", line_size=16, wall_s=0.5)
+        run = get_run(store, rec.run_id)
+        assert run["journal"]["passes"] == 10
+        assert run["journal"]["wall_s"] == 5.0
+
     def test_wall_split_across_rows_sharing_line_size(self, store):
         journal = RunJournal()
         with RunRecorder(store, "sweep", journal=journal) as rec:

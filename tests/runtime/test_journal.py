@@ -47,6 +47,40 @@ class TestRecording:
         assert event["hit_rate"] == 0.75
 
 
+class TestKeep:
+    def test_memory_holds_only_recent_events(self):
+        journal = RunJournal(keep=3)
+        for i in range(20):
+            journal.record("pass", index=i)
+        assert 3 <= len(journal.events) < 6
+        # seq keeps counting every event ever recorded.
+        assert [e["seq"] for e in journal.events] == [
+            e["index"] for e in journal.events
+        ]
+        assert journal.events[-1]["seq"] == 19
+
+    def test_file_keeps_every_event(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with RunJournal(path, keep=2) as journal:
+            for i in range(10):
+                journal.record("pass", index=i)
+        assert len(RunJournal.load(path)) == 10
+
+    def test_window_sees_every_event_while_open(self):
+        journal = RunJournal(keep=2)
+        journal.record("pass", index=-1)
+        window = journal.open_window()
+        for i in range(10):
+            journal.record("pass", index=i)
+        journal.close_window(window)
+        journal.record("pass", index=10)
+        assert [e["index"] for e in window] == list(range(10))
+
+    def test_keep_must_be_positive(self):
+        with pytest.raises(ReproError, match="keep"):
+            RunJournal(keep=0)
+
+
 class TestPersistence:
     def test_disk_round_trip(self, tmp_path):
         path = tmp_path / "run" / "journal.jsonl"

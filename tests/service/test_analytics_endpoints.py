@@ -3,6 +3,7 @@
 import csv
 import io
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -27,9 +28,9 @@ def sweep_spec(sets):
     }
 
 
-@pytest.fixture
-def service(tmp_path):
-    with EvalService(tmp_path / "service.sqlite", workers=1) as svc:
+@contextmanager
+def serving(db):
+    with EvalService(db, workers=1) as svc:
         server = make_server(svc)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -39,6 +40,12 @@ def service(tmp_path):
         finally:
             server.shutdown()
             server.server_close()
+
+
+@pytest.fixture
+def service(tmp_path):
+    with serving(tmp_path / "service.sqlite") as served:
+        yield served
 
 
 def run_job(client, spec):
@@ -82,18 +89,27 @@ class TestRunsEndpoints:
             assert line["run_id"] == job_id
             assert float(line["misses"]) == stored[line["design"]]["misses"]
 
-    def test_compare_identical_reruns(self, service):
+    def test_compare_identical_reruns(self, service, tmp_path):
         _, client = service
         first = run_job(client, sweep_spec([64, 128]))
+        # The rerun is answered from the result store at submit: its
+        # job record says so, and it executes nothing, so it records
+        # no run.
         second = run_job(client, sweep_spec([64, 128]))
-        doc = client.compare(first, second)
+        rerun = client.job(second)
+        assert rerun.result["from_store"] == 4
+        assert rerun.result["simulated"] == 0
+        assert second not in {r["id"] for r in client.runs()}
+        # The same grid executed by a second service on a fresh store
+        # records a run identical to the first.
+        shipped = client.run(first)
+        with serving(tmp_path / "other.sqlite") as (_, other):
+            again = run_job(other, sweep_spec([64, 128]))
+            other.record_run(shipped["run"], shipped["rows"])
+            doc = other.compare(first, again)
+        assert doc["rows"]["common"] == 4
         assert doc["rows"]["identical"]
         assert doc["frontier"]["identical"]
-        # The rerun was served from the result store, visible in the
-        # cache-hit columns.
-        rerun = client.run(second)["run"]["journal"]
-        assert rerun["dedup_from_store"] == 4
-        assert rerun["dedup_simulated"] == 0
 
     def test_compare_requires_both_ids(self, service):
         _, client = service

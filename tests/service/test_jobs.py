@@ -160,6 +160,32 @@ class TestValidateSpec:
         with pytest.raises(ServiceError, match="equal-length"):
             validate_spec(spec)
 
+    def test_rejects_negative_synthetic_seed(self):
+        with pytest.raises(ServiceError, match="'seed' must be a non-negative"):
+            validate_spec(sweep_spec(trace={**SYNTH, "seed": -1}))
+
+    def test_rejects_non_integer_synthetic_seed(self):
+        with pytest.raises(ServiceError, match="'seed' must be a non-negative"):
+            validate_spec(sweep_spec(trace={**SYNTH, "seed": "x"}))
+
+    def test_rejects_non_integer_synthetic_footprint(self):
+        with pytest.raises(ServiceError, match="'footprint' must be a positive"):
+            validate_spec(sweep_spec(trace={**SYNTH, "footprint": "big"}))
+
+    def test_rejects_non_integer_ranges_entries(self):
+        trace = {"kind": "ranges", "starts": [1, "a"], "sizes": [4, 4]}
+        with pytest.raises(ServiceError, match="must be integers"):
+            validate_spec(sweep_spec(trace=trace))
+
+    def test_synthetic_validation_generates_nothing(self, monkeypatch):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("validation generated the trace")
+
+        monkeypatch.setattr(
+            "repro.service.jobs.build_trace_arrays", no_generation
+        )
+        validate_spec(sweep_spec(trace={**SYNTH, "ranges": 10**12}))
+
     def test_rejects_bad_role_and_empty_dilations(self):
         base = {
             "kind": "estimate",

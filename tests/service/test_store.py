@@ -2,11 +2,12 @@
 
 import multiprocessing
 import sys
+import threading
 
 import pytest
 
 from repro.errors import EvaluationCacheError
-from repro.service.store import ResultStore
+from repro.service.store import LOOKUP_BATCH, ResultStore
 
 
 @pytest.fixture
@@ -54,6 +55,60 @@ class TestKeyValue:
         store.put("a*b[1]?", 1)
         store.put("axb11x", 2)  # would match if * ? [ were wildcards
         assert store.items(prefix="a*b[1]?") == {"a*b[1]?": 1}
+
+
+class TestGetMany:
+    def test_found_items_and_counts(self, store):
+        store.put_many({"a": 1, "b": None, "c": [3]})
+        found = store.get_many(["a", "b", "zz", "c"])
+        assert found == {"a": 1, "b": None, "c": [3]}
+        # A present null is a hit, an absent key a miss: as get() counts.
+        assert (store.hits, store.misses) == (3, 1)
+
+    def test_scoped_to_namespace(self, store):
+        store.put("k", 1, namespace="evalcache")
+        assert store.get_many(["k"]) == {}
+        assert store.get_many(["k"], namespace="evalcache") == {"k": 1}
+
+    def test_more_keys_than_one_batch(self, store):
+        n = 2 * LOOKUP_BATCH + 7
+        store.put_many({f"k{i}": i for i in range(0, n, 2)})
+        found = store.get_many(f"k{i}" for i in range(n))
+        assert found == {f"k{i}": i for i in range(0, n, 2)}
+        assert store.hits + store.misses == n
+        assert store.hits == len(found)
+
+    def test_empty(self, store):
+        assert store.get_many([]) == {}
+        assert (store.hits, store.misses) == (0, 0)
+
+
+class TestCounterRace:
+    def test_threads_count_exactly(self, store):
+        store.put_many({"hit1": 1, "hit2": 2})
+        threads, calls = 8, 200
+        barrier = threading.Barrier(threads)
+
+        def hammer():
+            barrier.wait()
+            for _ in range(calls):
+                store.get_many(["hit1", "hit2", "miss"])
+
+        pool = [threading.Thread(target=hammer) for _ in range(threads)]
+        # Switch threads as often as possible, so an unguarded counter
+        # update gets the chance to lose increments.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.hits == threads * calls * 2
+        assert store.misses == threads * calls
 
 
 class TestNamespaces:
