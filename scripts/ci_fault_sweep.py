@@ -7,7 +7,7 @@ Runs three comparisons with deterministic worker faults injected through
 1. A small line-size sweep (``sweep_design_space``) where one group's
    worker is killed mid-sweep: the executor must fall back / retry and
    produce results identical to the fault-free sweep.
-2. A faulty ``max_workers=2`` sweep over an in-memory trace, which
+2. A faulty two-worker sweep over an in-memory trace, which
    workers read from a temporary spill file: results must stay
    identical, the journal must record the retry or fallback and a
    ``trace_shipping`` event with bytes mapped exceeding bytes shipped,
@@ -84,7 +84,7 @@ def check_sweep(journal: RunJournal) -> None:
 def check_spill_sweep(journal: RunJournal) -> None:
     """Spill-file trace shipping under faults: identical, no leaks.
 
-    A ``max_workers=2`` sweep over an in-memory trace spills the trace
+    A two-worker sweep over an in-memory trace spills the trace
     to a temporary chunked file and ships each worker its path.  With a
     worker killed mid-sweep, results must match the fault-free sweep,
     the journal must record the recovery and the shipping accounting,
@@ -177,13 +177,10 @@ def check_explore(journal: RunJournal) -> None:
         backoff=0.0,
         fault=FaultPlan("raise", match="icache", times=1),
     )
+    faulty_settings = RunnerSettings(scale=0.12, max_visits=2000, policy=policy)
     faulty = frontier_fingerprint(
         Spacewalker(
-            space,
-            get_pipeline("epic", settings),
-            max_workers=2,
-            policy=policy,
-            journal=journal,
+            space, get_pipeline("epic", faulty_settings), journal=journal
         ).walk()
     )
     assert faulty == baseline, (

@@ -13,7 +13,10 @@ ephemeral port — then drives it exactly as a user would:
 3. submit the *same* grid again and assert the rerun is served
    entirely from the content-addressed store (``from_store == total``,
    zero new simulation), already ``done`` in the submit response;
-4. query ``/results`` and assert it matches the job's result documents.
+4. query ``/results`` and assert it matches the job's result documents;
+5. submit a sweep with a malformed execution knob (``"job_retries":
+   "x"``) and assert it is refused with HTTP 400 and never becomes a
+   job.
 
 The service journal goes to ``--journal`` and the final ``/metrics``
 document to ``--metrics`` so CI uploads both as artifacts.  Exit code 0
@@ -32,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cache.config import CacheConfig  # noqa: E402
 from repro.cache.simulator import simulate_trace  # noqa: E402
+from repro.errors import ServiceError  # noqa: E402
 from repro.runtime.journal import RunJournal  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.jobs import build_trace_arrays  # noqa: E402
@@ -140,7 +144,20 @@ def main() -> int:
                 "/results values match the job's result documents",
             )
 
+            jobs_before = client.metrics()["jobs"]
+            try:
+                client.submit({**SPEC, "job_retries": "x"})
+            except ServiceError as exc:
+                refused = "HTTP 400" in str(exc)
+            else:
+                refused = False
+            check(refused, "malformed job_retries refused with HTTP 400")
+
             metrics = client.metrics()
+            check(
+                metrics["jobs"] == jobs_before,
+                "a refused spec never becomes a job",
+            )
             check(metrics["jobs"]["done"] == 2, "both jobs recorded done")
             check(
                 metrics["store"]["hits"] >= n_configs,

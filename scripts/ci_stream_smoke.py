@@ -127,6 +127,7 @@ def run_parent(args) -> int:
     import tempfile
 
     from repro.cache.sweep import sweep_design_space
+    from repro.runtime.executor import ExecutorPolicy
     from repro.runtime.journal import RunJournal
 
     with tempfile.TemporaryDirectory(prefix="repro-stream-smoke-") as td:
@@ -206,7 +207,10 @@ def run_parent(args) -> int:
         # Pool path: workers attach by (path, digest).
         journal = RunJournal()
         pooled = sweep_design_space(
-            configs(), trace, max_workers=2, journal=journal
+            configs(),
+            trace,
+            policy=ExecutorPolicy(max_workers=2),
+            journal=journal,
         )
         shipping = [
             e for e in journal.events if e["event"] == "trace_shipping"

@@ -15,7 +15,7 @@ per-line-size passes instead: the reference producer (results are
 bit-identical either way).
 
 Distinct line-size groups are independent single-pass simulations, so a
-sweep can also fan them out over worker processes (``max_workers``)
+sweep can also fan them out over worker processes (``policy``)
 through the fault-tolerant executor in :mod:`repro.runtime`: each worker
 runs the same chunk loop for one group and ships back the stack-depth
 histograms, which the parent folds — in completion order, keyed by line
@@ -430,9 +430,8 @@ class _SweepCheckpoint:
 def sweep_design_space(
     configs: Iterable[CacheConfig],
     trace: "tuple[Sequence[int], Sequence[int]] | TraceFactory | ChunkedTrace",
-    max_workers: int | None = None,
     *,
-    policy: ExecutorPolicy | None = None,
+    policy: ExecutorPolicy = ExecutorPolicy(),
     journal: RunJournal | None = None,
     checkpoint: "ResultStore | None" = None,
     trace_key: str | None = None,
@@ -453,14 +452,14 @@ def sweep_design_space(
     producer; ``"designspace"`` is a retired synonym of ``"auto"``.
     Results are bit-identical across strategies.
 
-    With ``max_workers`` > 1 (or ``policy.max_workers`` > 1) and more
-    than one line-size group, the groups run concurrently in worker
-    processes under the fault-tolerant executor: failed attempts are
-    retried per ``policy``, a broken pool degrades to in-process serial
-    execution, and results fold in completion order.  Workers receive
-    the trace as a chunked file's ``(path, digest)``; an in-memory trace
-    is spilled to a temporary one-chunk file first
-    (:func:`run_group_jobs`).
+    When ``policy`` fans out over the pending line-size groups
+    (:meth:`~repro.runtime.executor.ExecutorPolicy.fans_out`), they run
+    concurrently in worker processes under the fault-tolerant executor:
+    failed attempts are retried per ``policy``, a broken pool degrades
+    to in-process serial execution, and results fold in completion
+    order.  Workers receive the trace as a chunked file's ``(path,
+    digest)``; an in-memory trace is spilled to a temporary one-chunk
+    file first (:func:`run_group_jobs`).
 
     ``checkpoint`` (a :class:`~repro.service.store.ResultStore` or
     :class:`~repro.service.worker.RemoteStore`) persists each completed
@@ -484,7 +483,6 @@ def sweep_design_space(
             f"got {strategy!r}"
         )
     journal = resolve_journal(journal)
-    policy = (policy or ExecutorPolicy()).with_workers(max_workers)
 
     groups: dict[int, list[CacheConfig]] = {}
     for config in configs:
@@ -519,17 +517,12 @@ def sweep_design_space(
         else:
             pending.append(line_size)
 
-    parallel = (
-        policy.max_workers is not None
-        and policy.max_workers > 1
-        and len(pending) > 1
-    )
     failures: list[tuple[int, str]] = []
     if pending and chunks is None:
         chunks = _chunks(trace, journal)
     if not pending:
         passes: Iterator[tuple[int, tuple]] = iter(())
-    elif parallel or policy.fault is not None:
+    elif policy.fans_out(len(pending)) or policy.fault is not None:
         passes = _worker_passes(
             chunks, groups, meta, pending, policy, journal, failures
         )

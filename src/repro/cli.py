@@ -39,6 +39,7 @@ import sys
 from contextlib import nullcontext
 from typing import Sequence
 
+from repro.errors import ConfigurationError
 from repro.experiments.runner import (
     RunnerSettings,
     get_pipeline,
@@ -480,13 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _settings(args: argparse.Namespace) -> RunnerSettings:
-    return RunnerSettings(
-        scale=args.scale,
-        max_visits=args.visits,
-        max_workers=args.max_workers,
-        job_timeout=args.job_timeout,
-        job_retries=args.job_retries,
-    )
+    return RunnerSettings.from_spec(vars(args))
 
 
 def _benchmarks(args: argparse.Namespace) -> tuple[str, ...]:
@@ -512,7 +507,6 @@ def _cmd_explore(args: argparse.Namespace) -> str:
     from repro.explore.spacewalker import Spacewalker
 
     settings = _settings(args)
-    policy = settings.executor_policy()
     recorder = _runs_recorder(
         args, "explore", {"benchmarks": list(_benchmarks(args))}
     )
@@ -520,12 +514,8 @@ def _cmd_explore(args: argparse.Namespace) -> str:
     with recorder if recorder is not None else nullcontext():
         # Every requested benchmark is walked (not just the first).
         for bench in _benchmarks(args):
-            pipeline = get_pipeline(bench, settings)
             pareto = Spacewalker(
-                _explore_space(),
-                pipeline,
-                max_workers=args.max_workers,
-                policy=policy,
+                _explore_space(), get_pipeline(bench, settings)
             ).walk()
             lines.append(
                 f"Pareto frontier for {bench} ({len(pareto)} designs):"
@@ -662,8 +652,7 @@ def _run_sweep_benchmarks(args, settings, configs, checkpoint, plan, recorder):
                 results = sweep_design_space(
                     configs,
                     trace_arg,
-                    max_workers=args.max_workers,
-                    policy=settings.executor_policy(),
+                    policy=settings.policy,
                     checkpoint=checkpoint,
                     strategy=args.strategy,
                 )
@@ -888,7 +877,13 @@ def _cmd_benchmarks(_: argparse.Namespace) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "max_workers"):
+        try:
+            _settings(args)
+        except ConfigurationError as exc:
+            parser.error(str(exc))
     if args.command == "report":
         print(_cmd_report(args))
         return 0

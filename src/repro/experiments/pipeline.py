@@ -44,19 +44,18 @@ from repro.ahh.modeler import (
 )
 from repro.ahh.params import TraceParameters
 from repro.cache.config import WORD_BYTES, CacheConfig
-from repro.cache.sweep import run_group_jobs
 from repro.core.dilated_trace import dilate_binary
 from repro.core.dilation import DilationInfo, measure_dilation
 from repro.core.hierarchy_eval import processor_cycles
-from repro.errors import ConfigurationError, RuntimeExecutionError
-from repro.explore.evaluators import ROLES, MemoryEvaluator
+from repro.errors import ConfigurationError
+from repro.explore.evaluators import ROLES, MemoryEvaluator, prime_banks
 from repro.iformat.assembler import assemble
 from repro.iformat.linker import Binary, link
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import REFERENCE_PROCESSOR
 from repro.machine.processor import VliwProcessor
 from repro.runtime.executor import ExecutorPolicy
-from repro.runtime.journal import RunJournal, resolve_journal
+from repro.runtime.journal import RunJournal
 from repro.trace.emulator import Emulator
 from repro.trace.events import EventTrace
 from repro.trace.generator import TraceGenerator
@@ -108,8 +107,7 @@ class ExperimentPipeline:
         max_visits: int = 60_000,
         i_granule: int = DEFAULT_I_GRANULE,
         u_granule: int = DEFAULT_U_GRANULE,
-        max_workers: int | None = None,
-        policy: ExecutorPolicy | None = None,
+        policy: ExecutorPolicy = ExecutorPolicy(),
     ):
         self.workload = workload
         self.reference = reference
@@ -117,10 +115,8 @@ class ExperimentPipeline:
         self.max_visits = max_visits
         self.i_granule = i_granule
         self.u_granule = u_granule
-        #: Worker processes for batched simulation priming (None = serial).
-        self.max_workers = max_workers
-        #: Fault-tolerance knobs for parallel priming (timeout/retries).
-        self.policy = (policy or ExecutorPolicy()).with_workers(max_workers)
+        #: Workers, timeout and retries of every simulation bank's priming.
+        self.policy = policy
         self._binaries: dict[str, ProcessorBinary] = {}
         self._artifacts: dict[str, ProcessorArtifacts] = {}
         # Dependence graphs shared by every compilation of the workload.
@@ -282,6 +278,7 @@ class ExperimentPipeline:
                 ref.data_trace,
                 ref.unified_trace,
                 self.trace_parameters(),
+                policy=self.policy,
             )
         return self._ref_evaluator
 
@@ -312,16 +309,10 @@ class ExperimentPipeline:
         configs: Iterable[CacheConfig],
     ) -> dict[CacheConfig, int]:
         """Simulate ``processor``'s own traces (ground truth)."""
-        art = self.artifacts(processor)
-        bank = self._bank(
-            f"actual:{processor.name}",
-            art.instruction_trace,
-            art.data_trace,
-            art.unified_trace,
-        )
+        bank = self._actual_bank(processor)
         configs = list(configs)
         bank.register(role, configs)
-        bank.prime(max_workers=self.max_workers, policy=self.policy)
+        bank.prime()
         misses = {c: bank.simulated_misses(role, c) for c in configs}
         self._record_misses(
             "actual", role, misses, processor=processor.name
@@ -332,15 +323,13 @@ class ExperimentPipeline:
         self,
         processors: Iterable[VliwProcessor],
         role_configs: Mapping[str, Iterable[CacheConfig]],
-        max_workers: int | None = None,
-        policy: ExecutorPolicy | None = None,
         journal: RunJournal | None = None,
     ) -> int:
         """Pre-run the simulations :meth:`actual_misses` will need.
 
-        One work unit per (processor, role, line size); with
-        ``max_workers`` > 1 the units run concurrently in worker
-        processes (:func:`repro.cache.sweep.run_group_jobs`; each
+        One work unit per (processor, role, line size); when the
+        pipeline's policy fans out, the units run concurrently in worker
+        processes (:func:`~repro.explore.evaluators.prime_banks`; each
         distinct trace is spilled to one temporary file), and their
         single-pass histogram states are merged back into the
         per-processor simulation banks.  Worker faults cost retries (or
@@ -353,63 +342,14 @@ class ExperimentPipeline:
 
         Returns the number of simulation passes run.
         """
-        if max_workers is None:
-            max_workers = self.max_workers
-        policy = (policy or self.policy).with_workers(max_workers)
-        journal = resolve_journal(journal)
         role_configs = {
             role: list(configs) for role, configs in role_configs.items()
         }
-        banks = []
-        for processor in processors:
-            art = self.artifacts(processor)
-            bank = self._bank(
-                f"actual:{processor.name}",
-                art.instruction_trace,
-                art.data_trace,
-                art.unified_trace,
-            )
-            if bank not in banks:
-                banks.append(bank)
+        banks = list(dict.fromkeys(self._actual_bank(p) for p in processors))
+        for bank in banks:
             for role, configs in role_configs.items():
                 bank.register(role, configs)
-
-        units = [
-            (bank_index, key)
-            for bank_index, bank in enumerate(banks)
-            for key in bank.pending_units()
-        ]
-        if not units:
-            return 0
-        parallel = (
-            policy.max_workers is not None
-            and policy.max_workers > 1
-            and len(units) > 1
-        )
-        if not parallel and policy.fault is None:
-            for bank in banks:
-                bank.prime()
-            return len(units)
-        jobs: list[tuple] = []
-        traces: dict[tuple, tuple] = {}
-        for bank_index, bank in enumerate(banks):
-            bank_units, bank_traces = bank.group_units(
-                bank.pending_units(), tag=(bank_index,)
-            )
-            jobs.extend(bank_units)
-            traces.update(bank_traces)
-        outcomes = run_group_jobs(jobs, traces, policy, journal)
-        failures = [r for r in outcomes.values() if not r.ok]
-        if failures:
-            first = failures[0]
-            raise RuntimeExecutionError(
-                f"{len(failures)} priming pass(es) failed after retries "
-                f"(first: {first.key}: {first.error})"
-            )
-        for bank_index, key in units:
-            accesses, hists = outcomes[(bank_index, *key)].value
-            banks[bank_index].install_unit(*key, accesses, hists)
-        return len(units)
+        return prime_banks(banks, self.policy, journal)
 
     def dilated_misses(
         self,
@@ -422,30 +362,24 @@ class ExperimentPipeline:
         The data component is not dilated (Section 4.3.2): data-role
         queries return the plain reference simulation.
         """
-        ref = self.reference_artifacts()
+        key = f"dilated:{dilation:g}"
         if role == "dcache" or dilation == 1.0:
-            bank = self._bank(
-                "actual:" + self.reference.name,
-                ref.instruction_trace,
-                ref.data_trace,
-                ref.unified_trace,
-            )
+            bank = self._actual_bank(self.reference)
+        elif key in self._sim_banks:
+            bank = self._sim_banks[key]
         else:
-            key = f"dilated:{dilation:g}"
-            bank = self._sim_banks.get(key)
-            if bank is None:
-                dilated_binary = dilate_binary(ref.binary, dilation)
-                generator = TraceGenerator(dilated_binary, ref.events)
-                bank = MemoryEvaluator(
-                    generator.instruction_trace(),
-                    ref.data_trace,
-                    generator.unified_trace(),
-                    params=None,
-                )
-                self._sim_banks[key] = bank
+            ref = self.reference_artifacts()
+            dilated_binary = dilate_binary(ref.binary, dilation)
+            generator = TraceGenerator(dilated_binary, ref.events)
+            bank = self._bank(
+                key,
+                generator.instruction_trace(),
+                ref.data_trace,
+                generator.unified_trace(),
+            )
         configs = list(configs)
         bank.register(role, configs)
-        bank.prime(max_workers=self.max_workers, policy=self.policy)
+        bank.prime()
         misses = {c: bank.simulated_misses(role, c) for c in configs}
         self._record_misses("dilated", role, misses, dilation=dilation)
         return misses
@@ -464,6 +398,16 @@ class ExperimentPipeline:
         self._record_misses("estimated", role, misses, dilation=dilation)
         return misses
 
+    def _actual_bank(self, processor: VliwProcessor) -> MemoryEvaluator:
+        """The simulation bank over ``processor``'s own traces."""
+        art = self.artifacts(processor)
+        return self._bank(
+            f"actual:{processor.name}",
+            art.instruction_trace,
+            art.data_trace,
+            art.unified_trace,
+        )
+
     def _bank(
         self,
         key: str,
@@ -471,10 +415,15 @@ class ExperimentPipeline:
         data_trace: RangeTrace,
         unified_trace: RangeTrace,
     ) -> MemoryEvaluator:
+        """The memoized simulation bank ``key`` (under our policy)."""
         bank = self._sim_banks.get(key)
         if bank is None:
             bank = MemoryEvaluator(
-                instruction_trace, data_trace, unified_trace, params=None
+                instruction_trace,
+                data_trace,
+                unified_trace,
+                params=None,
+                policy=self.policy,
             )
             self._sim_banks[key] = bank
         return bank

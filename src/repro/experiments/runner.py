@@ -12,7 +12,8 @@ while preserving the shape-level results (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from repro.machine.presets import (
     TARGET_PROCESSORS,
 )
 from repro.machine.processor import VliwProcessor
-from repro.runtime.executor import ExecutorPolicy
+from repro.runtime.executor import ExecutorPolicy, checked_int, checked_number
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
 
@@ -39,19 +40,32 @@ class RunnerSettings:
     seed: int = 1
     i_granule: int = 2_000
     u_granule: int = 20_000
-    #: Worker processes for batched simulation priming (None = serial).
-    max_workers: int | None = None
-    #: Per-pass timeout in seconds for parallel priming (None = no limit).
-    job_timeout: float | None = None
-    #: Re-attempts per failed simulation pass before giving up.
-    job_retries: int = 2
+    #: Workers, per-pass timeout and retries for simulation priming.
+    policy: ExecutorPolicy = ExecutorPolicy()
 
-    def executor_policy(self) -> ExecutorPolicy:
-        """The fault-tolerance policy these settings describe."""
-        return ExecutorPolicy(
-            max_workers=self.max_workers,
-            timeout=self.job_timeout,
-            retries=self.job_retries,
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, Any]) -> "RunnerSettings":
+        """Settings from the knob names the CLI and job specs share.
+
+        Reads ``scale``, ``visits``, ``max_workers``, ``job_timeout``
+        and ``job_retries``; every other key is ignored.  Values must be
+        JSON numbers (integer knobs take ints only, and a bool is
+        neither); a bad one raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        get = spec.get
+        return cls(
+            scale=float(checked_number("scale", get("scale", 1.0))),
+            max_visits=checked_int("visits", get("visits", 60_000), 1),
+            policy=ExecutorPolicy(
+                max_workers=checked_int(
+                    "max_workers", get("max_workers"), 1, optional=True
+                ),
+                timeout=checked_number(
+                    "job_timeout", get("job_timeout"), optional=True
+                ),
+                retries=checked_int("job_retries", get("job_retries", 2), 0),
+            ),
         )
 
 
@@ -72,8 +86,7 @@ def get_pipeline(
             max_visits=settings.max_visits,
             i_granule=settings.i_granule,
             u_granule=settings.u_granule,
-            max_workers=settings.max_workers,
-            policy=settings.executor_policy(),
+            policy=settings.policy,
         )
         _PIPELINES[key] = pipeline
     return pipeline

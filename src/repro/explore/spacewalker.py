@@ -20,7 +20,6 @@ from repro.explore.walkers import CacheWalker, MemoryDesign, MemoryWalker
 from repro.explore.evaluators import MemoryEvaluator
 from repro.machine.cost import processor_cost
 from repro.machine.processor import VliwProcessor
-from repro.runtime.executor import ExecutorPolicy
 from repro.runtime.journal import RunJournal
 
 
@@ -58,8 +57,6 @@ class Spacewalker:
         l1_penalty: float = 10.0,
         l2_penalty: float = 50.0,
         batched: bool = True,
-        max_workers: int | None = None,
-        policy: ExecutorPolicy | None = None,
         journal: RunJournal | None = None,
     ):
         self.space = space
@@ -67,24 +64,21 @@ class Spacewalker:
         self.l1_penalty = l1_penalty
         self.l2_penalty = l2_penalty
         self.batched = batched
-        self.max_workers = max_workers
-        #: Fault-tolerance knobs for parallel priming (see repro.runtime).
-        self.policy = policy
         self.journal = journal
 
     def _memory_walker(self, evaluator: MemoryEvaluator) -> MemoryWalker:
         return MemoryWalker(
             CacheWalker(
                 "icache", self.space.icache, evaluator, self.l1_penalty,
-                batched=self.batched, max_workers=self.max_workers,
+                batched=self.batched,
             ),
             CacheWalker(
                 "dcache", self.space.dcache, evaluator, self.l1_penalty,
-                batched=self.batched, max_workers=self.max_workers,
+                batched=self.batched,
             ),
             CacheWalker(
                 "unified", self.space.unified, evaluator, self.l1_penalty,
-                batched=self.batched, max_workers=self.max_workers,
+                batched=self.batched,
             ),
             l2_penalty=self.l2_penalty,
             batched=self.batched,
@@ -106,7 +100,7 @@ class Spacewalker:
         ]
         unique_dils = tuple(dict.fromkeys(dilations))
         # Register every needed simulation before walking, so one prime()
-        # can run all pending passes (in parallel when max_workers > 1).
+        # can run all pending passes (in parallel when its policy fans out).
         evaluator.register_grid(
             "icache", self.space.icache.configurations(), unique_dils
         )
@@ -116,11 +110,7 @@ class Spacewalker:
         evaluator.register_grid(
             "unified", self.space.unified.configurations(), unique_dils
         )
-        evaluator.prime(
-            max_workers=self.max_workers,
-            policy=self.policy,
-            journal=self.journal,
-        )
+        evaluator.prime(journal=self.journal)
         memory_cache = memory_walker.walk_many(unique_dils)
         pareto: ParetoSet[SystemDesign] = ParetoSet()
         for processor, n_cycles, proc_cost, dilation in zip(

@@ -41,7 +41,6 @@ class CacheWalker:
         evaluator: MemoryEvaluator,
         miss_penalty: float = 10.0,
         batched: bool = True,
-        max_workers: int | None = None,
     ):
         if role not in ROLES:
             raise ConfigurationError(
@@ -52,7 +51,6 @@ class CacheWalker:
         self.evaluator = evaluator
         self.miss_penalty = miss_penalty
         self.batched = batched
-        self.max_workers = max_workers
 
     def step_scalar(self, dilation: float = 1.0) -> ParetoSet[CacheConfig]:
         """Scalar reference path: one miss query per design point."""
@@ -89,9 +87,7 @@ class CacheWalker:
             return {d: self.step_scalar(d) for d in dilations}
         configs = self.space.configurations()
         costs = np.array([cache_cost(c) for c in configs])
-        grid = self.evaluator.misses_batch(
-            self.role, configs, dilations, max_workers=self.max_workers
-        )
+        grid = self.evaluator.misses_batch(self.role, configs, dilations)
         return {
             d: ParetoSet.from_arrays(
                 configs, costs, grid[:, j] * self.miss_penalty

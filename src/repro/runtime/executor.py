@@ -31,15 +31,16 @@ fallbacks, per-job wall time, end-of-run worker utilization).
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable
 
-from repro.errors import RuntimeExecutionError
+from repro.errors import ConfigurationError, RuntimeExecutionError
 from repro.runtime.journal import RunJournal, resolve_journal
 
 __all__ = [
@@ -48,11 +49,46 @@ __all__ = [
     "InjectedWorkerFault",
     "Job",
     "JobResult",
+    "checked_int",
+    "checked_number",
     "run_jobs",
 ]
 
 #: Clock slack when deciding whether an in-flight job has timed out.
 _TIMEOUT_SLACK = 1e-3
+
+
+def checked_int(
+    name: str, value: Any, lowest: int, optional: bool = False
+) -> int | None:
+    """``value`` if it is an int >= ``lowest`` (0 or 1), or None when
+    ``optional``; else :class:`ConfigurationError` naming ``name``.
+    A bool is not an int."""
+    if (value is None and optional) or (
+        type(value) is int and value >= lowest
+    ):
+        return value
+    bound = "non-negative" if lowest == 0 else "positive"
+    null = " or null" if optional else ""
+    raise ConfigurationError(
+        f"{name!r} must be a {bound} integer{null}, got {value!r}"
+    )
+
+
+def checked_number(
+    name: str, value: Any, optional: bool = False
+) -> float | None:
+    """``value`` if it is a finite number > 0, or None when
+    ``optional``; else :class:`ConfigurationError` naming ``name``.
+    A bool is not a number."""
+    if (value is None and optional) or (
+        type(value) in (int, float) and math.isfinite(value) and value > 0
+    ):
+        return value
+    null = " or null" if optional else ""
+    raise ConfigurationError(
+        f"{name!r} must be a finite number > 0{null}, got {value!r}"
+    )
 
 
 class InjectedWorkerFault(RuntimeError):
@@ -99,6 +135,8 @@ class ExecutorPolicy:
     times before it is declared failed.  ``timeout`` is per attempt, in
     seconds (None disables; unenforceable in serial fallback).
     ``backoff`` is the base of an exponential delay between attempts.
+    Every knob is checked on construction
+    (:class:`~repro.errors.ConfigurationError` when out of range).
     """
 
     max_workers: int | None = None
@@ -108,17 +146,23 @@ class ExecutorPolicy:
     serial_fallback: bool = True
     fault: FaultPlan | None = None
 
+    def __post_init__(self) -> None:
+        checked_int("max_workers", self.max_workers, 1, optional=True)
+        checked_number("timeout", self.timeout, optional=True)
+        checked_int("retries", self.retries, 0)
+        if self.backoff != 0:
+            checked_number("backoff", self.backoff)
+
+    def fans_out(self, n_units: int) -> bool:
+        """Whether ``n_units`` jobs run in worker processes: more than
+        one worker and more than one job."""
+        return (self.max_workers or 1) > 1 and n_units > 1
+
     def fault_kind(self, key: Hashable, attempt: int) -> str | None:
         """The injected fault kind for this attempt, or None."""
         if self.fault is not None and self.fault.fires(key, attempt):
             return self.fault.kind
         return None
-
-    def with_workers(self, max_workers: int | None) -> "ExecutorPolicy":
-        """This policy, with ``max_workers`` filled in when unset."""
-        if self.max_workers is not None or max_workers is None:
-            return self
-        return replace(self, max_workers=max_workers)
 
 
 @dataclass(frozen=True)
@@ -165,8 +209,8 @@ def run_jobs(
 ) -> dict[Hashable, JobResult]:
     """Run every job, fault-tolerantly; returns ``{job.key: JobResult}``.
 
-    With ``policy.max_workers`` > 1 and more than one job the jobs run
-    in worker processes; otherwise in-process.  Every job's key appears
+    When :meth:`ExecutorPolicy.fans_out` the jobs run in worker
+    processes; otherwise in-process.  Every job's key appears
     in the result exactly once — failed jobs carry ``error`` instead of
     ``value`` — so folding is independent of completion order.
     """
@@ -178,8 +222,7 @@ def run_jobs(
     keys = [job.key for job in jobs]
     if len(set(keys)) != len(keys):
         raise RuntimeExecutionError("job keys must be unique")
-    workers = policy.max_workers
-    if workers is None or workers <= 1 or len(jobs) == 1:
+    if not policy.fans_out(len(jobs)):
         return _run_serial(
             deque((job, 0) for job in jobs), policy, journal, where="serial"
         )

@@ -49,17 +49,17 @@ Every spec is *content-addressed*: :func:`trace_key` is a digest of the
 canonical spec JSON, so two clients submitting the same trace (however
 phrased) share store entries.
 
-All execution knobs (``max_workers``, ``job_timeout``, ``job_retries``)
-route into :class:`repro.runtime.executor.ExecutorPolicy`, so service
-jobs inherit the fault-tolerant runtime: per-pass timeouts, bounded
-retries, fault injection and journal events all carry over.
+Knobs are checked at submission by the CLI's own parser,
+:meth:`repro.experiments.runner.RunnerSettings.from_spec`; execution
+knobs land in one :class:`repro.runtime.executor.ExecutorPolicy`, so
+jobs inherit the fault-tolerant runtime (timeouts, retries, journal).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -69,12 +69,20 @@ from repro.cache.sweep import (
     sampled_sweep_design_space,
     sweep_design_space,
 )
-from repro.errors import ReproError, ServiceError
-from repro.runtime.executor import ExecutorPolicy
+from repro.errors import ConfigurationError, ReproError, ServiceError
+from repro.runtime.executor import (
+    ExecutorPolicy,
+    checked_int,
+    checked_number,
+)
 from repro.runtime.journal import RunJournal, resolve_journal
 from repro.service.store import ResultStore
 from repro.trace.chunkstore import ChunkedTrace
 from repro.trace.sampling import SamplePlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (heavy import)
+    from repro.experiments.pipeline import ExperimentPipeline
+    from repro.experiments.runner import RunnerSettings
 
 #: Job kinds the queue accepts.
 JOB_KINDS = ("sweep", "estimate", "explore")
@@ -215,18 +223,12 @@ def synthetic_params(trace_spec: dict[str, Any]) -> tuple[int, int, int, int]:
         ("footprint", 65536, 1),
         ("max_size", 64, 1),
     ):
-        value = trace_spec.get(field, default)
-        if (
-            not isinstance(value, int)
-            or isinstance(value, bool)
-            or value < lowest
-        ):
-            bound = "non-negative" if lowest == 0 else "positive"
-            raise ServiceError(
-                f"synthetic trace {field!r} must be a {bound} integer,"
-                f" got {value!r}"
+        try:
+            params.append(
+                checked_int(field, trace_spec.get(field, default), lowest)
             )
-        params.append(value)
+        except ConfigurationError as exc:
+            raise ServiceError(f"synthetic trace {exc}") from None
     return tuple(params)
 
 
@@ -258,15 +260,23 @@ def sweep_trace(trace_spec: dict[str, Any]):
     return SpecTraceFactory(trace_spec)
 
 
+def runner_settings(spec: Mapping[str, Any]) -> "RunnerSettings":
+    """A spec's ``scale``/``visits``/execution knobs, checked
+    (:meth:`~repro.experiments.runner.RunnerSettings.from_spec`)."""
+    from repro.experiments.runner import RunnerSettings
+
+    try:
+        return RunnerSettings.from_spec(spec)
+    except ConfigurationError as exc:
+        raise ServiceError(f"bad job knob: {exc}") from exc
+
+
 def _benchmark_trace(trace_spec: dict[str, Any]):
-    from repro.experiments.runner import RunnerSettings, get_pipeline
+    from repro.experiments.runner import get_pipeline
 
     benchmark = _require(trace_spec, "benchmark", "benchmark trace")
     role = trace_spec.get("role", "unified")
-    settings = RunnerSettings(
-        scale=float(trace_spec.get("scale", 1.0)),
-        max_visits=int(trace_spec.get("visits", 60_000)),
-    )
+    settings = runner_settings(trace_spec)
     try:
         pipeline = get_pipeline(benchmark, settings)
         return pipeline.reference_artifacts().trace(role)
@@ -296,9 +306,10 @@ def validate_spec(spec: Any) -> dict[str, Any]:
     return spec
 
 
-def parse_spec(spec: Any) -> SweepRequest | None:
-    """Validate a job spec like :func:`validate_spec`; returns the
-    parsed :class:`SweepRequest` for a sweep, None for other kinds."""
+def parse_spec(spec: Any) -> "SweepRequest | BenchmarkRequest":
+    """Validate a job spec like :func:`validate_spec`; returns it
+    parsed: a :class:`SweepRequest` for a sweep, a
+    :class:`BenchmarkRequest` for an estimate or an explore."""
     if not isinstance(spec, dict):
         raise ServiceError(f"job spec must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind")
@@ -314,12 +325,14 @@ def parse_spec(spec: Any) -> SweepRequest | None:
         raise ServiceError(
             "'requires' must be a list of capability tag strings"
         )
+    settings = runner_settings(spec)
     sample = spec.get("sample")
+    plan = None
     if sample is not None:
         if not isinstance(sample, dict):
             raise ServiceError("'sample' must be a sampling plan object")
         try:
-            SamplePlan.from_spec(sample)
+            plan = SamplePlan.from_spec(sample)
         except ReproError as exc:
             raise ServiceError(f"bad sample plan: {exc}") from exc
     if kind == "sweep":
@@ -340,23 +353,35 @@ def parse_spec(spec: Any) -> SweepRequest | None:
             synthetic_params(trace_spec)
         elif trace_spec["kind"] == "ranges":
             build_trace_arrays(trace_spec)
+        elif trace_spec["kind"] == "benchmark":
+            runner_settings(trace_spec)
         return SweepRequest(
             trace_spec,
             parse_configs(_require(spec, "configs", kind)),
-            SamplePlan.from_spec(sample) if sample else None,
+            plan,
+            settings.policy,
         )
-    if kind == "estimate":
-        _require(spec, "benchmark", kind)
-        parse_configs(_require(spec, "configs", kind))
-        dilations = spec.get("dilations", [1.0])
-        if not dilations:
-            raise ServiceError("estimate job needs at least one dilation")
-        role = spec.get("role", "icache")
-        if role not in ("icache", "dcache", "unified"):
-            raise ServiceError(f"unknown role {role!r}")
-    else:  # explore
-        _require(spec, "benchmark", kind)
-    return None
+    benchmark = _require(spec, "benchmark", kind)
+    if kind == "explore":
+        return BenchmarkRequest(benchmark, settings, plan)
+    configs = parse_configs(_require(spec, "configs", kind))
+    dilations = _parse_dilations(spec.get("dilations", [1.0]))
+    role = spec.get("role", "icache")
+    if role not in ("icache", "dcache", "unified"):
+        raise ServiceError(f"unknown role {role!r}")
+    return BenchmarkRequest(benchmark, settings, plan, role, configs, dilations)
+
+
+def _parse_dilations(value: Any) -> list[float]:
+    """An estimate's dilations: a non-empty list of finite numbers > 0."""
+    if not isinstance(value, list) or not value:
+        raise ServiceError(
+            f"estimate job needs at least one dilation, in a list: {value!r}"
+        )
+    try:
+        return [float(checked_number("dilation", d)) for d in value]
+    except ConfigurationError as exc:
+        raise ServiceError(f"bad dilations: {exc}") from exc
 
 
 class SweepRequest:
@@ -373,10 +398,12 @@ class SweepRequest:
         trace_spec: dict[str, Any],
         configs: list[CacheConfig],
         plan: SamplePlan | None,
+        policy: ExecutorPolicy,
     ):
         self.trace_spec = trace_spec
         self.configs = configs
         self.plan = plan
+        self.policy = policy
         self.trace_key = trace_key(trace_spec)
         if plan is not None:
             # Estimates live under sample-specific keys so they can
@@ -436,13 +463,60 @@ class SweepRequest:
         return self.document(stored, {})
 
 
-def spec_policy(spec: dict[str, Any]) -> ExecutorPolicy:
-    """The fault-tolerance policy a job spec asks for."""
-    return ExecutorPolicy(
-        max_workers=spec.get("max_workers"),
-        timeout=spec.get("job_timeout"),
-        retries=int(spec.get("job_retries", 2)),
-    )
+class BenchmarkRequest:
+    """A validated estimate or explore spec, parsed once: the
+    benchmark, its runner settings and sampling plan and, for an
+    estimate, the grid it asks for."""
+
+    def __init__(
+        self,
+        benchmark: Any,
+        settings: "RunnerSettings",
+        plan: SamplePlan | None,
+        role: str = "icache",
+        configs: Sequence[CacheConfig] = (),
+        dilations: Sequence[float] = (),
+    ):
+        self.benchmark = benchmark
+        self.settings = settings
+        self.plan = plan
+        self.role = role
+        self.configs = configs
+        self.dilations = dilations
+        #: The benchmark trace's identity in store keys.
+        self.bench_id = (
+            f"{benchmark}:scale={settings.scale:g}"
+            f":visits={settings.max_visits}"
+        )
+
+    def stored_document(self, store: ResultStore) -> None:
+        """Estimates and explores are never answered at submit."""
+        return None
+
+    def pipeline(self, store: ResultStore) -> "ExperimentPipeline":
+        """The benchmark's pipeline, its reference evaluator set to
+        prime through ``store``'s checkpoints under this request's plan."""
+        from repro.experiments.runner import get_pipeline
+
+        try:
+            pipeline = get_pipeline(self.benchmark, self.settings)
+            evaluator = pipeline.memory_evaluator()
+        except ReproError as exc:
+            raise ServiceError(f"cannot build evaluator: {exc}") from exc
+        # Priming passes checkpoint into the shared store, de-duplicating
+        # across jobs, processes and restarts.
+        evaluator.attach_checkpoint(
+            store,
+            trace_keys={
+                role: f"{self.bench_id}:{role}"
+                for role in ("icache", "dcache", "unified")
+            },
+        )
+        # An exact job must not inherit the plan a sampled job left on
+        # the shared (memoized) evaluator.
+        if self.plan is not None or evaluator.sample_plan is not None:
+            evaluator.set_sample_plan(self.plan)
+        return pipeline
 
 
 # ----------------------------------------------------------------------
@@ -491,11 +565,11 @@ def execute_job(
         )
     try:
         if kind == "sweep":
-            result = _execute_sweep(request, spec, store, journal)
+            result = _execute_sweep(request, store, journal)
         elif kind == "estimate":
-            result = _execute_estimate(spec, store, journal)
+            result = _execute_estimate(request, store, journal)
         else:
-            result = _execute_explore(spec, store, journal)
+            result = _execute_explore(request, spec, store, journal)
     except Exception as exc:
         if recorder is not None:
             recorder.finish(state="failed", error=repr(exc))
@@ -551,7 +625,6 @@ def _config_doc(config: CacheConfig, **extra: Any) -> dict[str, Any]:
 
 def _execute_sweep(
     request: SweepRequest,
-    spec: dict[str, Any],
     store: ResultStore,
     journal: RunJournal,
 ) -> dict[str, Any]:
@@ -592,7 +665,7 @@ def _execute_sweep(
                 results = sweep_design_space(
                     missing,
                     trace,
-                    policy=spec_policy(spec),
+                    policy=request.policy,
                     journal=journal,
                     checkpoint=store,
                     trace_key=request.trace_key,
@@ -618,48 +691,18 @@ def _execute_sweep(
 
 
 def _execute_estimate(
-    spec: dict[str, Any], store: ResultStore, journal: RunJournal
+    request: BenchmarkRequest, store: ResultStore, journal: RunJournal
 ) -> dict[str, Any]:
-    from repro.experiments.runner import RunnerSettings, get_pipeline
-
-    benchmark = spec["benchmark"]
-    role = spec.get("role", "icache")
-    configs = parse_configs(spec["configs"])
-    dilations = [float(d) for d in spec.get("dilations", [1.0])]
-    settings = RunnerSettings(
-        scale=float(spec.get("scale", 1.0)),
-        max_visits=int(spec.get("visits", 60_000)),
-        max_workers=spec.get("max_workers"),
-        job_timeout=spec.get("job_timeout"),
-        job_retries=int(spec.get("job_retries", 2)),
-    )
-    bench_id = (
-        f"{benchmark}:scale={settings.scale:g}:visits={settings.max_visits}"
-    )
-    try:
-        pipeline = get_pipeline(benchmark, settings)
-        evaluator = pipeline.memory_evaluator()
-    except ReproError as exc:
-        raise ServiceError(f"cannot build evaluator: {exc}") from exc
-    # Priming passes checkpoint into the shared store, de-duplicating
-    # across jobs, processes and restarts.
-    evaluator.attach_checkpoint(
-        store,
-        trace_keys={r: f"{bench_id}:{r}" for r in ("icache", "dcache", "unified")},
-    )
-    sample_spec = spec.get("sample")
-    if sample_spec:
-        evaluator.set_sample_plan(SamplePlan.from_spec(sample_spec))
-    grid = evaluator.misses_batch(
-        role, configs, dilations, max_workers=spec.get("max_workers")
-    )
+    evaluator = request.pipeline(store).memory_evaluator()
+    configs, dilations = request.configs, request.dilations
+    grid = evaluator.misses_batch(request.role, configs, dilations)
     journal.observe_cache(store, label="result-store")
     return {
         "kind": "estimate",
-        "benchmark": benchmark,
-        "role": role,
+        "benchmark": request.benchmark,
+        "role": request.role,
         "dilations": dilations,
-        "sampled": bool(sample_spec),
+        "sampled": request.plan is not None,
         "results": [
             _config_doc(
                 config,
@@ -708,42 +751,15 @@ def _system_space(overrides: dict[str, Any] | None):
 
 
 def _execute_explore(
-    spec: dict[str, Any], store: ResultStore, journal: RunJournal
+    request: BenchmarkRequest,
+    spec: dict[str, Any],
+    store: ResultStore,
+    journal: RunJournal,
 ) -> dict[str, Any]:
-    from repro.experiments.runner import RunnerSettings, get_pipeline
     from repro.explore.spacewalker import Spacewalker
 
-    benchmark = spec["benchmark"]
-    settings = RunnerSettings(
-        scale=float(spec.get("scale", 1.0)),
-        max_visits=int(spec.get("visits", 60_000)),
-        max_workers=spec.get("max_workers"),
-        job_timeout=spec.get("job_timeout"),
-        job_retries=int(spec.get("job_retries", 2)),
-    )
     space = _system_space(spec.get("space"))
-    try:
-        pipeline = get_pipeline(benchmark, settings)
-        evaluator = pipeline.memory_evaluator()
-    except ReproError as exc:
-        raise ServiceError(f"cannot build pipeline: {exc}") from exc
-    bench_id = (
-        f"{benchmark}:scale={settings.scale:g}:visits={settings.max_visits}"
-    )
-    evaluator.attach_checkpoint(
-        store,
-        trace_keys={r: f"{bench_id}:{r}" for r in ("icache", "dcache", "unified")},
-    )
-    sample_spec = spec.get("sample")
-    if sample_spec:
-        evaluator.set_sample_plan(SamplePlan.from_spec(sample_spec))
-    pareto = Spacewalker(
-        space,
-        pipeline,
-        max_workers=spec.get("max_workers"),
-        policy=settings.executor_policy(),
-        journal=journal,
-    ).walk()
+    pareto = Spacewalker(space, request.pipeline(store), journal=journal).walk()
     frontier = [
         {
             "cost": point.cost,
@@ -758,21 +774,18 @@ def _execute_explore(
     frontier_id = hashlib.sha256(
         canonical(
             {
-                "benchmark": bench_id,
+                "benchmark": request.bench_id,
                 "space": spec.get("space"),
-                "sample": sample_spec or None,
+                "sample": spec.get("sample") or None,
             }
         ).encode()
     ).hexdigest()[:16]
-    store.put(
-        f"pareto:{bench_id}:space={frontier_id}",
-        frontier,
-        namespace=NS_FRONTIERS,
-    )
+    frontier_key = f"pareto:{request.bench_id}:space={frontier_id}"
+    store.put(frontier_key, frontier, namespace=NS_FRONTIERS)
     journal.observe_cache(store, label="result-store")
     return {
         "kind": "explore",
-        "benchmark": benchmark,
-        "frontier_key": f"pareto:{bench_id}:space={frontier_id}",
+        "benchmark": request.benchmark,
+        "frontier_key": frontier_key,
         "frontier": frontier,
     }

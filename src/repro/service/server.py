@@ -234,12 +234,7 @@ class EvalService:
         is involved.  Any other job is enqueued and wakes every idle
         worker.
         """
-        request = parse_spec(spec)
-        result = (
-            request.stored_document(self.store)
-            if request is not None
-            else None
-        )
+        result = parse_spec(spec).stored_document(self.store)
         job = self.queue.insert(spec, max_attempts=max_attempts, result=result)
         if result is not None:
             # No service_dedup event: a run recorded by a concurrently

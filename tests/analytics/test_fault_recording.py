@@ -33,14 +33,14 @@ def store(tmp_path):
         s.close()
 
 
-def record_sweep(store, run_id, policy=None):
+def record_sweep(store, run_id, policy=ExecutorPolicy()):
     journal = RunJournal()
     with RunRecorder(
         store, "sweep", journal=journal, run_id=run_id, benchmark="synthetic"
     ) as rec:
         results = sweep_design_space(
             SWEEP_CONFIGS,
-            sweep_trace if policy is not None else sweep_trace(),
+            sweep_trace if policy.fault is not None else sweep_trace(),
             policy=policy,
             journal=journal,
         )

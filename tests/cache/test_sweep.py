@@ -5,6 +5,7 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate_trace
 from repro.cache.sweep import simulation_passes_required, sweep_design_space
+from repro.runtime.executor import ExecutorPolicy
 
 
 def small_trace():
@@ -72,7 +73,10 @@ class TestSweep:
         configs = [CacheConfig(8, 1, line) for line in line_sizes]
         cache = checkpoint_store
         results = sweep_design_space(
-            configs, factory, max_workers=max_workers, checkpoint=cache
+            configs,
+            factory,
+            policy=ExecutorPolicy(max_workers=max_workers),
+            checkpoint=cache,
         )
         assert len(calls) == 1
         assert results == sweep_design_space(configs, small_trace())

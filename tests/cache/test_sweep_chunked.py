@@ -19,6 +19,7 @@ from repro.cache.sweep import (
     sampled_sweep_design_space,
     sweep_design_space,
 )
+from repro.runtime.executor import ExecutorPolicy
 from repro.runtime.journal import RunJournal
 from repro.service.store import ResultStore
 from repro.trace.chunkstore import ChunkedTrace, write_chunked
@@ -71,7 +72,10 @@ class TestBitIdentity:
             tmp_path / "t.rct", starts, sizes, chunk_ranges=777
         ) as trace:
             got = sweep_design_space(
-                CONFIGS, trace, max_workers=2, journal=journal
+                CONFIGS,
+                trace,
+                policy=ExecutorPolicy(max_workers=2),
+                journal=journal,
             )
         for config in CONFIGS:
             assert got[config].misses == exact[config].misses

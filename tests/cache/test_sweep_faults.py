@@ -185,7 +185,10 @@ class TestCheckpointResume:
     ):
         cache = checkpoint_store
         first = sweep_design_space(
-            CONFIGS, trace(), max_workers=2, checkpoint=cache
+            CONFIGS,
+            trace(),
+            policy=ExecutorPolicy(max_workers=2),
+            checkpoint=cache,
         )
         journal = RunJournal()
         second = sweep_design_space(
@@ -237,12 +240,16 @@ class TestTraceResidency:
             calls.append(1)
             return trace()
 
-        results = sweep_design_space(CONFIGS, factory, max_workers=2)
+        results = sweep_design_space(
+            CONFIGS, factory, policy=ExecutorPolicy(max_workers=2)
+        )
         assert results == BASELINE
         assert len(calls) == 1
 
     def test_picklable_factory_ships_to_workers(self):
-        results = sweep_design_space(CONFIGS, trace, max_workers=2)
+        results = sweep_design_space(
+            CONFIGS, trace, policy=ExecutorPolicy(max_workers=2)
+        )
         assert results == BASELINE
 
     def test_journal_shows_chunkpath_shipping(self):
@@ -251,7 +258,12 @@ class TestTraceResidency:
         def factory():
             return trace()
 
-        sweep_design_space(CONFIGS, factory, max_workers=2, journal=journal)
+        sweep_design_space(
+            CONFIGS,
+            factory,
+            policy=ExecutorPolicy(max_workers=2),
+            journal=journal,
+        )
         events = journal.select("trace_materialized")
         assert len(events) == 1 and events[0]["line_size"] == "all"
         shipping = journal.select("trace_shipping")

@@ -3,6 +3,7 @@
 from repro.cache.cheetah import CheetahSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.sweep import simulate_group_from_chunks, sweep_design_space
+from repro.runtime.executor import ExecutorPolicy
 from repro.trace.chunkstore import spilled_trace
 
 CONFIGS = [
@@ -24,7 +25,9 @@ def trace():
 class TestParallelSweep:
     def test_parallel_equals_serial(self):
         serial = sweep_design_space(CONFIGS, trace())
-        parallel = sweep_design_space(CONFIGS, trace(), max_workers=2)
+        parallel = sweep_design_space(
+            CONFIGS, trace(), policy=ExecutorPolicy(max_workers=2)
+        )
         assert set(serial) == set(parallel)
         for config in CONFIGS:
             assert serial[config] == parallel[config]
@@ -36,7 +39,9 @@ class TestParallelSweep:
             calls.append(1)
             return trace()
 
-        parallel = sweep_design_space(CONFIGS, factory, max_workers=2)
+        parallel = sweep_design_space(
+            CONFIGS, factory, policy=ExecutorPolicy(max_workers=2)
+        )
         serial = sweep_design_space(CONFIGS, trace())
         # The parent materializes the trace once and spills it to one
         # file that every group's worker reads.
@@ -45,9 +50,10 @@ class TestParallelSweep:
 
     def test_single_group_stays_serial(self):
         configs = [CacheConfig(8, 1, 16), CacheConfig(16, 1, 16)]
-        assert sweep_design_space(configs, trace(), max_workers=4) == (
-            sweep_design_space(configs, trace())
+        parallel = sweep_design_space(
+            configs, trace(), policy=ExecutorPolicy(max_workers=4)
         )
+        assert parallel == sweep_design_space(configs, trace())
 
 
 class TestGroupStateUnit:

@@ -3,6 +3,7 @@
 from repro.cache.config import CacheConfig
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.machine.presets import P1111, P3221
+from repro.runtime.executor import ExecutorPolicy
 
 CONFIGS = [
     CacheConfig.from_size(512, 1, 16),
@@ -12,8 +13,10 @@ CONFIGS = [
 ROLE_CONFIGS = {"icache": CONFIGS, "dcache": CONFIGS}
 
 
-def make_pipeline(tiny):
-    return ExperimentPipeline(tiny, max_visits=2_000, i_granule=200, u_granule=800)
+def make_pipeline(tiny, policy=ExecutorPolicy()):
+    return ExperimentPipeline(
+        tiny, max_visits=2_000, i_granule=200, u_granule=800, policy=policy
+    )
 
 
 class TestPrimeActual:
@@ -32,11 +35,9 @@ class TestPrimeActual:
 
     def test_parallel_prime_matches_serial(self, tiny):
         serial = make_pipeline(tiny)
-        parallel = make_pipeline(tiny)
+        parallel = make_pipeline(tiny, ExecutorPolicy(max_workers=2))
         serial.prime_actual([P1111, P3221], ROLE_CONFIGS)
-        passes = parallel.prime_actual(
-            [P1111, P3221], ROLE_CONFIGS, max_workers=2
-        )
+        passes = parallel.prime_actual([P1111, P3221], ROLE_CONFIGS)
         assert passes == 8
         for processor in (P1111, P3221):
             for role in ("icache", "dcache"):

@@ -4,14 +4,17 @@ import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.explore.evaluators import MemoryEvaluator
+from repro.runtime import ExecutorPolicy, FaultPlan, RunJournal
 from repro.trace.ranges import KIND_DATA, KIND_INSTR, RangeTrace
 
 
-def make_evaluator():
+def make_evaluator(policy=ExecutorPolicy()):
     instr = RangeTrace.build([0, 64, 0, 128, 64], [32, 32, 32, 64, 32], KIND_INSTR)
     data = RangeTrace.build([512, 516, 512, 640], [4, 4, 4, 4], KIND_DATA)
     unified = RangeTrace.concatenate([instr, data])
-    return MemoryEvaluator(instr, data, unified, params=None, max_assoc=4)
+    return MemoryEvaluator(
+        instr, data, unified, params=None, max_assoc=4, policy=policy
+    )
 
 
 CONFIGS = [
@@ -44,12 +47,12 @@ class TestPendingUnits:
 class TestParallelPrime:
     def test_parallel_prime_matches_serial_queries(self):
         serial = make_evaluator()
-        parallel = make_evaluator()
+        parallel = make_evaluator(ExecutorPolicy(max_workers=2))
         for ev in (serial, parallel):
             for role in ("icache", "dcache", "unified"):
                 ev.register(role, CONFIGS)
         serial.prime()
-        assert parallel.prime(max_workers=2) == 6
+        assert parallel.prime() == 6
         for role in ("icache", "dcache", "unified"):
             for config in CONFIGS:
                 assert parallel.simulated_misses(role, config) == (
@@ -80,22 +83,21 @@ class TestParallelPrime:
 
 class TestFaultTolerantPrime:
     def test_worker_raise_retried_and_matches_serial(self):
-        from repro.runtime import ExecutorPolicy, FaultPlan, RunJournal
-
         serial = make_evaluator()
-        faulty = make_evaluator()
+        faulty = make_evaluator(
+            ExecutorPolicy(
+                max_workers=2,
+                retries=2,
+                backoff=0.0,
+                fault=FaultPlan("raise", match="icache", times=1),
+            )
+        )
         for ev in (serial, faulty):
             for role in ("icache", "dcache"):
                 ev.register(role, CONFIGS)
         serial.prime()
         journal = RunJournal()
-        policy = ExecutorPolicy(
-            max_workers=2,
-            retries=2,
-            backoff=0.0,
-            fault=FaultPlan("raise", match="icache", times=1),
-        )
-        assert faulty.prime(policy=policy, journal=journal) == 4
+        assert faulty.prime(journal=journal) == 4
         assert journal.select("retry")
         for role in ("icache", "dcache"):
             for config in CONFIGS:
@@ -107,18 +109,18 @@ class TestFaultTolerantPrime:
         import pytest
 
         from repro.errors import RuntimeExecutionError
-        from repro.runtime import ExecutorPolicy, FaultPlan
 
-        ev = make_evaluator()
-        ev.register("icache", CONFIGS)
-        policy = ExecutorPolicy(
-            max_workers=2,
-            retries=0,
-            backoff=0.0,
-            fault=FaultPlan("raise", match="icache", times=99),
+        ev = make_evaluator(
+            ExecutorPolicy(
+                max_workers=2,
+                retries=0,
+                backoff=0.0,
+                fault=FaultPlan("raise", match="icache", times=99),
+            )
         )
+        ev.register("icache", CONFIGS)
         with pytest.raises(RuntimeExecutionError, match="pass"):
-            ev.prime(policy=policy)
+            ev.prime()
 
 
 class TestEvalCacheBulk:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RuntimeExecutionError
+from repro.errors import ConfigurationError, RuntimeExecutionError
 from repro.runtime import (
     ExecutorPolicy,
     FaultPlan,
@@ -29,6 +29,44 @@ def values(results):
 
 
 EXPECTED = {i: i * i for i in range(6)}
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"max_workers": 0},
+            {"max_workers": -3},
+            {"max_workers": True},
+            {"max_workers": 2.0},
+            {"max_workers": "2"},
+            {"timeout": 0},
+            {"timeout": -1},
+            {"timeout": float("inf")},
+            {"timeout": float("nan")},
+            {"timeout": "soon"},
+            {"retries": -1},
+            {"retries": 1.5},
+            {"retries": None},
+            {"backoff": -0.1},
+        ],
+        ids=repr,
+    )
+    def test_out_of_range_knobs_rejected(self, knobs):
+        with pytest.raises(ConfigurationError):
+            ExecutorPolicy(**knobs)
+
+    def test_defaults_and_edges_accepted(self):
+        ExecutorPolicy()
+        ExecutorPolicy(max_workers=1, timeout=0.5, retries=0, backoff=0)
+
+    @pytest.mark.parametrize(
+        "max_workers, n_units, fans_out",
+        [(None, 8, False), (1, 8, False), (2, 1, False), (2, 2, True)],
+    )
+    def test_fans_out(self, max_workers, n_units, fans_out):
+        policy = ExecutorPolicy(max_workers=max_workers)
+        assert policy.fans_out(n_units) is fans_out
 
 
 class TestSerial:

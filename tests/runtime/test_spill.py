@@ -107,7 +107,9 @@ class TestSweepHygiene:
         return sweep_design_space(CONFIGS, trace(), strategy="perline")
 
     def test_clean_parallel_sweep_no_leak(self, spill_dir):
-        results = sweep_design_space(CONFIGS, trace(), max_workers=2)
+        results = sweep_design_space(
+            CONFIGS, trace(), policy=ExecutorPolicy(max_workers=2)
+        )
         assert results == self.baseline()
         assert_empty(spill_dir)
 
@@ -157,7 +159,9 @@ class TestSweepHygiene:
 
     def test_journal_counts_bytes_saved(self, spill_dir):
         journal = RunJournal()
-        sweep_design_space(CONFIGS, trace(), max_workers=2, journal=journal)
+        sweep_design_space(
+            CONFIGS, trace(), policy=ExecutorPolicy(max_workers=2), journal=journal
+        )
         summary = journal.summary()["trace_shipping"]
         assert summary["jobs"] == 3  # one per distinct line size
         assert summary["bytes_mapped"] > summary["bytes_shipped"] > 0
@@ -169,7 +173,7 @@ class TestSweepHygiene:
         ctrace = write_chunked(tmp_path / "t.rcht", *trace(), chunk_ranges=64)
         journal = RunJournal()
         results = sweep_design_space(
-            CONFIGS, ctrace, max_workers=2, journal=journal
+            CONFIGS, ctrace, policy=ExecutorPolicy(max_workers=2), journal=journal
         )
         assert results == self.baseline()
         cols = derive_journal_columns(journal.events)
@@ -194,23 +198,24 @@ class TestPrimeShipping:
         unified = RangeTrace.concatenate([instr, data])
         configs = [CacheConfig(8, 1, 16), CacheConfig(8, 1, 32)]
 
-        def build():
+        def build(policy=ExecutorPolicy()):
             ev = MemoryEvaluator(
-                instr, data, unified, params=None, max_assoc=2
+                instr, data, unified, params=None, max_assoc=2, policy=policy
             )
             for role in ("icache", "dcache"):
                 ev.register(role, configs)
             return ev
 
         journal = RunJournal()
-        parallel = build()
-        policy = ExecutorPolicy(
-            max_workers=2,
-            retries=2,
-            backoff=0.0,
-            fault=FaultPlan(kind="exit", match="icache", times=1),
+        parallel = build(
+            ExecutorPolicy(
+                max_workers=2,
+                retries=2,
+                backoff=0.0,
+                fault=FaultPlan(kind="exit", match="icache", times=1),
+            )
         )
-        assert parallel.prime(policy=policy, journal=journal) == 4
+        assert parallel.prime(journal=journal) == 4
         assert_empty(spill_dir)
         shipping = journal.select("trace_shipping")
         assert len(shipping) == 1

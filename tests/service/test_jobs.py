@@ -6,14 +6,16 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate_trace
 from repro.errors import ServiceError
+from repro.experiments.runner import RunnerSettings
+from repro.runtime.executor import ExecutorPolicy
 from repro.service.jobs import (
     NS_EVALCACHE,
+    NS_FRONTIERS,
     NS_METRICS,
     build_trace_arrays,
     execute_job,
     parse_configs,
     result_key,
-    spec_policy,
     trace_key,
     validate_spec,
 )
@@ -198,6 +200,79 @@ class TestValidateSpec:
             validate_spec({**base, "dilations": []})
 
 
+ESTIMATE = {
+    "kind": "estimate",
+    "benchmark": "epic",
+    "configs": [{"sets": 8, "assoc": 1, "line_size": 16}],
+}
+BENCH_TRACE = {"kind": "benchmark", "benchmark": "epic", "role": "icache"}
+
+
+class TestKnobValidation:
+    """Malformed knobs fail at submission, not at execution."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(
+                pytest.param(sweep_spec(**{key: value}), id=f"{key}={value!r}")
+                for key, value in (
+                    ("max_workers", "2"),
+                    ("max_workers", 0),
+                    ("max_workers", -3),
+                    ("max_workers", True),
+                    ("job_retries", "x"),
+                    ("job_retries", -1),
+                    ("job_timeout", "soon"),
+                    ("job_timeout", 0),
+                    ("job_timeout", -1),
+                    ("scale", "big"),
+                    ("scale", 0),
+                    ("visits", -5),
+                    ("visits", "500"),
+                )
+            ),
+            *(
+                pytest.param(
+                    sweep_spec(trace={**BENCH_TRACE, key: value}),
+                    id=f"trace-{key}={value!r}",
+                )
+                for key, value in (
+                    ("scale", "big"),
+                    ("scale", 0),
+                    ("visits", -5),
+                )
+            ),
+            *(
+                pytest.param(
+                    {**ESTIMATE, "dilations": value}, id=f"dilations={value!r}"
+                )
+                for value in ("abc", [], ["x"], [0])
+            ),
+        ],
+    )
+    def test_malformed_knob_rejected(self, spec):
+        with pytest.raises(ServiceError, match="knob|dilation"):
+            validate_spec(spec)
+
+    def test_well_formed_knobs_accepted(self):
+        spec = {
+            **ESTIMATE,
+            "scale": 0.5,
+            "visits": 500,
+            "max_workers": 2,
+            "job_timeout": 7.5,
+            "job_retries": 0,
+            "dilations": [1, 2.5],
+        }
+        assert validate_spec(spec) is spec
+        assert RunnerSettings.from_spec(spec) == RunnerSettings(
+            scale=0.5,
+            max_visits=500,
+            policy=ExecutorPolicy(max_workers=2, timeout=7.5, retries=0),
+        )
+
+
 class TestSweepExecution:
     def test_results_match_direct_simulation(self, store):
         result = execute_job(sweep_spec(), store)
@@ -269,7 +344,9 @@ class TestRetiredKnobs:
     def test_validate_and_policy_ignore_retired_knobs(self):
         legacy = sweep_spec(max_workers=2, **self.LEGACY)
         assert validate_spec(legacy) is legacy
-        assert spec_policy(legacy) == spec_policy(sweep_spec(max_workers=2))
+        assert RunnerSettings.from_spec(legacy).policy == (
+            RunnerSettings.from_spec(sweep_spec(max_workers=2)).policy
+        )
 
     def test_keys_are_byte_identical(self):
         legacy = sweep_spec(**self.LEGACY)
@@ -338,6 +415,101 @@ class TestEstimateAndExplore:
         before = store.count(NS_EVALCACHE)
         execute_job(spec, store)
         assert store.count(NS_EVALCACHE) == before
+
+    def test_estimate_primes_under_the_spec_policy(self, store, monkeypatch):
+        """An estimate job primes under the spec's whole policy: workers,
+        timeout and retries alike."""
+        from repro.explore import evaluators
+
+        real = evaluators.run_group_jobs
+        seen = []
+
+        def spy(units, traces, policy, journal):
+            seen.append(policy)
+            return real(units, traces, policy, journal)
+
+        monkeypatch.setattr(evaluators, "run_group_jobs", spy)
+        spec = {
+            "kind": "estimate",
+            "benchmark": "epic",
+            "role": "dcache",
+            "scale": 0.1,
+            "visits": 1000,
+            "configs": {"sets": [16], "assocs": [1], "line_sizes": [16, 32]},
+            "max_workers": 2,
+            "job_timeout": 7.5,
+            "job_retries": 0,
+        }
+        execute_job(spec, store, record=False)
+        assert seen == [ExecutorPolicy(max_workers=2, timeout=7.5, retries=0)]
+
+    def test_store_keys_are_unchanged(self, store):
+        """The checkpoint and frontier keys of an estimate and an
+        explore spec, pinned literally: stores written by earlier
+        releases keep hitting."""
+        bench = "key=epic:scale=0.1:visits=2000"
+        estimate = {
+            "kind": "estimate",
+            "benchmark": "epic",
+            "role": "icache",
+            "scale": 0.1,
+            "visits": 2000,
+            "configs": {
+                "sets": [16, 32], "assocs": [1, 2], "line_sizes": [16, 32],
+            },
+            "dilations": [1.0, 1.5],
+        }
+        execute_job(estimate, store, record=False)
+        assert sorted(store.items(namespace=NS_EVALCACHE)) == [
+            f"prime:icache:{bench}:icache:line=16:sets=16,32:assoc=8",
+            f"prime:icache:{bench}:icache:line=32:sets=16,32:assoc=8",
+            f"prime:icache:{bench}:icache:line=8:sets=16,32:assoc=8",
+        ]
+        explore = {
+            "kind": "explore",
+            "benchmark": "epic",
+            "scale": 0.1,
+            "visits": 2000,
+            "space": {
+                "processors": {
+                    "int_units": [1, 2], "float_units": [1],
+                    "memory_units": [1],
+                },
+                "icache": {
+                    "sizes_kb": [0.5, 1], "assocs": [1],
+                    "line_sizes": [16, 32],
+                },
+                "dcache": {
+                    "sizes_kb": [0.5], "assocs": [1], "line_sizes": [16],
+                },
+                "unified": {
+                    "sizes_kb": [8], "assocs": [2], "line_sizes": [32],
+                },
+            },
+        }
+        result = execute_job(explore, store, record=False)
+        key = "pareto:epic:scale=0.1:visits=2000:space=cc79c796ad7e4f7e"
+        assert result["frontier_key"] == key
+        assert list(store.items(namespace=NS_FRONTIERS)) == [key]
+
+    def test_exact_estimate_after_a_sampled_one_is_exact(self, store):
+        spec = {
+            "kind": "estimate",
+            "benchmark": "epic",
+            "role": "unified",
+            "scale": 0.1,
+            "visits": 2000,
+            "configs": {"sets": [16], "assocs": [1], "line_sizes": [16]},
+        }
+        exact = execute_job(spec, store, record=False)
+        sampled = {
+            **spec,
+            "sample": {"intervals": 2, "interval_ranges": 50},
+        }
+        assert execute_job(sampled, store, record=False)["sampled"] is True
+        again = execute_job(spec, store, record=False)
+        assert again["sampled"] is False
+        assert again["results"] == exact["results"]
 
     def test_estimate_unknown_benchmark_raises(self, store):
         spec = {

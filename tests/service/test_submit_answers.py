@@ -186,6 +186,21 @@ class TestMalformedTraceSpecs:
         assert svc.http_errors == 1
 
 
+class TestMalformedKnobs:
+    @pytest.mark.parametrize(
+        "knob",
+        [{"job_retries": "x"}, {"max_workers": 0}, {"visits": "500"}],
+        ids=repr,
+    )
+    def test_http_400_and_no_job(self, served, knob):
+        svc, client = served
+        before = svc.queue.counts()
+        with pytest.raises(ServiceError, match="HTTP 400"):
+            client.submit(sweep_spec(**knob))
+        assert svc.queue.counts() == before
+        assert svc.http_errors == 1
+
+
 class TestFleetLookup:
     def test_remote_get_many_is_one_request(self, served):
         svc, client = served

@@ -104,7 +104,7 @@ class TestMaxWorkers:
         args = build_parser().parse_args(
             ["table2", "--max-workers", "4"]
         )
-        assert _settings(args).max_workers == 4
+        assert _settings(args).policy.max_workers == 4
 
     def test_explore_runs_with_max_workers(
         self, capsys, monkeypatch, tiny_pipeline
@@ -132,14 +132,19 @@ class TestMaxWorkers:
                 sizes_kb=(8,), assocs=(2,), line_sizes=(32,)
             ),
         )
+        seen = []
+
+        def get_pipeline(bench, settings):
+            seen.append(settings)
+            return tiny_pipeline
+
         monkeypatch.setattr(cli, "_explore_space", lambda: space)
-        monkeypatch.setattr(
-            cli, "get_pipeline", lambda bench, settings: tiny_pipeline
-        )
+        monkeypatch.setattr(cli, "get_pipeline", get_pipeline)
         assert main(["explore", *FAST, "--max-workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "Pareto frontier for epic" in out
         assert "cost=" in out
+        assert [s.policy.max_workers for s in seen] == [2]
 
     def test_table2_with_max_workers(self, capsys):
         """A sweep command accepts --max-workers end to end."""
@@ -170,10 +175,28 @@ class TestExecutorOptions:
             ["table2", "--max-workers", "2", "--job-timeout", "9",
              "--job-retries", "1"]
         )
-        policy = _settings(args).executor_policy()
+        policy = _settings(args).policy
         assert policy.max_workers == 2
         assert policy.timeout == 9
         assert policy.retries == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--job-retries", "-1"),
+            ("--job-timeout", "0"),
+            ("--job-timeout", "-1"),
+            ("--visits", "0"),
+            ("--scale", "0"),
+        ],
+    )
+    def test_out_of_range_knob_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table3", "--benchmarks", "epic", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert value in err
 
 
 class TestExploreAllBenchmarks:
