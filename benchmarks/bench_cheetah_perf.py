@@ -1,7 +1,7 @@
 """Cheetah engine speedup: vectorized single-pass vs the seed `_touch` path.
 
 Times the vectorized :class:`repro.cache.cheetah.CheetahSimulator` against
-the preserved seed implementation (:mod:`repro.cache._legacy`) on the
+the preserved seed implementation (:mod:`repro.oracles.legacy`) on the
 epic unified reference trace — the same workload ``bench_micro`` uses —
 across two paper-realistic sweep grids, and verifies that every miss
 count on the grid is bit-identical between the two engines, with
@@ -9,13 +9,13 @@ spot-checks against the stateful :class:`CacheSimulator` ground truth.
 
 The primary grid (64 B lines, 3 set counts, 8-way histograms) is the
 configuration the memory evaluator runs during design-space exploration;
-the acceptance gate asserts a >= 5x speedup there.  A third section
-times the *whole-design-space* kernel
+the acceptance gate asserts a >= 5x speedup there.  A second section
+times the stack-distance kernel against the scalar survivor loop
+(:mod:`repro.oracles.scalar`) on survivor-heavy synthetic grids, and a
+third times the *whole-design-space* simulator
 (:class:`repro.cache.designspace.DesignSpaceSimulator`) on the full
 multi-line-size grid against cold per-line-size passes and against the
-seed path, and a fourth isolates the counting floor: one fused
-cross-size stack-distance dispatch against per-problem kernel calls
-over the identical prepared counting problems.  Results are written to
+seed path.  Results are written to
 ``benchmarks/results/BENCH_cheetah.json``.
 
 Runs two ways:
@@ -44,12 +44,12 @@ if __package__ in (None, ""):  # script mode: python benchmarks/bench_...
 import numpy as np
 
 from benchmarks.conftest import BENCH_SETTINGS, RESULTS_DIR
-from repro.cache._legacy import LegacyCheetahSimulator
 from repro.cache.cheetah import CheetahSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.linestream import clear_line_stream_cache
 from repro.cache.simulator import CacheSimulator
 from repro.experiments.runner import get_pipeline
+from repro.oracles import LegacyCheetahSimulator, ScalarCheetahSimulator
 
 MIN_SPEEDUP = 5.0
 
@@ -66,29 +66,20 @@ MIN_KERNEL_SPEEDUP = 3.0
 #: only ~391k lines, so near-linear radix sorts leave little to
 #: amortize); measured headroom is ~1.1-1.3x depending on machine
 #: state, ratcheted with margin.  The seed ratio has measured 8.1-12.2x
-#: across idle runs (best-of-3 seed ~1.3s, one-sort 0.15-0.18s), so its
+#: across idle runs (best-of-3 seed ~1.3s, design-space 0.15-0.18s), so its
 #: floor is the worst-case pairing of those extremes with margin, not
 #: the best case.
 MIN_DESIGN_SPACE_SPEEDUP = 1.05
 MIN_DESIGN_SPACE_SEED_SPEEDUP = 7.0
 
-#: Floor for the fused cross-size counting dispatch vs per-problem
-#: kernel calls on the fused-counting grid below (short sampled trace,
-#: wide set ladder — the under-``FUSE_MAX_REFS`` regime the ``auto``
-#: cost model actually fuses).  Fusion replaces one dispatch per
-#: (line size, set count) with a single scan/expansion pass plus one
-#: segmented linking sort over the concatenation; measured 1.37-1.44x
-#: across idle runs, so the floor is the worst observed run with
-#: margin.
-MIN_FUSED_COUNTING_SPEEDUP = 1.15
-
-#: Floor for the chunked-trace streaming sweep vs the in-memory one-sort
-#: kernel on the streaming grid below.  The metric is a ratio with the
+#: Floor for the chunked-trace streaming sweep vs the in-memory sweep on
+#: the streaming grid below.  The metric is a ratio with the
 #: in-memory time on top (``in_memory_seconds / chunked_seconds``), so
 #: *higher is better* and a value of 0.5 means streaming costs 2x.  The
-#: chunked path trades the shared whole-design-space sort for bounded
-#: memory (per-line-size passes over 64 Ki-range chunks); measured
-#: 0.45-0.62 across idle runs, ratcheted against the worst with margin.
+#: chunked path trades the in-memory path's line-stream memo for bounded
+#: memory (each 64 Ki-range chunk is expanded, counted and settled on
+#: its own); measured 0.45-0.62 across idle runs, ratcheted against the
+#: worst with margin.
 MIN_STREAMING_OVERHEAD = 0.30
 
 #: Floor for interval-sampling accuracy: ``1 - max relative miss error``
@@ -251,32 +242,30 @@ def run_grid(trace, grid: dict, *, reps: int, oracle: bool) -> dict:
 
 
 def run_kernel_grid(grid: dict, *, reps: int) -> dict:
-    """Time engine="scalar" vs engine="kernel" on one survivor-heavy grid.
+    """Time the scalar survivor loop vs the kernel on one survivor-heavy grid.
 
     Both runs share the memoized line-stream expansion (it is engine
     independent), so the comparison isolates the per-reference engine:
-    the PR 1 scalar survivor loop against the vectorized stack-distance
-    kernel.
+    the scalar survivor loop (:class:`ScalarCheetahSimulator`) against
+    the vectorized stack-distance kernel (:class:`CheetahSimulator`).
     """
     starts, sizes = kernel_trace(grid["name"])
     line_size = grid["line_size"]
     set_counts = grid["set_counts"]
     max_assoc = grid["max_assoc"]
 
-    def run(engine: str) -> CheetahSimulator:
-        sim = CheetahSimulator(
-            line_size, set_counts, max_assoc=max_assoc, engine=engine
-        )
+    def run(engine: type[CheetahSimulator]) -> CheetahSimulator:
+        sim = engine(line_size, set_counts, max_assoc=max_assoc)
         sim.simulate(starts, sizes)
         return sim
 
     # Warm the shared expansion memo so neither engine pays it.
-    run("kernel")
-    scalar_seconds = _best_time(lambda: run("scalar"), reps)
-    kernel_seconds = _best_time(lambda: run("kernel"), reps)
+    run(CheetahSimulator)
+    scalar_seconds = _best_time(lambda: run(ScalarCheetahSimulator), reps)
+    kernel_seconds = _best_time(lambda: run(CheetahSimulator), reps)
 
-    scalar = run("scalar")
-    kernel = run("kernel")
+    scalar = run(ScalarCheetahSimulator)
+    kernel = run(CheetahSimulator)
     assert kernel.accesses == scalar.accesses
     points = 0
     for nsets in set_counts:
@@ -311,8 +300,8 @@ def run_design_space(trace, *, reps: int, seed_baseline: bool) -> dict:
     Three contenders on the same multi-line-size grid:
 
     * ``DesignSpaceSimulator`` — one expansion + one trace fingerprint,
-      every coarser line size derived, per-tower plan picked by its
-      cost model (the path ``sweep_design_space`` now takes);
+      every coarser line size derived and counted on its own stream
+      (the path ``sweep_design_space`` takes);
     * per-line-size vectorized passes, line-stream cache cleared before
       *each* line size — cold per group, which is honestly what pre-PR
       sweeps paid (the memo then keyed on ``(trace, line_size)``, so no
@@ -421,101 +410,6 @@ def run_design_space(trace, *, reps: int, seed_baseline: bool) -> dict:
     return report
 
 
-#: The fused-counting grid: the regime the fused dispatch targets — a
-#: short sampled trace (an epic prefix, the shape interactive estimates
-#: run on) crossed with a *wide* set-count ladder, so the tower yields
-#: many small counting problems whose concatenation stays under
-#: ``FUSE_MAX_REFS`` (the ``auto`` cost-model ceiling).  Above that
-#: ceiling per-size dispatch wins on cache residency and ``auto``
-#: doesn't fuse, so benchmarking there would time a forced
-#: configuration production never picks.
-FUSED_COUNTING_GRID = {
-    "trace_ranges": 16_000,
-    "line_sizes": [16, 32, 64, 128],
-    "set_counts": [16, 64, 256, 1024],
-    "max_assoc": 8,
-}
-
-
-def run_fused_counting(trace, *, reps: int) -> dict:
-    """Fused cross-size counting dispatch vs per-size dispatch.
-
-    Both sides count the *same* prepared problems (one
-    ``prepare_consume`` staging per line size, shared), so the timing
-    isolates exactly what fusion changes: N :func:`stack_distances`
-    calls against one :func:`stack_distances_fused` call over their
-    concatenation.  Every distance array is asserted bit-identical.
-    """
-    from repro.cache.linestream import line_stream
-    from repro.cache.stackdist import (
-        CountProblem,
-        stack_distances,
-        stack_distances_fused,
-    )
-
-    n_ranges = FUSED_COUNTING_GRID["trace_ranges"]
-    line_sizes = FUSED_COUNTING_GRID["line_sizes"]
-    set_counts = FUSED_COUNTING_GRID["set_counts"]
-    max_assoc = FUSED_COUNTING_GRID["max_assoc"]
-    starts = trace.starts[:n_ranges]
-    sizes = trace.sizes[:n_ranges]
-
-    clear_line_stream_cache()
-    problems = []
-    for line_size in line_sizes:
-        stream = line_stream(starts, sizes, line_size)
-        sim = CheetahSimulator(
-            line_size, set_counts, max_assoc, engine="kernel"
-        )
-        for prep in sim.prepare_consume(stream):
-            problems.append(
-                CountProblem(
-                    prep.part,
-                    prep.seg_lens,
-                    prep.fam.max_assoc,
-                    vmax=prep.vmax,
-                    links=prep.links,
-                )
-            )
-    clear_line_stream_cache()
-    refs = sum(len(p.part) for p in problems)
-
-    def per_size():
-        return [
-            stack_distances(
-                p.part, p.seg_lens, p.max_assoc, vmax=p.vmax, links=p.links
-            )
-            for p in problems
-        ]
-
-    def fused():
-        return stack_distances_fused(problems)[0]
-
-    expect = per_size()
-    got = fused()
-    for (want, _), (dist, _) in zip(expect, got):
-        assert np.array_equal(dist, want), "fused distances diverged"
-
-    best_reps = max(reps, 3)
-    per_size_seconds = _best_time(per_size, best_reps)
-    fused_seconds = _best_time(fused, best_reps)
-
-    return {
-        "trace_ranges": int(len(starts)),
-        "line_sizes": line_sizes,
-        "set_counts": set_counts,
-        "max_assoc": max_assoc,
-        "problems": len(problems),
-        "counted_refs": refs,
-        "bit_identical": True,
-        "per_size_seconds": round(per_size_seconds, 6),
-        "fused_seconds": round(fused_seconds, 6),
-        "fused_counting_speedup": round(
-            per_size_seconds / fused_seconds, 2
-        ),
-    }
-
-
 #: Streaming comparison grid: the design-space line sizes crossed with
 #: the primary set ladder at the assoc extremes — enough passes that the
 #: per-chunk state-carry overhead shows, small enough to time best-of-N.
@@ -547,7 +441,7 @@ SAMPLING_GRID = {
 
 
 def run_streaming(trace, *, reps: int) -> dict:
-    """Chunked streaming sweep vs the in-memory one-sort kernel.
+    """Chunked streaming sweep vs the in-memory sweep.
 
     Writes the epic trace to a chunked store once, then times
     ``sweep_design_space`` fed the in-memory arrays (whole-design-space
@@ -685,7 +579,6 @@ def run_benchmark(*, reps: int = 5, oracle: bool = True) -> dict:
     primary = next(g for g in grids if g["primary"])
     kernel_grids = [run_kernel_grid(g, reps=reps) for g in KERNEL_GRIDS]
     design_space = run_design_space(trace, reps=reps, seed_baseline=oracle)
-    fused_counting = run_fused_counting(trace, reps=reps)
     streaming = run_streaming(trace, reps=reps)
     sampling = run_sampling(trace)
     return {
@@ -707,9 +600,6 @@ def run_benchmark(*, reps: int = 5, oracle: bool = True) -> dict:
             "design_space_seed_speedup"
         ),
         "design_space": design_space,
-        "min_required_fused_counting_speedup": MIN_FUSED_COUNTING_SPEEDUP,
-        "fused_counting_speedup": fused_counting["fused_counting_speedup"],
-        "fused_counting": fused_counting,
         "min_required_streaming_overhead": MIN_STREAMING_OVERHEAD,
         "streaming_overhead": streaming["streaming_overhead"],
         "streaming": streaming,
@@ -761,20 +651,10 @@ def render(report: dict) -> str:
         lines.append(
             f"  [design-space] lines={ds['line_sizes']} "
             f"sets={ds['set_counts']}: per-line "
-            f"{ds['per_line_seconds']:.3f}s -> one-sort "
+            f"{ds['per_line_seconds']:.3f}s -> design-space "
             f"{ds['design_space_seconds']:.3f}s "
             f"({ds['design_space_speedup']:.1f}x{seed}, "
             f"{ds['grid_points_checked']} grid points bit-identical)"
-        )
-    fc = report.get("fused_counting")
-    if fc:
-        lines.append(
-            f"  [fused-counting] lines={fc['line_sizes']} "
-            f"sets={fc['set_counts']} ({fc['problems']} problems, "
-            f"{fc['counted_refs']} refs): per-size "
-            f"{fc['per_size_seconds']*1000:.2f}ms -> fused "
-            f"{fc['fused_seconds']*1000:.2f}ms "
-            f"({fc['fused_counting_speedup']:.2f}x, bit-identical)"
         )
     st = report.get("streaming")
     if st:
@@ -823,12 +703,6 @@ def test_cheetah_engine_speedup(results_dir):
         f"design-space-vs-seed speedup "
         f"{report['design_space_seed_speedup']}x below the "
         f"{MIN_DESIGN_SPACE_SEED_SPEEDUP}x acceptance floor"
-    )
-    assert (
-        report["fused_counting_speedup"] >= MIN_FUSED_COUNTING_SPEEDUP
-    ), (
-        f"fused-counting speedup {report['fused_counting_speedup']}x "
-        f"below the {MIN_FUSED_COUNTING_SPEEDUP}x acceptance floor"
     )
     assert report["streaming_overhead"] >= MIN_STREAMING_OVERHEAD, (
         f"streaming overhead ratio {report['streaming_overhead']} "
@@ -901,17 +775,6 @@ def main(argv: list[str] | None = None) -> int:
             f"FAIL: design-space-vs-seed speedup "
             f"{report['design_space_seed_speedup']}x "
             f"below the {MIN_DESIGN_SPACE_SEED_SPEEDUP}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        not args.smoke
-        and report["fused_counting_speedup"] < MIN_FUSED_COUNTING_SPEEDUP
-    ):
-        print(
-            f"FAIL: fused-counting speedup "
-            f"{report['fused_counting_speedup']}x "
-            f"below the {MIN_FUSED_COUNTING_SPEEDUP}x floor",
             file=sys.stderr,
         )
         return 1

@@ -14,14 +14,15 @@ memory stays bounded regardless of trace length.
 
 Engine
 ------
-The batch path (:meth:`CheetahSimulator.simulate`) is vectorized end to
-end.  Per trace it runs one memoized numpy expansion of byte ranges into
-a line stream with immediate repeats removed
-(:mod:`repro.cache.linestream`); per batch it value-sorts the stream
-*once* to link every reference to its previous occurrence (occurrence
-order of a line is identical in every set partition, because equal
-lines share a set and partitioning keeps within-set order); per family
-it:
+Every batch (:meth:`CheetahSimulator.simulate` /
+:meth:`CheetahSimulator.consume`) runs the vectorized stack-distance
+kernel; there is no other engine.  Per trace it runs one memoized numpy
+expansion of byte ranges into a line stream with immediate repeats
+removed (:mod:`repro.cache.linestream`); per batch it value-sorts the
+stream *once* to link every reference to its previous occurrence
+(occurrence order of a line is identical in every set partition, because
+equal lines share a set and partitioning keeps within-set order); per
+family it:
 
 1. radix-partitions the stream by the family's set bits — refining the
    previous family's partition by one stable per-bit split when the set
@@ -41,25 +42,20 @@ it:
    batch references then see exactly the stack state they would have
    seen scalar-stepped.
 
-Small batches (and explicit ``engine="scalar"``) take the previous
-generation of the engine instead: vectorized dedup + period-2
-alternation pre-passes feeding a per-reference Python LRU loop.  That
-scalar path and the per-line :func:`_touch` are kept as the property
--test oracle alongside :mod:`repro.cache._legacy`, and as the baseline
-the benchmarks measure the kernel against.
-
 Per-family kernel timings are recorded into the active
 :class:`~repro.runtime.journal.RunJournal` (event ``stackdist``), so
 ``repro report --journal`` shows where pass time goes.
 
-``docs/PERFORMANCE.md`` documents the design and its invariants; the
-seed implementation is preserved in :mod:`repro.cache._legacy` as the
-benchmark baseline and property-test oracle.
+``docs/PERFORMANCE.md`` documents the design and its invariants.  The
+engines this kernel replaced — the seed per-line ``_touch`` simulator
+and the scalar survivor loop — are kept in :mod:`repro.oracles` as the
+benchmark baselines and property-test oracles.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+import time
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,11 +71,6 @@ from repro.cache.stackdist import (
 )
 from repro.errors import ConfigurationError, TraceError
 from repro.runtime.journal import active_journal
-
-#: Batches at or below this many references take the scalar survivor
-#: loop under ``engine="auto"`` — the kernel's fixed vectorization
-#: overhead only pays for itself on larger streams.
-SCALAR_BATCH_LIMIT = 2048
 
 #: Refine an existing partition only across this factor (one doubling);
 #: wider jumps re-sort from scratch — a fresh 16-bit radix sort costs
@@ -107,7 +98,7 @@ class _Family:
         # Deferred stack materialization after a kernel batch: the
         # partitioned stream plus which positions recur later.  Most
         # simulations never read the stacks again, so the rebuild only
-        # happens when another batch or access_line() needs them.
+        # happens when another batch or a snapshot needs them.
         self.pending: tuple | None = None
 
 
@@ -124,23 +115,14 @@ class CheetahSimulator:
     max_assoc:
         Largest associativity of interest.  After a pass,
         :meth:`misses` answers for any ``A <= max_assoc``.
-    engine:
-        ``"auto"`` (default) uses the vectorized stack-distance kernel
-        for batches larger than :data:`SCALAR_BATCH_LIMIT` and the
-        scalar survivor loop otherwise; ``"kernel"`` / ``"scalar"``
-        force one path.  All three produce bit-identical histograms.
     """
 
     def __init__(
         self, line_size: int, set_counts: Sequence[int] | Iterable[int],
-        max_assoc: int = 8, engine: str = "auto",
+        max_assoc: int = 8,
     ):
         if max_assoc < 1:
             raise ConfigurationError(f"max_assoc must be >= 1, got {max_assoc}")
-        if engine not in ("auto", "kernel", "scalar"):
-            raise ConfigurationError(
-                f"engine must be 'auto', 'kernel' or 'scalar', got {engine!r}"
-            )
         # Materialize once so one-shot iterables are safe.
         counts = [int(nsets) for nsets in set_counts]
         # CacheConfig validates line size / set count feasibility for us.
@@ -150,12 +132,14 @@ class CheetahSimulator:
             raise ConfigurationError("set_counts contains duplicates")
         self.line_size = line_size
         self.max_assoc = max_assoc
-        self.engine = engine
         # Keyed by set count for O(1) lookup in :meth:`misses`.
         self._families: dict[int, _Family] = {
             nsets: _Family(nsets, max_assoc) for nsets in counts
         }
         self.accesses = 0
+        #: Wall seconds spent counting stack families on the kernel
+        #: (cumulative; each family's staging, kernel call and fold).
+        self.kernel_seconds = 0.0
         self._sealed = False
 
     @classmethod
@@ -222,10 +206,9 @@ class CheetahSimulator:
         max_assoc: int,
         accesses: int,
         families: Mapping[int, Mapping],
-        engine: str = "auto",
     ) -> "CheetahSimulator":
         """Rebuild a *resumable* simulator from :meth:`full_state`."""
-        sim = cls(line_size, list(families), max_assoc, engine=engine)
+        sim = cls(line_size, list(families), max_assoc)
         sim.accesses = accesses
         for nsets, snap in families.items():
             fam = sim._families[nsets]
@@ -253,8 +236,8 @@ class CheetahSimulator:
         """Whether any stack family holds LRU state from earlier batches.
 
         A carrying simulator splices its stacks into the next batch as
-        synthetic references and re-links internally, so precomputed
-        stream links (``consume(..., links=...)``) would be ignored.
+        synthetic references, so each family re-links its own spliced
+        stream instead of sharing one value sort of the batch.
         """
         return any(
             fam.pending is not None or any(fam.stacks)
@@ -268,6 +251,7 @@ class CheetahSimulator:
             for nsets, fam in self._families.items()
         }
         self.accesses = 0
+        self.kernel_seconds = 0.0
         self._sealed = False
 
     def _check_unsealed(self) -> None:
@@ -276,14 +260,6 @@ class CheetahSimulator:
                 "this CheetahSimulator was rebuilt from exported state and "
                 "is query-only; it cannot consume further references"
             )
-
-    def access_line(self, line: int) -> None:
-        """Feed one line reference to every stack family."""
-        self._check_unsealed()
-        self.accesses += 1
-        for fam in self._families.values():
-            _ensure_stacks(fam)
-            _touch(fam, line)
 
     def simulate(
         self,
@@ -299,102 +275,36 @@ class CheetahSimulator:
         stream = line_stream(starts_arr, sizes_arr, self.line_size)
         self.consume(stream)
 
-    def consume(
-        self,
-        stream: LineStream,
-        links: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
-        """Feed a pre-expanded line stream to every stack family.
-
-        ``links``, when given, is the precomputed previous-occurrence
-        linking ``(link_from, link_to)`` of ``stream.lines`` in stream
-        coordinates — consecutive occurrence positions of each line,
-        exactly what the batch's own value sort would produce.  The
-        whole-design-space simulator derives these for every line size
-        from one shared sort (:mod:`repro.cache.designspace`), skipping
-        the per-simulator ``radix_argsort`` below.  Ignored when any
-        family carries LRU state from earlier batches (carried state
-        splices in synthetic references and re-links internally).
-        """
-        journal = active_journal()
-        for prep in self.prepare_consume(stream, links):
-            fam = prep.fam
-            with journal.timed(
-                "stackdist", line_size=self.line_size, nsets=fam.nsets
-            ) as extra:
-                dist, info = stack_distances(
-                    prep.part, prep.seg_lens, fam.max_assoc,
-                    vmax=prep.vmax, links=prep.links,
-                )
-                extra.update(prep.fold(dist, info))
-
-    def prepare_consume(
-        self,
-        stream: LineStream,
-        links: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> list["_PreparedFamily"]:
-        """Stage a batch: per-family counting problems, kernels deferred.
-
-        Runs everything in :meth:`consume` *except* the stack-distance
-        kernels themselves — accesses accounting, the shared value sort,
-        the partition-refinement ladder, synthetic-state splicing and
-        dup compaction — and returns one :class:`_PreparedFamily` per
-        family still awaiting its kernel.  The caller must then run
-        :func:`repro.cache.stackdist.stack_distances` (or one fused
-        dispatch over many simulators' problems, see
-        :mod:`repro.cache.designspace`) on each problem and feed the
-        result to :meth:`_PreparedFamily.fold`.  Small batches that take
-        the scalar path are processed fully here and return ``[]``.
-        Preparation never depends on any deferred fold: the ladder
-        adopts *compacted* streams, which exist before the kernel runs.
-        """
+    def consume(self, stream: LineStream) -> None:
+        """Feed a pre-expanded line stream to every stack family."""
         self._check_unsealed()
         self.accesses += stream.accesses
-        n = len(stream.lines)
-        if n == 0:
-            return []
-        use_kernel = self.engine == "kernel" or (
-            self.engine == "auto" and n > SCALAR_BATCH_LIMIT
-        )
-        if not use_kernel:
-            for fam in self._families.values():
-                _ensure_stacks(fam)
-                _process_family(fam, stream)
-            return []
-
+        if len(stream.lines) == 0:
+            return
         lines = stream.lines
         vmax = stream.max_line if stream.min_line >= 0 else None
-        # One value sort serves every family: link each reference to its
-        # previous occurrence in *stream* coordinates; families map the
-        # links into their own partition via the partition permutation.
-        # (Lazy: the links are useless to families carrying LRU state
-        # from earlier batches, which splice in synthetic references and
-        # re-link internally.)
+        # One value sort can serve every family: link each reference to
+        # its previous occurrence in *stream* coordinates, and families
+        # map the links into their own partition via the partition
+        # permutation.  The sort runs on the first family that uses it;
+        # it is never needed when families carry LRU state from earlier
+        # batches (they splice in synthetic references and re-link
+        # internally), nor once a family has compacted the stream.
+        linkable = not self.carrying_state()
         stream_links: tuple[np.ndarray, np.ndarray] | None = None
-        if not self.carrying_state():
-            if links is not None:
-                stream_links = links
-            else:
-                order_v = radix_argsort(lines, vmax)
-                sv = lines[order_v]
-                # Mask-compress instead of materializing the (nearly
-                # full-length) index array of equal-value adjacencies.
-                same = sv[1:] == sv[:-1]
-                stream_links = (order_v[:-1][same], order_v[1:][same])
         # Walk families by ascending set count so each partition can
         # refine the previous one (a stable per-bit split) when the set
         # counts double; wider jumps re-sort from scratch.  When a
         # family compacts within-set repeats out of the stream, the
         # compacted survivors become the ladder stream for every finer
-        # family (their repeats are a superset of the coarser ones), at
-        # the price of dropping the precomputed stream links — the much
-        # smaller survivor stream re-links cheaply.
+        # family (their repeats are a superset of the coarser ones), and
+        # the much smaller survivor stream re-links inside the kernel.
         ladder = lines
         ladder_dups = 0  # repeats compacted out of the adopted stream
         part: np.ndarray | None = None
         seg_lens = seg_sets = order = None
         prev_nsets = 0
-        prepared: list[_PreparedFamily] = []
+        journal = active_journal()
         for fam in sorted(self._families.values(), key=lambda f: f.nsets):
             nsets = fam.nsets
             if (
@@ -405,10 +315,10 @@ class CheetahSimulator:
                 part, seg_lens, seg_sets, order = partition_by_set(
                     ladder, nsets, vmax
                 )
-                if ladder is not lines:
-                    order = None  # permutation is not stream-relative
+                if not linkable:
+                    order = None  # it only maps the shared stream links
             elif nsets > prev_nsets:
-                if order is None and stream_links is not None:
+                if order is None and linkable:
                     # Identity layout from an nsets==1 parent: make the
                     # stream permutation explicit before refining it.
                     order = np.arange(len(ladder), dtype=np.intp)
@@ -416,20 +326,34 @@ class CheetahSimulator:
                     part, seg_lens, seg_sets, prev_nsets, nsets, order
                 )
             prev_nsets = nsets
-            prep, adopted = _prepare_family_kernel(
-                fam, part, seg_lens, seg_sets,
-                order if ladder is lines else None,
-                stream_links if ladder is lines else None,
-                stream.repeats + ladder_dups, vmax,
-            )
-            prepared.append(prep)
-            if adopted is not None:
-                part, seg_lens, ndup = adopted
-                ladder = part
-                ladder_dups += ndup
-                order = None
-                stream_links = None
-        return prepared
+            t0 = time.perf_counter()
+            with journal.timed(
+                "stackdist", line_size=self.line_size, nsets=nsets
+            ) as extra:
+                fpart, flens, fvmax, nsyn, ncompacted = _splice_and_compact(
+                    fam, part, seg_lens, seg_sets,
+                    stream.repeats + ladder_dups, vmax,
+                )
+                links = None
+                if ncompacted and not nsyn:
+                    # Adopt the survivors as the ladder stream, crediting
+                    # their removed repeats to finer families' depth-0
+                    # buckets (a within-set repeat for k sets is also one
+                    # for 2k sets: the finer set class is a subset, so
+                    # the two references stay adjacent).
+                    ladder = part = fpart
+                    seg_lens = flens
+                    ladder_dups += ncompacted
+                    linkable = False
+                    order = stream_links = None
+                elif linkable and not ncompacted:
+                    if stream_links is None:
+                        stream_links = _link_occurrences(lines, vmax)
+                    links = _map_links(stream_links, order)
+                _count_family(
+                    fam, fpart, flens, seg_sets, links, fvmax, nsyn, extra
+                )
+            self.kernel_seconds += time.perf_counter() - t0
 
     def misses(self, sets: int, assoc: int) -> int:
         """Misses of cache C(sets, assoc, line_size) on the trace seen so far.
@@ -467,23 +391,6 @@ class CheetahSimulator:
         return out
 
 
-def _touch(fam: _Family, line: int) -> None:
-    """Record one line touch in a stack family (scalar path)."""
-    stack = fam.stacks[line % fam.nsets]
-    try:
-        depth = stack.index(line)
-    except ValueError:
-        fam.hist[fam.max_assoc] += 1
-        stack.insert(0, line)
-        if len(stack) > fam.max_assoc:
-            stack.pop()
-        return
-    fam.hist[depth] += 1
-    if depth:
-        del stack[depth]
-        stack.insert(0, line)
-
-
 def _ensure_stacks(fam: _Family) -> None:
     """Materialize per-set LRU stacks deferred by a kernel batch.
 
@@ -519,109 +426,38 @@ def _ensure_stacks(fam: _Family) -> None:
             pos += c
 
 
-class _PreparedFamily:
-    """One family's staged counting problem, awaiting its kernel result.
-
-    Produced by :func:`_prepare_family_kernel`; carries exactly the
-    argument tuple the family's :func:`stack_distances` call needs
-    (``part``/``seg_lens`` post splice/compaction, the mapped ``links``
-    or the ``vmax`` for a fresh sort) so callers can run the kernel
-    however they like — per family, or fused across many simulators —
-    and then :meth:`fold` the distances back into the family.
-    """
-
-    __slots__ = ("fam", "part", "seg_lens", "seg_sets", "links", "vmax", "nsyn")
-
-    def __init__(
-        self,
-        fam: _Family,
-        part: np.ndarray,
-        seg_lens: np.ndarray,
-        seg_sets: np.ndarray,
-        links: tuple[np.ndarray, np.ndarray] | None,
-        vmax: int | None,
-        nsyn: int,
-    ):
-        self.fam = fam
-        self.part = part
-        self.seg_lens = seg_lens
-        self.seg_sets = seg_sets
-        self.links = links
-        self.vmax = vmax
-        self.nsyn = nsyn
-
-    def fold(self, dist: np.ndarray, info: dict[str, Any]) -> dict[str, Any]:
-        """Fold one kernel result into the family's histogram and state.
-
-        Returns the telemetry dict journaled as the family's
-        ``stackdist`` (or fused-dispatch per-problem) stats.
-        """
-        fam = self.fam
-        A = fam.max_assoc
-        hist = fam.hist
-        counts = np.bincount(dist, minlength=A + 1)
-        for depth, cnt in enumerate(counts.tolist()):
-            if cnt:
-                hist[depth] += cnt
-        if self.nsyn:
-            hist[A] -= self.nsyn
-        fam.pending = (
-            self.part, self.seg_lens, self.seg_sets, info["recurs_idx"]
-        )
-        return {
-            "refs": int(info["refs"]),
-            "path": info["path"],
-            "window": int(info["window"]),
-            "residues": int(info["residues"]),
-        }
-
-
-def _prepare_family_kernel(
+def _splice_and_compact(
     fam: _Family,
     part: np.ndarray,
     seg_lens: np.ndarray,
     seg_sets: np.ndarray,
-    order: np.ndarray | None,
-    stream_links: tuple[np.ndarray, np.ndarray] | None,
     repeats: int,
     vmax: int | None,
-) -> tuple[_PreparedFamily, tuple[np.ndarray, np.ndarray, int] | None]:
-    """Stage one family's batch for the offline stack-distance kernel.
+) -> tuple[np.ndarray, np.ndarray, int | None, int, int]:
+    """Stage one family's partitioned batch for the kernel.
 
-    ``part``/``seg_lens``/``seg_sets``/``order`` describe the batch
-    partitioned by this family's set bits (shared across families via
-    the refinement ladder, so this function never mutates them);
-    ``stream_links`` is the shared previous-occurrence linking in stream
-    coordinates (``None`` when carried LRU state forces re-linking, or
-    when a coarser family already compacted the ladder stream).
-
-    Everything *except* the kernel itself happens here — repeat
-    crediting, synthetic-state splicing, dup compaction, link mapping —
-    so the returned :class:`_PreparedFamily` can be counted later (and
-    jointly with other families' problems, see
-    :func:`repro.cache.stackdist.stack_distances_fused`).
-
-    Returns ``(prepared, adopted)``: the staged problem, and — when this
-    family compacted within-set repeats out of a synthetic-free stream —
-    the compacted ``(part, seg_lens, ndup)`` for the caller to adopt as
-    the ladder stream for finer families, crediting the ``ndup`` removed
-    repeats to their depth-0 buckets (a within-set repeat for ``k`` sets
-    is also one for ``2k`` sets: the finer set class is a subset, so the
-    two references stay adjacent).
+    ``part``/``seg_lens``/``seg_sets`` describe the batch partitioned by
+    this family's set bits (shared across families via the refinement
+    ladder, so this function never mutates them).  Credits ``repeats``
+    to depth 0, splices carried LRU state in as synthetic references and
+    compacts dup-heavy streams.  Returns ``(part, seg_lens, vmax, nsyn,
+    ncompacted)``: the family's counting problem, its synthetic count
+    and the number of within-set repeats compacted out (0 when none
+    were).
     """
     hist = fam.hist
     hist[0] += repeats
     nseg = len(seg_lens)
 
-    # Carried state from earlier batches/access_line() enters as
-    # synthetic references: each touched set's stack, deepest line
-    # first, prepended to the set's segment.  Stack lines are distinct
-    # and a line value determines its set, so each synthetic is the
-    # first occurrence of its line in the spliced stream: it lands in
-    # the cold bucket (subtracted below) and the batch references then
-    # see exactly the LRU state a scalar replay would have left.  (A
-    # batch reference of the set's MRU line comes out at depth 0, just
-    # as _touch would score it.)
+    # Carried state from earlier batches enters as synthetic references:
+    # each touched set's stack, deepest line first, prepended to the
+    # set's segment.  Stack lines are distinct and a line value
+    # determines its set, so each synthetic is the first occurrence of
+    # its line in the spliced stream: it lands in the cold bucket
+    # (subtracted after counting) and the batch references then see
+    # exactly the LRU state a scalar replay would have left.  (A batch
+    # reference of the set's MRU line comes out at depth 0, just as one
+    # LRU step would score it.)
     nsyn = 0
     if fam.pending is not None or any(fam.stacks):
         _ensure_stacks(fam)
@@ -654,170 +490,86 @@ def _prepare_family_kernel(
     # as depth 0, so dup-light streams go straight through; dup-heavy
     # streams (loop-dominated code touches one hot line for most of a
     # basic block) are compacted first — shrinking the kernel's input
-    # beats keeping the precomputed links, and the survivors re-link
+    # beats sharing the stream links, and the survivors re-link
     # cheaply inside the kernel.
     m = len(part)
     dup = part[1:] == part[:-1]
     ndup = int(np.count_nonzero(dup))
-    adopted: tuple[np.ndarray, np.ndarray, int] | None = None
-    if ndup * _DUP_COMPACT_DIVISOR > m:
-        hist[0] += ndup
-        keep = np.empty(m, dtype=bool)
-        keep[0] = True
-        np.logical_not(dup, out=keep[1:])
-        keep_idx = np.flatnonzero(keep)
-        part = part[keep_idx]
-        if nseg > 1:
-            ends = np.cumsum(seg_lens)
-            segi = np.searchsorted(ends, keep_idx, side="right")
-            seg_lens = np.bincount(segi, minlength=nseg).astype(np.intp)
-        else:
-            seg_lens = np.array([len(part)], dtype=np.intp)
-        links: tuple[np.ndarray, np.ndarray] | None = None
-        if nsyn == 0:
-            adopted = (part, seg_lens, ndup)
-    elif nsyn == 0 and stream_links is not None:
-        s_from, s_to = stream_links
-        if order is None:
-            links = (s_from, s_to)
-        else:
-            inv = np.empty(m, dtype=np.int32)
-            inv[order] = np.arange(m, dtype=np.int32)
-            links = (inv[s_from], inv[s_to])
+    if ndup * _DUP_COMPACT_DIVISOR <= m:
+        return part, seg_lens, vmax, nsyn, 0
+    hist[0] += ndup
+    keep = np.empty(m, dtype=bool)
+    keep[0] = True
+    np.logical_not(dup, out=keep[1:])
+    keep_idx = np.flatnonzero(keep)
+    part = part[keep_idx]
+    if nseg > 1:
+        ends = np.cumsum(seg_lens)
+        segi = np.searchsorted(ends, keep_idx, side="right")
+        seg_lens = np.bincount(segi, minlength=nseg).astype(np.intp)
     else:
-        links = None
-
-    return _PreparedFamily(
-        fam, part, seg_lens, seg_sets, links, vmax, nsyn
-    ), adopted
+        seg_lens = np.array([len(part)], dtype=np.intp)
+    return part, seg_lens, vmax, nsyn, ndup
 
 
-def _process_family(fam: _Family, stream: LineStream) -> None:
-    """Batch-process one family: vectorized pre-passes + survivor loop."""
+def _link_occurrences(
+    lines: np.ndarray, vmax: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Consecutive occurrence pairs ``(link_from, link_to)`` of a stream,
+    from one stable value sort."""
+    order = radix_argsort(lines, vmax)
+    sv = lines[order]
+    # Mask-compress instead of materializing the (nearly full-length)
+    # index array of equal-value adjacencies.
+    same = sv[1:] == sv[:-1]
+    return order[:-1][same], order[1:][same]
+
+
+def _map_links(
+    links: tuple[np.ndarray, np.ndarray], order: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stream-coordinate links in the partition ``part == lines[order]``
+    (``order`` None: the identity partition)."""
+    if order is None:
+        return links
+    m = len(order)
+    inv = np.empty(m, dtype=np.int32)
+    inv[order] = np.arange(m, dtype=np.int32)
+    return inv[links[0]], inv[links[1]]
+
+
+def _count_family(
+    fam: _Family,
+    part: np.ndarray,
+    seg_lens: np.ndarray,
+    seg_sets: np.ndarray,
+    links: tuple[np.ndarray, np.ndarray] | None,
+    vmax: int | None,
+    nsyn: int,
+    telemetry: dict,
+) -> None:
+    """Run the kernel on one family's staged problem and fold it in.
+
+    Bin-counts the distances into the histogram (less the ``nsyn``
+    synthetic cold references), leaves the LRU stacks deferred
+    (``fam.pending``) and puts the kernel's telemetry in ``telemetry``
+    (the family's ``stackdist`` journal event).
+    """
+    A = fam.max_assoc
+    dist, info = stack_distances(part, seg_lens, A, vmax=vmax, links=links)
     hist = fam.hist
-    hist[0] += stream.repeats
-    lines = stream.lines
-    n = len(lines)
-    if n == 0:
-        return
-    nsets = fam.nsets
-
-    if nsets == 1:
-        # Already "partitioned": one set, stream order, repeats removed.
-        part = lines
-        setkeys = None
-    else:
-        sidx = lines & (nsets - 1)
-        # Radix-sortable small dtype: integer stable argsort in numpy is
-        # ~8x faster on uint16 keys than on int64.
-        key = sidx.astype(np.uint16) if nsets <= (1 << 16) else sidx
-        order = np.argsort(key, kind="stable")
-        part = lines[order]
-        setkeys = key[order]
-        # Within-set immediate repeats are depth-0 hits with no state
-        # change (the line is its set's MRU); count and drop vectorially.
-        dup = (part[1:] == part[:-1]) & (setkeys[1:] == setkeys[:-1])
-        ndup = int(dup.sum())
-        if ndup:
-            hist[0] += ndup
-            keep = np.empty(n, dtype=bool)
-            keep[0] = True
-            np.logical_not(dup, out=keep[1:])
-            part = part[keep]
-            setkeys = setkeys[keep]
-
-    # Period-2 alternation pre-pass: in a consecutive-duplicate-free
-    # per-set sequence, a reference equal to the one two back sits at
-    # stack depth exactly 1 (one distinct line touched in between).
-    # Removing such references *in adjacent pairs* is state-neutral:
-    # the pair swaps the set's top two stack entries twice.  For runs of
-    # odd length the last alternating reference is kept for the loop.
-    m = len(part)
-    if m > 2:
-        if setkeys is None:
-            alt = part[2:] == part[:-2]
-        else:
-            alt = (part[2:] == part[:-2]) & (setkeys[2:] == setkeys[:-2])
-        if alt.any():
-            altf = np.zeros(m, dtype=bool)
-            altf[2:] = alt
-            idx = np.arange(m)
-            # 1-based position of each reference within its run of
-            # consecutive alternating references.
-            pos = idx - np.maximum.accumulate(np.where(~altf, idx, -1))
-            run_start = altf.copy()
-            run_start[1:] &= ~altf[:-1]
-            run_id = np.cumsum(run_start)
-            run_len = np.bincount(run_id[altf], minlength=int(run_id[-1]) + 1)[
-                run_id
-            ]
-            keep_last = altf & ((run_len & 1) == 1) & (pos == run_len)
-            remove = altf & ~keep_last
-            nremove = int(remove.sum())
-            if nremove:
-                hist[1] += nremove
-                keepm = ~remove
-                part = part[keepm]
-                if setkeys is not None:
-                    setkeys = setkeys[keepm]
-
-    seq = part.tolist()
-    m = len(seq)
-    if m == 0:
-        return
-
-    # Per-set segment boundaries in the partitioned survivor stream.
-    if setkeys is None:
-        bounds = [0, m]
-        segment_sets = [0]
-    else:
-        change = np.flatnonzero(setkeys[1:] != setkeys[:-1]) + 1
-        bounds = [0, *change.tolist(), m]
-        segment_sets = setkeys[
-            np.concatenate((np.zeros(1, dtype=np.int64), change))
-        ].tolist()
-
-    stacks = fam.stacks
-    max_assoc = fam.max_assoc
-    for seg in range(len(segment_sets)):
-        lo = bounds[seg]
-        hi = bounds[seg + 1]
-        stack = stacks[segment_sets[seg]]
-        if stack:
-            # Only the first reference of a segment can equal the MRU
-            # left by a previous simulate()/access_line() call; later
-            # ones differ from their predecessor by construction.
-            line = seq[lo]
-            if line == stack[0]:
-                hist[0] += 1
-            elif line in stack:
-                depth = stack.index(line, 1)
-                hist[depth] += 1
-                stack.insert(0, stack.pop(depth))
-            else:
-                hist[max_assoc] += 1
-                stack.insert(0, line)
-                if len(stack) > max_assoc:
-                    stack.pop()
-            lo += 1
-        index = stack.index
-        insert = stack.insert
-        pop = stack.pop
-        depth_here = len(stack)
-        for line in seq[lo:hi]:
-            if line in stack:
-                # Depth >= 1 always: the predecessor reference is the
-                # current MRU and differs from this line.
-                depth = index(line, 1)
-                hist[depth] += 1
-                insert(0, pop(depth))
-            else:
-                hist[max_assoc] += 1
-                insert(0, line)
-                depth_here += 1
-                if depth_here > max_assoc:
-                    pop()
-                    depth_here = max_assoc
+    counts = np.bincount(dist, minlength=A + 1)
+    for depth, cnt in enumerate(counts.tolist()):
+        if cnt:
+            hist[depth] += cnt
+    hist[A] -= nsyn
+    fam.pending = (part, seg_lens, seg_sets, info["recurs_idx"])
+    telemetry.update(
+        refs=int(info["refs"]),
+        path=info["path"],
+        window=int(info["window"]),
+        residues=int(info["residues"]),
+    )
 
 
 def simulate_many(

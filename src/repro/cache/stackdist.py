@@ -51,16 +51,14 @@ Tiers
    bit-sliced MSD radix pass in O(n log n) array operations.
 
 The kernel is exact — histograms stay bit-identical to the scalar
-``_touch`` path and to :mod:`repro.cache._legacy` — and the property
-suite in ``tests/cache/test_stackdist.py`` pins that equivalence on
-adversarial streams.  ``docs/PERFORMANCE.md`` documents the design.
+engines kept in :mod:`repro.oracles` — and the property suite in
+``tests/cache/test_stackdist.py`` pins that equivalence on adversarial
+streams.  ``docs/PERFORMANCE.md`` documents the design.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -68,15 +66,12 @@ __all__ = [
     "SCAN_BASE_WINDOW",
     "SCAN_MAX_WINDOW",
     "EXPAND_BUDGET_FACTOR",
-    "CountProblem",
     "count_left_less",
     "distances_dominance",
     "partition_by_set",
     "radix_argsort",
     "refine_partition",
-    "split_value_groups",
     "stack_distances",
-    "stack_distances_fused",
 ]
 
 #: Initial tail-scan window (offsets scanned for every reference).
@@ -208,52 +203,6 @@ def refine_partition(
         seg_lens, seg_sets = new_lens, new_sets
         bit <<= 1
     return part, seg_lens, seg_sets, order
-
-
-def split_value_groups(
-    order: np.ndarray, group_lens: np.ndarray, ones: np.ndarray
-) -> np.ndarray:
-    """Stable split of consecutive equal-value groups by one extra bit.
-
-    ``order`` is a permutation of stream positions sorted by
-    ``(value, time)`` — equal values contiguous, time-ascending within
-    each run; ``group_lens`` are those runs' lengths; ``ones`` flags,
-    per *stream* position, the next lower value bit.  Each group
-    stably partitions into its zero half then its one half, turning
-    ``(v, time)`` order into ``(2v + bit, time)`` order — the sorted
-    order one granularity finer — with one O(n) scatter instead of a
-    fresh sort.  This is how the whole-design-space simulator derives
-    every line size's previous-occurrence links from a single sort of
-    the coarsest values (see :mod:`repro.cache.designspace`).
-    """
-    m = len(order)
-    if m == 0:
-        return order
-    ob = ones[order]
-    zeros = ~ob
-    ends = np.cumsum(group_lens)
-    starts = ends - group_lens
-    # int32 bookkeeping throughout: destinations index a stream that is
-    # always far below 2**31 elements, and halving the temporaries'
-    # width roughly halves this pass's memory traffic.
-    czpad = np.empty(m + 1, dtype=np.int32)
-    czpad[0] = 0
-    np.cumsum(zeros, out=czpad[1:])            # zeros up to position
-    zex = czpad[:m]                            # zeros strictly before
-    ztot = czpad[ends] - czpad[starts]         # zeros per group
-    seg_id = np.repeat(
-        np.arange(len(group_lens), dtype=np.int32), group_lens
-    )
-    # Same scatter arithmetic as refine_partition (which splits by a
-    # *set* bit of the partitioned values; here the bit arrives as a
-    # separate mask because it sits below the sorted values' lsb).
-    base_zero = (starts - czpad[starts]).astype(np.int32)
-    base_one = (ztot + czpad[starts]).astype(np.int32)
-    ar = np.arange(m, dtype=np.int32)
-    dest = np.where(ob, ar + base_one[seg_id] - zex, zex + base_zero[seg_id])
-    new_order = np.empty_like(order)
-    new_order[dest] = order
-    return new_order
 
 
 def count_left_less(
@@ -491,403 +440,3 @@ def stack_distances(
         info["path"] = "scan+expand"
         info["expanded_cells"] = spent
     return dist, info
-
-
-@dataclass(frozen=True)
-class CountProblem:
-    """One partitioned counting problem for :func:`stack_distances_fused`.
-
-    Exactly the argument tuple of one :func:`stack_distances` call:
-    ``part`` segment-contiguous with within-set time order, ``seg_lens``
-    the per-set segment lengths, ``links`` the optional precomputed
-    previous-occurrence pairs in ``part`` coordinates.  ``vmax`` (the
-    largest value, when the values are known non-negative) lets the
-    fused sort offset this problem's values into a private key range.
-    """
-
-    part: np.ndarray
-    seg_lens: np.ndarray
-    max_assoc: int
-    vmax: int | None = None
-    links: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def _fused_dominance(
-    problems: Sequence[CountProblem],
-    sel: list[int],
-    off: list[int],
-    ms: list[int],
-    P: np.ndarray,
-    cold: np.ndarray,
-    dist: np.ndarray,
-) -> None:
-    """Exact dominance recount of the selected problems, one radix pass.
-
-    The fused twin of :func:`distances_dominance`: previous-occurrence
-    slots are already known (``P`` is global, links were applied), and
-    the per-problem segment structures concatenate into one global
-    ``g0``/``gnext`` group layout, so *one* :func:`count_left_less`
-    ladder — its depth driven by the largest slot across every selected
-    problem — resolves them all.  Results overwrite ``dist`` in place.
-    """
-    segl = np.concatenate(
-        [np.asarray(problems[i].seg_lens, dtype=np.int64) for i in sel]
-    )
-    slices = [slice(off[i], off[i] + ms[i]) for i in sel]
-    Ps = np.concatenate([P[s] for s in slices]).astype(np.int64)
-    colds = np.concatenate([cold[s] for s in slices])
-    Asub = np.repeat(
-        np.array([int(problems[i].max_assoc) for i in sel], dtype=np.int64),
-        np.array([ms[i] for i in sel], dtype=np.intp),
-    )
-    mtot = len(Ps)
-    # Two coordinate systems: global segment starts recover each
-    # reference's segment-local previous-occurrence slot; sub-
-    # concatenation starts index the prefix sums and group bounds.
-    seg_starts_g = np.concatenate(
-        [
-            off[i]
-            + np.cumsum(np.asarray(problems[i].seg_lens, dtype=np.int64))
-            - np.asarray(problems[i].seg_lens, dtype=np.int64)
-            for i in sel
-        ]
-    )
-    seg_starts_sub = np.cumsum(segl) - segl
-    seg_start_per_g = np.repeat(seg_starts_g, segl)
-    seg_start_per_sub = np.repeat(seg_starts_sub, segl)
-    V = np.where(colds, 0, Ps + 1 - seg_start_per_g)
-
-    czc = np.cumsum(colds, dtype=np.int64)
-    cold_excl = czc - colds
-    cold_before = cold_excl - cold_excl[seg_start_per_sub]
-
-    noncold = ~colds
-    nc_idx = np.flatnonzero(noncold)
-    c = np.zeros(mtot, np.int64)
-    if len(nc_idx):
-        czcomp = np.cumsum(noncold, dtype=np.int64)
-        nc_excl = czcomp - noncold
-        g0c = nc_excl[seg_start_per_sub][nc_idx]
-        seg_end_per = seg_start_per_sub + np.repeat(segl, segl)
-        gnextc = np.concatenate((nc_excl, [len(nc_idx)]))[seg_end_per][nc_idx]
-        c[nc_idx] = count_left_less(V[nc_idx], g0c, gnextc)
-
-    dsub = c + cold_before - V
-    dsub[colds] = Asub[colds]
-    np.minimum(dsub, Asub, out=dsub)
-    pos = 0
-    for i in sel:
-        dist[off[i] : off[i] + ms[i]] = dsub[pos : pos + ms[i]]
-        pos += ms[i]
-
-
-def stack_distances_fused(
-    problems: Sequence[CountProblem],
-    *,
-    base_window: int = SCAN_BASE_WINDOW,
-    max_window: int = SCAN_MAX_WINDOW,
-    expand_budget: int | None = None,
-) -> tuple[list[tuple[np.ndarray, dict[str, Any]]], dict[str, Any]]:
-    """Clamped LRU stack distances of many independent problems at once.
-
-    Concatenating partitioned streams is safe for every tier: the scan's
-    window guard ``o < i - P_i`` confines each reference's reuse window
-    to its own segment (previous occurrences never cross problem
-    boundaries, segment boundaries are a superset of problem
-    boundaries), the expansion indexes only ``(P_i, i)`` windows, and
-    the dominance fallback takes explicit global group bounds.  So one
-    pass of each tier over the concatenation replaces one kernel
-    dispatch per (line size, set count) — the per-size counting floor
-    the whole-design-space simulator otherwise pays N times.
-
-    Problems that arrive without ``links`` share the linking sort too:
-    when the summed per-problem ``vmax`` ranges fit one 16-bit radix
-    pass, their values are offset into disjoint key ranges and a single
-    :func:`radix_argsort` links them all; wider towers use the
-    equivalent segmented plan (one single-pass radix per problem block)
-    because a second radix pass over the concatenation costs more than
-    the dispatches it saves.
-
-    Returns ``(results, fused_info)``: per problem the same
-    ``(dist, info)`` pair :func:`stack_distances` yields (bit-identical
-    distances; ``window``/``residues`` telemetry reflects the fused
-    run), plus per-tier timing/accounting for the whole fused dispatch.
-    """
-    k = len(problems)
-    ms = [len(p.part) for p in problems]
-    off: list[int] = []
-    total = 0
-    for m in ms:
-        off.append(total)
-        total += m
-    M = total
-    fused_info: dict[str, Any] = {
-        "problems": k,
-        "refs": M,
-        "window": 0,
-        "residues": 0,
-        "expanded_cells": 0,
-        "sorted_refs": 0,
-        "dominance_refs": 0,
-        "sort_s": 0.0,
-        "scan_s": 0.0,
-        "expand_s": 0.0,
-        "dominance_s": 0.0,
-    }
-    infos: list[dict[str, Any]] = [
-        {
-            "path": "scan",
-            "refs": m,
-            "window": 0,
-            "residues": 0,
-            "expanded_cells": 0,
-            "recurs_idx": np.empty(0, dtype=np.intp),
-        }
-        for m in ms
-    ]
-    if M == 0:
-        return [(np.zeros(0, np.int32), info) for info in infos], fused_info
-    if expand_budget is None:
-        expand_budget = max(EXPAND_BUDGET_FACTOR * M, 1 << 16)
-
-    # -- previous-occurrence links, one fused sort for unlinked problems
-    t0 = time.perf_counter()
-    P = np.full(M, -1, np.int32)
-    gapF = np.full(M, M + 1, np.int32)
-    sortable: list[int] = []
-    for i, problem in enumerate(problems):
-        if ms[i] == 0:
-            continue
-        if problem.links is not None:
-            lf, lt = problem.links
-            infos[i]["recurs_idx"] = lf
-            gf = lf + off[i]
-            gt = lt + off[i]
-            P[gt] = gf
-            gapF[gf] = gt - gf
-        elif problem.vmax is not None:
-            sortable.append(i)
-        else:
-            # Unknown value range (possibly negative): this problem
-            # sorts alone, but still joins the fused counting tiers.
-            order = radix_argsort(problem.part)
-            pv = problem.part[order]
-            eq = np.flatnonzero(pv[1:] == pv[:-1])
-            gf = order[eq] + off[i]
-            gt = order[eq + 1] + off[i]
-            infos[i]["recurs_idx"] = order[eq]
-            P[gt] = gf
-            gapF[gf] = gt - gf
-    if sortable:
-        span = sum(int(problems[i].vmax) + 1 for i in sortable)
-        fused_info["sorted_refs"] = sum(ms[i] for i in sortable)
-        if span - 1 <= 0xFFFF:
-            # Offset each problem's values into a private key range: the
-            # combined range still fits one 16-bit radix pass, so a
-            # single stable sort orders every problem by (value, time)
-            # without ever interleaving problems.
-            key_parts = []
-            adjusts = []
-            lens = []
-            base = 0
-            sub = 0
-            for i in sortable:
-                key_parts.append(problems[i].part.astype(np.int64) + base)
-                adjusts.append(off[i] - sub)
-                lens.append(ms[i])
-                base += int(problems[i].vmax) + 1
-                sub += ms[i]
-            cat = np.concatenate(key_parts)
-            del key_parts
-            order = radix_argsort(cat, base - 1)
-            sv = cat[order]
-            same = sv[1:] == sv[:-1]
-            lf = order[:-1][same]
-            lt = order[1:][same]
-            # cat coordinates -> global coordinates (per-problem shift).
-            adjust = np.repeat(
-                np.array(adjusts, dtype=np.int64),
-                np.array(lens, dtype=np.intp),
-            )
-            gf = lf + adjust[lf]
-            gt = lt + adjust[lt]
-            P[gt] = gf
-            gapF[gf] = gt - gf
-            del cat, sv, same, order, adjust, lf, lt, gf, gt
-            for i in sortable:
-                infos[i]["recurs_idx"] = np.flatnonzero(
-                    gapF[off[i] : off[i] + ms[i]] <= M
-                )
-        else:
-            # Disjoint offset keys would push the combined range past a
-            # single 16-bit radix pass, and the second pass (plus its
-            # gathers) measures ~2x the per-problem sorts it replaces.
-            # The concatenation is already grouped by problem, so the
-            # equivalent segmented plan — one single-pass radix per
-            # block — is the cheaper way to share the dispatch.
-            for i in sortable:
-                order = radix_argsort(problems[i].part, int(problems[i].vmax))
-                pv = problems[i].part[order]
-                eq = np.flatnonzero(pv[1:] == pv[:-1])
-                infos[i]["recurs_idx"] = order[eq]
-                gf = order[eq] + off[i]
-                gt = order[eq + 1] + off[i]
-                P[gt] = gf
-                gapF[gf] = gt - gf
-    fused_info["sort_s"] = time.perf_counter() - t0
-
-    # -- fused tiers: identical math to stack_distances, with the
-    # scalar clamp A generalized to the per-position array A_pos.
-    t0 = time.perf_counter()
-    gap8 = np.minimum(gapF, 255).astype(np.uint8)
-    ar = np.arange(M, dtype=np.int32)
-    g = ar - P
-    g8 = np.minimum(g, 255).astype(np.uint8)
-    cold = P < 0
-    A_pos = np.repeat(
-        np.array([int(p.max_assoc) for p in problems], dtype=np.int32),
-        np.array(ms, dtype=np.intp),
-    )
-
-    # Segmented adaptive scan: each problem keeps the per-size stopping
-    # rule (its own unresolved target, checked after every doubling),
-    # and converged problems are compacted out of the working
-    # concatenation so late window doublings only touch the refs that
-    # still need them — a problem that would have stopped at window 16
-    # alone must not pay for a sibling that scans to 64.  Scanning a
-    # block past its solo ``w_lim`` is harmless: the ``o < i - P_i``
-    # guard masks every out-of-window (and cross-block) compare, and a
-    # fully scanned window means TD is exact, not approximate.
-    w_lim = max(1, min(max_window, 254, M - 1))
-    w_cur = min(max(base_window, 1), w_lim)
-    windows = [0] * k
-    TD = np.zeros(M, np.uint8)
-    buf_a = np.empty(M, bool)
-    buf_b = np.empty(M, bool)
-    gap8w, g8w, TDw, coldw = gap8, g8, TD, cold
-    active = [(i, off[i]) for i in range(k) if ms[i]]
-    Cw = M
-    o = 1
-    while active:
-        for o in range(o, w_cur + 1):
-            n = Cw - o
-            a = buf_a[:n]
-            b = buf_b[:n]
-            np.greater_equal(gap8w[:n], o, out=a)
-            np.greater(g8w[o:Cw], o, out=b)
-            np.logical_and(a, b, out=a)
-            TDw[o:Cw] += a
-        o = w_cur + 1
-        if w_cur >= w_lim:
-            for i, _s in active:
-                windows[i] = w_cur
-            break
-        still = []
-        for i, s in active:
-            blk = slice(s, s + ms[i])
-            n_unres = int(
-                (
-                    (g8w[blk] > w_cur + 1)
-                    & (TDw[blk] < int(problems[i].max_assoc))
-                    & ~coldw[blk]
-                ).sum()
-            )
-            if n_unres <= max(256, ms[i] >> 8):
-                windows[i] = w_cur
-                if TDw is not TD:
-                    TD[off[i] : off[i] + ms[i]] = TDw[blk]
-            else:
-                still.append((i, s))
-        if not still:
-            break
-        if len(still) < len(active):
-            gap8w = np.concatenate([gap8w[s : s + ms[i]] for i, s in still])
-            g8w = np.concatenate([g8w[s : s + ms[i]] for i, s in still])
-            TDw = np.concatenate([TDw[s : s + ms[i]] for i, s in still])
-            coldw = np.concatenate([coldw[s : s + ms[i]] for i, s in still])
-            pos = 0
-            compacted = []
-            for i, _s in still:
-                compacted.append((i, pos))
-                pos += ms[i]
-            active = compacted
-            Cw = pos
-            w_lim = max(1, min(max_window, 254, Cw - 1))
-        w_cur = min(2 * w_cur, w_lim)
-    if TDw is not TD:
-        for i, s in active:
-            TD[off[i] : off[i] + ms[i]] = TDw[s : s + ms[i]]
-    fused_info["window"] = max(windows, default=0)
-    for i in range(k):
-        infos[i]["window"] = windows[i]
-
-    dist = np.minimum(TD, A_pos).astype(np.int32)
-    dist[cold] = A_pos[cold]
-    fused_info["scan_s"] = time.perf_counter() - t0
-
-    w_per = np.repeat(np.array(windows, dtype=np.int32), ms)
-    resid = (g > w_per + 1) & (TD < A_pos) & ~cold
-    unresolved = np.flatnonzero(resid).astype(np.intp)
-    fused_info["residues"] = int(unresolved.size)
-    fallback: list[int] = []
-    if unresolved.size:
-        t0 = time.perf_counter()
-        bounds = np.cumsum(np.array(ms, dtype=np.int64))
-        per = np.bincount(
-            np.searchsorted(bounds, unresolved, side="right"), minlength=k
-        )
-        for i in range(k):
-            if per[i]:
-                infos[i]["residues"] = int(per[i])
-                infos[i]["path"] = "scan+expand"
-        wls = (g[unresolved] - 1).astype(np.int32)
-        Ares = A_pos[unresolved]
-        cap = 8 * w_per[unresolved]
-        spent = 0
-        while unresolved.size:
-            kk = np.minimum(wls, cap)
-            step = int(kk.sum())
-            if spent + step > expand_budget:
-                # Budget exhausted: recount the still-unresolved
-                # problems wholesale with the fused dominance pass.
-                fallback = sorted(
-                    set(
-                        np.searchsorted(
-                            bounds, unresolved, side="right"
-                        ).tolist()
-                    )
-                )
-                break
-            cw = np.cumsum(kk)
-            sx = (cw - kk).astype(np.intp)
-            offs = np.arange(step, dtype=np.int32) - np.repeat(sx, kk) + 1
-            jpos = np.repeat(unresolved, kk) - offs
-            cnt = np.add.reduceat(gapF[jpos] >= offs, sx, dtype=np.int32)
-            done = (cnt >= Ares) | (wls <= cap)
-            sel = unresolved[done]
-            dist[sel] = np.minimum(cnt[done], Ares[done])
-            keep = ~done
-            unresolved = unresolved[keep]
-            wls = wls[keep]
-            Ares = Ares[keep]
-            cap = cap[keep]
-            spent += step
-            cap *= 8
-        fused_info["expanded_cells"] = spent
-        for i in range(k):
-            if infos[i]["path"] == "scan+expand":
-                infos[i]["expanded_cells"] = spent
-        fused_info["expand_s"] = time.perf_counter() - t0
-
-    if fallback:
-        t0 = time.perf_counter()
-        _fused_dominance(problems, fallback, off, ms, P, cold, dist)
-        for i in fallback:
-            infos[i]["path"] = "dominance"
-        fused_info["dominance_refs"] = int(sum(ms[i] for i in fallback))
-        fused_info["dominance_s"] = time.perf_counter() - t0
-
-    results = [
-        (dist[off[i] : off[i] + ms[i]], infos[i]) for i in range(k)
-    ]
-    return results, fused_info

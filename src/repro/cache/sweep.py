@@ -9,10 +9,11 @@ A sweep reads its trace as chunks: a
 in-memory ``(starts, sizes)`` pair (or a factory's output, called once)
 is one chunk.  In-process, one
 :class:`~repro.cache.designspace.DesignSpaceSimulator` is fed chunk by
-chunk, so each chunk is read once and one expansion and one sort per
-chunk serve every line size.  ``strategy="perline"`` runs independent
-per-line-size passes instead: the reference producer (results are
-bit-identical either way).
+chunk, so each chunk is read once and one range expansion per chunk
+serves every line size; each line size then counts its own derived
+stream on the stack-distance kernel.  ``strategy="perline"`` runs
+independent per-line-size passes instead: the reference producer
+(results are bit-identical either way).
 
 Distinct line-size groups are independent single-pass simulations, so a
 sweep can also fan them out over worker processes (``policy``)
@@ -603,19 +604,10 @@ def _perline_passes(
             where="serial",
             trace_ranges=chunks.n_ranges,
         ) as extra:
-            # The "stackdist" events appended during the pass are
-            # exactly this pass's kernel calls.
-            kernels_before = len(journal.select("stackdist"))
             sim = CheetahSimulator(line_size, set_counts, max_assoc)
             for index in range(chunks.n_chunks):
                 sim.simulate(*chunks.chunk(index))
-            extra["kernel_s"] = round(
-                sum(
-                    e.get("wall_s", 0.0)
-                    for e in journal.select("stackdist")[kernels_before:]
-                ),
-                6,
-            )
+            extra["kernel_s"] = round(sim.kernel_seconds, 6)
         yield line_size, sim.state()
 
 

@@ -35,7 +35,7 @@ spacewalker can drive it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from repro.ahh.modeler import (
     DEFAULT_I_GRANULE,
@@ -117,18 +117,21 @@ class ExperimentPipeline:
         self.u_granule = u_granule
         #: Workers, timeout and retries of every simulation bank's priming.
         self.policy = policy
-        self._binaries: dict[str, ProcessorBinary] = {}
-        self._artifacts: dict[str, ProcessorArtifacts] = {}
+        # Per-processor memos are keyed by the processor itself (every
+        # field), never by its name: a predicated "2111" is not a plain
+        # "2111" and must not reuse its binary or skip its checks.
+        self._binaries: dict[VliwProcessor, ProcessorBinary] = {}
+        self._artifacts: dict[VliwProcessor, ProcessorArtifacts] = {}
         # Dependence graphs shared by every compilation of the workload.
         self._graphs: GraphCache = {}
-        self._dilation_infos: dict[str, DilationInfo] = {}
-        self._cycles: dict[str, int] = {}
+        self._dilation_infos: dict[VliwProcessor, DilationInfo] = {}
+        self._cycles: dict[VliwProcessor, int] = {}
         self._params: TraceParameters | None = None
         self._ref_evaluator: MemoryEvaluator | None = None
         # MemoryEvaluators used as pure simulation banks, keyed by the
-        # trace source: a processor name ("actual") or a dilation
+        # trace source: ("actual", processor) or a dilation
         # ("dilated:<d>").
-        self._sim_banks: dict[str, MemoryEvaluator] = {}
+        self._sim_banks: dict[Hashable, MemoryEvaluator] = {}
         # Optional analytics sink: every actual/dilated/estimated miss
         # measurement also lands as one run-table row when attached.
         self._recorder = None
@@ -176,7 +179,7 @@ class ExperimentPipeline:
 
     def processor_binary(self, processor: VliwProcessor) -> ProcessorBinary:
         """Compile, assemble and link for ``processor`` (memoized)."""
-        cached = self._binaries.get(processor.name)
+        cached = self._binaries.get(processor)
         if cached is not None:
             return cached
         if not processor.compatible_reference(self.reference):
@@ -200,7 +203,7 @@ class ExperimentPipeline:
         part = ProcessorBinary(
             processor=processor, mdes=mdes, compiled=compiled, binary=binary
         )
-        self._binaries[processor.name] = part
+        self._binaries[processor] = part
         return part
 
     def artifacts(self, processor: VliwProcessor) -> ProcessorArtifacts:
@@ -210,7 +213,7 @@ class ExperimentPipeline:
         Only a processor whose own trace is simulated needs this;
         dilation and cycles read :meth:`processor_binary` alone.
         """
-        cached = self._artifacts.get(processor.name)
+        cached = self._artifacts.get(processor)
         if cached is not None:
             return cached
         part = self.processor_binary(processor)
@@ -228,7 +231,7 @@ class ExperimentPipeline:
             data_trace=generator.data_trace(),
             unified_trace=generator.unified_trace(),
         )
-        self._artifacts[processor.name] = artifacts
+        self._artifacts[processor] = artifacts
         return artifacts
 
     def reference_artifacts(self) -> ProcessorArtifacts:
@@ -242,18 +245,18 @@ class ExperimentPipeline:
     def dilation_info(self, processor: VliwProcessor) -> DilationInfo:
         """Per-block and text dilation of ``processor`` vs the reference
         (cached — binaries are fixed once built)."""
-        info = self._dilation_infos.get(processor.name)
+        info = self._dilation_infos.get(processor)
         if info is None:
             info = measure_dilation(
                 self.processor_binary(self.reference).binary,
                 self.processor_binary(processor).binary,
             )
-            self._dilation_infos[processor.name] = info
+            self._dilation_infos[processor] = info
         return info
 
     def dilation(self, processor: VliwProcessor) -> float:
         """Text dilation d (DesignProvider protocol)."""
-        if processor.name == self.reference.name:
+        if processor == self.reference:
             return 1.0
         return self.dilation_info(processor).text_dilation
 
@@ -289,13 +292,13 @@ class ExperimentPipeline:
         visit counts, which every processor shares (see the module
         docstring), so no processor but the reference is emulated.
         """
-        cycles = self._cycles.get(processor.name)
+        cycles = self._cycles.get(processor)
         if cycles is None:
             cycles = processor_cycles(
                 self.processor_binary(processor).compiled,
                 self.reference_artifacts().events,
             )
-            self._cycles[processor.name] = cycles
+            self._cycles[processor] = cycles
         return cycles
 
     # ------------------------------------------------------------------
@@ -402,7 +405,7 @@ class ExperimentPipeline:
         """The simulation bank over ``processor``'s own traces."""
         art = self.artifacts(processor)
         return self._bank(
-            f"actual:{processor.name}",
+            ("actual", processor),
             art.instruction_trace,
             art.data_trace,
             art.unified_trace,
@@ -410,7 +413,7 @@ class ExperimentPipeline:
 
     def _bank(
         self,
-        key: str,
+        key: Hashable,
         instruction_trace: RangeTrace,
         data_trace: RangeTrace,
         unified_trace: RangeTrace,

@@ -91,6 +91,22 @@ class VliwProcessor:
             and self.has_speculation == other.has_speculation
         )
 
+    def __hash__(self) -> int:
+        # ``units`` is a dict, so the dataclass cannot hash the fields
+        # itself; equal processors (every field equal) hash equal, so a
+        # processor keys a memo by its full description, not its name.
+        return hash(
+            (
+                self.name,
+                tuple(self.units[cls] for cls in OP_CLASSES),
+                self.int_registers,
+                self.fp_registers,
+                self.pred_registers,
+                self.has_predication,
+                self.has_speculation,
+            )
+        )
+
     def __str__(self) -> str:
         return self.name
 

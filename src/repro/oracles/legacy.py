@@ -1,8 +1,8 @@
 """The seed (pre-vectorization) single-pass simulator, kept verbatim.
 
 This is the original per-line-reference ``_touch`` implementation of
-:class:`repro.cache.cheetah.CheetahSimulator`.  It survives for two
-reasons:
+:class:`repro.cache.cheetah.CheetahSimulator`.  It survives in
+:mod:`repro.oracles` for two reasons:
 
 * ``benchmarks/bench_cheetah_perf.py`` measures the vectorized engine's
   speedup against this exact code;

@@ -33,17 +33,9 @@ any event type):
     Sweep checkpointing: ``action`` (``"hit"``/``"miss"``/``"store"``),
     ``key``.
 ``designspace``
-    One whole-design-space tower consume (one shared sort serving a
-    ladder of line sizes): ``line_sizes``, ``refs``, ``mode``
-    (``"links"``/``"streams"``, prefixed ``"fused-"`` when the tower's
-    counting ran as one fused dispatch), ``sorts``, ``splits``,
-    ``wall_s``.
-``stackdist_fused``
-    One fused stack-distance dispatch (every family of a tower counted
-    by one kernel pass, :func:`repro.cache.stackdist.stack_distances_fused`):
-    ``line_sizes``, ``problems``, ``refs``, ``sorted_refs``,
-    ``dominance_refs``, ``window``, ``residues``, ``by_path``, per-tier
-    ``sort_s``/``scan_s``/``expand_s``/``dominance_s``, ``wall_s``.
+    One whole-design-space tower consume (one range expansion serving a
+    ladder of line sizes): ``line_sizes``, ``refs`` (the finest
+    stream's length), ``wall_s``.
 ``trace_shipping``
     One fan-out of group simulations to workers, recorded parent-side
     before submission: ``mode`` (always ``"chunkpath"`` — jobs ship a
@@ -272,46 +264,8 @@ class RunJournal:
                 "line_sizes": sum(
                     len(e.get("line_sizes", ())) for e in towers
                 ),
-                "sorts": sum(int(e.get("sorts", 0)) for e in towers),
-                "splits": sum(int(e.get("splits", 0)) for e in towers),
                 "wall_s": round(
                     sum(e.get("wall_s", 0.0) for e in towers), 6
-                ),
-                "by_mode": _count_by(towers, "mode"),
-            }
-        fused = self.select("stackdist_fused")
-        if fused:
-            merged_paths: dict[str, int] = {}
-            for e in fused:
-                for name, n in e.get("by_path", {}).items():
-                    merged_paths[name] = merged_paths.get(name, 0) + int(n)
-            summary["stackdist_fused"] = {
-                "dispatches": len(fused),
-                "problems": sum(int(e.get("problems", 0)) for e in fused),
-                "refs": sum(int(e.get("refs", 0)) for e in fused),
-                "sorted_refs": sum(
-                    int(e.get("sorted_refs", 0)) for e in fused
-                ),
-                "dominance_refs": sum(
-                    int(e.get("dominance_refs", 0)) for e in fused
-                ),
-                "residues": sum(int(e.get("residues", 0)) for e in fused),
-                "by_path": merged_paths,
-                "tiers": _tier_counts(merged_paths),
-                "sort_s": round(
-                    sum(e.get("sort_s", 0.0) for e in fused), 6
-                ),
-                "scan_s": round(
-                    sum(e.get("scan_s", 0.0) for e in fused), 6
-                ),
-                "expand_s": round(
-                    sum(e.get("expand_s", 0.0) for e in fused), 6
-                ),
-                "dominance_s": round(
-                    sum(e.get("dominance_s", 0.0) for e in fused), 6
-                ),
-                "wall_s": round(
-                    sum(e.get("wall_s", 0.0) for e in fused), 6
                 ),
             }
         shippings = self.select("trace_shipping")
@@ -420,19 +374,6 @@ class RunJournal:
                 f"({k['refs']} refs, {k['wall_s']:.3f} s; "
                 f"tiers: {tiers}; residues={k['residues']})"
             )
-        kf = s.get("stackdist_fused")
-        if kf:
-            tiers = ", ".join(
-                f"{name}={n}" for name, n in kf["tiers"].items()
-            )
-            lines.append(
-                f"fused stack-distance dispatches: {kf['dispatches']} "
-                f"({kf['problems']} problems, {kf['refs']} refs, "
-                f"{kf['wall_s']:.3f} s = sort {kf['sort_s']:.3f} + "
-                f"scan {kf['scan_s']:.3f} + expand {kf['expand_s']:.3f} + "
-                f"dominance {kf['dominance_s']:.3f}; "
-                f"tiers: {tiers}; residues={kf['residues']})"
-            )
         j = s["jobs"]
         lines.append(
             f"jobs: {j['completed']} completed, {j['failed']} failed, "
@@ -443,8 +384,7 @@ class RunJournal:
         if ds:
             lines.append(
                 f"design-space towers: {ds['towers']} "
-                f"({ds['line_sizes']} line sizes, {ds['sorts']} sorts + "
-                f"{ds['splits']} splits, {ds['wall_s']:.3f} s)"
+                f"({ds['line_sizes']} line sizes, {ds['wall_s']:.3f} s)"
             )
         ship = s.get("trace_shipping")
         if ship:

@@ -2,18 +2,21 @@
 
 The stack-distance kernel carries LRU state across ``consume`` calls
 through lazily rebuilt truncated stacks and synthetic-prefix splicing;
-these tests pin the regression surface: any interleaving of
-``access_line``, ``simulate`` and ``consume`` over a trace must produce
-state bit-identical to one pure batch ``simulate`` over the
-concatenation — regardless of which engine each increment picked.
+these tests pin the regression surface: any interleaving of scalar
+single-line touches (:func:`repro.oracles.access_line`), ``simulate``
+and ``consume`` over a trace must produce state bit-identical to one
+pure batch ``simulate`` over the concatenation — and the scalar
+survivor-loop oracle (:class:`repro.oracles.ScalarCheetahSimulator`)
+must agree with the kernel batch for batch.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.cheetah import SCALAR_BATCH_LIMIT, CheetahSimulator
+from repro.cache.cheetah import CheetahSimulator
 from repro.cache.linestream import line_stream
 from repro.errors import ConfigurationError
+from repro.oracles import ScalarCheetahSimulator, access_line
 
 LINE = 32
 SETS = [1, 4, 16, 64]
@@ -23,10 +26,9 @@ ASSOC = 4
 def random_batches(seed, nbatches, *, span=20_000):
     """Range-trace batches of varied size and density.
 
-    Mixes batches above and below SCALAR_BATCH_LIMIT (so the auto engine
-    alternates scalar and kernel paths), and alternates dup-heavy
-    sequential scans with dup-light uniform sprays so both the dup
-    compaction and the native depth-0 scoring see batch boundaries.
+    Mixes small and large batches, and alternates dup-heavy sequential
+    scans with dup-light uniform sprays so both the dup compaction and
+    the native depth-0 scoring see batch boundaries.
     """
     rng = np.random.default_rng(seed)
     batches = []
@@ -51,18 +53,22 @@ def concat(batches):
     return starts, sizes
 
 
-def batch_state(batches, engine="auto"):
+def batch_state(batches):
     starts, sizes = concat(batches)
-    sim = CheetahSimulator(LINE, SETS, max_assoc=ASSOC, engine=engine)
+    sim = CheetahSimulator(LINE, SETS, max_assoc=ASSOC)
     sim.simulate(starts, sizes)
     return sim.state()
 
 
-@pytest.mark.parametrize("engine", ["auto", "kernel", "scalar"])
+@pytest.mark.parametrize(
+    "engine",
+    [CheetahSimulator, ScalarCheetahSimulator],
+    ids=["kernel", "scalar"],
+)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_simulate_equals_one_pass(engine, seed):
     batches = random_batches(seed, 6)
-    sim = CheetahSimulator(LINE, SETS, max_assoc=ASSOC, engine=engine)
+    sim = engine(LINE, SETS, max_assoc=ASSOC)
     for starts, sizes in batches:
         sim.simulate(starts, sizes)
     assert sim.state() == batch_state(batches)
@@ -79,7 +85,7 @@ def test_access_line_interleaved_with_batches(seed):
         # must fold the scalar stacks in as a synthetic prefix, then
         # hand updated stacks back for the next scalar burst.
         for line in rng.integers(0, 2_000, 20).tolist():
-            sim.access_line(line)
+            access_line(sim, line)
             reference.append((line * LINE, 1))
         sim.simulate(starts, sizes)
         reference.append((starts, sizes))
@@ -91,13 +97,12 @@ def test_access_line_interleaved_with_batches(seed):
 
 
 def test_forced_kernel_on_tiny_batches_matches_scalar():
-    # Below SCALAR_BATCH_LIMIT the auto engine would pick the scalar
-    # path; forcing the kernel on the same tiny batches must agree.
+    # The kernel counts every batch, however small; on tiny batches it
+    # must agree with the scalar survivor loop.
     batches = random_batches(5, 8)
     tiny = [(s[:100], z[:100]) for s, z in batches]
-    assert all(len(s) <= SCALAR_BATCH_LIMIT for s, _ in tiny)
-    kernel = CheetahSimulator(LINE, SETS, max_assoc=ASSOC, engine="kernel")
-    scalar = CheetahSimulator(LINE, SETS, max_assoc=ASSOC, engine="scalar")
+    kernel = CheetahSimulator(LINE, SETS, max_assoc=ASSOC)
+    scalar = ScalarCheetahSimulator(LINE, SETS, max_assoc=ASSOC)
     for starts, sizes in tiny:
         kernel.simulate(starts, sizes)
         scalar.simulate(starts, sizes)
@@ -124,6 +129,6 @@ def test_state_round_trip_answers_identical_queries():
         for assoc in (1, 2, ASSOC):
             assert rebuilt.misses(nsets, assoc) == sim.misses(nsets, assoc)
     with pytest.raises(ConfigurationError):
-        rebuilt.access_line(0)
+        access_line(rebuilt, 0)
     with pytest.raises(ConfigurationError):
         rebuilt.simulate([0], [1])

@@ -1,11 +1,12 @@
-"""DesignSpaceSimulator vs independent per-line-size passes.
+"""DesignSpaceSimulator vs the scalar and seed oracles.
 
-The whole-design-space kernel shares one expansion and one value sort
-across every line size in a derivation tower; these tests pin that its
-miss counts are *bit-identical* to independent
-:class:`~repro.cache.cheetah.CheetahSimulator` passes — across random
-traces, line-size ladders (including gaps that force a fresh sort),
-engines, incremental feeding and checkpoint round-trips.
+The whole-design-space simulator shares one range expansion across every
+line size and counts each size's derived stream on
+the stack-distance kernel; these tests pin that its miss counts are
+*bit-identical* to independent per-line-size passes of the oracles in
+:mod:`repro.oracles` — across random traces, line-size ladders
+(including wide gaps between sizes), chunked feeding with carried LRU
+state, and checkpoint round-trips.
 """
 
 import hypothesis.strategies as st
@@ -15,14 +16,12 @@ from hypothesis import given, settings
 
 from repro.cache.cheetah import CheetahSimulator
 from repro.cache.config import CacheConfig
-from repro.cache.designspace import (
-    MAX_DERIVE_FACTOR,
-    DesignSpaceSimulator,
-    _build_towers,
-)
+from repro.cache.designspace import DesignSpaceSimulator
 from repro.cache.linestream import clear_line_stream_cache
 from repro.cache.sweep import sweep_design_space
 from repro.errors import ConfigurationError
+from repro.oracles import LegacyCheetahSimulator, ScalarCheetahSimulator
+from repro.runtime.journal import RunJournal, use_journal
 from repro.service.store import ResultStore
 
 ALL_LINE_SIZES = [4, 8, 16, 32, 64, 128, 256]
@@ -62,54 +61,91 @@ def ladders(draw):
     return sorted(sizes)
 
 
-def per_line_oracle(ladder, spec, starts, sizes, engine="auto"):
+def per_line_oracle(
+    ladder, spec, starts, sizes, oracle=ScalarCheetahSimulator
+):
     sims = {}
     for line_size in ladder:
         set_counts, max_assoc = spec[line_size]
-        clear_line_stream_cache()  # no sharing with the kernel under test
-        sim = CheetahSimulator(
-            line_size, set_counts, max_assoc, engine=engine
-        )
+        clear_line_stream_cache()  # no sharing with the simulator under test
+        sim = oracle(line_size, set_counts, max_assoc)
         sim.simulate(starts, sizes)
         sims[line_size] = sim
     clear_line_stream_cache()
     return sims
 
 
+def feed(space, starts, sizes, bounds, resume):
+    """Feed ``space`` one chunk per ``bounds`` interval, as a sweep does:
+    a lone chunk goes through the memo, several chunks stay out of it and
+    settle (or round-trip through a checkpoint snapshot) at every
+    boundary."""
+    memoize = len(bounds) == 2
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo and resume:
+            for line_size, sim in list(space.simulators.items()):
+                accesses, families = sim.full_state()
+                space.simulators[line_size] = CheetahSimulator.from_full_state(
+                    line_size, sim.max_assoc, accesses, families
+                )
+        space.simulate(starts[lo:hi], sizes[lo:hi], memoize=memoize)
+        for sim in space.simulators.values():
+            sim.settle()
+
+
 class TestEquivalence:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         trace=range_traces(),
         ladder=ladders(),
-        engine=st.sampled_from(["auto", "kernel", "scalar"]),
-        mode=st.sampled_from(["auto", "links", "streams"]),
         seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
     )
     def test_misses_identical_to_per_line_size_passes(
-        self, trace, ladder, engine, mode, seed
+        self, trace, ladder, seed, data
     ):
+        """The bit-identity property: fed whole (in memory) or in random
+        chunks carrying LRU state, the design-space simulator matches the
+        scalar survivor-loop and seed oracles at every grid point."""
         starts, sizes = trace
+        n = len(starts)
+        cuts = data.draw(
+            st.lists(st.integers(min_value=1, max_value=n), max_size=4)
+        )
+        bounds = sorted({0, n, *cuts})
+        resume = data.draw(st.booleans())
         rng = np.random.default_rng(seed)
         spec = {
             line_size: (
                 sorted(
-                    {int(s) for s in rng.choice([4, 8, 16, 64, 256], size=3)}
+                    {
+                        int(s)
+                        for s in rng.choice([1, 4, 8, 16, 64, 256], size=3)
+                    }
                 ),
                 int(rng.integers(1, 9)),
             )
             for line_size in ladder
         }
         clear_line_stream_cache()
-        space = DesignSpaceSimulator(spec, engine=engine, mode=mode)
-        space.simulate(starts, sizes)
-        oracle = per_line_oracle(ladder, spec, starts, sizes, engine=engine)
+        space = DesignSpaceSimulator(spec)
+        feed(space, starts, sizes, bounds, resume)
+        scalar = per_line_oracle(ladder, spec, starts, sizes)
+        legacy = per_line_oracle(
+            ladder, spec, starts, sizes, oracle=LegacyCheetahSimulator
+        )
         for line_size in ladder:
             set_counts, max_assoc = spec[line_size]
+            assert space.simulators[line_size].accesses == (
+                legacy[line_size].accesses
+            )
             for sets in set_counts:
                 for assoc in range(1, max_assoc + 1):
-                    assert space.misses(line_size, sets, assoc) == oracle[
-                        line_size
-                    ].misses(sets, assoc), (line_size, sets, assoc)
+                    want = legacy[line_size].misses(sets, assoc)
+                    assert space.misses(line_size, sets, assoc) == want, (
+                        line_size, sets, assoc, bounds
+                    )
+                    assert scalar[line_size].misses(sets, assoc) == want
 
     @settings(max_examples=15, deadline=None)
     @given(trace=range_traces(max_len=80), ladder=ladders())
@@ -140,41 +176,44 @@ class TestEquivalence:
         assert space.misses(32, 8, 2) == 0
 
 
-class TestTowers:
-    def test_contiguous_ladder_is_one_tower(self):
-        space = DesignSpaceSimulator(
-            {ls: ([8], 2) for ls in (16, 32, 64, 128)}
-        )
-        assert space.towers == [[16, 32, 64, 128]]
-
-    def test_wide_gap_starts_a_fresh_tower(self):
-        # 4 -> 64 is a factor-16 jump: deriving would cost four splits,
-        # a fresh (smaller) sort costs about two.
-        space = DesignSpaceSimulator({ls: ([8], 2) for ls in (4, 64, 128)})
-        assert space.towers == [[4], [64, 128]]
-
-    def test_max_derive_factor_gap_stays_in_tower(self):
-        space = DesignSpaceSimulator({ls: ([8], 2) for ls in (16, 64)})
-        assert 64 // 16 == MAX_DERIVE_FACTOR
-        assert space.towers == [[16, 64]]
-
-    def test_build_towers_unit(self):
-        assert _build_towers([4, 8, 32, 128, 512]) == [
-            [4, 8, 32, 128, 512]
-        ]
-        assert _build_towers([4, 64]) == [[4], [64]]
-        assert _build_towers([8]) == [[8]]
-
-    def test_gap_results_still_identical(self):
-        rng = np.random.default_rng(3)
-        starts = rng.integers(0, 1 << 13, 500)
-        sizes = rng.integers(1, 80, 500)
-        ladder = [4, 64, 256]  # two towers
-        spec = {ls: ([16, 128], 4) for ls in ladder}
-        clear_line_stream_cache()
+def tower_events(spec, starts, sizes):
+    """The ``designspace`` events of one simulate call, and the space."""
+    journal = RunJournal()
+    clear_line_stream_cache()
+    with use_journal(journal):
         space = DesignSpaceSimulator(spec)
         space.simulate(starts, sizes)
-        assert len(space.towers) == 2
+    return journal.select("designspace"), space
+
+
+class TestTowers:
+    """Every ladder is one tower: one range expansion per batch, every
+    coarser size derived from the next finer one at any ratio."""
+
+    def trace(self):
+        rng = np.random.default_rng(3)
+        return rng.integers(0, 1 << 13, 500), rng.integers(1, 80, 500)
+
+    def test_contiguous_ladder_is_one_tower(self):
+        events, _ = tower_events(
+            {ls: ([8], 2) for ls in (16, 32, 64, 128)}, *self.trace()
+        )
+        assert [e["line_sizes"] for e in events] == [[16, 32, 64, 128]]
+
+    def test_wide_gap_stays_in_one_tower(self):
+        # 4 -> 64 is a factor-16 jump: coarsening the 4-byte stream still
+        # costs less than re-expanding the ranges at 64.
+        events, _ = tower_events(
+            {ls: ([8], 2) for ls in (4, 64, 128)}, *self.trace()
+        )
+        assert [e["line_sizes"] for e in events] == [[4, 64, 128]]
+
+    def test_gap_results_still_identical(self):
+        starts, sizes = self.trace()
+        ladder = [4, 64, 256]  # factor-16 and factor-4 derivations
+        spec = {ls: ([16, 128], 4) for ls in ladder}
+        events, space = tower_events(spec, starts, sizes)
+        assert len(events) == 1
         oracle = per_line_oracle(ladder, spec, starts, sizes)
         for line_size in ladder:
             for sets in (16, 128):
@@ -185,7 +224,7 @@ class TestTowers:
 
 
 class TestModes:
-    """The per-tower plan is a measured choice, never a semantic one."""
+    """There is one plan: no mode or engine knob, one event per tower."""
 
     def trace(self):
         rng = np.random.default_rng(7)
@@ -194,43 +233,32 @@ class TestModes:
             rng.integers(1, 64, 600),
         )
 
-    def test_forced_modes_bit_identical(self):
-        starts, sizes = self.trace()
-        spec = {ls: ([8, 64], 4) for ls in (16, 32, 64)}
-        results = {}
-        for mode in ("links", "streams"):
-            clear_line_stream_cache()
-            space = DesignSpaceSimulator(spec, engine="kernel", mode=mode)
-            space.simulate(starts, sizes)
-            results[mode] = {
-                (ls, sets, assoc): space.misses(ls, sets, assoc)
-                for ls in spec
-                for sets in (8, 64)
-                for assoc in (1, 2, 4)
-            }
-        assert results["links"] == results["streams"]
-
-    def test_auto_mode_is_journaled(self):
-        from repro.runtime.journal import RunJournal, use_journal
-
+    def test_tower_is_journaled(self):
         starts, sizes = self.trace()
         spec = {ls: ([8], 2) for ls in (16, 32, 64)}
         journal = RunJournal()
         clear_line_stream_cache()
         with use_journal(journal):
-            space = DesignSpaceSimulator(spec, engine="kernel")
+            space = DesignSpaceSimulator(spec)
             space.simulate(starts, sizes)
         events = journal.select("designspace")
         assert len(events) == 1
-        # auto mode fuses the tower's counting into one dispatch
-        assert events[0]["mode"] in ("fused-links", "fused-streams")
-        fused = journal.select("stackdist_fused")
-        assert len(fused) == 1
-        assert fused[0]["problems"] == 3
+        assert events[0]["line_sizes"] == [16, 32, 64]
+        assert events[0]["refs"] > 0 and events[0]["wall_s"] >= 0
+        assert set(events[0]) >= {"line_sizes", "refs", "wall_s"}
+        assert not {"mode", "sorts", "splits"} & set(events[0])
+        # Each line size counts its own stream: one kernel event apiece.
+        kernels = journal.select("stackdist")
+        assert sorted(e["line_size"] for e in kernels) == [16, 32, 64]
+        assert all(space.kernel_seconds[ls] > 0 for ls in spec)
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="mode"):
-            DesignSpaceSimulator({16: ([8], 2)}, mode="telepathy")
+        with pytest.raises(TypeError, match="mode"):
+            DesignSpaceSimulator({16: ([8], 2)}, mode="streams")
+        with pytest.raises(TypeError, match="engine"):
+            DesignSpaceSimulator({16: ([8], 2)}, engine="scalar")
+        with pytest.raises(TypeError, match="engine"):
+            CheetahSimulator(16, [8], 2, engine="scalar")
 
 
 class TestStateAndConfigs:

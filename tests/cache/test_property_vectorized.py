@@ -6,7 +6,7 @@ produce miss counts identical to
 * the direct :class:`CacheSimulator` (stateful, per-access, untouched by
   the vectorization work), and
 * the preserved seed stack-family path
-  (:class:`repro.cache._legacy.LegacyCheetahSimulator`),
+  (:class:`repro.oracles.LegacyCheetahSimulator`),
 
 for every (sets, assoc, line_size) in a sampled grid — including under
 incremental trace feeding, which exercises the engine's cross-batch
@@ -16,10 +16,11 @@ stack-state handoff.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.cache._legacy import LegacyCheetahSimulator
 from repro.cache.cheetah import CheetahSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
+from repro.oracles import LegacyCheetahSimulator, access_line
+from repro.oracles.legacy import _touch
 
 line_sizes = st.sampled_from([4, 8, 16, 32, 64])
 assoc_grid = (1, 2, 3, 4)
@@ -110,10 +111,8 @@ def test_scalar_access_line_interleaves_with_batches(trace, line):
     vec.simulate(starts[:cut], sizes[:cut])
     legacy.simulate(starts[:cut], sizes[:cut])
     for extra_line in (0, 1, 9, 1, 0):
-        vec.access_line(extra_line)
+        access_line(vec, extra_line)
         for fam in legacy._families:
-            from repro.cache._legacy import _touch
-
             _touch(fam, extra_line)
         legacy.accesses += 1
     vec.simulate(starts[cut:], sizes[cut:])

@@ -7,7 +7,8 @@ oracles pin it down:
 * a direct per-segment Python LRU stack (the `_touch` algorithm,
   inlined here so the oracle stays independent of the engine code), for
   :func:`stack_distances` on explicit partitions, and
-* the preserved scalar engine (``engine="scalar"``) through the full
+* the scalar survivor-loop engine
+  (:class:`repro.oracles.ScalarCheetahSimulator`) through the full
   ``line_stream -> simulate`` path, for whole-simulator equivalence on
   adversarial traces.
 
@@ -28,6 +29,7 @@ from repro.cache.stackdist import (
     refine_partition,
     stack_distances,
 )
+from repro.oracles import ScalarCheetahSimulator
 
 assoc_grid = (1, 2, 4, 8)
 
@@ -158,13 +160,12 @@ def range_traces(draw):
 @given(trace=range_traces(), line=st.sampled_from([16, 32, 64]))
 @settings(max_examples=60, deadline=None)
 def test_kernel_engine_matches_scalar_engine_full_path(trace, line):
-    # Full line_stream -> simulate path; every trace here is shorter
-    # than SCALAR_BATCH_LIMIT, so engine="kernel" must be forced — this
-    # is exactly the stream-shorter-than-pre-pass-window regime.
+    # Full line_stream -> simulate path on short traces — exactly the
+    # stream-shorter-than-pre-pass-window regime.
     starts, sizes = trace
     sets = [1, 4, 16]
-    kernel = CheetahSimulator(line, sets, max_assoc=8, engine="kernel")
-    scalar = CheetahSimulator(line, sets, max_assoc=8, engine="scalar")
+    kernel = CheetahSimulator(line, sets, max_assoc=8)
+    scalar = ScalarCheetahSimulator(line, sets, max_assoc=8)
     kernel.simulate(starts, sizes)
     scalar.simulate(starts, sizes)
     assert kernel.state() == scalar.state()
@@ -180,14 +181,14 @@ def test_kernel_engine_matches_scalar_engine_full_path(trace, line):
     ids=["all-dups", "triple-runs", "alternation"],
 )
 def test_dup_compaction_and_ladder_adoption_edges(lines):
-    # Streams dense or empty in immediate repeats, long enough that the
-    # auto engine takes the kernel and its dup-compaction + survivor
-    # ladder; the scalar engine is the oracle.
+    # Streams dense or empty in immediate repeats, long enough to drive
+    # the kernel's dup-compaction + survivor ladder; the scalar engine
+    # is the oracle.
     starts = lines * 64
     sizes = np.ones(len(lines), dtype=np.int64)
     sets = [1, 2, 4, 8, 16]
-    kernel = CheetahSimulator(64, sets, max_assoc=4, engine="kernel")
-    scalar = CheetahSimulator(64, sets, max_assoc=4, engine="scalar")
+    kernel = CheetahSimulator(64, sets, max_assoc=4)
+    scalar = ScalarCheetahSimulator(64, sets, max_assoc=4)
     kernel.simulate(starts, sizes)
     scalar.simulate(starts, sizes)
     assert kernel.state() == scalar.state()

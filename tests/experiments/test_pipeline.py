@@ -35,6 +35,26 @@ class TestArtifacts:
         with pytest.raises(ConfigurationError, match="predication"):
             tiny_pipeline.processor_cycles(predicated)
 
+    def test_predicated_namesake_of_built_processor_rejected(self, tiny):
+        # One pipeline: once the plain 2111 is built, a predicated
+        # processor of the same name must still be checked, not served
+        # the plain one's memoized binary, dilation or cycles.
+        pipeline = ExperimentPipeline(tiny, max_visits=2_000)
+        plain = make_processor(2, 1, 1, 1)
+        predicated = make_processor(2, 1, 1, 1, has_predication=True)
+        assert predicated.name == plain.name
+        pipeline.processor_binary(plain)
+        pipeline.dilation(plain)
+        pipeline.processor_cycles(plain)
+        with pytest.raises(ConfigurationError, match="predication"):
+            pipeline.processor_binary(predicated)
+        with pytest.raises(ConfigurationError, match="predication"):
+            pipeline.artifacts(predicated)
+        with pytest.raises(ConfigurationError, match="predication"):
+            pipeline.dilation(predicated)
+        with pytest.raises(ConfigurationError, match="predication"):
+            pipeline.processor_cycles(predicated)
+
     def test_binary_part_is_shared_with_artifacts(self, tiny_pipeline):
         part = tiny_pipeline.processor_binary(P3221)
         assert tiny_pipeline.processor_binary(P3221) is part
@@ -69,7 +89,7 @@ class TestColdExplore:
         monkeypatch.setattr(Emulator, "run", counting_run)
         Spacewalker(SystemDesignSpace(), pipeline).walk()
         assert len(runs) == 1
-        assert set(pipeline._artifacts) == {pipeline.reference.name}
+        assert set(pipeline._artifacts) == {pipeline.reference}
         for processor in SystemDesignSpace().processors:
             art = pipeline.artifacts(processor)
             assert pipeline.processor_cycles(

@@ -30,7 +30,7 @@ class TestPrimeActual:
             for role in ("icache", "dcache"):
                 misses = pipeline.actual_misses(processor, role, CONFIGS)
                 assert set(misses) == set(CONFIGS)
-        bank = pipeline._sim_banks["actual:" + P1111.name]
+        bank = pipeline._sim_banks[("actual", P1111)]
         assert bank.simulation_passes == 4
 
     def test_parallel_prime_matches_serial(self, tiny):

@@ -128,7 +128,7 @@ class TestEstimationAgainstGroundTruth:
         config = self.CONFIGS["unified"]
         value = fresh.estimated_misses(2.3, "unified", [config])[config]
         assert value > 0
-        assert set(fresh._artifacts) == {"1111"}  # only the reference
+        assert set(fresh._artifacts) == {fresh.reference}  # only the reference
 
 
 class TestTraceSummaries:

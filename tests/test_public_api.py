@@ -7,7 +7,10 @@ a docstring.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +30,7 @@ PACKAGES = [
     "repro.runtime",
     "repro.workloads",
     "repro.experiments",
+    "repro.oracles",
 ]
 
 
@@ -95,3 +99,40 @@ class TestDocstrings:
         # Tiny accessors may reasonably go untended, but the bulk of the
         # public method surface must be documented.
         assert len(missing) < 25, f"undocumented methods: {missing}"
+
+
+#: Imports every ``repro`` module except ``repro.oracles`` (and the CLI
+#: entry point), then reports whether any of them pulled the oracles in.
+_ISOLATION_SCRIPT = """
+import importlib, pkgutil, sys
+import repro
+
+imported = []
+
+def walk(package):
+    for info in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
+        if info.name == "repro.oracles" or info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        imported.append(info.name)
+        if info.ispkg:
+            walk(module)
+
+walk(repro)
+print(len(imported), "repro.oracles" in sys.modules)
+"""
+
+
+class TestOracleIsolation:
+    def test_production_modules_never_import_oracles(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _ISOLATION_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert int(out[0]) > 80, out  # the walk really covered the tree
+        assert out[1] == "False", "a production module imports repro.oracles"
