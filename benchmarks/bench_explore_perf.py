@@ -7,9 +7,11 @@ epic workload, with all shared simulation passes pre-primed so the
 timing isolates the exploration layer itself.  The acceptance gate
 asserts a >= 5x end-to-end speedup on ``Spacewalker.walk`` *and* that
 both paths produce identical Pareto frontiers (same designs, costs and
-times within 1e-9).  A skyline-vs-sequential Pareto micro-benchmark is
-reported alongside (no gate).  Results are written to
-``benchmarks/results/BENCH_explore.json``.
+times within 1e-9).  Two report-only sections ride along (no gate): a
+skyline-vs-sequential Pareto micro-benchmark, and the compile of epic's
+12 design-space processors through one shared block memo vs one fresh
+memo per processor, which asserts every compiled block identical.
+Results are written to ``benchmarks/results/BENCH_explore.json``.
 
 Runs two ways:
 
@@ -46,6 +48,8 @@ from repro.explore.spec import (
     ProcessorDesignSpace,
     SystemDesignSpace,
 )
+from repro.machine.mdes import MachineDescription
+from repro.vliwcomp.compile import BlockMemo, compile_program
 
 MIN_SPEEDUP = 5.0
 TIME_RTOL = 1e-9
@@ -179,11 +183,44 @@ def bench_skyline(*, reps: int) -> dict:
     }
 
 
+def bench_compile(program, *, reps: int) -> dict:
+    """Compile the 12 design-space processors through one block memo and
+    through one fresh memo each; every compiled block must match."""
+    mdeses = [MachineDescription(p) for p in SystemDesignSpace().processors]
+
+    def run_memo():
+        memo = BlockMemo(program)
+        return memo, [compile_program(program, m, memo=memo) for m in mdeses]
+
+    def run_fresh():
+        return [compile_program(program, m) for m in mdeses]
+
+    memo_seconds = _best_time(run_memo, reps)
+    fresh_seconds = _best_time(run_fresh, reps)
+    memo, shared = run_memo()
+    fresh = run_fresh()
+    for mdes, got, want in zip(mdeses, shared, fresh):
+        assert got.blocks == want.blocks, (
+            f"memo changed a compiled block on {mdes.processor.name}"
+        )
+
+    return {
+        "processors": len(mdeses),
+        "blocks": sum(len(compiled.blocks) for compiled in shared),
+        "schedules_run": memo.schedules_run,
+        "memo_seconds": round(memo_seconds, 6),
+        "fresh_seconds": round(fresh_seconds, 6),
+        "speedup": round(fresh_seconds / memo_seconds, 2),
+        "blocks_identical": True,
+    }
+
+
 def run_benchmark(*, reps: int = 5) -> dict:
     pipeline = get_pipeline("epic", BENCH_SETTINGS)
     space = build_space()
     spacewalk = bench_spacewalk(pipeline, space, reps=reps)
     skyline = bench_skyline(reps=reps)
+    compile_space = bench_compile(pipeline.workload.program, reps=reps)
     return {
         "workload": "epic",
         "timing_reps": reps,
@@ -191,6 +228,7 @@ def run_benchmark(*, reps: int = 5) -> dict:
         "primary_speedup": spacewalk["speedup"],
         "spacewalker_walk": spacewalk,
         "skyline_pareto": skyline,
+        "compile_design_space": compile_space,
     }
 
 
@@ -202,6 +240,7 @@ def write_report(report: dict, path: Path) -> None:
 def render(report: dict) -> str:
     walk = report["spacewalker_walk"]
     sky = report["skyline_pareto"]
+    comp = report["compile_design_space"]
     return "\n".join(
         [
             f"exploration-layer benchmark — workload={report['workload']} "
@@ -216,6 +255,11 @@ def render(report: dict) -> str:
             f"{sky['sequential_seconds']:.3f}s -> "
             f"{sky['skyline_seconds']:.3f}s ({sky['speedup']:.1f}x, "
             f"{sky['frontier_size']} retained, identical)",
+            f"  [report] compile of {comp['processors']} processors "
+            f"({comp['blocks']:,} blocks, {comp['schedules_run']:,} "
+            f"scheduled): fresh memos {comp['fresh_seconds']:.3f}s -> "
+            f"one memo {comp['memo_seconds']:.3f}s "
+            f"({comp['speedup']:.2f}x, blocks identical)",
         ]
     )
 

@@ -16,7 +16,8 @@ processor, two memoized parts:
 Processor cycles take the reference trace's visit counts: the block
 visit sequence depends only on (program, seed, budget), never on the
 compiled program (see :mod:`repro.trace.emulator`).  Compilations share
-one dependence-graph cache for the pipeline's lifetime.
+one block memo for the pipeline's lifetime, so each processor reuses
+the block schedules that earlier processors already computed.
 
 The pipeline answers the three miss questions of Section 6:
 
@@ -60,8 +61,7 @@ from repro.trace.emulator import Emulator
 from repro.trace.events import EventTrace
 from repro.trace.generator import TraceGenerator
 from repro.trace.ranges import RangeTrace
-from repro.vliwcomp.compile import CompiledProgram, compile_program
-from repro.vliwcomp.depgraph import GraphCache
+from repro.vliwcomp.compile import BlockMemo, CompiledProgram, compile_program
 from repro.workloads.suite import Workload
 
 
@@ -122,8 +122,8 @@ class ExperimentPipeline:
         # "2111" and must not reuse its binary or skip its checks.
         self._binaries: dict[VliwProcessor, ProcessorBinary] = {}
         self._artifacts: dict[VliwProcessor, ProcessorArtifacts] = {}
-        # Dependence graphs shared by every compilation of the workload.
-        self._graphs: GraphCache = {}
+        # Block schedules shared by every compilation of the workload.
+        self._blocks = BlockMemo(workload.program)
         self._dilation_infos: dict[VliwProcessor, DilationInfo] = {}
         self._cycles: dict[VliwProcessor, int] = {}
         self._params: TraceParameters | None = None
@@ -191,7 +191,7 @@ class ExperimentPipeline:
             )
         mdes = MachineDescription(processor)
         compiled = compile_program(
-            self.workload.program, mdes, graphs=self._graphs
+            self.workload.program, mdes, memo=self._blocks
         )
         assembled = assemble(compiled)
         binary = link(

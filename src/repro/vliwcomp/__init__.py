@@ -7,7 +7,12 @@ operations) plus the spill and speculation side effects that perturb the
 data trace on wider machines (the error sources quantified in Table 2).
 """
 
-from repro.vliwcomp.compile import CompiledBlock, CompiledProgram, compile_program
+from repro.vliwcomp.compile import (
+    BlockMemo,
+    CompiledBlock,
+    CompiledProgram,
+    compile_program,
+)
 from repro.vliwcomp.depgraph import DependenceGraph, build_dependence_graph
 from repro.vliwcomp.ifconvert import IfConversionStats, if_convert
 from repro.vliwcomp.regalloc import SPILL_STREAM, estimate_spills
@@ -20,6 +25,7 @@ __all__ = [
     "schedule_block",
     "estimate_spills",
     "SPILL_STREAM",
+    "BlockMemo",
     "CompiledBlock",
     "CompiledProgram",
     "compile_program",

@@ -14,18 +14,31 @@
 The result feeds three consumers: the assembler (instruction encoding and
 code size), the emulator's trace decoration (spill/speculative data
 references) and the hierarchy evaluator (processor cycles).
+
+Every compilation goes through a :class:`BlockMemo`, which schedules
+each distinct operation list once per region of machines it is valid
+for; a design-space exploration shares one memo across all of its
+processors (see :class:`BlockMemo` for the region rule).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from operator import le
+from typing import NamedTuple
 
-from repro.isa.operations import Operation, make_load, make_store
-from repro.isa.program import Program
+from repro.errors import ConfigurationError
+from repro.isa.operations import OP_CLASSES, Operation, make_load, make_store
+from repro.isa.program import BasicBlock, Procedure, Program
 from repro.machine.mdes import MachineDescription
-from repro.vliwcomp.depgraph import GraphCache, cached_dependence_graph
-from repro.vliwcomp.regalloc import SPILL_STREAM, estimate_spills
-from repro.vliwcomp.scheduler import BlockSchedule, schedule_block
+from repro.vliwcomp.depgraph import DependenceGraph, build_dependence_graph
+from repro.vliwcomp.regalloc import (
+    SPILL_STREAM,
+    bounded_spill_ops,
+    register_budget,
+)
+from repro.vliwcomp.scheduler import BlockSchedule, list_schedule
 
 
 @dataclass(frozen=True)
@@ -89,53 +102,242 @@ def speculation_capacity(issue_width: int) -> int:
     return max(0, (issue_width - 4 + 1) // 2)
 
 
+#: A region of machines: per coordinate, the lowest and highest value
+#: (unit count per class, then register budget) it admits.
+Region = tuple[tuple[int, ...], tuple[int, ...]]
+
+#: Upper end of a region coordinate that has none.
+_UNBOUNDED = sys.maxsize
+
+_CLASS_INDEX = {cls: index for index, cls in enumerate(OP_CLASSES)}
+
+
+def _covers(region: Region, point: tuple[int, ...]) -> bool:
+    low, high = region
+    return all(map(le, low, point)) and all(map(le, point, high))
+
+
+class BlockEntry(NamedTuple):
+    """One distinct operation list of a program and what the machines
+    compiled so far have made of it.
+
+    ``schedules`` pairs each schedule with the region of unit counts it
+    holds for; ``compiled`` pairs each compiled block with the region of
+    unit counts and register budgets it holds for.  An entry is never
+    changed: a new result replaces it with a longer copy (``_replace``).
+    """
+
+    operations: tuple[Operation, ...]
+    graph: DependenceGraph
+    unit_of: tuple[int, ...]
+    distinct_dests: int
+    speculative_streams: tuple[int, ...]
+    predicted_successor: int | None
+    schedules: tuple[tuple[Region, BlockSchedule], ...] = ()
+    compiled: tuple[tuple[Region, CompiledBlock], ...] = ()
+
+
+class BlockMemo:
+    """Compiled blocks of one :class:`Program`, shared across processors.
+
+    An entry is keyed by (procedure, block id, hoisted-load count,
+    latency table), which fixes a block's operation list within one
+    program; spill code adds its op count to the key.  Each entry keeps
+    the frozen dependence graph and every schedule computed so far,
+    tagged with the region of machines it is valid for:
+
+    * a class is *binding* when, in some cycle, more of its ops were
+      ready than it had units;
+    * a schedule holds for every machine with the same unit count on
+      each binding class and at least the peak ready count on every
+      other class.  The ready set of a cycle depends only on earlier
+      issue decisions; those match on binding classes because the units
+      do, and on the other classes every ready op issues on both
+      machines;
+    * a compiled block also needs the same spill count: the same
+      register budget when it spilled, else a budget of at least its
+      peak live count (bounded by its distinct destinations).
+
+    The memo serves the one program it was made for and refuses any
+    other.
+    """
+
+    def __init__(self, program: Program):
+        self.program = program
+        #: Schedules computed (each lookup that no region covered).
+        self.schedules_run = 0
+        self._entries: dict[tuple, BlockEntry] = {}
+        self._load_counts: dict[tuple[str, int], int] = {}
+
+    def entries(self) -> list[BlockEntry]:
+        """Every entry, one per distinct operation list."""
+        return list(self._entries.values())
+
+    def check(self, program: Program) -> None:
+        """Refuse any program but the one the memo was made for."""
+        if program is not self.program:
+            raise ConfigurationError(
+                f"block memo of program {self.program.name!r} cannot "
+                f"compile program {program.name!r}"
+            )
+
+    def compile_block(
+        self,
+        proc: Procedure,
+        blk: BasicBlock,
+        mdes: MachineDescription,
+        capacity: int,
+        latencies: tuple[int, ...],
+        point: tuple[int, ...],
+    ) -> CompiledBlock:
+        """``blk`` compiled for the machine at ``point`` (unit counts
+        per class, then register budget)."""
+        hoisted = min(capacity, self._hoistable(proc, blk)) if capacity else 0
+        key = (proc.name, blk.block_id, hoisted, latencies)
+        entry = self._entries.get(key)
+        if entry is None:
+            loads, predicted = _hoistable_loads(proc, blk.block_id, hoisted)
+            entry = self._add(
+                key,
+                (*blk.operations, *loads),
+                mdes,
+                tuple(op.stream for op in loads),
+                predicted if loads else None,
+            )
+        for region, block in entry.compiled:
+            if _covers(region, point):
+                return block
+        return self._compile(key, entry, mdes, point)
+
+    def _hoistable(self, proc: Procedure, blk: BasicBlock) -> int:
+        """Loads the block could hoist with unbounded capacity."""
+        name = (proc.name, blk.block_id)
+        count = self._load_counts.get(name)
+        if count is None:
+            successor = _likely_successor(proc, blk.block_id)
+            count = 0 if successor is None else sum(
+                op.is_load for op in successor.operations
+            )
+            self._load_counts[name] = count
+        return count
+
+    def _add(
+        self,
+        key: tuple,
+        operations: tuple[Operation, ...],
+        mdes: MachineDescription,
+        speculative_streams: tuple[int, ...] = (),
+        predicted_successor: int | None = None,
+    ) -> BlockEntry:
+        entry = BlockEntry(
+            operations=operations,
+            graph=build_dependence_graph(operations, mdes).frozen(),
+            unit_of=tuple(_CLASS_INDEX[op.opclass] for op in operations),
+            distinct_dests=len({d for op in operations for d in op.dests}),
+            speculative_streams=speculative_streams,
+            predicted_successor=predicted_successor,
+        )
+        self._entries[key] = entry
+        return entry
+
+    def _schedule(
+        self, key: tuple, units: tuple[int, ...]
+    ) -> tuple[BlockSchedule, Region]:
+        entry = self._entries[key]
+        for region, schedule in entry.schedules:
+            if _covers(region, units):
+                return schedule, region
+        schedule, peak = list_schedule(entry.graph, entry.unit_of, units)
+        self.schedules_run += 1
+        region = (
+            tuple(u if p > u else p for p, u in zip(peak, units)),
+            tuple(u if p > u else _UNBOUNDED for p, u in zip(peak, units)),
+        )
+        self._entries[key] = entry._replace(
+            schedules=(*entry.schedules, (region, schedule))
+        )
+        return schedule, region
+
+    def _compile(
+        self,
+        key: tuple,
+        entry: BlockEntry,
+        mdes: MachineDescription,
+        point: tuple[int, ...],
+    ) -> CompiledBlock:
+        units, budget = point[:-1], point[-1]
+        schedule, (low, high) = self._schedule(key, units)
+        spills, live = bounded_spill_ops(
+            entry.operations, schedule, mdes, entry.distinct_dests
+        )
+        operations = entry.operations
+        if spills:
+            spill_key = (*key, spills)
+            if spill_key not in self._entries:
+                self._add(spill_key, (*operations, *_spill_ops(spills)), mdes)
+            schedule, (s_low, s_high) = self._schedule(spill_key, units)
+            operations = self._entries[spill_key].operations
+            low = (*map(max, low, s_low), budget)
+            high = (*map(min, high, s_high), budget)
+        else:
+            low, high = (*low, live), (*high, _UNBOUNDED)
+        block = CompiledBlock(
+            block_id=key[1],
+            operations=operations,
+            schedule=schedule,
+            speculative_streams=entry.speculative_streams,
+            spill_ops=spills,
+            predicted_successor=entry.predicted_successor,
+        )
+        entry = self._entries[key]
+        self._entries[key] = entry._replace(
+            compiled=(*entry.compiled, ((low, high), block))
+        )
+        return block
+
+
 def compile_program(
     program: Program,
     mdes: MachineDescription,
-    graphs: GraphCache | None = None,
+    memo: BlockMemo | None = None,
 ) -> CompiledProgram:
     """Compile every block of ``program`` for ``mdes.processor``.
 
-    ``graphs`` is an optional dependence-graph cache shared across
-    compilations: processors with the same latency table and the same
-    hoisted/spill operations then build each block's graph once.
+    ``memo`` is the program's :class:`BlockMemo`, shared across the
+    processors it is compiled for; without one a private memo is made.
     """
-    compiled = CompiledProgram(program=program, mdes=mdes)
+    if memo is None:
+        memo = BlockMemo(program)
+    memo.check(program)
+    processor = mdes.processor
     capacity = (
-        speculation_capacity(mdes.processor.issue_width)
-        if mdes.processor.has_speculation
+        speculation_capacity(processor.issue_width)
+        if processor.has_speculation
         else 0
     )
+    latencies = tuple(mdes.latencies[cls] for cls in OP_CLASSES)
+    units = tuple(processor.units[cls] for cls in OP_CLASSES)
+    point = (*units, register_budget(mdes))
+    compiled = CompiledProgram(program=program, mdes=mdes)
     for proc in program.procedures.values():
         for blk in proc.blocks:
-            hoisted, predicted = _hoistable_loads(
-                program, proc.name, blk.block_id, capacity
-            )
-            base_ops = list(blk.operations) + hoisted
-            schedule = schedule_block(
-                base_ops, mdes, cached_dependence_graph(base_ops, mdes, graphs)
-            )
-            spills = estimate_spills(base_ops, schedule, mdes)
-            final_ops = base_ops + _spill_ops(spills.total_ops)
-            if spills.total_ops:
-                schedule = schedule_block(
-                    final_ops,
-                    mdes,
-                    cached_dependence_graph(final_ops, mdes, graphs),
-                )
-            compiled.blocks[(proc.name, blk.block_id)] = CompiledBlock(
-                block_id=blk.block_id,
-                operations=tuple(final_ops),
-                schedule=schedule,
-                speculative_streams=tuple(op.stream for op in hoisted),
-                spill_ops=spills.total_ops,
-                predicted_successor=predicted if hoisted else None,
+            compiled.blocks[(proc.name, blk.block_id)] = memo.compile_block(
+                proc, blk, mdes, capacity, latencies, point
             )
     return compiled
 
 
+def _likely_successor(proc: Procedure, block_id: int) -> BasicBlock | None:
+    """The block's most probable successor (the static prediction)."""
+    edges = proc.successors(block_id)
+    if not edges:
+        return None
+    likely = max(edges, key=lambda e: (e.probability, -e.dst))
+    return proc.block(likely.dst)
+
+
 def _hoistable_loads(
-    program: Program, proc_name: str, block_id: int, capacity: int
+    proc: Procedure, block_id: int, capacity: int
 ) -> tuple[list[Operation], int | None]:
     """Loads hoisted from the likeliest successor block (speculation).
 
@@ -143,12 +345,9 @@ def _hoistable_loads(
     """
     if capacity == 0:
         return [], None
-    proc = program.procedure(proc_name)
-    edges = proc.successors(block_id)
-    if not edges:
+    successor = _likely_successor(proc, block_id)
+    if successor is None:
         return [], None
-    likely = max(edges, key=lambda e: (e.probability, -e.dst))
-    successor = proc.block(likely.dst)
     hoisted: list[Operation] = []
     for op in successor.operations:
         if op.is_load:
@@ -164,7 +363,7 @@ def _hoistable_loads(
             )
             if len(hoisted) >= capacity:
                 break
-    return hoisted, likely.dst
+    return hoisted, successor.block_id
 
 
 #: Virtual-register base for spill temporaries, far above any register the

@@ -11,6 +11,7 @@ pressure rises naturally with issue width without any ad-hoc width factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.isa.operations import Operation
 from repro.machine.mdes import MachineDescription
@@ -39,7 +40,7 @@ class SpillEstimate:
 
 
 def estimate_spills(
-    operations: list[Operation],
+    operations: Sequence[Operation],
     schedule: BlockSchedule,
     mdes: MachineDescription,
 ) -> SpillEstimate:
@@ -75,11 +76,31 @@ def estimate_spills(
         if live > max_live:
             max_live = live
 
-    budget = max(1, mdes.processor.int_registers - _RESERVED_REGISTERS)
-    excess = max(0, max_live - budget)
+    excess = max(0, max_live - register_budget(mdes))
     return SpillEstimate(
         max_live=max_live, spill_stores=excess, spill_loads=excess
     )
+
+
+def register_budget(mdes: MachineDescription) -> int:
+    """Integer registers left for values once the reserved ones are out."""
+    return max(1, mdes.processor.int_registers - _RESERVED_REGISTERS)
+
+
+def bounded_spill_ops(
+    operations: Sequence[Operation],
+    schedule: BlockSchedule,
+    mdes: MachineDescription,
+    distinct_dests: int,
+) -> tuple[int, int]:
+    """Spill operations of one scheduled block and an upper bound on its
+    peak live count.  At most ``distinct_dests`` values are ever live, so
+    a block with no more of them than the register budget spills nothing
+    without the event sweep of :func:`estimate_spills`."""
+    if distinct_dests <= register_budget(mdes):
+        return 0, distinct_dests
+    estimate = estimate_spills(operations, schedule, mdes)
+    return estimate.total_ops, estimate.max_live
 
 
 def _issue_cycles(schedule: BlockSchedule) -> dict[int, int]:

@@ -10,10 +10,12 @@ and the block's issue-cycle count, used for processor-cycle estimation.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import ScheduleError
-from repro.isa.operations import OP_CLASSES, OpClass, Operation
+from repro.isa.operations import OP_CLASSES, Operation
 from repro.machine.mdes import MachineDescription
 from repro.vliwcomp.depgraph import DependenceGraph, build_dependence_graph
 
@@ -62,20 +64,40 @@ def schedule_block(
     indicate a dependence-graph bug, since every processor has at least
     one unit per class).
     """
-    if not operations:
-        return BlockSchedule(instructions=(), cycles=0)
-
     if graph is None:
         graph = build_dependence_graph(operations, mdes)
-    n = len(operations)
-    units = [mdes.processor.units[cls] for cls in OP_CLASSES]
-    unit_of = [OP_CLASSES.index(op.opclass) for op in operations]
-    # Position of each op in priority order: highest critical path
-    # first, index breaking ties deterministically.
+    schedule, _ = list_schedule(
+        graph,
+        [OP_CLASSES.index(op.opclass) for op in operations],
+        [mdes.processor.units[cls] for cls in OP_CLASSES],
+    )
+    return schedule
+
+
+def list_schedule(
+    graph: DependenceGraph, unit_of: Sequence[int], units: Sequence[int]
+) -> tuple[BlockSchedule, tuple[int, ...]]:
+    """List-schedule a block given as its graph and per-op unit classes.
+
+    ``unit_of[i]`` is op ``i``'s class as an index into
+    :data:`OP_CLASSES`; ``units`` holds the unit count of each class.
+    Returns the schedule and, per class, the peak number of its ops that
+    were ready in one cycle.  A class whose peak exceeds its units is
+    *binding*; on any machine with the same units on every binding class
+    and at least the peak on every other class, each cycle issues the
+    same ops, so the schedule is the same.
+    """
+    n = graph.n_ops
+    if not n:
+        return BlockSchedule(instructions=(), cycles=0), (0,) * len(units)
+    height = graph.height
+    succs = graph.succs
+    # Ops in priority order (highest critical path first, index breaking
+    # ties: the sort is stable); the waiting list holds positions in
+    # this order, kept sorted.
+    order = sorted(range(n), key=height.__getitem__, reverse=True)
     rank = [0] * n
-    for position, i in enumerate(
-        sorted(range(n), key=lambda i: (-graph.height[i], i))
-    ):
+    for position, i in enumerate(order):
         rank[i] = position
 
     # An op waits until every predecessor has issued in an earlier
@@ -83,92 +105,70 @@ def schedule_block(
     # (``earliest``).
     unissued_preds = [len(preds) for preds in graph.preds]
     earliest = [0] * n
-    waiting = [i for i in range(n) if not unissued_preds[i]]
+    waiting = sorted(rank[i] for i in range(n) if not unissued_preds[i])
+    peak = [0] * len(units)
     remaining = n
     instructions: list[tuple[int, ...]] = []
     cycle = 0
     last_issue = 0
-    max_cycles = _cycle_budget(n, graph.height)
+    max_cycles = _cycle_budget(n, height)
 
     while remaining:
-        if cycle > max_cycles:
+        if cycle > max_cycles or not waiting:
             raise ScheduleError(
                 f"scheduler exceeded {max_cycles} cycles for a "
                 f"{n}-operation block; dependence graph is inconsistent"
             )
-        free = units.copy()
+        free = list(units)
+        ready = [0] * len(units)
         issued: list[int] = []
-        ready = sorted(
-            (i for i in waiting if earliest[i] <= cycle), key=rank.__getitem__
-        )
-        for i in ready:
+        still_waiting: list[int] = []
+        next_cycle = max_cycles + 1
+        for position in waiting:
+            i = order[position]
+            start = earliest[i]
+            if start > cycle:
+                still_waiting.append(position)
+                if start < next_cycle:
+                    next_cycle = start
+                continue
             unit = unit_of[i]
+            ready[unit] += 1
             if free[unit]:
                 free[unit] -= 1
                 issued.append(i)
-        if issued:
-            issued.sort()
-            now_waiting = [i for i in waiting if i not in issued]
-            for i in issued:
-                for succ, delay in graph.succs[i]:
-                    need = cycle + delay
-                    if need > earliest[succ]:
-                        earliest[succ] = need
-                    unissued_preds[succ] -= 1
-                    if not unissued_preds[succ]:
-                        now_waiting.append(succ)
-            waiting = now_waiting
-            instructions.append(tuple(issued))
-            remaining -= len(issued)
-            last_issue = cycle
-        cycle += 1
+            else:
+                still_waiting.append(position)
+                next_cycle = cycle + 1
+        for unit, count in enumerate(ready):
+            if count > peak[unit]:
+                peak[unit] = count
+        issued.sort()
+        after = cycle + 1
+        for i in issued:
+            for succ, delay in succs[i]:
+                need = cycle + delay
+                if need > earliest[succ]:
+                    earliest[succ] = need
+                unissued_preds[succ] -= 1
+                if not unissued_preds[succ]:
+                    insort(still_waiting, rank[succ])
+                    start = earliest[succ] if earliest[succ] > after else after
+                    if start < next_cycle:
+                        next_cycle = start
+        instructions.append(tuple(issued))
+        remaining -= len(issued)
+        last_issue = cycle
+        waiting = still_waiting
+        # No op can be ready before ``next_cycle``: skip the idle cycles.
+        cycle = next_cycle
 
-    return BlockSchedule(
-        instructions=tuple(instructions), cycles=last_issue + 1
+    return (
+        BlockSchedule(instructions=tuple(instructions), cycles=last_issue + 1),
+        tuple(peak),
     )
 
 
-def _cycle_budget(n_ops: int, heights: list[int]) -> int:
+def _cycle_budget(n_ops: int, heights: Sequence[int]) -> int:
     """Upper bound on legal schedule length (safety net)."""
     return 4 * (n_ops + max(heights, default=1)) + 16
-
-
-def schedule_is_legal(
-    operations: list[Operation],
-    mdes: MachineDescription,
-    schedule: BlockSchedule,
-) -> bool:
-    """Check resource and dependence legality of a schedule (for tests)."""
-    graph = build_dependence_graph(operations, mdes)
-    cycle_of: dict[int, int] = {}
-    # Reconstruct issue cycles: instructions are in cycle order but empty
-    # cycles are elided, so recompute by replaying dependences greedily.
-    cycle = 0
-    for instr in schedule.instructions:
-        counts: dict[OpClass, int] = {}
-        for i in instr:
-            cls = operations[i].opclass
-            counts[cls] = counts.get(cls, 0) + 1
-        if any(
-            counts.get(cls, 0) > mdes.processor.units[cls] for cls in counts
-        ):
-            return False
-        # Advance to the first cycle where every member's deps are met.
-        while not all(
-            all(
-                p in cycle_of and cycle_of[p] + d <= cycle
-                for p, d in graph.preds[i]
-            )
-            for i in instr
-        ):
-            cycle += 1
-        for i in instr:
-            cycle_of[i] = cycle
-        cycle += 1
-    if len(cycle_of) != len(operations):
-        return False
-    for i in range(len(operations)):
-        for succ, delay in graph.succs[i]:
-            if cycle_of[succ] - cycle_of[i] < delay:
-                return False
-    return True

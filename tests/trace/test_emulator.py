@@ -9,7 +9,7 @@ from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P3221, P6332, REFERENCE_PROCESSOR
 from repro.machine.processor import make_processor
 from repro.trace.emulator import Emulator, emulate
-from repro.vliwcomp.compile import compile_program
+from repro.vliwcomp.compile import BlockMemo, compile_program
 from repro.vliwcomp.regalloc import SPILL_STREAM
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
@@ -74,11 +74,11 @@ class TestProcessorIndependence:
         space speculates but never spills, so an 8-register machine
         adds spill decoration."""
         workload = load_benchmark(name, scale=0.25)
-        graphs = {}
+        memo = BlockMemo(workload.program)
 
         def events_on(processor):
             compiled = compile_program(
-                workload.program, MachineDescription(processor), graphs
+                workload.program, MachineDescription(processor), memo=memo
             )
             return emulate(
                 workload.program,

@@ -2,11 +2,18 @@
 
 import copy
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.isa.operations import OpClass
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P3221, P6332
 from repro.machine.processor import make_processor
-from repro.vliwcomp.compile import compile_program, speculation_capacity
+from repro.vliwcomp.compile import (
+    BlockMemo,
+    compile_program,
+    speculation_capacity,
+)
 from repro.vliwcomp.regalloc import SPILL_STREAM
 from repro.workloads.suite import tiny_workload
 
@@ -90,9 +97,10 @@ class TestCompileProgram:
         assert wide_cycles < narrow_cycles
 
 
-class TestSharedGraphCache:
-    """One dependence-graph cache shared across processors changes no
-    compiled block, and scheduling never writes to a shared graph."""
+class TestSharedBlockMemo:
+    """One block memo shared across processors changes no compiled
+    block, schedules fewer blocks than it compiles, and never changes an
+    entry in place."""
 
     MDESES = (
         MachineDescription(P1111),
@@ -113,7 +121,7 @@ class TestSharedGraphCache:
         ),
     )
 
-    def test_shared_cache_matches_fresh_compiles(self, tiny):
+    def test_shared_memo_matches_fresh_compiles(self, tiny):
         fresh = [compile_program(tiny.program, mdes) for mdes in self.MDESES]
         capacities = {
             speculation_capacity(mdes.processor.issue_width)
@@ -126,22 +134,45 @@ class TestSharedGraphCache:
         assert len(capacities) >= 4
         assert len(spill_totals) >= 3
 
-        graphs = {}
-        self._assert_compiles_match(tiny, graphs, fresh)
-        snapshot = {
-            key: copy.deepcopy((g.succs, g.preds, g.height))
-            for key, g in graphs.items()
-        }
-        # Second pass: every graph now comes from the cache.
-        self._assert_compiles_match(tiny, graphs, fresh)
+        memo = BlockMemo(tiny.program)
+        self._assert_compiles_match(tiny, memo, fresh)
         n_blocks = sum(len(compiled.blocks) for compiled in fresh)
-        assert len(graphs) < n_blocks  # processors did share graphs
-        for key, graph in graphs.items():
-            assert (graph.succs, graph.preds, graph.height) == snapshot[key]
+        schedules = memo.schedules_run
+        assert schedules < n_blocks  # processors shared schedules
+        snapshot = copy.deepcopy(memo.entries())
+        # Second pass: every block now comes from the memo.
+        self._assert_compiles_match(tiny, memo, fresh)
+        assert memo.schedules_run == schedules
+        assert memo.entries() == snapshot
 
-    def _assert_compiles_match(self, tiny, graphs, fresh):
+    def test_entries_are_immutable(self, tiny):
+        memo = BlockMemo(tiny.program)
+        for mdes in self.MDESES:
+            compile_program(tiny.program, mdes, memo=memo)
+        schedules = memo.schedules_run
+        for entry in memo.entries():
+            with pytest.raises(AttributeError):
+                entry.compiled = ()
+            for field in (entry.operations, entry.unit_of, entry.schedules,
+                          entry.compiled, entry.graph.height):
+                assert isinstance(field, tuple)
+            assert all(isinstance(s, tuple) for s in entry.graph.succs)
+            assert all(isinstance(p, tuple) for p in entry.graph.preds)
+        # A recompile finds every block and schedules nothing.
+        for mdes in self.MDESES:
+            compile_program(tiny.program, mdes, memo=memo)
+        assert memo.schedules_run == schedules
+
+    def test_memo_refuses_another_program(self, tiny):
+        memo = BlockMemo(tiny.program)
+        compile_program(tiny.program, MachineDescription(P1111), memo=memo)
+        twin = tiny_workload().program  # equal content, another object
+        with pytest.raises(ConfigurationError):
+            compile_program(twin, MachineDescription(P1111), memo=memo)
+
+    def _assert_compiles_match(self, tiny, memo, fresh):
         for mdes, want in zip(self.MDESES, fresh):
-            got = compile_program(tiny.program, mdes, graphs)
+            got = compile_program(tiny.program, mdes, memo=memo)
             assert got.blocks.keys() == want.blocks.keys()
             for key, block in want.blocks.items():
                 other = got.blocks[key]

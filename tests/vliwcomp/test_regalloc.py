@@ -4,7 +4,12 @@ from repro.isa.operations import make_int
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111
 from repro.machine.processor import make_processor
-from repro.vliwcomp.regalloc import SPILL_STREAM, estimate_spills
+from repro.vliwcomp.regalloc import (
+    SPILL_STREAM,
+    bounded_spill_ops,
+    estimate_spills,
+    register_budget,
+)
 from repro.vliwcomp.scheduler import schedule_block
 
 
@@ -47,3 +52,34 @@ class TestEstimateSpills:
 
     def test_spill_stream_constant_is_reserved(self):
         assert SPILL_STREAM < 0
+
+
+class TestSpillBound:
+    """A block with no more distinct destinations than the register
+    budget skips the event sweep; around that edge the bounded count
+    equals the sweep's."""
+
+    @staticmethod
+    def _all_live(n_values):
+        # ``n_values`` independent definitions, all read by one final op
+        # (a wide machine issues them together, so all are live at once).
+        ops = [make_int(i, (100 + i,)) for i in range(n_values)]
+        ops.append(make_int(n_values, tuple(range(n_values))))
+        return ops
+
+    def test_budget_edge_matches_full_sweep(self):
+        mdes = MachineDescription(make_processor(4, 1, 1, 1, int_registers=16))
+        budget = register_budget(mdes)
+        assert budget == 8
+        for n_dests in (budget, budget + 1):
+            ops = self._all_live(n_dests - 1)  # + the final op's dest
+            distinct = len({d for op in ops for d in op.dests})
+            assert distinct == n_dests
+            schedule = schedule_block(ops, mdes)
+            sweep = estimate_spills(ops, schedule, mdes)
+            # Every value is live at once: the bound is tight.
+            assert sweep.max_live == n_dests
+            spills, live = bounded_spill_ops(ops, schedule, mdes, distinct)
+            assert spills == sweep.total_ops
+            assert live == n_dests
+        assert sweep.total_ops == 2  # budget + 1 values spill one

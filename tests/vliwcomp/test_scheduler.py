@@ -2,26 +2,27 @@
 
 import random
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
 from repro.isa.operations import (
     OpClass,
     make_branch,
     make_float,
     make_int,
     make_load,
+    make_store,
 )
-import pytest
+from repro.isa.program import BasicBlock, ControlFlowEdge, Procedure, Program
 
 from repro.explore.spec import SystemDesignSpace
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P4221, P6332
 from repro.machine.processor import make_processor
-from repro.vliwcomp.compile import compile_program
+from repro.vliwcomp.compile import BlockMemo, compile_program
 from repro.vliwcomp.depgraph import build_dependence_graph
-from repro.vliwcomp.scheduler import (
-    BlockSchedule,
-    schedule_block,
-    schedule_is_legal,
-)
+from repro.vliwcomp.scheduler import BlockSchedule, schedule_block
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
 
@@ -69,6 +70,43 @@ def scan_schedule(operations, mdes):
             last_issue = cycle
         cycle += 1
     return BlockSchedule(instructions=tuple(instructions), cycles=last_issue + 1)
+
+
+def schedule_is_legal(operations, mdes, schedule):
+    """Resource and dependence legality of a schedule."""
+    graph = build_dependence_graph(operations, mdes)
+    cycle_of = {}
+    # Reconstruct issue cycles: instructions are in cycle order but empty
+    # cycles are elided, so recompute by replaying dependences greedily.
+    cycle = 0
+    for instr in schedule.instructions:
+        counts = {}
+        for i in instr:
+            cls = operations[i].opclass
+            counts[cls] = counts.get(cls, 0) + 1
+        if any(
+            counts.get(cls, 0) > mdes.processor.units[cls] for cls in counts
+        ):
+            return False
+        # Advance to the first cycle where every member's deps are met.
+        while not all(
+            all(
+                p in cycle_of and cycle_of[p] + d <= cycle
+                for p, d in graph.preds[i]
+            )
+            for i in instr
+        ):
+            cycle += 1
+        for i in instr:
+            cycle_of[i] = cycle
+        cycle += 1
+    if len(cycle_of) != len(operations):
+        return False
+    for i in range(len(operations)):
+        for succ, delay in graph.succs[i]:
+            if cycle_of[succ] - cycle_of[i] < delay:
+                return False
+    return True
 
 
 def random_ops(rng, n=30):
@@ -194,11 +232,83 @@ class TestMatchesReferenceScan:
         """Every compiled block (hoisted and spill ops included) of a
         suite benchmark, on every design-space processor."""
         program = load_benchmark(name, scale=0.25).program
-        graphs = {}
+        memo = BlockMemo(program)
         for processor in [*SystemDesignSpace().processors, *self.MACHINES]:
             mdes = MachineDescription(processor)
-            compiled = compile_program(program, mdes, graphs)
+            compiled = compile_program(program, mdes, memo=memo)
             for key, block in compiled.blocks.items():
                 assert block.schedule == scan_schedule(
                     list(block.operations), mdes
                 ), (processor.name, key)
+
+
+@st.composite
+def memo_programs(draw):
+    """A one-procedure chain of 1-4 random blocks of 1-60 ops.
+
+    Ops mix every class, mid-block branches and loads/stores on three
+    streams; up to 70 destination registers make small register files
+    spill.  Each block falls through to the next, so speculating
+    machines hoist its successor's loads."""
+    blocks = []
+    for block_id in range(draw(st.integers(1, 4))):
+        ops = []
+        for _ in range(draw(st.integers(1, 60))):
+            kind = draw(
+                st.sampled_from(["int", "float", "load", "store", "branch"])
+            )
+            dest = draw(st.integers(0, 70))
+            srcs = tuple(draw(st.lists(st.integers(0, 90), max_size=2)))
+            stream = draw(st.integers(0, 2))
+            if kind == "int":
+                ops.append(make_int(dest, srcs))
+            elif kind == "float":
+                ops.append(make_float(dest, srcs))
+            elif kind == "load":
+                ops.append(make_load(dest, srcs[0] if srcs else 0, stream))
+            elif kind == "store":
+                ops.append(make_store(dest, srcs[0] if srcs else 0, stream))
+            else:
+                ops.append(make_branch(srcs))
+        blocks.append(BasicBlock(block_id=block_id, operations=ops))
+    edges = [
+        ControlFlowEdge(i, i + 1, 1.0) for i in range(len(blocks) - 1)
+    ]
+    program = Program(name="random")
+    program.add(Procedure(name="main", blocks=blocks, edges=edges))
+    return program
+
+
+memo_processors = st.builds(
+    make_processor,
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    int_registers=st.sampled_from([8, 16, 32, 64]),
+    has_predication=st.booleans(),
+    has_speculation=st.booleans(),
+)
+
+
+class TestBlockMemoProperty:
+    """A block memo shared across processors changes no compiled block."""
+
+    @given(
+        program=memo_programs(),
+        processors=st.lists(memo_processors, min_size=2, max_size=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_shared_memo_equals_fresh_compile_and_scan(
+        self, program, processors
+    ):
+        memo = BlockMemo(program)
+        for processor in processors:
+            mdes = MachineDescription(processor)
+            shared = compile_program(program, mdes, memo=memo)
+            fresh = compile_program(program, mdes)
+            assert shared.blocks == fresh.blocks, processor
+            for block in shared.blocks.values():
+                assert block.schedule == scan_schedule(
+                    list(block.operations), mdes
+                ), processor
