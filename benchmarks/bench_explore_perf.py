@@ -7,11 +7,16 @@ epic workload, with all shared simulation passes pre-primed so the
 timing isolates the exploration layer itself.  The acceptance gate
 asserts a >= 5x end-to-end speedup on ``Spacewalker.walk`` *and* that
 both paths produce identical Pareto frontiers (same designs, costs and
-times within 1e-9).  Two report-only sections ride along (no gate): a
-skyline-vs-sequential Pareto micro-benchmark, and the compile of epic's
+times within 1e-9).  Three report-only sections ride along (no gate): a
+skyline-vs-sequential Pareto micro-benchmark; the compile of epic's
 12 design-space processors through one shared block memo vs one fresh
-memo per processor, which asserts every compiled block identical.
-Results are written to ``benchmarks/results/BENCH_explore.json``.
+memo per processor, which asserts every compiled block identical; and
+the emulation of the ten suite programs on the reference processor by
+the frame-walking oracle and by the production emulator, which asserts
+every event trace identical.  The report also records the host probe
+of ``perfbench/hostspeed.py``, so timings from different hosts can be
+compared.  Results are written to
+``benchmarks/results/BENCH_explore.json``.
 
 Runs two ways:
 
@@ -19,8 +24,9 @@ Runs two ways:
 * ``python benchmarks/bench_explore_perf.py [--smoke] [--json PATH]``
 
 ``--smoke`` does a single timing rep and drops the speedup gate (the
-frontier-identity check always runs) — used by CI to produce the JSON
-artifact without gating on runner timing noise.
+frontier, compiled-block and event-trace identity checks always run) —
+used by CI to produce the JSON artifact without gating on runner timing
+noise.
 """
 
 from __future__ import annotations
@@ -48,8 +54,13 @@ from repro.explore.spec import (
     ProcessorDesignSpace,
     SystemDesignSpace,
 )
+from perfbench.hostspeed import REFERENCE_PROBE_S, HostProbe
 from repro.machine.mdes import MachineDescription
+from repro.machine.presets import REFERENCE_PROCESSOR
+from repro.oracles.emulator import ScalarEmulator
+from repro.trace.emulator import Emulator
 from repro.vliwcomp.compile import BlockMemo, compile_program
+from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
 MIN_SPEEDUP = 5.0
 TIME_RTOL = 1e-9
@@ -57,6 +68,19 @@ TIME_ATOL = 1e-6
 
 #: Points in the skyline micro-benchmark.
 SKYLINE_POINTS = 20_000
+
+#: Visit budget and seed of the emulation section (the budget is
+#: ``perfbench``'s ``SWEEP_VISITS``).
+EMULATE_VISITS = 30_000
+EMULATE_SEED = 1
+
+_TRACE_ARRAYS = (
+    "visit_blocks",
+    "data_addrs",
+    "data_streams",
+    "data_offsets",
+    "data_writes",
+)
 
 
 def build_space() -> SystemDesignSpace:
@@ -215,20 +239,76 @@ def bench_compile(program, *, reps: int) -> dict:
     }
 
 
+def bench_emulate(*, reps: int) -> dict:
+    """Emulate every suite program on the reference processor with the
+    frame-walking oracle and with the production emulator; every event
+    trace must be identical."""
+    cases = []
+    for name in BENCHMARK_NAMES:
+        workload = load_benchmark(name)
+        compiled = compile_program(
+            workload.program, MachineDescription(REFERENCE_PROCESSOR)
+        )
+        cases.append((workload, compiled))
+
+    def run_with(emulator_class):
+        return [
+            emulator_class(
+                workload.program, workload.streams, seed=EMULATE_SEED
+            ).run(EMULATE_VISITS, compiled)
+            for workload, compiled in cases
+        ]
+
+    oracle_seconds = _best_time(lambda: run_with(ScalarEmulator), reps)
+    production_seconds = _best_time(lambda: run_with(Emulator), reps)
+    traces = run_with(Emulator)
+    for name, want, got in zip(
+        BENCHMARK_NAMES, run_with(ScalarEmulator), traces
+    ):
+        assert got.blocks == want.blocks, f"{name}: block tables differ"
+        for array in _TRACE_ARRAYS:
+            assert np.array_equal(getattr(got, array), getattr(want, array)), (
+                f"{name}: {array} differs from the oracle's"
+            )
+
+    return {
+        "programs": len(cases),
+        "visits": sum(events.n_visits for events in traces),
+        "data_refs": sum(events.n_data_refs for events in traces),
+        "oracle_seconds": round(oracle_seconds, 6),
+        "production_seconds": round(production_seconds, 6),
+        "speedup": round(oracle_seconds / production_seconds, 2),
+        "traces_identical": True,
+    }
+
+
+def host_probe_seconds() -> float:
+    """One perfbench host-probe point: the median of three kernel runs
+    with the garbage collector off."""
+    probe = HostProbe()
+    probe.sample()
+    return probe.seconds[0]
+
+
 def run_benchmark(*, reps: int = 5) -> dict:
+    probe_s = host_probe_seconds()
     pipeline = get_pipeline("epic", BENCH_SETTINGS)
     space = build_space()
     spacewalk = bench_spacewalk(pipeline, space, reps=reps)
     skyline = bench_skyline(reps=reps)
     compile_space = bench_compile(pipeline.workload.program, reps=reps)
+    emulate_suite = bench_emulate(reps=reps)
     return {
         "workload": "epic",
         "timing_reps": reps,
+        "host_probe_s": round(probe_s, 6),
+        "host_slowdown": round(probe_s / REFERENCE_PROBE_S, 2),
         "min_required_speedup": MIN_SPEEDUP,
         "primary_speedup": spacewalk["speedup"],
         "spacewalker_walk": spacewalk,
         "skyline_pareto": skyline,
         "compile_design_space": compile_space,
+        "emulate_suite": emulate_suite,
     }
 
 
@@ -241,10 +321,13 @@ def render(report: dict) -> str:
     walk = report["spacewalker_walk"]
     sky = report["skyline_pareto"]
     comp = report["compile_design_space"]
+    emu = report["emulate_suite"]
     return "\n".join(
         [
             f"exploration-layer benchmark — workload={report['workload']} "
-            f"(best of {report['timing_reps']})",
+            f"(best of {report['timing_reps']}; host probe "
+            f"{report['host_probe_s']:.4f}s, "
+            f"{report['host_slowdown']:.2f}x the reference host)",
             f"  [primary] spacewalker walk over {walk['designs']} designs "
             f"({walk['processors']} processors): "
             f"{walk['scalar_seconds']:.3f}s -> "
@@ -260,6 +343,11 @@ def render(report: dict) -> str:
             f"scheduled): fresh memos {comp['fresh_seconds']:.3f}s -> "
             f"one memo {comp['memo_seconds']:.3f}s "
             f"({comp['speedup']:.2f}x, blocks identical)",
+            f"  [report] emulation of {emu['programs']} suite programs "
+            f"({emu['visits']:,} visits, {emu['data_refs']:,} data refs): "
+            f"oracle {emu['oracle_seconds']:.3f}s -> "
+            f"production {emu['production_seconds']:.3f}s "
+            f"({emu['speedup']:.1f}x, traces identical)",
         ]
     )
 

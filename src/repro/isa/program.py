@@ -72,6 +72,7 @@ class Procedure:
 
     def __post_init__(self) -> None:
         self._succ: dict[int, list[ControlFlowEdge]] | None = None
+        self._by_id: dict[int, BasicBlock] | None = None
 
     @property
     def entry(self) -> BasicBlock:
@@ -80,13 +81,23 @@ class Procedure:
         return self.blocks[0]
 
     def block(self, block_id: int) -> BasicBlock:
-        """The block with id ``block_id`` (raises if absent)."""
-        for blk in self.blocks:
-            if blk.block_id == block_id:
-                return blk
-        raise ProgramStructureError(
-            f"procedure {self.name!r} has no block {block_id}"
-        )
+        """The block with id ``block_id`` (raises if absent).
+
+        Looked up in an id -> block map built on first use and dropped
+        by :meth:`invalidate_cfg_cache`.  Where ids repeat (an invalid
+        procedure), the first block in layout order wins.
+        """
+        if self._by_id is None:
+            by_id: dict[int, BasicBlock] = {}
+            for blk in self.blocks:
+                by_id.setdefault(blk.block_id, blk)
+            self._by_id = by_id
+        try:
+            return self._by_id[block_id]
+        except KeyError:
+            raise ProgramStructureError(
+                f"procedure {self.name!r} has no block {block_id}"
+            ) from None
 
     def successors(self, block_id: int) -> list[ControlFlowEdge]:
         """Outgoing edges of ``block_id`` (cached after first call)."""
@@ -98,8 +109,10 @@ class Procedure:
         return self._succ.get(block_id, [])
 
     def invalidate_cfg_cache(self) -> None:
-        """Drop the successor cache after mutating ``edges``."""
+        """Drop the successor and block-id caches after mutating
+        ``edges`` or ``blocks``."""
         self._succ = None
+        self._by_id = None
 
     @property
     def num_operations(self) -> int:

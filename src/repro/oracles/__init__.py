@@ -1,7 +1,7 @@
-"""Reference simulators that tests and benchmarks check production against.
+"""Reference engines that tests and benchmarks check production against.
 
-Every fast path in :mod:`repro.cache` keeps a slow oracle, and the
-oracles live here rather than behind production mode switches:
+Every fast path keeps a slow oracle, and the oracles live here rather
+than behind production mode switches:
 
 * :class:`~repro.oracles.legacy.LegacyCheetahSimulator` — the seed
   single-pass simulator, one Python ``_touch`` per line per family;
@@ -9,12 +9,28 @@ oracles live here rather than behind production mode switches:
   pre-kernel engine, vectorized pre-passes feeding a per-reference LRU
   loop, on the production simulator's own stack families;
 * :func:`~repro.oracles.scalar.access_line` — one scalar line touch on
-  any :class:`~repro.cache.cheetah.CheetahSimulator`.
+  any :class:`~repro.cache.cheetah.CheetahSimulator`;
+* :class:`~repro.oracles.emulator.ScalarEmulator` — the frame-walking
+  emulator, one block lookup and one data address at a time, with its
+  :class:`~repro.oracles.emulator.EventTraceBuilder` and the
+  per-reference :class:`~repro.oracles.emulator.ScalarDataAddressModel`.
 
 No production module imports this package (a test pins that).
 """
 
+from repro.oracles.emulator import (
+    EventTraceBuilder,
+    ScalarDataAddressModel,
+    ScalarEmulator,
+)
 from repro.oracles.legacy import LegacyCheetahSimulator
 from repro.oracles.scalar import ScalarCheetahSimulator, access_line
 
-__all__ = ["LegacyCheetahSimulator", "ScalarCheetahSimulator", "access_line"]
+__all__ = [
+    "EventTraceBuilder",
+    "LegacyCheetahSimulator",
+    "ScalarCheetahSimulator",
+    "ScalarDataAddressModel",
+    "ScalarEmulator",
+    "access_line",
+]

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.config import WORD_BYTES
 from repro.errors import ConfigurationError
 from repro.vliwcomp.regalloc import SPILL_STREAM
@@ -66,25 +68,37 @@ class StreamSpec:
             )
 
 
-class _Lcg:
-    """Tiny deterministic generator (numerical recipes constants)."""
+#: Reference kinds of :meth:`DataAddressModel.addresses`.  A draw
+#: advances the stream.  A peek models a speculative (hoisted) load: it
+#: reads the address the next draw will return, so on the predicted
+#: path the real load re-touches the line.  A wrong-path read is what a
+#: *mispredicted* speculative load touches: the not-taken path works on
+#: another part of the stream's data (far ahead in a walk, an
+#: independent draw in a scattered structure, a nearby stack slot) —
+#: Section 4.1's "spurious load addresses".  Neither of the last two
+#: advances any stream state, so the committed path's addresses are
+#: unperturbed.
+DRAW, PEEK, WRONG_PATH = 0, 1, 2
 
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = (seed * 2654435761 + 1) & 0xFFFFFFFF
-
-    def next_u32(self) -> int:
-        self.state = (self.state * 1664525 + 1013904223) & 0xFFFFFFFF
-        return self.state
+#: The per-stream generator: a 32-bit LCG (numerical recipes constants).
+_LCG_A = 1664525
+_LCG_C = 1013904223
+_MASK32 = 0xFFFF_FFFF
+#: Shadow-state mask of a wrong-path read in a random or zipf stream.
+_WRONG_PATH_XOR = 0x9E3779B9
 
 
 class DataAddressModel:
-    """Stateful generator of data addresses for a program's streams.
+    """Data addresses of a program's streams, computed per stream in bulk.
 
     Regions are assigned in ascending stream-id order starting at
     :data:`DATA_BASE`; the spill stream (:data:`SPILL_STREAM`) always
     exists and sits below the first ordinary region.
+
+    Every stream evolves independently from its spec and the seed, so a
+    stream's addresses are a function of its own sequence of reference
+    kinds (:data:`DRAW`, :data:`PEEK`, :data:`WRONG_PATH`) alone, and
+    :meth:`addresses` evaluates that function in closed form.
     """
 
     def __init__(self, streams: dict[int, StreamSpec], seed: int = 1):
@@ -101,11 +115,7 @@ class DataAddressModel:
         for sid in sorted(self._specs):
             self._bases[sid] = cursor
             cursor += _round_up(self._specs[sid].region_bytes) + _REGION_GAP
-        self._positions: dict[int, int] = {sid: 0 for sid in self._specs}
-        self._rngs: dict[int, _Lcg] = {
-            sid: _Lcg(seed ^ (sid & 0xFFFF)) for sid in self._specs
-        }
-        self._last: dict[int, int] = {}
+        self._seed = seed
 
     def spec(self, stream: int) -> StreamSpec:
         """The static description of ``stream`` (raises if unknown)."""
@@ -119,120 +129,110 @@ class DataAddressModel:
         self.spec(stream)
         return self._bases[stream]
 
-    def next_address(self, stream: int) -> int:
-        """Advance the stream and return the next byte address."""
-        spec = self.spec(stream)
-        base = self._bases[stream]
-        words = spec.region_bytes // WORD_BYTES
-        if spec.pattern in ("sequential", "strided"):
-            pos = self._positions[stream]
-            addr = base + (pos % spec.region_bytes)
-            self._positions[stream] = (
-                pos + spec.stride_bytes
-            ) % spec.region_bytes
-        elif spec.pattern == "random":
-            word = self._rngs[stream].next_u32() % words
-            addr = base + word * WORD_BYTES
-        elif spec.pattern == "zipf":
-            addr = base + _zipf_word(self._rngs[stream], words) * WORD_BYTES
-        else:  # stack
-            # Top-of-stack random walk over a hot window of ~32 words.
-            window = min(32, words)
-            rng = self._rngs[stream]
-            step = (rng.next_u32() % 3) - 1  # -1, 0, +1
-            pos = (self._positions[stream] + step) % max(1, words - window)
-            self._positions[stream] = pos
-            offset = rng.next_u32() % window
-            addr = base + (pos + offset) * WORD_BYTES
-        addr &= ~(WORD_BYTES - 1)
-        self._last[stream] = addr
-        return addr
+    def _initial_state(self, stream: int) -> int:
+        """The stream's generator state before its first draw."""
+        return ((self._seed ^ (stream & 0xFFFF)) * 2654435761 + 1) & _MASK32
 
-    def last_address(self, stream: int) -> int:
-        """Most recent address of the stream, without advancing.
+    def addresses(self, stream: int, kinds: np.ndarray) -> np.ndarray:
+        """The byte addresses of ``stream``'s references, in order.
 
-        Falls back to the region base before any reference occurs.
-        """
-        return self._last.get(stream, self.region_base(stream))
+        ``kinds[i]`` is the kind of the stream's ``i``-th reference
+        since the start of the run.  Reference ``i`` sees the state
+        after the ``k`` draws before it:
 
-    def peek_next_address(self, stream: int) -> int:
-        """The address :meth:`next_address` *would* return, without
-        advancing any stream state.
+        * sequential and strided streams sit at ``(k * stride) mod
+          region``; a wrong-path read is 64 strides ahead;
+        * random and zipf streams draw from the LCG state ``S_k`` a
+          step further on, ``S_{k+1}``; a wrong-path read steps the
+          shadow state ``S_k ^ 0x9E3779B9`` once instead;
+        * a stack draw takes two LCG steps, a -1/0/+1 move of the top
+          and an offset into the hot window; the top is the floor-mod
+          of the cumulative moves.  A wrong-path read is a peek.
 
-        Models a speculative (hoisted) load: it reads the address the
-        successor block's load will read.  When the branch goes the
-        predicted way the real load re-touches the line (a hit); when it
-        does not, the speculative reference was an extra, possibly
-        missing, touch — exactly the perturbation Section 4.1 ascribes to
-        speculation.
+        A peek therefore reads exactly the address the next draw
+        returns.  Returns an int64 array of the same length as
+        ``kinds``.
         """
         spec = self.spec(stream)
+        kinds = np.asarray(kinds, dtype=np.int8)
         base = self._bases[stream]
-        words = spec.region_bytes // WORD_BYTES
+        region = spec.region_bytes
+        words = region // WORD_BYTES
+        draws = kinds == DRAW
+        # k: draws before each reference.
+        before = np.cumsum(draws, dtype=np.int64) - draws
+        # Draw slots read: every draw, plus the next one a trailing peek
+        # or wrong-path read looks at.
+        slots = int(before[-1]) + 1 if len(kinds) else 0
         if spec.pattern in ("sequential", "strided"):
-            addr = base + (self._positions[stream] % spec.region_bytes)
-        elif spec.pattern == "random":
-            shadow = _Lcg(0)
-            shadow.state = self._rngs[stream].state
-            addr = base + (shadow.next_u32() % words) * WORD_BYTES
-        elif spec.pattern == "zipf":
-            shadow = _Lcg(0)
-            shadow.state = self._rngs[stream].state
-            addr = base + _zipf_word(shadow, words) * WORD_BYTES
-        else:  # stack
-            window = min(32, words)
-            shadow = _Lcg(0)
-            shadow.state = self._rngs[stream].state
-            step = (shadow.next_u32() % 3) - 1
-            pos = (self._positions[stream] + step) % max(1, words - window)
-            offset = shadow.next_u32() % window
-            addr = base + (pos + offset) * WORD_BYTES
-        return addr & ~(WORD_BYTES - 1)
-
-    def wrong_path_address(self, stream: int) -> int:
-        """An address a *mispredicted* speculative load would touch.
-
-        The not-taken path typically works on a different part of the
-        stream's data: far ahead in a sequential walk, an independent
-        draw in a scattered structure, a nearby slot on the stack.  Like
-        :meth:`peek_next_address`, no stream state advances — the real
-        path's addresses are unperturbed.
-        """
-        spec = self.spec(stream)
-        base = self._bases[stream]
-        words = spec.region_bytes // WORD_BYTES
-        if spec.pattern in ("sequential", "strided"):
-            # Several dozen strides ahead: same-structure data the
-            # committed walk reaches only later.  In a large cache the
-            # early touch behaves like a prefetch (the walk re-hits the
-            # line); in a small cache the line is evicted before use and
-            # the speculation costs real misses — matching the paper's
-            # observation that the small data cache suffers far more.
-            offset = (
-                self._positions[stream] + 64 * spec.stride_bytes
-            ) % spec.region_bytes
-            addr = base + offset
+            stride = spec.stride_bytes % region
+            offset = (before % region) * stride % region
+            # Several dozen strides ahead: in a large cache the early
+            # touch acts as a prefetch; in a small one the line is gone
+            # before the walk arrives, matching the paper's observation
+            # that the small data cache suffers far more.
+            wrong = kinds == WRONG_PATH
+            offset[wrong] = (
+                offset[wrong] + 64 * spec.stride_bytes % region
+            ) % region
         elif spec.pattern in ("random", "zipf"):
-            shadow = _Lcg(0)
-            shadow.state = (self._rngs[stream].state ^ 0x9E3779B9) & 0xFFFFFFFF
+            states = lcg_states(self._initial_state(stream), slots + 1)
+            state = states[before + 1]
+            wrong = kinds == WRONG_PATH
+            shadow = states[before[wrong]] ^ np.uint64(_WRONG_PATH_XOR)
+            state[wrong] = (
+                shadow * np.uint64(_LCG_A) + np.uint64(_LCG_C)
+            ) & np.uint64(_MASK32)
             if spec.pattern == "zipf":
-                addr = base + _zipf_word(shadow, words) * WORD_BYTES
+                word = _zipf_words(state, words)
             else:
-                addr = base + (shadow.next_u32() % words) * WORD_BYTES
-        else:  # stack: the not-taken path still works near the top
-            return self.peek_next_address(stream)
-        return addr & ~(WORD_BYTES - 1)
+                word = (state % words).astype(np.int64)
+            offset = word * WORD_BYTES
+        else:  # stack; a wrong-path read is a peek
+            window = min(32, words)
+            # Draw j moves the top with S_{2j+1} and picks its offset
+            # with S_{2j+2}.
+            states = lcg_states(self._initial_state(stream), 2 * slots + 1)
+            steps = (states[1::2] % 3).astype(np.int64) - 1
+            tops = np.cumsum(steps) % max(1, words - window)
+            picks = (states[2::2] % window).astype(np.int64)
+            offset = (tops[before] + picks[before]) * WORD_BYTES
+        return (base + offset) & ~(WORD_BYTES - 1)
 
 
-def _zipf_word(rng: _Lcg, words: int) -> int:
-    """A zipf-like word index: square a uniform draw to skew toward 0.
+def lcg_states(state: int, count: int) -> np.ndarray:
+    """``S_0 .. S_{count-1}`` of the stream generator from ``S_0 = state``.
+
+    Jump-ahead: ``S_j = a**j * S_0 + c * (a**(j-1) + ... + a + 1)`` mod
+    2**32.  The powers come from a cumulative product and the geometric
+    sums from a cumulative sum of the powers; both wrap modulo 2**64, a
+    multiple of 2**32, so masking the result to 32 bits is exact.
+    """
+    if count <= 0:
+        return np.empty(0, dtype=np.uint64)
+    powers = np.full(count, _LCG_A, dtype=np.uint64)
+    powers[0] = 1
+    np.cumprod(powers, out=powers)
+    powers &= np.uint64(_MASK32)
+    sums = np.empty(count, dtype=np.uint64)
+    sums[0] = 0
+    np.cumsum(powers[:-1], out=sums[1:])
+    sums &= np.uint64(_MASK32)
+    return (powers * np.uint64(state) + sums * np.uint64(_LCG_C)) & np.uint64(
+        _MASK32
+    )
+
+
+def _zipf_words(states: np.ndarray, words: int) -> np.ndarray:
+    """A zipf-like word index per state: square a uniform draw to skew
+    toward 0.
 
     P(index < k) = sqrt(k / words): the hottest 1% of the region absorbs
     ~10% of accesses — a cheap deterministic approximation of zipfian
     popularity that needs no per-stream tables.
     """
-    u = rng.next_u32() / 0x1_0000_0000
-    return int(u * u * words) % max(1, words)
+    u = states.astype(np.float64) / 0x1_0000_0000
+    return (u * u * words).astype(np.int64) % max(1, words)
 
 
 def _round_up(value: int, quantum: int = 64) -> int:

@@ -15,36 +15,210 @@ construction:
   annotations, using only dedicated spill-stream state and re-reads of
   recent addresses, so the base reference stream is untouched.  These
   perturbations are exactly the step-1 error sources Table 2 measures.
+
+The run has two halves.  A walk over a flat block plan (integer block
+indexes, cumulative edge probabilities, callee entry indexes) follows
+control flow with one ``rng.random()`` draw per visit of a block with
+successors, and records each visit's block and chosen successor.  Every
+data reference then comes from its block's reference template, and each
+stream's addresses are computed in one batch by
+:meth:`~repro.trace.datamodel.DataAddressModel.addresses`.  The
+frame-walking emulator this replaces is kept as the reference in
+:mod:`repro.oracles.emulator`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import TraceError
 from repro.isa.program import Program
 from repro.isa.validate import validate_program
-from repro.trace.datamodel import DataAddressModel, StreamSpec
-from repro.trace.events import EventTrace, EventTraceBuilder
+from repro.trace.datamodel import (
+    DRAW,
+    PEEK,
+    WRONG_PATH,
+    DataAddressModel,
+    StreamSpec,
+)
+from repro.trace.events import EventTrace
 from repro.vliwcomp.compile import CompiledProgram
 from repro.vliwcomp.regalloc import SPILL_STREAM
 
-#: Visit states of an execution frame.
-_VISIT, _CALLS, _BRANCH = 0, 1, 2
+#: Template kind of a speculative load that reads wrong-path data when
+#: its visit's branch goes against the compiler's prediction, and peeks
+#: otherwise.
+_PEEK_OR_WRONG = 3
+
+#: Plan index of a return block's (absent) successor.
+_NO_SUCCESSOR = -1
+#: Plan index of a block that is not in the program: no visit chooses it.
+_NOT_IN_PLAN = -2
 
 
-@dataclass
-class _Frame:
-    proc_name: str
-    block_id: int
-    state: int = _VISIT
-    call_index: int = 0
-    #: Successor chosen at visit time (consumed in the _BRANCH state);
-    #: None for return blocks.  Drawing the choice early lets trace
-    #: decoration resolve speculative loads against the actual branch
-    #: outcome without changing the visit sequence.
-    chosen_successor: int | None = None
+class _BlockPlan:
+    """Flat control flow of a program: blocks by global plan index.
+
+    ``keys[i]`` is block ``i``'s (procedure name, block id).
+    ``edges[i]`` is None for a return block, else a tuple of
+    (cumulative probability, successor index) pairs in edge order;
+    ``calls[i]`` holds the entry indexes of the block's callees.
+    """
+
+    __slots__ = ("keys", "edges", "calls", "entry", "_index")
+
+    def __init__(self, program: Program):
+        self.keys = [
+            (proc_name, blk.block_id)
+            for proc_name, blk in program.all_blocks()
+        ]
+        self._index = {key: index for index, key in enumerate(self.keys)}
+        self.edges: list[tuple[tuple[float, int], ...] | None] = []
+        self.calls: list[tuple[int, ...]] = []
+        for proc_name, blk in program.all_blocks():
+            proc = program.procedure(proc_name)
+            acc = 0.0
+            pairs = []
+            for edge in proc.successors(blk.block_id):
+                acc += edge.probability
+                pairs.append((acc, self._index[(proc_name, edge.dst)]))
+            self.edges.append(tuple(pairs) or None)
+            self.calls.append(
+                tuple(
+                    self._index[
+                        (callee, program.procedure(callee).entry.block_id)
+                    ]
+                    for callee in blk.calls
+                )
+            )
+        entry = program.entry_procedure
+        self.entry = self._index[(entry.name, entry.entry.block_id)]
+
+    def index(self, proc_name: str, block_id: int) -> int:
+        """Plan index of a block, or :data:`_NOT_IN_PLAN`."""
+        return self._index.get((proc_name, block_id), _NOT_IN_PLAN)
+
+    def walk(
+        self, rng: random.Random, max_visits: int
+    ) -> tuple[list[int], list[int]]:
+        """The visited plan indexes and each visit's chosen successor.
+
+        A block with successors draws ``rng.random()`` once and takes
+        the first edge whose cumulative probability exceeds the draw,
+        else the last edge.  Calls run after the visit, in order, each
+        to its callee's return; then control moves to the chosen
+        successor, or returns to the caller.  The walk ends when the
+        entry procedure returns or after ``max_visits`` visits.
+        """
+        edges, calls = self.edges, self.calls
+        draw = rng.random
+        visits: list[int] = []
+        chosen: list[int] = []
+        visit, choose = visits.append, chosen.append
+        # One frame per call site still running: [successor of the
+        # calling block, its callees, next callee position].
+        stack: list[list] = []
+        block = self.entry
+        remaining = max_visits
+        while True:
+            out = edges[block]
+            if out is None:
+                nxt = _NO_SUCCESSOR
+            else:
+                point = draw()
+                for acc, nxt in out:
+                    if point < acc:
+                        break
+            visit(block)
+            choose(nxt)
+            remaining -= 1
+            if not remaining:
+                break
+            callees = calls[block]
+            if callees:
+                stack.append([nxt, callees, 1])
+                block = callees[0]
+                continue
+            while nxt == _NO_SUCCESSOR and stack:
+                frame = stack[-1]
+                position = frame[2]
+                if position < len(frame[1]):
+                    frame[2] = position + 1
+                    nxt = frame[1][position]
+                else:
+                    stack.pop()
+                    nxt = frame[0]
+            if nxt == _NO_SUCCESSOR:
+                break
+            block = nxt
+        return visits, chosen
+
+
+class _RefTemplates:
+    """Every block's data references as flat (stream, kind, write) rows.
+
+    Block ``i``'s rows are ``[starts[i], starts[i] + counts[i])``: its
+    memory operations in order (draws), then, when decorating, the
+    compiled block's spill operations (alternating store/load draws on
+    the spill stream) and its speculative loads (peeks, or wrong-path
+    reads on even positions when the visit's branch was mispredicted).
+    ``predicted[i]`` is the plan index of the compiler's predicted
+    successor (read only for blocks with one); ``missing[i]`` marks a
+    block the compiled program lacks.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        plan: _BlockPlan,
+        compiled: CompiledProgram | None,
+    ):
+        n_blocks = len(plan.keys)
+        streams: list[int] = []
+        kinds: list[int] = []
+        writes: list[bool] = []
+        self.counts = np.zeros(n_blocks, dtype=np.int64)
+        self.predicted = np.full(n_blocks, _NOT_IN_PLAN, dtype=np.int64)
+        self.missing = np.zeros(n_blocks, dtype=bool)
+        for index, (proc_name, blk) in enumerate(program.all_blocks()):
+            before = len(streams)
+            for op in blk.operations:
+                if op.is_memory:
+                    streams.append(op.stream)
+                    kinds.append(DRAW)
+                    writes.append(op.is_store)
+            if compiled is not None:
+                cblock = compiled.blocks.get((proc_name, blk.block_id))
+                if cblock is None:
+                    self.missing[index] = True
+                else:
+                    for spill in range(cblock.spill_ops):
+                        streams.append(SPILL_STREAM)
+                        kinds.append(DRAW)
+                        writes.append(spill % 2 == 0)
+                    predicted = cblock.predicted_successor
+                    if predicted is not None:
+                        self.predicted[index] = plan.index(
+                            proc_name, predicted
+                        )
+                    for position, stream in enumerate(
+                        cblock.speculative_streams
+                    ):
+                        streams.append(stream)
+                        kinds.append(
+                            _PEEK_OR_WRONG
+                            if predicted is not None and position % 2 == 0
+                            else PEEK
+                        )
+                        writes.append(False)
+            self.counts[index] = len(streams) - before
+        self.starts = np.zeros(n_blocks, dtype=np.int64)
+        np.cumsum(self.counts[:-1], out=self.starts[1:])
+        self.streams = np.asarray(streams, dtype=np.int32)
+        self.kinds = np.asarray(kinds, dtype=np.int8)
+        self.writes = np.asarray(writes, dtype=bool)
 
 
 class Emulator:
@@ -74,101 +248,59 @@ class Emulator:
         """
         if max_visits < 1:
             raise TraceError(f"max_visits must be >= 1, got {max_visits}")
-        rng = random.Random(self.seed)
-        data = DataAddressModel(self.streams, seed=self.seed)
-        builder = EventTraceBuilder()
         program = self.program
+        data = DataAddressModel(self.streams, seed=self.seed)
+        plan = _BlockPlan(program)
+        templates = _RefTemplates(program, plan, compiled)
+        walked, chosen = plan.walk(random.Random(self.seed), max_visits)
+        visits = np.asarray(walked, dtype=np.int64)
 
-        stack = [_Frame(program.entry, program.entry_procedure.entry.block_id)]
-        while stack and builder.n_visits < max_visits:
-            frame = stack[-1]
-            proc = program.procedure(frame.proc_name)
-            block = proc.block(frame.block_id)
-            if frame.state == _VISIT:
-                edges = proc.successors(frame.block_id)
-                frame.chosen_successor = (
-                    _choose(edges, rng) if edges else None
-                )
-                builder.begin_visit(frame.proc_name, frame.block_id)
-                for op in block.operations:
-                    if op.is_memory:
-                        builder.add_data_ref(
-                            data.next_address(op.stream),
-                            op.stream,
-                            is_write=op.is_store,
-                        )
-                if compiled is not None:
-                    self._decorate(builder, data, compiled, frame)
-                builder.end_visit()
-                frame.state = _CALLS
-                frame.call_index = 0
-            elif frame.state == _CALLS:
-                if frame.call_index < len(block.calls):
-                    callee = block.calls[frame.call_index]
-                    frame.call_index += 1
-                    entry_block = program.procedure(callee).entry.block_id
-                    stack.append(_Frame(callee, entry_block))
-                else:
-                    frame.state = _BRANCH
-            else:  # _BRANCH
-                if frame.chosen_successor is None:
-                    stack.pop()
-                    continue
-                frame.block_id = frame.chosen_successor
-                frame.state = _VISIT
-        return builder.build()
-
-    def _decorate(
-        self,
-        builder: EventTraceBuilder,
-        data: DataAddressModel,
-        compiled: CompiledProgram,
-        frame: _Frame,
-    ) -> None:
-        """Append spill and speculative references for this visit."""
-        cblock = compiled.blocks.get((frame.proc_name, frame.block_id))
-        if cblock is None:
+        lacking = templates.missing[visits]
+        if lacking.any():
+            proc_name, block_id = plan.keys[visits[np.argmax(lacking)]]
             raise TraceError(
-                f"compiled program lacks block "
-                f"({frame.proc_name!r}, {frame.block_id})"
+                f"compiled program lacks block ({proc_name!r}, {block_id})"
             )
-        for index in range(cblock.spill_ops):
-            # Spill ops alternate store/load pairs (see _spill_ops).
-            builder.add_data_ref(
-                data.next_address(SPILL_STREAM),
-                SPILL_STREAM,
-                is_write=index % 2 == 0,
+
+        # Expand each visit's template rows into the flat reference list.
+        counts = templates.counts[visits]
+        offsets = np.zeros(len(visits) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        n_refs = int(offsets[-1])
+        rows = np.repeat(templates.starts[visits] - offsets[:-1], counts)
+        rows += np.arange(n_refs, dtype=np.int64)
+        ref_streams = templates.streams[rows]
+        ref_kinds = templates.kinds[rows]
+        conditional = np.flatnonzero(ref_kinds == _PEEK_OR_WRONG)
+        if len(conditional):
+            predicted = templates.predicted[visits]
+            wrong = predicted != np.asarray(chosen, dtype=np.int64)
+            ref_visit = np.searchsorted(offsets, conditional, side="right") - 1
+            ref_kinds[conditional] = np.where(
+                wrong[ref_visit], WRONG_PATH, PEEK
             )
-        wrong_path = (
-            cblock.predicted_successor is not None
-            and frame.chosen_successor != cblock.predicted_successor
+
+        addrs = np.empty(n_refs, dtype=np.int64)
+        by_stream = np.argsort(ref_streams, kind="stable")
+        ordered = ref_streams[by_stream]
+        bounds = np.flatnonzero(np.diff(ordered)) + 1
+        for group in np.split(by_stream, bounds) if n_refs else ():
+            stream = int(ref_streams[group[0]])
+            addrs[group] = data.addresses(stream, ref_kinds[group])
+
+        # Block table in first-visit order.
+        first_seen, first_at = np.unique(visits, return_index=True)
+        table = first_seen[np.argsort(first_at)]
+        renumber = np.empty(len(plan.keys), dtype=np.int32)
+        renumber[table] = np.arange(len(table), dtype=np.int32)
+        return EventTrace(
+            blocks=tuple(plan.keys[i] for i in table.tolist()),
+            visit_blocks=renumber[visits],
+            data_addrs=addrs,
+            data_streams=ref_streams,
+            data_offsets=offsets,
+            data_writes=templates.writes[rows],
         )
-        for index, stream in enumerate(cblock.speculative_streams):
-            # Speculative hoisted operations are always loads.  On the
-            # predicted path they pre-touch the address the successor
-            # will read (a prefetch).  Mispredicted, about half still
-            # read data the committed path shares (loop-carried values);
-            # the rest touch wrong-path data — Section 4.1's "spurious
-            # load addresses", which "is not expected to be large".
-            if wrong_path and index % 2 == 0:
-                builder.add_data_ref(
-                    data.wrong_path_address(stream), stream
-                )
-            else:
-                builder.add_data_ref(
-                    data.peek_next_address(stream), stream
-                )
-
-
-def _choose(edges, rng: random.Random) -> int:
-    """Pick a successor block id according to edge probabilities."""
-    point = rng.random()
-    acc = 0.0
-    for edge in edges:
-        acc += edge.probability
-        if point < acc:
-            return edge.dst
-    return edges[-1].dst
 
 
 def emulate(

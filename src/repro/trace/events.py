@@ -99,61 +99,3 @@ class EventTrace:
             yield proc_name, block_id, self.data_addrs[
                 offsets[i] : offsets[i + 1]
             ]
-
-
-class EventTraceBuilder:
-    """Incremental builder used by the emulator."""
-
-    def __init__(self) -> None:
-        self._block_index: dict[tuple[str, int], int] = {}
-        self._blocks: list[tuple[str, int]] = []
-        self._visits: list[int] = []
-        self._addrs: list[int] = []
-        self._streams: list[int] = []
-        self._writes: list[bool] = []
-        self._offsets: list[int] = [0]
-
-    def global_index(self, proc_name: str, block_id: int) -> int:
-        """Block-table index for a block, interning it on first use."""
-        key = (proc_name, block_id)
-        index = self._block_index.get(key)
-        if index is None:
-            index = len(self._blocks)
-            self._block_index[key] = index
-            self._blocks.append(key)
-        return index
-
-    def begin_visit(self, proc_name: str, block_id: int) -> None:
-        """Open a block-visit record."""
-        self._visits.append(self.global_index(proc_name, block_id))
-
-    def add_data_ref(
-        self, addr: int, stream: int, is_write: bool = False
-    ) -> None:
-        """Append one data reference to the open visit."""
-        self._addrs.append(addr)
-        self._streams.append(stream)
-        self._writes.append(is_write)
-
-    def end_visit(self) -> None:
-        """Close the open visit's data-reference window."""
-        self._offsets.append(len(self._addrs))
-
-    @property
-    def n_visits(self) -> int:
-        return len(self._visits)
-
-    def build(self) -> EventTrace:
-        """Freeze the accumulated events into an immutable trace."""
-        if len(self._offsets) != len(self._visits) + 1:
-            raise TraceError(
-                "unbalanced begin_visit/end_visit calls in builder"
-            )
-        return EventTrace(
-            blocks=tuple(self._blocks),
-            visit_blocks=np.asarray(self._visits, dtype=np.int32),
-            data_addrs=np.asarray(self._addrs, dtype=np.int64),
-            data_streams=np.asarray(self._streams, dtype=np.int32),
-            data_offsets=np.asarray(self._offsets, dtype=np.int64),
-            data_writes=np.asarray(self._writes, dtype=bool),
-        )

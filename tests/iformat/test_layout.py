@@ -13,8 +13,8 @@ from repro.iformat.layout import (
 from repro.iformat.linker import link
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111
+from repro.oracles.emulator import EventTraceBuilder
 from repro.trace.emulator import emulate
-from repro.trace.events import EventTraceBuilder
 from repro.vliwcomp.compile import compile_program
 
 

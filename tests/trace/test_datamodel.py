@@ -1,11 +1,33 @@
-"""Unit tests for repro.trace.datamodel."""
+"""Unit tests for repro.trace.datamodel.
+
+Every stream is read through the batch method
+:meth:`DataAddressModel.addresses`, which takes the stream's whole
+sequence of reference kinds; ``run(model, stream, kinds)`` lists its
+addresses.  ``tests/trace/test_emulator_oracle.py`` checks the method
+against the per-reference oracle model.
+"""
 
 import pytest
 
 from repro.cache.config import WORD_BYTES
 from repro.errors import ConfigurationError
-from repro.trace.datamodel import DATA_BASE, DataAddressModel, StreamSpec
+from repro.trace.datamodel import (
+    DATA_BASE,
+    DRAW,
+    PEEK,
+    WRONG_PATH,
+    DataAddressModel,
+    StreamSpec,
+)
 from repro.vliwcomp.regalloc import SPILL_STREAM
+
+
+def run(model, stream, kinds):
+    return model.addresses(stream, kinds).tolist()
+
+
+def draws(model, stream, count):
+    return run(model, stream, [DRAW] * count)
 
 
 class TestStreamSpec:
@@ -37,7 +59,7 @@ class TestDataAddressModel:
     def test_sequential_walk_and_wrap(self):
         model = self.make()
         base = model.region_base(0)
-        addrs = [model.next_address(0) for _ in range(66)]
+        addrs = draws(model, 0, 66)
         assert addrs[0] == base
         assert addrs[1] == base + 4
         assert addrs[64] == base  # wrapped after 256/4 = 64 words
@@ -46,22 +68,20 @@ class TestDataAddressModel:
     def test_strided_walk(self):
         model = self.make()
         base = model.region_base(1)
-        addrs = [model.next_address(1) for _ in range(3)]
+        addrs = draws(model, 1, 3)
         assert addrs == [base, base + 32, base + 64]
 
     def test_random_stays_in_region(self):
         model = self.make()
         base = model.region_base(2)
-        for _ in range(200):
-            addr = model.next_address(2)
+        for addr in draws(model, 2, 200):
             assert base <= addr < base + 1024
             assert addr % WORD_BYTES == 0
 
     def test_stack_stays_in_region(self):
         model = self.make()
         base = model.region_base(3)
-        for _ in range(200):
-            addr = model.next_address(3)
+        for addr in draws(model, 3, 200):
             assert base <= addr < base + 256
 
     def test_regions_disjoint_and_above_data_base(self):
@@ -77,20 +97,18 @@ class TestDataAddressModel:
 
     def test_spill_stream_always_available(self):
         model = DataAddressModel({}, seed=1)
-        addr = model.next_address(SPILL_STREAM)
+        (addr,) = draws(model, SPILL_STREAM, 1)
         assert addr >= DATA_BASE
 
     def test_unknown_stream_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown stream"):
-            self.make().next_address(42)
+            draws(self.make(), 42, 1)
 
     def test_determinism(self):
         a = self.make()
         b = self.make()
         for stream in (0, 1, 2, 3):
-            assert [a.next_address(stream) for _ in range(20)] == [
-                b.next_address(stream) for _ in range(20)
-            ]
+            assert draws(a, stream, 20) == draws(b, stream, 20)
 
 
 class TestPeek:
@@ -104,16 +122,21 @@ class TestPeek:
             seed=4,
         )
         for stream in (0, 1, 2):
-            peeked = model.peek_next_address(stream)
-            peeked_again = model.peek_next_address(stream)
+            peeked, peeked_again, drawn = run(
+                model, stream, [PEEK, PEEK, DRAW]
+            )
             assert peeked == peeked_again  # no state advance
-            assert model.next_address(stream) == peeked
+            assert drawn == peeked
 
     def test_last_address_tracks_next(self):
+        """A batch is a function of its prefix: the last address of a
+        run is the address the same reference has in any longer run."""
         model = DataAddressModel({0: StreamSpec("sequential", 64)}, seed=1)
-        assert model.last_address(0) == model.region_base(0)
-        addr = model.next_address(0)
-        assert model.last_address(0) == addr
+        assert draws(model, 0, 1) == [model.region_base(0)]
+        kinds = [DRAW, PEEK, DRAW, WRONG_PATH, DRAW]
+        longer = run(model, 0, kinds)
+        for end in range(1, len(kinds) + 1):
+            assert run(model, 0, kinds[:end])[-1] == longer[end - 1]
 
 
 class TestZipfPattern:
@@ -123,8 +146,7 @@ class TestZipfPattern:
     def test_stays_in_region_and_aligned(self):
         model = self.make()
         base = model.region_base(0)
-        for _ in range(300):
-            addr = model.next_address(0)
+        for addr in draws(model, 0, 300):
             assert base <= addr < base + 64 * 1024
             assert addr % WORD_BYTES == 0
 
@@ -134,18 +156,18 @@ class TestZipfPattern:
         base = model.region_base(0)
         hits_head = sum(
             1
-            for _ in range(2000)
-            if model.next_address(0) - base < 64 * 1024 // 10
+            for addr in draws(model, 0, 2000)
+            if addr - base < 64 * 1024 // 10
         )
         assert hits_head / 2000 > 0.25
 
     def test_peek_matches_next(self):
         model = self.make()
-        peeked = model.peek_next_address(0)
-        assert model.next_address(0) == peeked
+        peeked, drawn = run(model, 0, [PEEK, DRAW])
+        assert drawn == peeked
 
     def test_wrong_path_address_in_region(self):
         model = self.make()
         base = model.region_base(0)
-        addr = model.wrong_path_address(0)
+        (addr,) = run(model, 0, [WRONG_PATH])
         assert base <= addr < base + 64 * 1024

@@ -8,6 +8,7 @@ from repro.explore.spec import SystemDesignSpace
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P3221, P6332, REFERENCE_PROCESSOR
 from repro.machine.processor import make_processor
+from repro.oracles.emulator import ScalarEmulator
 from repro.trace.emulator import Emulator, emulate
 from repro.vliwcomp.compile import BlockMemo, compile_program
 from repro.vliwcomp.regalloc import SPILL_STREAM
@@ -150,3 +151,36 @@ class TestValidationPath:
         broken = Program(name="broken", entry="ghost")
         with pytest.raises(Exception, match="entry"):
             Emulator(broken, tiny.streams)
+
+    def test_compiled_program_lacking_a_visited_block(self, tiny):
+        """Decoration needs every visited block's compiled form; the
+        error names the block that has none."""
+        compiled = compile_program(tiny.program, MachineDescription(P6332))
+        events = emulate(tiny.program, tiny.streams, seed=3, max_visits=800)
+        # The block table is in first-visit order: take the latest newcomer.
+        proc_name, block_id = events.blocks[-1]
+        del compiled.blocks[(proc_name, block_id)]
+        first = int(np.argmax(events.visit_blocks == len(events.blocks) - 1))
+        assert first > 0
+        expected = f"lacks block \\({proc_name!r}, {block_id}\\)"
+        with pytest.raises(TraceError, match=expected):
+            emulate(
+                tiny.program,
+                tiny.streams,
+                seed=3,
+                max_visits=800,
+                compiled=compiled,
+            )
+        with pytest.raises(TraceError, match=expected):
+            ScalarEmulator(tiny.program, tiny.streams, seed=3).run(
+                800, compiled
+            )
+        # A budget that stops before the block's first visit never
+        # needs it.
+        emulate(
+            tiny.program,
+            tiny.streams,
+            seed=3,
+            max_visits=first,
+            compiled=compiled,
+        )

@@ -1,10 +1,11 @@
-"""Unit tests for repro.trace.events and repro.trace.sampling."""
+"""Unit tests for repro.trace.events, its builder and repro.trace.sampling."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.events import EventTrace, EventTraceBuilder
+from repro.oracles.emulator import EventTraceBuilder
+from repro.trace.events import EventTrace
 from repro.trace.sampling import sample_events
 
 

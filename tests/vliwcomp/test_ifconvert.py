@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ProgramStructureError
 from repro.isa.operations import make_branch, make_int, make_load
 from repro.isa.program import BasicBlock, ControlFlowEdge, Procedure, Program
 from repro.isa.validate import validate_program
@@ -52,6 +53,19 @@ class TestIfConvert:
         assert head.num_operations == 2 + 3 + 3 + 1
         (edge,) = main.successors(0)
         assert edge.dst == 3 and edge.probability == 1.0
+
+    def test_block_lookup_sees_converted_blocks(self):
+        """if_convert looks the arms up before merging them, so a stale
+        id -> block map would still return them afterwards."""
+        converted, _ = if_convert(diamond_program())
+        main = converted.procedure("main")
+        assert main.block(0) is main.blocks[0]
+        assert main.block(3) is main.blocks[1]
+        for arm in (1, 2):
+            with pytest.raises(
+                ProgramStructureError, match=f"no block {arm}"
+            ):
+                main.block(arm)
 
     def test_operations_predicated_count(self):
         _, stats = if_convert(diamond_program(arm_ops=4))
