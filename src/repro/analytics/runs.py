@@ -59,6 +59,7 @@ __all__ = [
     "get_run",
     "get_run_rows",
     "list_runs",
+    "new_run_id",
     "record_run",
     "supports_runs",
 ]
@@ -112,6 +113,11 @@ _ROW_COLUMNS = (
     "bytes_shipped",
     "extra",
 )
+
+
+def new_run_id() -> str:
+    """A fresh run identity (``run-<12 hex>``)."""
+    return f"run-{uuid.uuid4().hex[:12]}"
 
 
 def design_label(
@@ -256,7 +262,7 @@ class RunRecorder:
         self.kind = str(kind)
         self.spec = dict(spec or {})
         self.journal = resolve_journal(journal)
-        self.run_id = run_id or f"run-{uuid.uuid4().hex[:12]}"
+        self.run_id = run_id or new_run_id()
         self.label = label
         self.benchmark = benchmark
         self._rows: list[dict[str, Any]] = []

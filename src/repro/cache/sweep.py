@@ -450,7 +450,7 @@ def sweep_design_space(
     :class:`~repro.cache.designspace.DesignSpaceSimulator` fed chunk by
     chunk (an in-memory trace is one chunk).  ``strategy="perline"``
     runs independent per-line-size passes instead, the reference
-    producer; ``"designspace"`` is a retired synonym of ``"auto"``.
+    producer.
     Results are bit-identical across strategies.
 
     When ``policy`` fans out over the pending line-size groups
@@ -478,10 +478,9 @@ def sweep_design_space(
         raise ConfigurationError(
             f"on_error must be 'raise' or 'partial', got {on_error!r}"
         )
-    if strategy not in ("auto", "designspace", "perline"):
+    if strategy not in ("auto", "perline"):
         raise ConfigurationError(
-            "strategy must be 'auto', 'designspace' or 'perline', "
-            f"got {strategy!r}"
+            f"strategy must be 'auto' or 'perline', got {strategy!r}"
         )
     journal = resolve_journal(journal)
 

@@ -4,10 +4,11 @@ Gives the repository's main flows a shell entry point:
 
 * ``table2`` / ``table3`` / ``table4`` / ``fig5`` / ``fig6`` / ``fig7`` —
   regenerate one paper table/figure and print it;
-* ``explore`` — run the spacewalker on one benchmark and print the
+* ``explore`` — run the spacewalker on each benchmark and print the
   Pareto frontier;
-* ``sweep`` — exact miss counts for a cache design-space grid (line
-  sizes x sets x associativities) on a benchmark's reference trace;
+* ``sweep`` — exact (or ``--sample-*`` estimated) miss counts for a
+  cache design-space grid (line sizes x sets x associativities) on each
+  benchmark's reference trace;
 * ``dilation`` — print text dilations of the paper processors for one
   benchmark;
 * ``errors`` — estimation-error statistics over a table4-style run;
@@ -28,15 +29,26 @@ Common options: ``--scale`` (workload footprint multiplier),
 ``--visits`` (emulation budget), ``--benchmarks`` (subset),
 ``--max-workers``/``--job-timeout``/``--job-retries`` (parallel
 priming), ``--journal`` (structured JSON-lines run
-journal), ``--runs-db`` (record the command's results as a durable run
+journal), ``--runs-db`` (record each sweep/explore job as a durable run
 in an analytics sqlite database, browsable with ``repro runs``).
+
+``sweep`` and ``explore`` are in-process clients of
+:func:`repro.service.jobs.execute_job`: they turn their flags into the
+job spec a client would submit to ``repro serve`` (one per benchmark),
+run it against a result store and only format the returned document.
+The store is the ``--checkpoint``/``--runs-db`` file, else a temporary
+sqlite file removed on exit.  The sweep flags ``--strategy``,
+``--trace-format`` and ``--chunk-ranges`` are retired; chunked traces
+are swept through ``{"kind": "chunked"}`` job specs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import nullcontext
+import tempfile
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Sequence
 
 from repro.errors import ConfigurationError
@@ -132,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "record this command's results as a durable run in the "
-            "given analytics sqlite database (sweep/explore; browse "
-            "with 'repro runs')"
+            "record each benchmark's sweep/explore job as a durable "
+            "run in the given analytics sqlite database (browse with "
+            "'repro runs')"
         ),
     )
     parser = argparse.ArgumentParser(
@@ -194,44 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="associativities of the grid (default: 1 2 4)",
     )
     sweep.add_argument(
-        "--strategy",
-        choices=("auto", "designspace", "perline"),
-        default="auto",
-        help=(
-            "in-process engine: 'auto' (default) feeds every line size "
-            "from one whole-design-space simulator, chunk by chunk; "
-            "'perline' runs independent per-line-size reference passes; "
-            "'designspace' is a retired synonym of 'auto'"
-        ),
-    )
-    sweep.add_argument(
         "--checkpoint",
         default=None,
         metavar="PATH",
         help=(
-            "sqlite result store for resumable group-state "
-            "checkpoints; may name the --runs-db file "
-            "(default: no checkpointing)"
-        ),
-    )
-    sweep.add_argument(
-        "--trace-format",
-        choices=("memory", "chunked"),
-        default="memory",
-        help=(
-            "'chunked' spools the trace to an on-disk chunked store and "
-            "streams it chunk-at-a-time (bounded memory; workers receive "
-            "the file path, not the arrays; default: memory)"
-        ),
-    )
-    sweep.add_argument(
-        "--chunk-ranges",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "ranges per chunk with --trace-format chunked "
-            "(default: 262144)"
+            "sqlite result store the sweep runs against, so a rerun "
+            "is answered from its stored results; must name the "
+            "--runs-db file if both are given (default: a temporary "
+            "store)"
         ),
     )
     sweep.add_argument(
@@ -496,219 +478,189 @@ def _benchmarks(args: argparse.Namespace) -> tuple[str, ...]:
     return tuple(args.benchmarks)
 
 
-def _explore_space():
-    """Design space the ``explore`` command walks (patchable in tests)."""
-    from repro.explore.spec import SystemDesignSpace
+def _policy_knobs(args: argparse.Namespace) -> dict:
+    """The execution knobs of a job spec (top level, never in a trace
+    spec, so trace keys stay content addresses)."""
+    return {
+        "max_workers": args.max_workers,
+        "job_timeout": args.job_timeout,
+        "job_retries": args.job_retries,
+    }
 
-    return SystemDesignSpace()
+
+@contextmanager
+def _job_store(args: argparse.Namespace):
+    """The result store a command's jobs run against: the
+    ``--checkpoint``/``--runs-db`` file, else a temporary sqlite file
+    removed on exit.  Closed on exit."""
+    from repro.errors import EvaluationCacheError
+    from repro.service.store import ResultStore
+
+    checkpoint = getattr(args, "checkpoint", None)
+    flag, path = (
+        ("--checkpoint", checkpoint) if checkpoint
+        else ("--runs-db", args.runs_db)
+    )
+    with ExitStack() as stack:
+        if not path:
+            tmpdir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-store-")
+            )
+            path = os.path.join(tmpdir, "store.sqlite")
+        try:
+            store = ResultStore(path)
+        except EvaluationCacheError as exc:
+            raise SystemExit(
+                f"{flag} {path}: must be a sqlite result store ({exc})"
+            )
+        stack.callback(store.close)
+        yield store
+
+
+def _execute_jobs(
+    args: argparse.Namespace, specs: list[dict]
+) -> tuple[list[dict], list[str]]:
+    """Run job specs in-process through
+    :func:`repro.service.jobs.execute_job`, as the service would.
+
+    Returns the result documents and one ``[runs]`` line per recorded
+    run (runs are recorded only with ``--runs-db``).
+    """
+    from repro.analytics.runs import new_run_id
+    from repro.errors import ServiceError
+    from repro.service.jobs import execute_job
+
+    results, recorded = [], []
+    with _job_store(args) as store:
+        for spec in specs:
+            run_id = new_run_id() if args.runs_db else None
+            try:
+                results.append(
+                    execute_job(
+                        spec, store, run_id=run_id, record=run_id is not None
+                    )
+                )
+            except ServiceError as exc:
+                raise SystemExit(str(exc)) from None
+            if run_id is not None:
+                recorded.append(f"[runs] recorded {run_id} -> {args.runs_db}")
+    return results, recorded
 
 
 def _cmd_explore(args: argparse.Namespace) -> str:
-    from repro.explore.spacewalker import Spacewalker
+    from repro.cache.config import CacheConfig
 
-    settings = _settings(args)
-    recorder = _runs_recorder(
-        args, "explore", {"benchmarks": list(_benchmarks(args))}
-    )
+    specs = [
+        {
+            "kind": "explore",
+            "benchmark": bench,
+            "scale": args.scale,
+            "visits": args.visits,
+            **_policy_knobs(args),
+        }
+        for bench in _benchmarks(args)
+    ]
+    results, recorded = _execute_jobs(args, specs)
     lines: list[str] = []
-    with recorder if recorder is not None else nullcontext():
-        # Every requested benchmark is walked (not just the first).
-        for bench in _benchmarks(args):
-            pareto = Spacewalker(
-                _explore_space(), get_pipeline(bench, settings)
-            ).walk()
-            lines.append(
-                f"Pareto frontier for {bench} ({len(pareto)} designs):"
+    for result in results:
+        frontier = result["frontier"]
+        lines.append(
+            f"Pareto frontier for {result['benchmark']} "
+            f"({len(frontier)} designs):"
+        )
+        for point in frontier:
+            icache, dcache, unified = (
+                CacheConfig(**point[role]).describe()
+                for role in ("icache", "dcache", "unified")
             )
-            for point in pareto.frontier():
-                memory = point.design.memory
-                if recorder is not None:
-                    recorder.add_frontier_point(
-                        {
-                            "cost": point.cost,
-                            "cycles": point.time,
-                            "processor": point.design.processor,
-                            "icache": memory.icache.__dict__,
-                            "dcache": memory.dcache.__dict__,
-                            "unified": memory.unified.__dict__,
-                        },
-                        benchmark=bench,
-                    )
-                lines.append(
-                    f"  cost={point.cost:9.2f} cycles={point.time:13.0f} "
-                    f"proc={point.design.processor} "
-                    f"I={memory.icache.describe()} "
-                    f"D={memory.dcache.describe()} "
-                    f"U={memory.unified.describe()}"
-                )
-    if recorder is not None:
-        lines.append(f"[runs] recorded {recorder.run_id} -> {args.runs_db}")
-    return "\n".join(lines)
+            lines.append(
+                f"  cost={point['cost']:9.2f} cycles={point['cycles']:13.0f} "
+                f"proc={point['processor']} "
+                f"I={icache} D={dcache} U={unified}"
+            )
+    return "\n".join(lines + recorded)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    from repro.cache.config import CacheConfig
-
-    try:
-        configs = [
-            CacheConfig(sets, assoc, line_size)
-            for line_size in args.line_sizes
-            for sets in args.sets
-            for assoc in args.assocs
-        ]
-    except Exception as exc:  # noqa: BLE001 - CacheConfig validates
-        raise SystemExit(f"infeasible cache configuration: {exc}")
     if args.checkpoint and args.sample_intervals:
         raise SystemExit(
             "--checkpoint cannot be combined with --sample-intervals: "
             "sampled estimates are never checkpointed"
         )
-    checkpoint = None
-    if args.checkpoint:
-        from repro.errors import EvaluationCacheError
-        from repro.service.store import ResultStore
-
-        try:
-            checkpoint = ResultStore(args.checkpoint)
-        except EvaluationCacheError as exc:
-            raise SystemExit(
-                f"--checkpoint {args.checkpoint}: must be a sqlite result "
-                f"store ({exc})"
-            )
-    plan = None
+    sample = {}
     if args.sample_intervals:
-        from repro.trace.sampling import SamplePlan
-
-        try:
-            plan = SamplePlan(
-                intervals=args.sample_intervals,
-                interval_ranges=args.sample_interval_ranges,
-                warmup_ranges=args.sample_warmup,
-                mode=args.sample_mode,
-            )
-        except Exception as exc:  # noqa: BLE001 - SamplePlan validates
-            raise SystemExit(f"bad sampling plan: {exc}")
-    settings = _settings(args)
-    recorder = _runs_recorder(
-        args,
-        "sweep",
+        sample["sample"] = {
+            "intervals": args.sample_intervals,
+            "interval_ranges": args.sample_interval_ranges,
+            "warmup_ranges": args.sample_warmup,
+            "mode": args.sample_mode,
+        }
+    traces = [
         {
-            "benchmarks": list(_benchmarks(args)),
+            "kind": "benchmark",
+            "benchmark": bench,
             "role": args.role,
-            "line_sizes": list(args.line_sizes),
-            "sets": list(args.sets),
-            "assocs": list(args.assocs),
-            "sampled": bool(args.sample_intervals),
-        },
+            "scale": args.scale,
+            "visits": args.visits,
+        }
+        for bench in _benchmarks(args)
+    ]
+    grid = {
+        "line_sizes": args.line_sizes,
+        "sets": args.sets,
+        "assocs": args.assocs,
+    }
+    results, recorded = _execute_jobs(
+        args,
+        [
+            {
+                "kind": "sweep",
+                "trace": trace,
+                "configs": grid,
+                **_policy_knobs(args),
+                **sample,
+            }
+            for trace in traces
+        ],
     )
     lines: list[str] = []
-    with recorder if recorder is not None else nullcontext():
-        lines.extend(
-            _run_sweep_benchmarks(
-                args, settings, configs, checkpoint, plan, recorder
-            )
-        )
-    if recorder is not None:
-        lines.append(f"[runs] recorded {recorder.run_id} -> {args.runs_db}")
-    return "\n".join(lines)
-
-
-def _run_sweep_benchmarks(args, settings, configs, checkpoint, plan, recorder):
-    from repro.cache.sweep import (
-        sampled_sweep_design_space,
-        sweep_design_space,
-    )
-
-    lines: list[str] = []
-    for bench in _benchmarks(args):
-        trace = get_pipeline(bench, settings).reference_artifacts().trace(
-            args.role
-        )
-        trace_arg = (trace.starts, trace.sizes)
-        tmpdir = None
-        if args.trace_format == "chunked":
-            import tempfile
-
-            from repro.trace.chunkstore import write_chunked
-
-            tmpdir = tempfile.TemporaryDirectory(prefix="repro-chunked-")
-            kwargs = (
-                {"chunk_ranges": args.chunk_ranges}
-                if args.chunk_ranges
-                else {}
-            )
-            trace_arg = write_chunked(
-                f"{tmpdir.name}/{bench}-{args.role}.rct",
-                trace.starts,
-                trace.sizes,
-                **kwargs,
-            )
-        try:
-            if plan is not None:
-                results = sampled_sweep_design_space(
-                    configs, trace_arg, plan
-                )
-            else:
-                results = sweep_design_space(
-                    configs,
-                    trace_arg,
-                    policy=settings.policy,
-                    checkpoint=checkpoint,
-                    strategy=args.strategy,
-                )
-        finally:
-            if tmpdir is not None:
-                trace_arg.close()
-                tmpdir.cleanup()
+    for trace, result in zip(traces, results):
+        # The job built its trace through this memoized pipeline.
+        ranges = get_pipeline(
+            trace["benchmark"], RunnerSettings.from_spec(trace)
+        ).reference_artifacts().trace(args.role)
+        docs = result["results"]
         header = (
-            f"{bench} {args.role}: {len(trace)} ranges, "
-            f"{len(configs)} configurations"
+            f"{trace['benchmark']} {args.role}: {len(ranges)} ranges, "
+            f"{len(docs)} configurations"
         )
-        if plan is not None:
-            any_result = next(iter(results.values()))
-            header += (
-                f" (sampled: {any_result.intervals} intervals, "
-                f"{any_result.sampled_fraction:.1%} of the trace)"
-            )
-        lines.append(header)
         columns = (
             f"  {'line':>5} {'sets':>6} {'assoc':>5} "
             f"{'misses':>12} {'rate':>8}"
         )
-        if plan is not None:
+        if result["sampled"]:
+            header += (
+                f" (sampled: {docs[0]['intervals']} intervals, "
+                f"{docs[0]['sampled_ranges'] / docs[0]['total_ranges']:.1%}"
+                " of the trace)"
+            )
             columns += f" {'error':>8}"
-        lines.append(columns)
-        for config in configs:
-            result = results[config]
-            rate = (
-                result.misses / result.accesses if result.accesses else 0.0
-            )
+        lines += [header, columns]
+        for doc in docs:
+            misses, accesses = doc["misses"], doc["accesses"]
+            rate = misses / accesses if accesses else 0.0
             row = (
-                f"  {config.line_size:>5} {config.sets:>6} "
-                f"{config.assoc:>5} {result.misses:>12} {rate:>8.4f}"
+                f"  {doc['line_size']:>5} {doc['sets']:>6} "
+                f"{doc['assoc']:>5} {misses:>12} {rate:>8.4f}"
             )
-            if plan is not None:
+            if result["sampled"]:
                 error = (
-                    f"{result.error:.2%}" if result.error is not None
+                    f"{doc['error']:.2%}" if doc["error"] is not None
                     else "n/a"
                 )
                 row += f" {error:>8}"
             lines.append(row)
-        if recorder is not None:
-            for config, result in results.items():
-                recorder.add_row(
-                    benchmark=bench,
-                    role=args.role,
-                    sets=config.sets,
-                    assoc=config.assoc,
-                    line_size=config.line_size,
-                    accesses=result.accesses,
-                    misses=float(result.misses),
-                    estimated=plan is not None,
-                    error=getattr(result, "error", None),
-                    source="sampled" if plan is not None else "simulated",
-                )
-    return lines
+    return "\n".join(lines + recorded)
 
 
 def _cmd_dilation(args: argparse.Namespace) -> str:
@@ -742,18 +694,6 @@ def _cmd_report(args: argparse.Namespace) -> str:
         )
         return f"report written to {path}"
     return build_report(args.results, journal=args.journal, store=args.store)
-
-
-def _runs_recorder(args: argparse.Namespace, kind: str, spec: dict):
-    """A RunRecorder against ``--runs-db`` (None when not requested)."""
-    if not getattr(args, "runs_db", None):
-        return None
-    from repro.analytics.runs import RunRecorder
-    from repro.service.store import ResultStore
-
-    return RunRecorder(
-        ResultStore(args.runs_db), kind, spec=spec, label=f"cli:{kind}"
-    )
 
 
 def _cmd_runs(args: argparse.Namespace) -> str:
@@ -884,6 +824,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             _settings(args)
         except ConfigurationError as exc:
             parser.error(str(exc))
+        checkpoint = getattr(args, "checkpoint", None)
+        if (
+            checkpoint
+            and args.runs_db
+            and os.path.realpath(checkpoint) != os.path.realpath(args.runs_db)
+        ):
+            parser.error("--checkpoint and --runs-db must name the same file")
     if args.command == "report":
         print(_cmd_report(args))
         return 0

@@ -323,7 +323,7 @@ class TestSweepInterop:
     def test_strategies_bit_identical(self):
         configs, trace = self.configs(), self.trace()
         clear_line_stream_cache()
-        ds = sweep_design_space(configs, trace, strategy="designspace")
+        ds = sweep_design_space(configs, trace, strategy="auto")
         clear_line_stream_cache()
         perline = sweep_design_space(configs, trace, strategy="perline")
         assert ds == perline
@@ -332,7 +332,7 @@ class TestSweepInterop:
         configs, trace = self.configs(), self.trace()
         cache = ResultStore(tmp_path / "ck.sqlite")
         first = sweep_design_space(
-            configs, trace, checkpoint=cache, strategy="designspace"
+            configs, trace, checkpoint=cache, strategy="auto"
         )
         # Resume from the same store with the per-line-size oracle: all
         # groups adopted, zero re-simulation, identical results.
@@ -346,3 +346,9 @@ class TestSweepInterop:
     def test_bad_strategy_rejected(self):
         with pytest.raises(ConfigurationError, match="strategy"):
             sweep_design_space(self.configs(), self.trace(), strategy="bogus")
+
+    def test_retired_designspace_synonym_rejected(self):
+        with pytest.raises(ConfigurationError, match="'auto' or 'perline'"):
+            sweep_design_space(
+                self.configs(), self.trace(), strategy="designspace"
+            )

@@ -7,6 +7,21 @@ from repro.cli import build_parser, main
 FAST = ["--scale", "0.12", "--visits", "2000", "--benchmarks", "epic"]
 
 
+@pytest.fixture
+def explore_pipeline(tiny):
+    """A private tiny pipeline for explore commands.
+
+    An explore job attaches the pipeline's evaluator to the command's
+    (temporary) store, so the session-wide ``tiny_pipeline`` is kept
+    out of it.
+    """
+    from repro.experiments.pipeline import ExperimentPipeline
+
+    return ExperimentPipeline(
+        tiny, max_visits=4_000, i_granule=200, u_granule=800
+    )
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -107,10 +122,11 @@ class TestMaxWorkers:
         assert _settings(args).policy.max_workers == 4
 
     def test_explore_runs_with_max_workers(
-        self, capsys, monkeypatch, tiny_pipeline
+        self, capsys, monkeypatch, explore_pipeline
     ):
         """The explore command reaches the parallel-priming path."""
-        import repro.cli as cli
+        import repro.experiments.runner as runner
+        import repro.service.jobs as jobs
         from repro.explore.spec import (
             CacheDesignSpace,
             ProcessorDesignSpace,
@@ -136,10 +152,10 @@ class TestMaxWorkers:
 
         def get_pipeline(bench, settings):
             seen.append(settings)
-            return tiny_pipeline
+            return explore_pipeline
 
-        monkeypatch.setattr(cli, "_explore_space", lambda: space)
-        monkeypatch.setattr(cli, "get_pipeline", get_pipeline)
+        monkeypatch.setattr(jobs, "_system_space", lambda overrides: space)
+        monkeypatch.setattr(runner, "get_pipeline", get_pipeline)
         assert main(["explore", *FAST, "--max-workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "Pareto frontier for epic" in out
@@ -200,8 +216,9 @@ class TestExecutorOptions:
 
 
 class TestExploreAllBenchmarks:
-    def _patch_tiny(self, monkeypatch, tiny_pipeline):
-        import repro.cli as cli
+    def _patch_tiny(self, monkeypatch, pipeline):
+        import repro.experiments.runner as runner
+        import repro.service.jobs as jobs
         from repro.explore.spec import (
             CacheDesignSpace,
             ProcessorDesignSpace,
@@ -223,16 +240,16 @@ class TestExploreAllBenchmarks:
                 sizes_kb=(8,), assocs=(2,), line_sizes=(32,)
             ),
         )
-        monkeypatch.setattr(cli, "_explore_space", lambda: space)
+        monkeypatch.setattr(jobs, "_system_space", lambda overrides: space)
         monkeypatch.setattr(
-            cli, "get_pipeline", lambda bench, settings: tiny_pipeline
+            runner, "get_pipeline", lambda bench, settings: pipeline
         )
 
     def test_explore_walks_every_requested_benchmark(
-        self, capsys, monkeypatch, tiny_pipeline
+        self, capsys, monkeypatch, explore_pipeline
     ):
         """Regression: explore used to evaluate only the first benchmark."""
-        self._patch_tiny(monkeypatch, tiny_pipeline)
+        self._patch_tiny(monkeypatch, explore_pipeline)
         assert main(
             ["explore", "--scale", "0.12", "--visits", "2000",
              "--benchmarks", "epic", "unepic"]
@@ -278,28 +295,59 @@ class TestSweepCheckpoint:
 
     SWEEP = ["sweep", "--benchmarks", "epic", "--scale", "0.25"]
 
-    def test_round_trip_resumes_from_store(self, capsys, tmp_path):
-        from repro.cache.sweep import CHECKPOINT_NAMESPACE
+    def _run_twice(self, capsys, tmp_path, between=None):
+        """Run the sweep twice against one store (calling ``between``
+        on the store in between); returns the stdouts, the rerun's
+        journal and the store."""
         from repro.runtime import RunJournal
         from repro.service.store import ResultStore
 
         ck = tmp_path / "ck.sqlite"
         outs = []
         for run in ("first", "second"):
+            if run == "second" and between is not None:
+                store = ResultStore(ck)
+                between(store)
+                store.close()
             journal = tmp_path / f"{run}.jsonl"
             argv = [*self.SWEEP, "--checkpoint", str(ck),
                     "--journal", str(journal)]
             assert main(argv) == 0
             outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
         second = RunJournal.load(tmp_path / "second.jsonl")
+        return outs, second, ResultStore(ck)
+
+    def test_round_trip_resumes_from_store(self, capsys, tmp_path):
+        from repro.cache.sweep import CHECKPOINT_NAMESPACE
+
+        outs, second, store = self._run_twice(capsys, tmp_path)
+        assert outs[0] == outs[1]
+        assert second.select("pass") == []
+        # The rerun is answered from the stored per-config results.
+        (dedup,) = second.select("service_dedup")
+        assert dedup["simulated"] == 0
+        assert dedup["from_store"] == 27
+        assert store.count(namespace=CHECKPOINT_NAMESPACE) == 3
+
+    def test_rerun_without_results_resumes_from_checkpoints(
+        self, capsys, tmp_path
+    ):
+        """With the per-config results gone, the rerun adopts every
+        line-size group's checkpoint instead of simulating it."""
+        from repro.service.jobs import NS_METRICS
+
+        def clear_metrics(store):
+            for key in store.keys(namespace=NS_METRICS):
+                store.delete(key, namespace=NS_METRICS)
+
+        outs, second, _ = self._run_twice(capsys, tmp_path, clear_metrics)
+        assert outs[0] == outs[1]
         assert second.select("pass") == []
         hits = [
             e for e in second.select("checkpoint") if e["action"] == "hit"
         ]
         line_sizes = build_parser().parse_args(self.SWEEP).line_sizes
         assert len(hits) == len(line_sizes)
-        assert ResultStore(ck).count(namespace=CHECKPOINT_NAMESPACE) == 3
 
     def test_json_checkpoint_file_is_rejected(self, tmp_path):
         legacy = tmp_path / "ck.json"
@@ -318,3 +366,69 @@ class TestSweepCheckpoint:
         message = str(excinfo.value)
         assert "--checkpoint" in message and "--sample-intervals" in message
         assert not ck.exists()
+
+    def test_checkpoint_and_runs_db_must_name_one_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.SWEEP, "--checkpoint", str(tmp_path / "a.sqlite"),
+                  "--runs-db", str(tmp_path / "b.sqlite")])
+        assert excinfo.value.code == 2
+        assert "must name the same file" in capsys.readouterr().err
+        assert not (tmp_path / "a.sqlite").exists()
+
+    def test_temporary_store_is_removed(self, capsys, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(self.SWEEP) == 0
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRunsDbParity:
+    """``repro sweep --runs-db`` records the very rows the service's
+    ``execute_job`` records for the same spec."""
+
+    SPEC = {
+        "kind": "sweep",
+        "trace": {
+            "kind": "benchmark", "benchmark": "epic", "role": "unified",
+            "scale": 0.25, "visits": 60_000,
+        },
+        "configs": {
+            "line_sizes": [16, 32, 64], "sets": [64, 256, 1024],
+            "assocs": [1, 2, 4],
+        },
+    }
+
+    @staticmethod
+    def table(store):
+        """The store's one run table, run id and timings masked."""
+        import csv
+        import io
+
+        from repro.analytics.runs import list_runs
+        from repro.analytics.table import run_table_csv
+
+        (run,) = list_runs(store)
+        text = run_table_csv(store, run["id"])
+        rows = list(csv.DictReader(io.StringIO(text)))
+        for row in rows:
+            for column in ("run_id", "wall_s", "kernel_s"):
+                row[column] = "*"
+        return rows
+
+    def test_cli_rows_equal_service_rows(self, capsys, tmp_path):
+        from repro.runtime import RunJournal
+        from repro.service.jobs import execute_job
+        from repro.service.store import ResultStore
+
+        cli_db = tmp_path / "cli.sqlite"
+        argv = ["sweep", "--benchmarks", "epic", "--scale", "0.25",
+                "--runs-db", str(cli_db)]
+        assert main(argv) == 0
+        assert f"-> {cli_db}" in capsys.readouterr().out
+        service = ResultStore(tmp_path / "service.sqlite")
+        execute_job(self.SPEC, service, journal=RunJournal())
+        rows = self.table(ResultStore(cli_db))
+        assert len(rows) == 27
+        assert rows == self.table(service)
+
