@@ -7,13 +7,16 @@ epic workload, with all shared simulation passes pre-primed so the
 timing isolates the exploration layer itself.  The acceptance gate
 asserts a >= 5x end-to-end speedup on ``Spacewalker.walk`` *and* that
 both paths produce identical Pareto frontiers (same designs, costs and
-times within 1e-9).  Three report-only sections ride along (no gate): a
+times within 1e-9).  Four report-only sections ride along (no gate): a
 skyline-vs-sequential Pareto micro-benchmark; the compile of epic's
 12 design-space processors through one shared block memo vs one fresh
-memo per processor, which asserts every compiled block identical; and
-the emulation of the ten suite programs on the reference processor by
-the frame-walking oracle and by the production emulator, which asserts
-every event trace identical.  The report also records the host probe
+memo per processor, which asserts every compiled block identical and
+counts the garbage-collector-tracked objects the compile leaves; the
+assembly of those 12 compiled programs by the per-instruction oracle
+and by the production assembler, which asserts every assembled block
+identical; and the emulation of the ten suite programs on the
+reference processor by the frame-walking oracle and by the production
+emulator, which asserts every event trace identical.  The report also records the host probe
 of ``perfbench/hostspeed.py``, so timings from different hosts can be
 compared.  Results are written to
 ``benchmarks/results/BENCH_explore.json``.
@@ -24,13 +27,15 @@ Runs two ways:
 * ``python benchmarks/bench_explore_perf.py [--smoke] [--json PATH]``
 
 ``--smoke`` does a single timing rep and drops the speedup gate (the
-frontier, compiled-block and event-trace identity checks always run) —
+frontier, compiled-block, assembled-block and event-trace identity
+checks always run) —
 used by CI to produce the JSON artifact without gating on runner timing
 noise.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -56,7 +61,9 @@ from repro.explore.spec import (
 )
 from perfbench.hostspeed import REFERENCE_PROBE_S, HostProbe
 from repro.machine.mdes import MachineDescription
+from repro.iformat.assembler import assemble
 from repro.machine.presets import REFERENCE_PROCESSOR
+from repro.oracles import assembler as oracle_assembler
 from repro.oracles.emulator import ScalarEmulator
 from repro.trace.emulator import Emulator
 from repro.vliwcomp.compile import BlockMemo, compile_program
@@ -207,10 +214,52 @@ def bench_skyline(*, reps: int) -> dict:
     }
 
 
+def design_space_mdeses() -> list[MachineDescription]:
+    """Machine descriptions of the 12 design-space processors."""
+    return [MachineDescription(p) for p in SystemDesignSpace().processors]
+
+
+def tracked_objects_left(run) -> int:
+    """Garbage-collector-tracked objects that ``run()`` allocates and
+    leaves alive.  They are counted with the collector paused, because
+    a collection untracks tuples of plain ints and would hide them; the
+    previous collector state is restored."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = run()
+        left = len(gc.get_objects()) - before
+        del result
+        return left
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def collections_during(run) -> list[int]:
+    """Collections of each generation while ``run()`` runs, starting
+    from a just-collected heap."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "stop":
+            counts[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(count)
+    return counts
+
+
 def bench_compile(program, *, reps: int) -> dict:
     """Compile the 12 design-space processors through one block memo and
     through one fresh memo each; every compiled block must match."""
-    mdeses = [MachineDescription(p) for p in SystemDesignSpace().processors]
+    mdeses = design_space_mdeses()
 
     def run_memo():
         memo = BlockMemo(program)
@@ -235,6 +284,41 @@ def bench_compile(program, *, reps: int) -> dict:
         "memo_seconds": round(memo_seconds, 6),
         "fresh_seconds": round(fresh_seconds, 6),
         "speedup": round(fresh_seconds / memo_seconds, 2),
+        "tracked_objects": tracked_objects_left(run_memo),
+        "gc_collections": collections_during(run_memo),
+        "blocks_identical": True,
+    }
+
+
+def bench_assemble(program, *, reps: int) -> dict:
+    """Assemble the 12 design-space processors' compiled programs with
+    the per-instruction oracle and with the production assembler; every
+    assembled block must match."""
+    memo = BlockMemo(program)
+    compiled = [
+        compile_program(program, m, memo=memo) for m in design_space_mdeses()
+    ]
+
+    def run_with(assemble_program):
+        return [assemble_program(one) for one in compiled]
+
+    oracle_seconds = _best_time(
+        lambda: run_with(oracle_assembler.assemble), reps
+    )
+    production_seconds = _best_time(lambda: run_with(assemble), reps)
+    for one, got, want in zip(
+        compiled, run_with(assemble), run_with(oracle_assembler.assemble)
+    ):
+        assert got.blocks == want.blocks, (
+            f"assembler and oracle differ on {one.processor_name}"
+        )
+
+    return {
+        "processors": len(compiled),
+        "blocks": sum(len(one.blocks) for one in compiled),
+        "oracle_seconds": round(oracle_seconds, 6),
+        "production_seconds": round(production_seconds, 6),
+        "speedup": round(oracle_seconds / production_seconds, 2),
         "blocks_identical": True,
     }
 
@@ -297,6 +381,7 @@ def run_benchmark(*, reps: int = 5) -> dict:
     spacewalk = bench_spacewalk(pipeline, space, reps=reps)
     skyline = bench_skyline(reps=reps)
     compile_space = bench_compile(pipeline.workload.program, reps=reps)
+    assemble_space = bench_assemble(pipeline.workload.program, reps=reps)
     emulate_suite = bench_emulate(reps=reps)
     return {
         "workload": "epic",
@@ -308,6 +393,7 @@ def run_benchmark(*, reps: int = 5) -> dict:
         "spacewalker_walk": spacewalk,
         "skyline_pareto": skyline,
         "compile_design_space": compile_space,
+        "assemble_design_space": assemble_space,
         "emulate_suite": emulate_suite,
     }
 
@@ -321,6 +407,7 @@ def render(report: dict) -> str:
     walk = report["spacewalker_walk"]
     sky = report["skyline_pareto"]
     comp = report["compile_design_space"]
+    asm = report["assemble_design_space"]
     emu = report["emulate_suite"]
     return "\n".join(
         [
@@ -342,7 +429,14 @@ def render(report: dict) -> str:
             f"({comp['blocks']:,} blocks, {comp['schedules_run']:,} "
             f"scheduled): fresh memos {comp['fresh_seconds']:.3f}s -> "
             f"one memo {comp['memo_seconds']:.3f}s "
-            f"({comp['speedup']:.2f}x, blocks identical)",
+            f"({comp['speedup']:.2f}x, blocks identical; "
+            f"{comp['tracked_objects']:,} tracked objects left, "
+            f"collections {comp['gc_collections']})",
+            f"  [report] assembly of {asm['processors']} processors "
+            f"({asm['blocks']:,} blocks): per-instruction oracle "
+            f"{asm['oracle_seconds']:.3f}s -> production "
+            f"{asm['production_seconds']:.3f}s "
+            f"({asm['speedup']:.1f}x, blocks identical)",
             f"  [report] emulation of {emu['programs']} suite programs "
             f"({emu['visits']:,} visits, {emu['data_refs']:,} data refs): "
             f"oracle {emu['oracle_seconds']:.3f}s -> "

@@ -10,11 +10,6 @@ is the ratio of linked text sizes (Section 4.1).
 """
 
 from repro.iformat.assembler import AssembledBlock, AssembledProgram, assemble
-from repro.iformat.encoding import (
-    DecodedInstruction,
-    DecodedSlot,
-    InstructionCodec,
-)
 from repro.iformat.format_synth import InstructionFormat, Template, synthesize_format
 from repro.iformat.layout import Profile, layout_program, profile_from_events
 from repro.iformat.linker import Binary, BlockImage, link
@@ -29,9 +24,6 @@ __all__ = [
     "Binary",
     "BlockImage",
     "link",
-    "InstructionCodec",
-    "DecodedInstruction",
-    "DecodedSlot",
     "Profile",
     "profile_from_events",
     "layout_program",

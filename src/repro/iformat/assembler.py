@@ -4,6 +4,10 @@ For each VLIW instruction the assembler greedily selects the smallest
 covering template (Section 3.3).  Stall cycles between instructions are
 absorbed by the previous instruction's multi-no-op field; runs of empty
 cycles longer than the field encodes become explicit no-op instructions.
+Blocks are sized from their schedule's instruction *mix* (each distinct
+per-class op count and how many instructions issue it) and the no-ops
+in closed form; the per-instruction assembler is the oracle in
+:mod:`repro.oracles.assembler`.
 
 The output — a relocatable object per procedure with per-block sizes — is
 what the linker lays out and what the dilation measurement compares
@@ -13,14 +17,15 @@ across processors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
+from typing import NamedTuple
 
 from repro.iformat.format_synth import InstructionFormat, synthesize_format
-from repro.isa.operations import OP_CLASSES
-from repro.vliwcomp.compile import CompiledBlock, CompiledProgram
+from repro.isa.operations import unpack_mix
+from repro.vliwcomp.compile import CompiledProgram
 
 
-@dataclass(frozen=True)
-class AssembledBlock:
+class AssembledBlock(NamedTuple):
     """Encoded size of one basic block."""
 
     block_id: int
@@ -50,48 +55,48 @@ def assemble(
 
     ``iformat`` defaults to the format co-synthesized for the compiled
     program's processor.
+
+    A block's size is the sum over its schedule's instruction mix of
+    count x template width.  Its stall cycles are spread evenly over
+    the gaps after its ``n`` instructions, so the gaps differ by at most
+    one cycle and each multi-no-op field absorbs up to ``max_noop_run``
+    of them: the explicit no-ops come to ``max(0, stalls - n *
+    max_noop_run)``.
     """
     if iformat is None:
         iformat = synthesize_format(compiled.mdes)
-    assembled = AssembledProgram(iformat=iformat)
-    for (proc_name, block_id), cblock in compiled.blocks.items():
-        assembled.blocks[(proc_name, block_id)] = _assemble_block(
-            cblock, iformat
+    width_of = _MixWidths(iformat).__getitem__
+    noop_bytes = iformat.noop_instruction_bytes()
+    noop_run = iformat.max_noop_run
+    blocks = {}
+    for key, cblock in compiled.blocks.items():
+        schedule = cblock.schedule
+        mix = schedule.mix
+        n_instr = len(schedule.instructions)
+        noops = max(0, schedule.cycles - n_instr * (1 + noop_run))
+        size = sum(map(mul, mix.values(), map(width_of, mix)))
+        size += noops * noop_bytes
+        if not size:
+            # An empty block (no operations) still occupies one no-op
+            # so that it has a distinct address.
+            size = noop_bytes
+        blocks[key] = AssembledBlock(cblock.block_id, size, n_instr, noops)
+    return AssembledProgram(iformat=iformat, blocks=blocks)
+
+
+class _MixWidths(dict):
+    """One format's table of instruction width in bytes per packed mix
+    (:func:`~repro.isa.operations.pack_mix`), filled as mixes are first
+    looked up."""
+
+    def __init__(self, iformat: InstructionFormat):
+        super().__init__()
+        self._iformat = iformat
+
+    def __missing__(self, mix: int) -> int:
+        iformat = self._iformat
+        width = iformat.template_width_bytes(
+            iformat.template_for(unpack_mix(mix))
         )
-    return assembled
-
-
-def _assemble_block(
-    cblock: CompiledBlock, iformat: InstructionFormat
-) -> AssembledBlock:
-    schedule = cblock.schedule
-    size = 0
-    noops = 0
-    # Empty (stall) cycles are distributed across the block; model them as
-    # evenly interleaved so each instruction's multi-no-op field absorbs
-    # its share and only long runs need explicit no-ops.
-    n_instr = schedule.num_instructions
-    stalls = schedule.stall_cycles
-    per_gap = stalls // n_instr if n_instr else 0
-    remainder = stalls - per_gap * n_instr if n_instr else 0
-    for ordinal, instr in enumerate(schedule.instructions):
-        counts = [0] * len(OP_CLASSES)
-        for op_index in instr:
-            counts[OP_CLASSES.index(cblock.operations[op_index].opclass)] += 1
-        template = iformat.template_for(tuple(counts))
-        size += iformat.template_width_bytes(template)
-        gap = per_gap + (1 if ordinal < remainder else 0)
-        overflow = max(0, gap - iformat.max_noop_run)
-        if overflow:
-            noops += overflow
-            size += overflow * iformat.noop_instruction_bytes()
-    if size == 0:
-        # An empty block (no operations) still occupies one no-op so that
-        # it has a distinct address.
-        size = iformat.noop_instruction_bytes()
-    return AssembledBlock(
-        block_id=cblock.block_id,
-        size_bytes=size,
-        instructions=n_instr,
-        explicit_noops=noops,
-    )
+        self[mix] = width
+        return width

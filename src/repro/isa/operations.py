@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
 
 class OpClass(enum.Enum):
@@ -35,6 +36,28 @@ OP_CLASSES: tuple[OpClass, ...] = (
     OpClass.MEMORY,
     OpClass.BRANCH,
 )
+
+#: Bits per class of a packed instruction mix (see :func:`pack_mix`).
+MIX_FIELD_BITS = 16
+
+
+def pack_mix(counts: Sequence[int]) -> int:
+    """One int for an instruction's per-class op counts, indexed like
+    :data:`OP_CLASSES`: ``MIX_FIELD_BITS`` bits per class, the first
+    class lowest.  Each count must be below ``2**MIX_FIELD_BITS``."""
+    mix = 0
+    for index, count in enumerate(counts):
+        mix |= count << (MIX_FIELD_BITS * index)
+    return mix
+
+
+def unpack_mix(mix: int) -> tuple[int, ...]:
+    """The per-class op counts :func:`pack_mix` packed into ``mix``."""
+    mask = (1 << MIX_FIELD_BITS) - 1
+    return tuple(
+        (mix >> (MIX_FIELD_BITS * index)) & mask
+        for index in range(len(OP_CLASSES))
+    )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,13 @@ than behind production mode switches:
 * :class:`~repro.oracles.emulator.ScalarEmulator` — the frame-walking
   emulator, one block lookup and one data address at a time, with its
   :class:`~repro.oracles.emulator.EventTraceBuilder` and the
-  per-reference :class:`~repro.oracles.emulator.ScalarDataAddressModel`.
+  per-reference :class:`~repro.oracles.emulator.ScalarDataAddressModel`;
+* :func:`~repro.oracles.assembler.assemble` — the per-instruction
+  assembler, one template selection per VLIW instruction and the stall
+  cycles spread gap by gap;
+* :class:`~repro.oracles.encoding.InstructionCodec` — the bit-level
+  instruction encoder/decoder, whose encoded lengths check the
+  assembler's template widths.
 
 No production module imports this package (a test pins that).
 """
@@ -23,11 +29,19 @@ from repro.oracles.emulator import (
     ScalarDataAddressModel,
     ScalarEmulator,
 )
+from repro.oracles.encoding import (
+    DecodedInstruction,
+    DecodedSlot,
+    InstructionCodec,
+)
 from repro.oracles.legacy import LegacyCheetahSimulator
 from repro.oracles.scalar import ScalarCheetahSimulator, access_line
 
 __all__ = [
+    "DecodedInstruction",
+    "DecodedSlot",
     "EventTraceBuilder",
+    "InstructionCodec",
     "LegacyCheetahSimulator",
     "ScalarCheetahSimulator",
     "ScalarDataAddressModel",

@@ -59,7 +59,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -493,9 +494,17 @@ class BenchmarkRequest:
         """Estimates and explores are never answered at submit."""
         return None
 
-    def pipeline(self, store: ResultStore) -> "ExperimentPipeline":
+    @contextmanager
+    def pipeline(self, store: ResultStore) -> Iterator["ExperimentPipeline"]:
         """The benchmark's pipeline, its reference evaluator set to
-        prime through ``store``'s checkpoints under this request's plan."""
+        prime through ``store``'s checkpoints under this request's plan
+        for the duration of the ``with`` block.
+
+        The pipeline is memoized per process and outlives the job, so
+        the evaluator is detached from ``store`` when the block ends: a
+        later caller of the same pipeline never reaches a store that may
+        be gone by then.  The passes stay in ``store``, so the next job
+        that attaches it still adopts them."""
         from repro.experiments.runner import get_pipeline
 
         try:
@@ -516,7 +525,10 @@ class BenchmarkRequest:
         # the shared (memoized) evaluator.
         if self.plan is not None or evaluator.sample_plan is not None:
             evaluator.set_sample_plan(self.plan)
-        return pipeline
+        try:
+            yield pipeline
+        finally:
+            evaluator.detach_checkpoint(store)
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +573,7 @@ def execute_job(
             spec=spec,
             journal=journal,
             run_id=run_id,
-            benchmark=spec.get("benchmark"),
+            benchmark=_spec_benchmark(spec),
         )
     try:
         if kind == "sweep":
@@ -580,15 +592,24 @@ def execute_job(
     return result
 
 
+def _spec_benchmark(spec: dict[str, Any]) -> str | None:
+    """The benchmark a spec runs on: a sweep names it in its trace spec
+    (when that is a benchmark trace), an estimate or explore at the top
+    level."""
+    trace_spec = spec.get("trace")
+    if isinstance(trace_spec, dict) and trace_spec.get("kind") == "benchmark":
+        return trace_spec.get("benchmark")
+    return spec.get("benchmark")
+
+
 def _record_result_rows(
     recorder: Any, spec: dict[str, Any], result: dict[str, Any]
 ) -> None:
     """Translate one job's result document into run rows."""
     kind = result.get("kind")
     if kind == "sweep":
-        trace_spec = spec.get("trace") or {}
-        benchmark = trace_spec.get("benchmark")
-        role = trace_spec.get("role")
+        benchmark = _spec_benchmark(spec)
+        role = (spec.get("trace") or {}).get("role")
         for doc in result.get("results", ()):
             recorder.add_config_doc(doc, benchmark=benchmark, role=role)
     elif kind == "estimate":
@@ -693,9 +714,11 @@ def _execute_sweep(
 def _execute_estimate(
     request: BenchmarkRequest, store: ResultStore, journal: RunJournal
 ) -> dict[str, Any]:
-    evaluator = request.pipeline(store).memory_evaluator()
     configs, dilations = request.configs, request.dilations
-    grid = evaluator.misses_batch(request.role, configs, dilations)
+    with request.pipeline(store) as pipeline:
+        grid = pipeline.memory_evaluator().misses_batch(
+            request.role, configs, dilations
+        )
     journal.observe_cache(store, label="result-store")
     return {
         "kind": "estimate",
@@ -759,7 +782,8 @@ def _execute_explore(
     from repro.explore.spacewalker import Spacewalker
 
     space = _system_space(spec.get("space"))
-    pareto = Spacewalker(space, request.pipeline(store), journal=journal).walk()
+    with request.pipeline(store) as pipeline:
+        pareto = Spacewalker(space, pipeline, journal=journal).walk()
     frontier = [
         {
             "cost": point.cost,

@@ -102,9 +102,10 @@ def speculation_capacity(issue_width: int) -> int:
     return max(0, (issue_width - 4 + 1) // 2)
 
 
-#: A region of machines: per coordinate, the lowest and highest value
-#: (unit count per class, then register budget) it admits.
-Region = tuple[tuple[int, ...], tuple[int, ...]]
+#: A region of machines, flat: per coordinate (unit count per class,
+#: then register budget) the lowest value it admits, then per coordinate
+#: the highest.
+Region = tuple[int, ...]
 
 #: Upper end of a region coordinate that has none.
 _UNBOUNDED = sys.maxsize
@@ -113,8 +114,9 @@ _CLASS_INDEX = {cls: index for index, cls in enumerate(OP_CLASSES)}
 
 
 def _covers(region: Region, point: tuple[int, ...]) -> bool:
-    low, high = region
-    return all(map(le, low, point)) and all(map(le, point, high))
+    return all(map(le, region, point)) and all(
+        map(le, point, region[len(point):])
+    )
 
 
 class BlockEntry(NamedTuple):
@@ -143,7 +145,7 @@ class BlockMemo:
     An entry is keyed by (procedure, block id, hoisted-load count,
     latency table), which fixes a block's operation list within one
     program; spill code adds its op count to the key.  Each entry keeps
-    the frozen dependence graph and every schedule computed so far,
+    the dependence graph and every schedule computed so far,
     tagged with the region of machines it is valid for:
 
     * a class is *binding* when, in some cycle, more of its ops were
@@ -167,7 +169,9 @@ class BlockMemo:
         #: Schedules computed (each lookup that no region covered).
         self.schedules_run = 0
         self._entries: dict[tuple, BlockEntry] = {}
-        self._load_counts: dict[tuple[str, int], int] = {}
+        self._speculative: dict[
+            tuple[str, int], tuple[tuple[Operation, ...], int | None]
+        ] = {}
 
     def entries(self) -> list[BlockEntry]:
         """Every entry, one per distinct operation list."""
@@ -192,34 +196,47 @@ class BlockMemo:
     ) -> CompiledBlock:
         """``blk`` compiled for the machine at ``point`` (unit counts
         per class, then register budget)."""
-        hoisted = min(capacity, self._hoistable(proc, blk)) if capacity else 0
+        hoisted = 0
+        if capacity:
+            loads, predicted = self._hoistable_loads(proc, blk)
+            hoisted = min(capacity, len(loads))
         key = (proc.name, blk.block_id, hoisted, latencies)
         entry = self._entries.get(key)
         if entry is None:
-            loads, predicted = _hoistable_loads(proc, blk.block_id, hoisted)
-            entry = self._add(
-                key,
-                (*blk.operations, *loads),
-                mdes,
-                tuple(op.stream for op in loads),
-                predicted if loads else None,
-            )
+            if hoisted:
+                loads = loads[:hoisted]
+                entry = self._add(
+                    key,
+                    (*blk.operations, *loads),
+                    mdes,
+                    tuple(op.stream for op in loads),
+                    predicted,
+                )
+            else:
+                entry = self._add(key, tuple(blk.operations), mdes)
         for region, block in entry.compiled:
             if _covers(region, point):
                 return block
         return self._compile(key, entry, mdes, point)
 
-    def _hoistable(self, proc: Procedure, blk: BasicBlock) -> int:
-        """Loads the block could hoist with unbounded capacity."""
+    def _hoistable_loads(
+        self, proc: Procedure, blk: BasicBlock
+    ) -> tuple[tuple[Operation, ...], int | None]:
+        """Speculative copies of the loads ``blk`` could hoist with
+        unbounded capacity, from its likeliest successor, and that
+        successor's id (the static prediction; None without one).  Made
+        once per block: a machine that hoists ``k`` takes the first
+        ``k``."""
         name = (proc.name, blk.block_id)
-        count = self._load_counts.get(name)
-        if count is None:
+        found = self._speculative.get(name)
+        if found is None:
             successor = _likely_successor(proc, blk.block_id)
-            count = 0 if successor is None else sum(
-                op.is_load for op in successor.operations
-            )
-            self._load_counts[name] = count
-        return count
+            if successor is None:
+                found = (), None
+            else:
+                found = _speculative_loads(successor), successor.block_id
+            self._speculative[name] = found
+        return found
 
     def _add(
         self,
@@ -231,7 +248,7 @@ class BlockMemo:
     ) -> BlockEntry:
         entry = BlockEntry(
             operations=operations,
-            graph=build_dependence_graph(operations, mdes).frozen(),
+            graph=build_dependence_graph(operations, mdes),
             unit_of=tuple(_CLASS_INDEX[op.opclass] for op in operations),
             distinct_dests=len({d for op in operations for d in op.dests}),
             speculative_streams=speculative_streams,
@@ -250,8 +267,8 @@ class BlockMemo:
         schedule, peak = list_schedule(entry.graph, entry.unit_of, units)
         self.schedules_run += 1
         region = (
-            tuple(u if p > u else p for p, u in zip(peak, units)),
-            tuple(u if p > u else _UNBOUNDED for p, u in zip(peak, units)),
+            *(u if p > u else p for p, u in zip(peak, units)),
+            *(u if p > u else _UNBOUNDED for p, u in zip(peak, units)),
         )
         self._entries[key] = entry._replace(
             schedules=(*entry.schedules, (region, schedule))
@@ -266,7 +283,9 @@ class BlockMemo:
         point: tuple[int, ...],
     ) -> CompiledBlock:
         units, budget = point[:-1], point[-1]
-        schedule, (low, high) = self._schedule(key, units)
+        n_units = len(units)
+        schedule, region = self._schedule(key, units)
+        low, high = region[:n_units], region[n_units:]
         spills, live = bounded_spill_ops(
             entry.operations, schedule, mdes, entry.distinct_dests
         )
@@ -275,12 +294,16 @@ class BlockMemo:
             spill_key = (*key, spills)
             if spill_key not in self._entries:
                 self._add(spill_key, (*operations, *_spill_ops(spills)), mdes)
-            schedule, (s_low, s_high) = self._schedule(spill_key, units)
+            schedule, spilled = self._schedule(spill_key, units)
             operations = self._entries[spill_key].operations
-            low = (*map(max, low, s_low), budget)
-            high = (*map(min, high, s_high), budget)
+            region = (
+                *map(max, low, spilled[:n_units]),
+                budget,
+                *map(min, high, spilled[n_units:]),
+                budget,
+            )
         else:
-            low, high = (*low, live), (*high, _UNBOUNDED)
+            region = (*low, live, *high, _UNBOUNDED)
         block = CompiledBlock(
             block_id=key[1],
             operations=operations,
@@ -291,7 +314,7 @@ class BlockMemo:
         )
         entry = self._entries[key]
         self._entries[key] = entry._replace(
-            compiled=(*entry.compiled, ((low, high), block))
+            compiled=(*entry.compiled, (region, block))
         )
         return block
 
@@ -336,34 +359,20 @@ def _likely_successor(proc: Procedure, block_id: int) -> BasicBlock | None:
     return proc.block(likely.dst)
 
 
-def _hoistable_loads(
-    proc: Procedure, block_id: int, capacity: int
-) -> tuple[list[Operation], int | None]:
-    """Loads hoisted from the likeliest successor block (speculation).
-
-    Returns the hoisted operations and the predicted successor's id.
-    """
-    if capacity == 0:
-        return [], None
-    successor = _likely_successor(proc, block_id)
-    if successor is None:
-        return [], None
-    hoisted: list[Operation] = []
-    for op in successor.operations:
-        if op.is_load:
-            hoisted.append(
-                Operation(
-                    op.opclass,
-                    dests=op.dests,
-                    srcs=op.srcs,
-                    is_load=True,
-                    stream=op.stream,
-                    speculative=True,
-                )
-            )
-            if len(hoisted) >= capacity:
-                break
-    return hoisted, successor.block_id
+def _speculative_loads(successor: BasicBlock) -> tuple[Operation, ...]:
+    """Speculative copies of ``successor``'s loads, in program order."""
+    return tuple(
+        Operation(
+            op.opclass,
+            dests=op.dests,
+            srcs=op.srcs,
+            is_load=True,
+            stream=op.stream,
+            speculative=True,
+        )
+        for op in successor.operations
+        if op.is_load
+    )
 
 
 #: Virtual-register base for spill temporaries, far above any register the

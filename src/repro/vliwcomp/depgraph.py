@@ -9,44 +9,45 @@ memory disambiguation would).
 
 A graph depends only on the operation list and the latency table, so
 processors that share a latency table can share graphs: the block memo
-of :mod:`repro.vliwcomp.compile` builds one per distinct operation list
-and keeps it :meth:`~DependenceGraph.frozen` (read-only).
+of :mod:`repro.vliwcomp.compile` builds one per distinct operation list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from repro.isa.operations import OpClass, Operation
 from repro.machine.mdes import MachineDescription
 
 
-@dataclass
+@dataclass(frozen=True)
 class DependenceGraph:
-    """DAG over the operation indexes of one basic block.
+    """DAG over the operation indexes of one basic block, read-only.
 
-    ``succs[i]`` lists ``(j, delay)`` pairs: op ``j`` may issue no earlier
-    than ``issue(i) + delay``.  ``height[i]`` is the critical-path height
-    used as the list-scheduling priority.  A graph under construction
-    holds lists; :meth:`frozen` turns them into tuples.
+    Op ``succ[i][k]`` may issue no earlier than ``issue(i) +
+    delay[i][k]``; ``n_preds[j]`` counts the edges into op ``j``.
+    ``height[i]`` is the critical-path height used as the
+    list-scheduling priority.  Every field is a tuple of ints (no pair
+    tuples), so a memo of thousands of graphs gives the garbage
+    collector little to track.
     """
 
     n_ops: int
-    succs: Sequence[Sequence[tuple[int, int]]] = field(default_factory=list)
-    preds: Sequence[Sequence[tuple[int, int]]] = field(default_factory=list)
-    height: Sequence[int] = field(default_factory=list)
+    succ: tuple[tuple[int, ...], ...]
+    delay: tuple[tuple[int, ...], ...]
+    n_preds: tuple[int, ...]
+    height: tuple[int, ...]
 
-    def frozen(self) -> DependenceGraph:
-        """A read-only copy, for sharing: no scheduler can change it,
-        and the garbage collector stops tracking its all-int tuples, so
-        a memo of thousands of graphs does not slow every collection."""
-        return DependenceGraph(
-            self.n_ops,
-            succs=tuple(map(tuple, self.succs)),
-            preds=tuple(map(tuple, self.preds)),
-            height=tuple(self.height),
-        )
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """Every edge as ``(i, j, delay)``, by source op."""
+        for i, (succ, delay) in enumerate(zip(self.succ, self.delay)):
+            for j, d in zip(succ, delay):
+                yield i, j, d
+
+
+_MEMORY = OpClass.MEMORY
+_BRANCH = OpClass.BRANCH
 
 
 def build_dependence_graph(
@@ -54,9 +55,9 @@ def build_dependence_graph(
 ) -> DependenceGraph:
     """Build the scheduling DAG for one block's operation list."""
     n = len(operations)
-    # ``preds[j]`` gains (i, delay) for each edge: op j may issue no
-    # earlier than issue(i) + delay.
-    preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    delay: list[list[int]] = [[] for _ in range(n)]
+    n_preds = [0] * n
     # Result latency of each op, looked up once per block.
     latency = [mdes.latencies[op.opclass] for op in operations]
     last_writer: dict[int, int] = {}
@@ -64,49 +65,63 @@ def build_dependence_graph(
     last_mem_by_stream: dict[int, int] = {}
 
     for i, op in enumerate(operations):
+        opclass = op.opclass
+        # Each edge p -> i: op i may issue no earlier than issue(p) + d.
         for src in op.srcs:
-            if src in last_writer:
-                producer = last_writer[src]
-                preds[i].append((producer, latency[producer]))
-            readers_since_write.setdefault(src, []).append(i)
+            producer = last_writer.get(src)
+            if producer is not None:
+                succ[producer].append(i)
+                delay[producer].append(latency[producer])
+                n_preds[i] += 1
+            readers = readers_since_write.get(src)
+            if readers is None:
+                readers_since_write[src] = [i]
+            else:
+                readers.append(i)
         for dst in op.dests:
-            if dst in last_writer:
-                preds[i].append((last_writer[dst], 1))  # WAW
-            for reader in readers_since_write.get(dst, []):
+            writer = last_writer.get(dst)
+            if writer is not None:
+                succ[writer].append(i)
+                delay[writer].append(1)  # WAW
+                n_preds[i] += 1
+            for reader in readers_since_write.get(dst, ()):
                 if reader != i:
-                    preds[i].append((reader, 0))  # WAR: same cycle legal
+                    succ[reader].append(i)
+                    delay[reader].append(0)  # WAR: same cycle legal
+                    n_preds[i] += 1
             last_writer[dst] = i
             readers_since_write[dst] = []
-        if op.is_memory:
+        if opclass is _MEMORY:
             prev = last_mem_by_stream.get(op.stream)
             if prev is not None:
                 # Keep same-stream memory operations ordered (one cycle).
-                preds[i].append((prev, 1))
+                succ[prev].append(i)
+                delay[prev].append(1)
+                n_preds[i] += 1
             last_mem_by_stream[op.stream] = i
-        if op.opclass is OpClass.BRANCH:
+        if opclass is _BRANCH:
             # The branch ends the block: every earlier op must issue no
             # later than the branch's cycle.
-            preds[i].extend((j, 0) for j in range(i))
+            for earlier in succ[:i]:
+                earlier.append(i)
+            for earlier in delay[:i]:
+                earlier.append(0)
+            n_preds[i] += i
 
-    succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for j, edges in enumerate(preds):
-        for i, delay in edges:
-            succs[i].append((j, delay))
-    graph = DependenceGraph(n_ops=n, succs=succs, preds=preds, height=[0] * n)
-    _compute_heights(graph, latency)
-    return graph
-
-
-def _compute_heights(graph: DependenceGraph, latency: list[int]) -> None:
-    """Critical-path height of each op (reverse topological order).
-
-    Operation indexes are already topologically ordered (edges only go
-    forward in the list), so a reverse sweep suffices.
-    """
-    for i in range(graph.n_ops - 1, -1, -1):
+    # Critical-path heights by a reverse sweep: operation indexes are
+    # already topologically ordered (edges only go forward in the list).
+    height = [0] * n
+    for i in range(n - 1, -1, -1):
         best = latency[i]
-        for succ, delay in graph.succs[i]:
-            candidate = delay + graph.height[succ]
+        for j, d in zip(succ[i], delay[i]):
+            candidate = d + height[j]
             if candidate > best:
                 best = candidate
-        graph.height[i] = best
+        height[i] = best
+    return DependenceGraph(
+        n_ops=n,
+        succ=tuple(map(tuple, succ)),
+        delay=tuple(map(tuple, delay)),
+        n_preds=tuple(n_preds),
+        height=tuple(height),
+    )

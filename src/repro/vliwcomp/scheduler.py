@@ -4,18 +4,20 @@ Classic cycle-driven list scheduling: at each cycle, ready operations
 (all predecessors issued early enough) are chosen greedily by
 critical-path height, subject to the per-class function-unit counts of
 the target processor.  The output records which operations share each
-VLIW instruction — the quantity the instruction-format assembler encodes —
-and the block's issue-cycle count, used for processor-cycle estimation.
+VLIW instruction, the block's issue-cycle count (used for processor-cycle
+estimation) and its instruction *mix*: how many instructions issue each
+per-class op-count vector, the quantity the instruction-format assembler
+encodes.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import ScheduleError
-from repro.isa.operations import OP_CLASSES, Operation
+from repro.isa.operations import MIX_FIELD_BITS, OP_CLASSES, Operation, pack_mix
 from repro.machine.mdes import MachineDescription
 from repro.vliwcomp.depgraph import DependenceGraph, build_dependence_graph
 
@@ -29,10 +31,16 @@ class BlockSchedule:
     total issue-cycle span including stall (empty) cycles; ``cycles >=
     len(instructions)`` and the gap is the stall-cycle count the
     instruction format's multi-no-op bits must cover.
+
+    ``mix`` maps each distinct packed per-class op count of an
+    instruction (see :func:`~repro.isa.operations.pack_mix`) to the number
+    of instructions that issue it.  It follows from ``instructions``, so
+    it takes no part in equality; it is never changed.
     """
 
     instructions: tuple[tuple[int, ...], ...]
     cycles: int
+    mix: dict[int, int] = field(compare=False, repr=False)
 
     @property
     def num_instructions(self) -> int:
@@ -87,11 +95,18 @@ def list_schedule(
     and at least the peak on every other class, each cycle issues the
     same ops, so the schedule is the same.
     """
+    if max(units) >> MIX_FIELD_BITS:
+        raise ScheduleError(
+            f"unit counts {tuple(units)} do not fit an instruction mix "
+            f"({MIX_FIELD_BITS} bits per class)"
+        )
     n = graph.n_ops
     if not n:
-        return BlockSchedule(instructions=(), cycles=0), (0,) * len(units)
+        empty = BlockSchedule(instructions=(), cycles=0, mix={})
+        return empty, (0,) * len(units)
     height = graph.height
-    succs = graph.succs
+    succ_of = graph.succ
+    delay_of = graph.delay
     # Ops in priority order (highest critical path first, index breaking
     # ties: the sort is stable); the waiting list holds positions in
     # this order, kept sorted.
@@ -103,12 +118,15 @@ def list_schedule(
     # An op waits until every predecessor has issued in an earlier
     # cycle; it is then ready once the edge delays have elapsed
     # (``earliest``).
-    unissued_preds = [len(preds) for preds in graph.preds]
+    unissued_preds = list(graph.n_preds)
     earliest = [0] * n
     waiting = sorted(rank[i] for i in range(n) if not unissued_preds[i])
-    peak = [0] * len(units)
+    n_units = len(units)
+    peak = [0] * n_units
+    mix_unit = _MIX_UNIT
     remaining = n
     instructions: list[tuple[int, ...]] = []
+    mix: dict[int, int] = {}
     cycle = 0
     last_issue = 0
     max_cycles = _cycle_budget(n, height)
@@ -119,9 +137,11 @@ def list_schedule(
                 f"scheduler exceeded {max_cycles} cycles for a "
                 f"{n}-operation block; dependence graph is inconsistent"
             )
-        free = list(units)
-        ready = [0] * len(units)
+        # ``ready[c]`` counts the ready ops of class ``c`` so far this
+        # cycle; the first ``units[c]`` of them (in priority order) issue.
+        ready = [0] * n_units
         issued: list[int] = []
+        issued_mix = 0
         still_waiting: list[int] = []
         next_cycle = max_cycles + 1
         for position in waiting:
@@ -133,30 +153,37 @@ def list_schedule(
                     next_cycle = start
                 continue
             unit = unit_of[i]
-            ready[unit] += 1
-            if free[unit]:
-                free[unit] -= 1
+            count = ready[unit] + 1
+            ready[unit] = count
+            if count > peak[unit]:
+                peak[unit] = count
+            if count <= units[unit]:
                 issued.append(i)
+                issued_mix += mix_unit[unit]
             else:
                 still_waiting.append(position)
                 next_cycle = cycle + 1
-        for unit, count in enumerate(ready):
-            if count > peak[unit]:
-                peak[unit] = count
         issued.sort()
         after = cycle + 1
         for i in issued:
-            for succ, delay in succs[i]:
-                need = cycle + delay
+            delays = delay_of[i]
+            edge = 0
+            for succ in succ_of[i]:
+                need = cycle + delays[edge]
+                edge += 1
                 if need > earliest[succ]:
                     earliest[succ] = need
-                unissued_preds[succ] -= 1
-                if not unissued_preds[succ]:
+                left = unissued_preds[succ] - 1
+                unissued_preds[succ] = left
+                if not left:
                     insort(still_waiting, rank[succ])
-                    start = earliest[succ] if earliest[succ] > after else after
+                    start = earliest[succ]
+                    if start < after:
+                        start = after
                     if start < next_cycle:
                         next_cycle = start
         instructions.append(tuple(issued))
+        mix[issued_mix] = mix.get(issued_mix, 0) + 1
         remaining -= len(issued)
         last_issue = cycle
         waiting = still_waiting
@@ -164,9 +191,17 @@ def list_schedule(
         cycle = next_cycle
 
     return (
-        BlockSchedule(instructions=tuple(instructions), cycles=last_issue + 1),
+        BlockSchedule(
+            instructions=tuple(instructions), cycles=last_issue + 1, mix=mix
+        ),
         tuple(peak),
     )
+
+
+#: The packed mix of one op of each class, indexed like ``OP_CLASSES``.
+_MIX_UNIT = tuple(
+    pack_mix([0] * index + [1]) for index in range(len(OP_CLASSES))
+)
 
 
 def _cycle_budget(n_ops: int, heights: Sequence[int]) -> int:

@@ -1,9 +1,9 @@
-"""Unit tests for repro.iformat.encoding (bit-level codec)."""
+"""Unit tests for repro.oracles.encoding (bit-level codec)."""
 
 import pytest
 
 from repro.errors import EncodingError
-from repro.iformat.encoding import OPCODES, InstructionCodec
+from repro.oracles.encoding import OPCODES, InstructionCodec
 from repro.iformat.format_synth import synthesize_format
 from repro.isa.operations import (
     OpClass,

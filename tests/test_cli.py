@@ -432,3 +432,71 @@ class TestRunsDbParity:
         assert len(rows) == 27
         assert rows == self.table(service)
 
+
+
+class TestJobRunRecords:
+    def test_runs_list_names_the_sweep_benchmark(self, capsys, tmp_path):
+        """Regression: sweep runs were recorded without a benchmark (it
+        lives in the spec's trace), so ``runs list`` showed ``-``."""
+        db = str(tmp_path / "runs.sqlite")
+        argv = ["sweep", "--benchmarks", "epic", "--scale", "0.25",
+                "--runs-db", db]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["runs", "list", "--db", db]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header.split()[3] == "benchmark"
+        assert row.split()[1:4] == ["sweep", "done", "epic"]
+
+
+class TestJobLeavesNoStoreAttached:
+    def test_pipeline_primes_after_explore_store_is_gone(
+        self, capsys, monkeypatch
+    ):
+        """Regression: an explore job left the memoized pipeline's
+        evaluator attached to the command's temporary store, so a later
+        prime on the same pipeline failed once that store was deleted."""
+        import repro.service.jobs as jobs
+        from repro.cache.config import CacheConfig
+        from repro.experiments.runner import (
+            RunnerSettings,
+            clear_pipeline_cache,
+            get_pipeline,
+        )
+        from repro.explore.spec import (
+            CacheDesignSpace,
+            ProcessorDesignSpace,
+            SystemDesignSpace,
+        )
+
+        space = SystemDesignSpace(
+            processors=ProcessorDesignSpace(
+                int_units=(1,), float_units=(1,), memory_units=(1,),
+                branch_units=(1,),
+            ),
+            icache=CacheDesignSpace(
+                sizes_kb=(0.5,), assocs=(1,), line_sizes=(16,)
+            ),
+            dcache=CacheDesignSpace(
+                sizes_kb=(0.5,), assocs=(1,), line_sizes=(16,)
+            ),
+            unified=CacheDesignSpace(
+                sizes_kb=(8,), assocs=(2,), line_sizes=(32,)
+            ),
+        )
+        monkeypatch.setattr(jobs, "_system_space", lambda overrides: space)
+        clear_pipeline_cache()
+        try:
+            assert main(["explore", *FAST]) == 0
+            capsys.readouterr()
+            settings = RunnerSettings.from_spec({"scale": 0.12, "visits": 2000})
+            pipeline = get_pipeline("epic", settings)
+            evaluator = pipeline.memory_evaluator()
+            assert evaluator.simulation_passes > 0  # the explore's pipeline
+            # A line size the explore never primed: a new pass.
+            grid = evaluator.misses_batch(
+                "icache", [CacheConfig(sets=8, assoc=1, line_size=64)], [1.0]
+            )
+            assert grid.shape == (1, 1) and grid[0, 0] > 0
+        finally:
+            clear_pipeline_cache()

@@ -34,8 +34,7 @@ README_EXPLORE = (
 
 @pytest.fixture(scope="module", autouse=True)
 def _drop_pipelines():
-    """An explore job leaves its pipeline's evaluator attached to the
-    command's temporary store; drop those pipelines afterwards."""
+    """Drop the pipelines the commands memoized, with their traces."""
     yield
     clear_pipeline_cache()
 

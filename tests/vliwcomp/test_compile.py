@@ -156,8 +156,9 @@ class TestSharedBlockMemo:
             for field in (entry.operations, entry.unit_of, entry.schedules,
                           entry.compiled, entry.graph.height):
                 assert isinstance(field, tuple)
-            assert all(isinstance(s, tuple) for s in entry.graph.succs)
-            assert all(isinstance(p, tuple) for p in entry.graph.preds)
+            for per_op in (entry.graph.succ, entry.graph.delay):
+                assert all(isinstance(row, tuple) for row in per_op)
+            assert isinstance(entry.graph.n_preds, tuple)
         # A recompile finds every block and schedules nothing.
         for mdes in self.MDESES:
             compile_program(tiny.program, mdes, memo=memo)

@@ -13,11 +13,7 @@ from repro.vliwcomp.depgraph import build_dependence_graph
 
 
 def edges_of(graph):
-    return {
-        (src, dst, delay)
-        for src in range(graph.n_ops)
-        for dst, delay in graph.succs[src]
-    }
+    return set(graph.edges())
 
 
 class TestEdges:
@@ -81,4 +77,35 @@ class TestHeights:
     def test_height_of_leaf_is_own_latency(self):
         mdes = MachineDescription(P1111)
         graph = build_dependence_graph([make_int(1)], mdes)
-        assert graph.height == [1]
+        assert graph.height == (1,)
+
+
+class TestFlatForm:
+    def test_fields_are_int_tuples_without_pairs(self):
+        ops = [
+            make_load(1, addr_src=0, stream=1),
+            make_int(2, (1,)),
+            make_store(value_src=2, addr_src=0, stream=1),
+            make_int(1, (2,)),
+            make_branch((1,)),
+        ]
+        graph = build_dependence_graph(ops, MachineDescription(P1111))
+        for per_op in (graph.succ, graph.delay):
+            assert isinstance(per_op, tuple) and len(per_op) == len(ops)
+            for row in per_op:
+                assert isinstance(row, tuple)
+                assert all(type(value) is int for value in row)
+        assert all(
+            len(succ) == len(delay)
+            for succ, delay in zip(graph.succ, graph.delay)
+        )
+        assert isinstance(graph.n_preds, tuple)
+        assert isinstance(graph.height, tuple)
+
+    def test_pred_counts_match_edges(self):
+        ops = [make_int(1), make_int(1, (1,)), make_int(2, (1, 1)), make_branch()]
+        graph = build_dependence_graph(ops, MachineDescription(P1111))
+        counts = [0] * len(ops)
+        for _, j, _ in graph.edges():
+            counts[j] += 1
+        assert graph.n_preds == tuple(counts)

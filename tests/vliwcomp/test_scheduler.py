@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.isa.operations import (
+    OP_CLASSES,
     OpClass,
+    pack_mix,
     make_branch,
     make_float,
     make_int,
@@ -26,12 +28,21 @@ from repro.vliwcomp.scheduler import BlockSchedule, schedule_block
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
 
+def preds_of(graph):
+    """Per op, its ``(predecessor, delay)`` edges, read from the graph."""
+    preds = [[] for _ in range(graph.n_ops)]
+    for i, j, delay in graph.edges():
+        preds[j].append((i, delay))
+    return preds
+
+
 def scan_schedule(operations, mdes):
     """Reference list scheduler: every cycle rescans every unscheduled
     op and its predecessors for readiness."""
     if not operations:
-        return BlockSchedule(instructions=(), cycles=0)
+        return BlockSchedule(instructions=(), cycles=0, mix={})
     graph = build_dependence_graph(operations, mdes)
+    preds = preds_of(graph)
     n = len(operations)
     issue_cycle = [-1] * n
     earliest = [0] * n
@@ -46,7 +57,7 @@ def scan_schedule(operations, mdes):
             i
             for i in unscheduled
             if earliest[i] <= cycle
-            and all(issue_cycle[p] >= 0 for p, _ in graph.preds[i])
+            and all(issue_cycle[p] >= 0 for p, _ in preds[i])
         ]
         ready.sort(key=lambda i: (-graph.height[i], i))
         for i in ready:
@@ -55,7 +66,7 @@ def scan_schedule(operations, mdes):
                 continue
             if any(
                 issue_cycle[p] < 0 or issue_cycle[p] + d > cycle
-                for p, d in graph.preds[i]
+                for p, d in preds[i]
             ):
                 continue
             free[cls] -= 1
@@ -64,17 +75,40 @@ def scan_schedule(operations, mdes):
         if issued:
             for i in issued:
                 unscheduled.discard(i)
-                for succ, delay in graph.succs[i]:
+                for succ, delay in zip(graph.succ[i], graph.delay[i]):
                     earliest[succ] = max(earliest[succ], cycle + delay)
             instructions.append(tuple(sorted(issued)))
             last_issue = cycle
         cycle += 1
-    return BlockSchedule(instructions=tuple(instructions), cycles=last_issue + 1)
+    return BlockSchedule(
+        instructions=tuple(instructions),
+        cycles=last_issue + 1,
+        mix=mix_of(operations, instructions),
+    )
+
+
+def mix_of(operations, instructions):
+    """Packed per-class op count -> instructions issuing it."""
+    mix = {}
+    for instr in instructions:
+        counts = [0] * len(OP_CLASSES)
+        for i in instr:
+            counts[OP_CLASSES.index(operations[i].opclass)] += 1
+        key = pack_mix(counts)
+        mix[key] = mix.get(key, 0) + 1
+    return mix
+
+
+def assert_same_schedule(got, want):
+    """Equal schedules (the mix takes no part in equality) and mixes."""
+    assert got == want
+    assert got.mix == want.mix
 
 
 def schedule_is_legal(operations, mdes, schedule):
     """Resource and dependence legality of a schedule."""
     graph = build_dependence_graph(operations, mdes)
+    preds = preds_of(graph)
     cycle_of = {}
     # Reconstruct issue cycles: instructions are in cycle order but empty
     # cycles are elided, so recompute by replaying dependences greedily.
@@ -92,7 +126,7 @@ def schedule_is_legal(operations, mdes, schedule):
         while not all(
             all(
                 p in cycle_of and cycle_of[p] + d <= cycle
-                for p, d in graph.preds[i]
+                for p, d in preds[i]
             )
             for i in instr
         ):
@@ -102,10 +136,9 @@ def schedule_is_legal(operations, mdes, schedule):
         cycle += 1
     if len(cycle_of) != len(operations):
         return False
-    for i in range(len(operations)):
-        for succ, delay in graph.succs[i]:
-            if cycle_of[succ] - cycle_of[i] < delay:
-                return False
+    for i, succ, delay in graph.edges():
+        if cycle_of[succ] - cycle_of[i] < delay:
+            return False
     return True
 
 
@@ -225,7 +258,9 @@ class TestMatchesReferenceScan:
             ops = random_ops(rng, n=rng.randrange(1, 60))
             for processor in self.MACHINES:
                 mdes = MachineDescription(processor)
-                assert schedule_block(ops, mdes) == scan_schedule(ops, mdes)
+                assert_same_schedule(
+                    schedule_block(ops, mdes), scan_schedule(ops, mdes)
+                )
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_suite_blocks(self, name):
@@ -237,9 +272,9 @@ class TestMatchesReferenceScan:
             mdes = MachineDescription(processor)
             compiled = compile_program(program, mdes, memo=memo)
             for key, block in compiled.blocks.items():
-                assert block.schedule == scan_schedule(
-                    list(block.operations), mdes
-                ), (processor.name, key)
+                want = scan_schedule(list(block.operations), mdes)
+                assert block.schedule == want, (processor.name, key)
+                assert block.schedule.mix == want.mix, (processor.name, key)
 
 
 @st.composite
@@ -309,6 +344,7 @@ class TestBlockMemoProperty:
             fresh = compile_program(program, mdes)
             assert shared.blocks == fresh.blocks, processor
             for block in shared.blocks.values():
-                assert block.schedule == scan_schedule(
-                    list(block.operations), mdes
-                ), processor
+                assert_same_schedule(
+                    block.schedule,
+                    scan_schedule(list(block.operations), mdes),
+                )
