@@ -77,9 +77,9 @@ MIN_DESIGN_SPACE_SEED_SPEEDUP = 7.0
 #: in-memory time on top (``in_memory_seconds / chunked_seconds``), so
 #: *higher is better* and a value of 0.5 means streaming costs 2x.  The
 #: chunked path trades the in-memory path's line-stream memo for bounded
-#: memory (each 64 Ki-range chunk is expanded, counted and settled on
-#: its own); measured 0.45-0.62 across idle runs, ratcheted against the
-#: worst with margin.
+#: memory (each 64 Ki-range chunk is expanded and counted on its own);
+#: measured 0.45-0.62 across idle runs, ratcheted against the worst with
+#: margin.
 MIN_STREAMING_OVERHEAD = 0.30
 
 #: Floor for interval-sampling accuracy: ``1 - max relative miss error``

@@ -14,10 +14,15 @@ halves on a synthetic trace >= 10x the epic reference workload:
    The budget is enforced by the kernel — exceeding it is a
    ``MemoryError``, not a report.  The child journals the sweep plus an
    ``rss`` event (``ru_maxrss`` vs the budget) into ``--journal``.
-3. **Bit-identity**: the parent (no rlimit) materializes the same trace,
-   sweeps in memory, and asserts every per-config miss count equals the
-   child's streamed result.
-4. **Worker shipping**: the parent re-runs the sweep over the chunked
+3. **Mid-trace resume**, in the same bounded child: a checkpointed sweep
+   is stopped when it asks for chunk ``STOP_AT_CHUNK`` (or the last
+   chunk of a shorter trace), then re-run against the same checkpoint
+   store; it must resume from the chunk-boundary snapshot (histograms
+   plus the carried LRU prefix) at that chunk.
+4. **Bit-identity**: the parent (no rlimit) materializes the same trace,
+   sweeps in memory, and asserts every per-config miss count equals both
+   of the child's streamed results.
+5. **Worker shipping**: the parent re-runs the sweep over the chunked
    trace with a 2-process pool and asserts results again — jobs carry
    ``(path, digest)``, verified by the ``trace_shipping mode=chunkpath``
    journal event.
@@ -47,6 +52,9 @@ GRID = {
 
 #: Ranges written per writer batch — the generation working set.
 BATCH_RANGES = 131_072
+
+#: Chunk at which the child stops its checkpointed sweep before resuming.
+STOP_AT_CHUNK = 2
 
 
 def _import_repro():
@@ -93,8 +101,51 @@ def write_trace(path: Path, ranges: int, seed: int, chunk_ranges: int):
     return ChunkedTrace(path)
 
 
+class _Stopped(Exception):
+    """Raised to stop a checkpointed sweep at a chunk boundary."""
+
+
+def interrupted_then_resumed(trace_path: Path, store_path: Path, stop_at: int):
+    """Stop a checkpointed sweep when it reads chunk ``stop_at``, then
+    rerun it; returns the rerun's results and the set of chunks its
+    passes resumed at."""
+    from repro.cache.sweep import sweep_design_space
+    from repro.runtime.journal import RunJournal
+    from repro.service.store import ResultStore
+    from repro.trace.chunkstore import ChunkedTrace
+
+    class StoppingTrace(ChunkedTrace):
+        def chunk(self, index):
+            if index == stop_at:
+                raise _Stopped(index)
+            return super().chunk(index)
+
+    store = ResultStore(store_path)
+    try:
+        with StoppingTrace(trace_path) as trace:
+            try:
+                sweep_design_space(configs(), trace, checkpoint=store)
+            except _Stopped:
+                pass
+            else:
+                raise AssertionError(f"sweep never read chunk {stop_at}")
+        journal = RunJournal()
+        with ChunkedTrace(trace_path) as trace:
+            results = sweep_design_space(
+                configs(), trace, checkpoint=store, journal=journal
+            )
+    finally:
+        store.close()
+    resumed = {
+        e.get("resumed_at_chunk", 0)
+        for e in journal.events
+        if e["event"] == "pass"
+    }
+    return results, resumed
+
+
 def run_child(args) -> int:
-    """Bounded-memory half: rlimit first, numpy second, sweep third."""
+    """Bounded-memory half: rlimit first, numpy second, sweeps third."""
     budget = args.budget_mb * 1024 * 1024
     resource.setrlimit(resource.RLIMIT_AS, (budget, budget))
     _import_repro()
@@ -106,6 +157,10 @@ def run_child(args) -> int:
     with ChunkedTrace(args.trace) as trace:
         results = sweep_design_space(configs(), trace, journal=journal)
         chunks, ranges = trace.n_chunks, trace.n_ranges
+    stop_at = min(STOP_AT_CHUNK, chunks - 1)
+    resumed_results, resumed_at = interrupted_then_resumed(
+        args.trace, args.out.with_suffix(".sqlite"), stop_at
+    )
     max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     journal.record("rss", max_rss_bytes=max_rss, budget_bytes=budget)
     journal.close()
@@ -113,6 +168,12 @@ def run_child(args) -> int:
         "misses": {
             config_key(c): result.misses for c, result in results.items()
         },
+        "resumed_misses": {
+            config_key(c): result.misses
+            for c, result in resumed_results.items()
+        },
+        "stop_at": stop_at,
+        "resumed_at": sorted(resumed_at),
         "max_rss_bytes": max_rss,
         "budget_bytes": budget,
         "chunks": chunks,
@@ -198,9 +259,30 @@ def run_parent(args) -> int:
                 file=sys.stderr,
             )
             return 1
+        stop_at = streamed["stop_at"]
+        if streamed["resumed_at"] != [stop_at]:
+            print(
+                f"FAIL: the stopped sweep resumed at "
+                f"{streamed['resumed_at']}, not chunk {stop_at}",
+                file=sys.stderr,
+            )
+            return 1
+        resumed_bad = [
+            config_key(c)
+            for c in configs()
+            if exact[c].misses != streamed["resumed_misses"][config_key(c)]
+        ]
+        if resumed_bad:
+            print(
+                f"FAIL: the sweep resumed at chunk {stop_at} "
+                f"diverges from in-memory at {resumed_bad}",
+                file=sys.stderr,
+            )
+            return 1
         print(
             f"bit-identity: {len(configs())} configs identical between "
-            "streamed (child) and in-memory (parent) sweeps"
+            "streamed (child) and in-memory (parent) sweeps, and for the "
+            f"child sweep stopped at chunk {stop_at} and resumed"
         )
         del starts, sizes
 

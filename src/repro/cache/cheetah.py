@@ -32,15 +32,28 @@ family it:
 2. maps the shared occurrence links into the partition and hands the
    partitioned stream to the offline stack-distance kernel
    (:mod:`repro.cache.stackdist`), which resolves every reference's
-   clamped LRU stack distance in O(n log n) whole-array operations, and
-   bin-counts the distances into the depth histogram (within-set
-   immediate repeats simply come out at depth 0);
-3. prepends the family's carried per-set LRU stacks as synthetic
-   references (deepest first) when the simulator already consumed
-   earlier batches — each synthetic is cold by construction, so its
-   histogram contribution is known and subtracted afterwards, and the
-   batch references then see exactly the stack state they would have
-   seen scalar-stepped.
+   clamped LRU stack distance in O(n log n) whole-array operations
+   (within-set immediate repeats simply come out at depth 0);
+3. bin-counts the distances into the family's depth histogram, less one
+   cold reference per line of the carry (below).
+
+Between batches the simulator carries LRU state as one line array, the
+*carry*: the lines of the finest family's truncated per-set stacks,
+ordered by last-occurrence time.  Set counts are powers of two, so each
+set of family ``k`` is a union of sets of family ``2k``, and a line in
+the top ``max_assoc`` of a coarse set is also in the top
+``max_assoc`` of its finer set: the carry holds every family's stack
+lines.  The next batch prepends the carry to its line stream and runs
+exactly like a first batch (one shared value sort, the same partition
+ladder).  In every family a set's carry lines, oldest first, leave that
+set's stack top exactly as a scalar replay would, and lines below it
+are older than every stack line, so they only ever score as
+deeper-or-absent.  Carry lines are distinct, so each is a cold first
+occurrence in every family; the histograms subtract them again.  The
+carry's time order comes from stream positions threaded through the
+partition ladder (a compacted run of within-set repeats takes the
+position of its *last* reference), and only when another batch follows
+(``final=False``, the default).
 
 Per-family kernel timings are recorded into the active
 :class:`~repro.runtime.journal.RunJournal` (event ``stackdist``), so
@@ -82,24 +95,9 @@ _MAX_REFINE_FACTOR = 2
 #: them as depth-0 hits at no extra cost.
 _DUP_COMPACT_DIVISOR = 16
 
-
-class _Family:
-    """Per-set-count truncated LRU stacks plus the depth histogram."""
-
-    __slots__ = ("nsets", "max_assoc", "stacks", "hist", "pending")
-
-    def __init__(self, nsets: int, max_assoc: int):
-        self.nsets = nsets
-        self.max_assoc = max_assoc
-        self.stacks: list[list[int]] = [[] for _ in range(nsets)]
-        # hist[k] = number of references found at stack depth k (0 = MRU).
-        # hist[max_assoc] accumulates "deeper than we track, or absent".
-        self.hist: list[int] = [0] * (max_assoc + 1)
-        # Deferred stack materialization after a kernel batch: the
-        # partitioned stream plus which positions recur later.  Most
-        # simulations never read the stacks again, so the rebuild only
-        # happens when another batch or a snapshot needs them.
-        self.pending: tuple | None = None
+#: The carry of a simulator that has seen no references.
+_NO_CARRY = np.empty(0, dtype=np.int32)
+_NO_CARRY.flags.writeable = False
 
 
 class CheetahSimulator:
@@ -132,15 +130,32 @@ class CheetahSimulator:
             raise ConfigurationError("set_counts contains duplicates")
         self.line_size = line_size
         self.max_assoc = max_assoc
-        # Keyed by set count for O(1) lookup in :meth:`misses`.
-        self._families: dict[int, _Family] = {
-            nsets: _Family(nsets, max_assoc) for nsets in counts
+        # Depth histogram per set count, keyed for O(1) lookup in
+        # :meth:`misses`: hist[k] = number of references found at stack
+        # depth k (0 = MRU); hist[max_assoc] accumulates "deeper than we
+        # track, or absent".
+        self._hists: dict[int, list[int]] = {
+            nsets: [0] * (max_assoc + 1) for nsets in counts
         }
+        # LRU state carried into the next batch (see the module notes).
+        self._carry = _NO_CARRY
         self.accesses = 0
         #: Wall seconds spent counting stack families on the kernel
         #: (cumulative; each family's staging, kernel call and fold).
         self.kernel_seconds = 0.0
         self._sealed = False
+
+    def _load_hists(
+        self, accesses: int, hists: Mapping[int, Sequence[int]]
+    ) -> None:
+        self.accesses = accesses
+        for nsets, hist in hists.items():
+            if len(hist) != self.max_assoc + 1:
+                raise ConfigurationError(
+                    f"histogram for {nsets} sets has {len(hist)} buckets, "
+                    f"expected {self.max_assoc + 1}"
+                )
+            self._hists[nsets][:] = [int(h) for h in hist]
 
     @classmethod
     def from_state(
@@ -155,49 +170,31 @@ class CheetahSimulator:
         Used to merge results simulated in worker processes back into
         the parent's API objects.  The rebuilt simulator answers
         :meth:`misses`/:meth:`result` queries but refuses further trace
-        feeding (its LRU stacks were not shipped along).
+        feeding (its LRU state was not shipped along).
         """
         sim = cls(line_size, list(hists), max_assoc)
-        sim.accesses = accesses
-        for nsets, hist in hists.items():
-            if len(hist) != max_assoc + 1:
-                raise ConfigurationError(
-                    f"histogram for {nsets} sets has {len(hist)} buckets, "
-                    f"expected {max_assoc + 1}"
-                )
-            sim._families[nsets].hist = [int(h) for h in hist]
+        sim._load_hists(accesses, hists)
         sim._sealed = True
         return sim
 
     def state(self) -> tuple[int, dict[int, list[int]]]:
         """Exportable (accesses, {set count: depth histogram}) snapshot."""
         return self.accesses, {
-            nsets: list(fam.hist) for nsets, fam in self._families.items()
+            nsets: list(hist) for nsets, hist in self._hists.items()
         }
 
-    def full_state(self) -> tuple[int, dict[int, dict]]:
-        """Exportable mid-trace snapshot including the LRU stacks.
+    def full_state(self) -> tuple[int, dict[int, list[int]], list[int]]:
+        """Exportable mid-trace snapshot: :meth:`state` plus the carry.
 
         Unlike :meth:`state`, a simulator rebuilt from this snapshot
         (:meth:`from_full_state`) can keep consuming references — the
         hook chunk-at-a-time sweeps use to checkpoint between chunks.
-        Deferred stacks are materialized first, so this is not free;
-        call it at chunk boundaries, not per batch.
+        The carry holds at most ``max(set_counts) * max_assoc`` lines,
+        so the snapshot is bounded by the design space, not the trace.
         """
-        out: dict[int, dict] = {}
-        for nsets, fam in self._families.items():
-            _ensure_stacks(fam)
-            out[nsets] = {
-                "hist": list(fam.hist),
-                "stacks": [list(stack) for stack in fam.stacks],
-            }
-        return self.accesses, out
-
-    def settle(self) -> None:
-        """Materialize deferred LRU stacks, dropping the partitioned
-        stream a kernel batch keeps for them."""
-        for fam in self._families.values():
-            _ensure_stacks(fam)
+        self._check_unsealed()
+        accesses, hists = self.state()
+        return accesses, hists, self._carry.tolist()
 
     @classmethod
     def from_full_state(
@@ -205,51 +202,36 @@ class CheetahSimulator:
         line_size: int,
         max_assoc: int,
         accesses: int,
-        families: Mapping[int, Mapping],
+        hists: Mapping[int, Sequence[int]],
+        carry: Sequence[int],
     ) -> "CheetahSimulator":
         """Rebuild a *resumable* simulator from :meth:`full_state`."""
-        sim = cls(line_size, list(families), max_assoc)
-        sim.accesses = accesses
-        for nsets, snap in families.items():
-            fam = sim._families[nsets]
-            hist = list(snap["hist"])
-            if len(hist) != max_assoc + 1:
-                raise ConfigurationError(
-                    f"histogram for {nsets} sets has {len(hist)} buckets, "
-                    f"expected {max_assoc + 1}"
-                )
-            stacks = snap["stacks"]
-            if len(stacks) != nsets:
-                raise ConfigurationError(
-                    f"snapshot for {nsets} sets carries {len(stacks)} "
-                    "stacks"
-                )
-            fam.hist = [int(h) for h in hist]
-            fam.stacks = [[int(line) for line in stack] for stack in stacks]
+        sim = cls(line_size, list(hists), max_assoc)
+        sim._load_hists(accesses, hists)
+        lines = as_int64_array(carry)
+        bound = max(sim._hists, default=0) * max_assoc
+        if (
+            lines.ndim != 1
+            or len(lines) > bound
+            or len(np.unique(lines)) != len(lines)
+        ):
+            raise ConfigurationError(
+                f"snapshot carry must hold at most {bound} distinct lines"
+            )
+        if len(lines) and -(2**31) <= lines.min() and lines.max() < 2**31:
+            lines = lines.astype(np.int32)
+        sim._carry = lines
         return sim
 
     @property
     def set_counts(self) -> list[int]:
-        return list(self._families)
-
-    def carrying_state(self) -> bool:
-        """Whether any stack family holds LRU state from earlier batches.
-
-        A carrying simulator splices its stacks into the next batch as
-        synthetic references, so each family re-links its own spliced
-        stream instead of sharing one value sort of the batch.
-        """
-        return any(
-            fam.pending is not None or any(fam.stacks)
-            for fam in self._families.values()
-        )
+        return list(self._hists)
 
     def reset(self) -> None:
-        """Empty every stack family and zero the counters."""
-        self._families = {
-            nsets: _Family(nsets, fam.max_assoc)
-            for nsets, fam in self._families.items()
-        }
+        """Forget all LRU state and zero the counters."""
+        for hist in self._hists.values():
+            hist[:] = [0] * len(hist)
+        self._carry = _NO_CARRY
         self.accesses = 0
         self.kernel_seconds = 0.0
         self._sealed = False
@@ -257,40 +239,62 @@ class CheetahSimulator:
     def _check_unsealed(self) -> None:
         if self._sealed:
             raise ConfigurationError(
-                "this CheetahSimulator was rebuilt from exported state and "
-                "is query-only; it cannot consume further references"
+                "this CheetahSimulator is query-only (rebuilt from "
+                "exported state, or past its final batch); it cannot "
+                "consume further references"
             )
 
     def simulate(
         self,
         starts: Sequence[int] | Iterable[int],
         sizes: Sequence[int] | Iterable[int],
+        *,
+        final: bool = False,
     ) -> None:
-        """Feed a whole range trace (may be called repeatedly to append)."""
+        """Feed a whole range trace (may be called repeatedly to append;
+        see :meth:`consume` for ``final``)."""
         self._check_unsealed()
         starts_arr = as_int64_array(starts)
         sizes_arr = as_int64_array(sizes)
         if len(starts_arr) != len(sizes_arr):
             raise TraceError("starts and sizes must have equal length")
         stream = line_stream(starts_arr, sizes_arr, self.line_size)
-        self.consume(stream)
+        self.consume(stream, final=final)
 
-    def consume(self, stream: LineStream) -> None:
-        """Feed a pre-expanded line stream to every stack family."""
+    def consume(self, stream: LineStream, *, final: bool = False) -> None:
+        """Feed a pre-expanded line stream to every stack family.
+
+        ``final=True`` promises that no batch follows: the simulator
+        skips building the carry for a next batch and becomes
+        query-only.
+        """
         self._check_unsealed()
         self.accesses += stream.accesses
+        self._sealed = final
         if len(stream.lines) == 0:
             return
+        carry = self._carry
+        ncarry = len(carry)
         lines = stream.lines
         vmax = stream.max_line if stream.min_line >= 0 else None
+        if ncarry:
+            # Carry lines come first, oldest first: each family's sets
+            # start from their carried LRU state.
+            lines = np.concatenate((carry, lines))
+            if vmax is not None and int(carry.min()) >= 0:
+                vmax = max(vmax, int(carry.max()))
+            else:
+                vmax = None
+        # Building the next carry needs the stream position of each
+        # reference of the finest family's partition.
+        track = not final
         # One value sort can serve every family: link each reference to
         # its previous occurrence in *stream* coordinates, and families
-        # map the links into their own partition via the partition
-        # permutation.  The sort runs on the first family that uses it;
-        # it is never needed when families carry LRU state from earlier
-        # batches (they splice in synthetic references and re-link
-        # internally), nor once a family has compacted the stream.
-        linkable = not self.carrying_state()
+        # map the links into their own partition through ``order`` (the
+        # stream position of each partition element; None: identity).
+        # The sort runs on the first family that uses it; it is never
+        # needed once a family has compacted the stream.
+        linkable = True
         stream_links: tuple[np.ndarray, np.ndarray] | None = None
         # Walk families by ascending set count so each partition can
         # refine the previous one (a stable per-bit split) when the set
@@ -300,13 +304,15 @@ class CheetahSimulator:
         # family (their repeats are a superset of the coarser ones), and
         # the much smaller survivor stream re-links inside the kernel.
         ladder = lines
+        ladder_pos: np.ndarray | None = None  # stream positions; None: identity
         ladder_dups = 0  # repeats compacted out of the adopted stream
         part: np.ndarray | None = None
         seg_lens = seg_sets = order = None
         prev_nsets = 0
+        A = self.max_assoc
         journal = active_journal()
-        for fam in sorted(self._families.values(), key=lambda f: f.nsets):
-            nsets = fam.nsets
+        for nsets in sorted(self._hists):
+            hist = self._hists[nsets]
             if (
                 part is None
                 or nsets % prev_nsets
@@ -315,10 +321,12 @@ class CheetahSimulator:
                 part, seg_lens, seg_sets, order = partition_by_set(
                     ladder, nsets, vmax
                 )
-                if not linkable:
-                    order = None  # it only maps the shared stream links
-            elif nsets > prev_nsets:
-                if order is None and linkable:
+                if not (linkable or track):
+                    order = None
+                elif ladder_pos is not None:
+                    order = ladder_pos[order]
+            else:
+                if order is None and (linkable or track):
                     # Identity layout from an nsets==1 parent: make the
                     # stream permutation explicit before refining it.
                     order = np.arange(len(ladder), dtype=np.intp)
@@ -330,30 +338,53 @@ class CheetahSimulator:
             with journal.timed(
                 "stackdist", line_size=self.line_size, nsets=nsets
             ) as extra:
-                fpart, flens, fvmax, nsyn, ncompacted = _splice_and_compact(
-                    fam, part, seg_lens, seg_sets,
-                    stream.repeats + ladder_dups, vmax,
-                )
+                hist[0] += stream.repeats + ladder_dups
                 links = None
-                if ncompacted and not nsyn:
+                compacted = _compact_repeats(part, seg_lens, track)
+                if compacted is not None:
                     # Adopt the survivors as the ladder stream, crediting
                     # their removed repeats to finer families' depth-0
                     # buckets (a within-set repeat for k sets is also one
                     # for 2k sets: the finer set class is a subset, so
-                    # the two references stay adjacent).
-                    ladder = part = fpart
-                    seg_lens = flens
-                    ladder_dups += ncompacted
+                    # the two references stay adjacent).  A survivor
+                    # takes the position of its run's last reference: a
+                    # coarser set can see a sibling-set reference inside
+                    # the run, so the run's line was last used at its end.
+                    survivors, seg_lens, run_last = compacted
+                    ndup = len(part) - len(survivors)
+                    hist[0] += ndup
+                    ladder_dups += ndup
+                    if track:
+                        order = run_last if order is None else order[run_last]
+                    else:
+                        order = None
+                    ladder = part = survivors
+                    ladder_pos = order
                     linkable = False
-                    order = stream_links = None
-                elif linkable and not ncompacted:
+                    stream_links = None
+                elif linkable:
                     if stream_links is None:
                         stream_links = _link_occurrences(lines, vmax)
                     links = _map_links(stream_links, order)
-                _count_family(
-                    fam, fpart, flens, seg_sets, links, fvmax, nsyn, extra
+                dist, info = stack_distances(
+                    part, seg_lens, A, vmax=vmax, links=links
+                )
+                counts = np.bincount(dist, minlength=A + 1)
+                for depth, cnt in enumerate(counts.tolist()):
+                    if cnt:
+                        hist[depth] += cnt
+                hist[A] -= ncarry
+                extra.update(
+                    refs=int(info["refs"]),
+                    path=info["path"],
+                    window=int(info["window"]),
+                    residues=int(info["residues"]),
                 )
             self.kernel_seconds += time.perf_counter() - t0
+        if track and part is not None:
+            self._carry = _next_carry(
+                part, seg_lens, info["recurs_idx"], order, A
+            )
 
     def misses(self, sets: int, assoc: int) -> int:
         """Misses of cache C(sets, assoc, line_size) on the trace seen so far.
@@ -365,10 +396,10 @@ class CheetahSimulator:
             raise ConfigurationError(
                 f"assoc {assoc} outside tracked range 1..{self.max_assoc}"
             )
-        fam = self._families.get(sets)
-        if fam is None:
+        hist = self._hists.get(sets)
+        if hist is None:
             raise ConfigurationError(f"set count {sets} was not tracked")
-        return self.accesses - sum(fam.hist[:assoc])
+        return self.accesses - sum(hist[:assoc])
 
     def result(self, config: CacheConfig) -> MissResult:
         """Miss result for one tracked configuration."""
@@ -384,132 +415,77 @@ class CheetahSimulator:
     def results(self) -> dict[CacheConfig, MissResult]:
         """Miss results for every tracked (sets, assoc) combination."""
         out: dict[CacheConfig, MissResult] = {}
-        for nsets in self._families:
+        for nsets in self._hists:
             for assoc in range(1, self.max_assoc + 1):
                 config = CacheConfig(nsets, assoc, self.line_size)
                 out[config] = self.result(config)
         return out
 
 
-def _ensure_stacks(fam: _Family) -> None:
-    """Materialize per-set LRU stacks deferred by a kernel batch.
+def _compact_repeats(
+    part: np.ndarray, seg_lens: np.ndarray, track: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """Drop the within-set immediate repeats of a dup-heavy partition.
 
-    The truncated LRU stack of a set after a batch is its ``max_assoc``
-    most-recently-used distinct lines, MRU first — i.e. the *last*
-    occurrences of the segment's lines, latest first.  The kernel's
-    next-occurrence links identify them for free: a position is a last
-    occurrence iff it has no later occurrence (``recurs_idx``).
+    Within-set immediate repeats are depth-0 hits that leave LRU state
+    unchanged (equal adjacent values are always in the same segment,
+    since equal values share a set).  The kernel scores them exactly as
+    depth 0, so dup-light streams go straight through (None); dup-heavy
+    streams (loop-dominated code touches one hot line for most of a
+    basic block) are compacted — shrinking the kernel's input beats
+    sharing the stream links, and the survivors re-link cheaply inside
+    the kernel.  Returns ``(survivors, seg_lens, run_last)``: the
+    compacted partition, its segment lengths, and (when ``track``) the
+    index in ``part`` of each survivor's run's last reference.
     """
-    pending = fam.pending
-    if pending is None:
-        return
-    fam.pending = None
-    part, seg_lens, seg_sets, recurs_idx = pending
-    m = len(part)
-    if m == 0:
-        return
-    has_next = np.zeros(m, dtype=bool)
-    has_next[recurs_idx] = True
-    lastpos = np.flatnonzero(~has_next)        # ascending == time order
-    ends = np.cumsum(seg_lens)
-    segi = np.searchsorted(ends, lastpos, side="right")
-    cnt = np.bincount(segi, minlength=len(seg_lens))
-    vals = part[lastpos]
-    A = fam.max_assoc
-    stacks = fam.stacks
-    sets_list = seg_sets.tolist()
-    pos = 0
-    for j, c in enumerate(cnt.tolist()):
-        if c:
-            lo = pos + (c - A if c > A else 0)
-            stacks[sets_list[j]] = vals[lo : pos + c][::-1].tolist()
-            pos += c
-
-
-def _splice_and_compact(
-    fam: _Family,
-    part: np.ndarray,
-    seg_lens: np.ndarray,
-    seg_sets: np.ndarray,
-    repeats: int,
-    vmax: int | None,
-) -> tuple[np.ndarray, np.ndarray, int | None, int, int]:
-    """Stage one family's partitioned batch for the kernel.
-
-    ``part``/``seg_lens``/``seg_sets`` describe the batch partitioned by
-    this family's set bits (shared across families via the refinement
-    ladder, so this function never mutates them).  Credits ``repeats``
-    to depth 0, splices carried LRU state in as synthetic references and
-    compacts dup-heavy streams.  Returns ``(part, seg_lens, vmax, nsyn,
-    ncompacted)``: the family's counting problem, its synthetic count
-    and the number of within-set repeats compacted out (0 when none
-    were).
-    """
-    hist = fam.hist
-    hist[0] += repeats
-    nseg = len(seg_lens)
-
-    # Carried state from earlier batches enters as synthetic references:
-    # each touched set's stack, deepest line first, prepended to the
-    # set's segment.  Stack lines are distinct and a line value
-    # determines its set, so each synthetic is the first occurrence of
-    # its line in the spliced stream: it lands in the cold bucket
-    # (subtracted after counting) and the batch references then see
-    # exactly the LRU state a scalar replay would have left.  (A batch
-    # reference of the set's MRU line comes out at depth 0, just as one
-    # LRU step would score it.)
-    nsyn = 0
-    if fam.pending is not None or any(fam.stacks):
-        _ensure_stacks(fam)
-        stacks = fam.stacks
-        ins_pos: list[int] = []
-        ins_vals: list[int] = []
-        syn_per_seg = np.zeros(nseg, dtype=np.intp)
-        starts_list = (np.cumsum(seg_lens) - seg_lens).tolist()
-        lens_list = seg_lens.tolist()
-        for j, sset in enumerate(seg_sets.tolist()):
-            if not lens_list[j]:
-                continue
-            stack = stacks[sset]
-            if stack:
-                ins_pos.extend([starts_list[j]] * len(stack))
-                ins_vals.extend(reversed(stack))
-                syn_per_seg[j] = len(stack)
-        nsyn = len(ins_vals)
-        if nsyn:
-            vals_arr = np.asarray(ins_vals)
-            dtype = np.promote_types(part.dtype, vals_arr.dtype)
-            part = np.insert(part.astype(dtype, copy=False), ins_pos, vals_arr)
-            seg_lens = seg_lens + syn_per_seg
-            if vmax is not None:
-                vmax = max(vmax, int(vals_arr.max()))
-
-    # Within-set immediate repeats are depth-0 hits that leave LRU state
-    # unchanged (equal adjacent values are always in the same segment,
-    # since equal values share a set).  The kernel scores them exactly
-    # as depth 0, so dup-light streams go straight through; dup-heavy
-    # streams (loop-dominated code touches one hot line for most of a
-    # basic block) are compacted first — shrinking the kernel's input
-    # beats sharing the stream links, and the survivors re-link
-    # cheaply inside the kernel.
     m = len(part)
     dup = part[1:] == part[:-1]
     ndup = int(np.count_nonzero(dup))
     if ndup * _DUP_COMPACT_DIVISOR <= m:
-        return part, seg_lens, vmax, nsyn, 0
-    hist[0] += ndup
+        return None
     keep = np.empty(m, dtype=bool)
     keep[0] = True
     np.logical_not(dup, out=keep[1:])
     keep_idx = np.flatnonzero(keep)
-    part = part[keep_idx]
-    if nseg > 1:
-        ends = np.cumsum(seg_lens)
-        segi = np.searchsorted(ends, keep_idx, side="right")
-        seg_lens = np.bincount(segi, minlength=nseg).astype(np.intp)
+    run_last = None
+    if track:
+        run_last = np.empty_like(keep_idx)
+        run_last[:-1] = keep_idx[1:] - 1
+        run_last[-1] = m - 1
+    if len(seg_lens) > 1:
+        # Survivors per segment.
+        segi = np.searchsorted(np.cumsum(seg_lens), keep_idx, side="right")
+        seg_lens = np.bincount(segi, minlength=len(seg_lens)).astype(np.intp)
     else:
-        seg_lens = np.array([len(part)], dtype=np.intp)
-    return part, seg_lens, vmax, nsyn, ndup
+        seg_lens = np.array([len(keep_idx)], dtype=np.intp)
+    return part[keep_idx], seg_lens, run_last
+
+
+def _next_carry(
+    part: np.ndarray,
+    seg_lens: np.ndarray,
+    recurs_idx: np.ndarray,
+    positions: np.ndarray | None,
+    max_assoc: int,
+) -> np.ndarray:
+    """The carry after a batch, from the finest family's partition.
+
+    A set's truncated LRU stack is its ``max_assoc`` latest distinct
+    lines, i.e. the segment's last ``max_assoc`` last occurrences; a
+    position is a last occurrence iff the kernel linked no later
+    occurrence to it (``recurs_idx``).  The stack lines of every set,
+    ordered by stream position (``positions``; None: identity), oldest
+    first.
+    """
+    last = np.ones(len(part), dtype=bool)
+    last[recurs_idx] = False
+    lastpos = np.flatnonzero(last)  # within each segment: time order
+    seg = np.searchsorted(np.cumsum(seg_lens), lastpos, side="right")
+    seg_end = np.cumsum(np.bincount(seg, minlength=len(seg_lens)))
+    depth = seg_end[seg] - np.arange(1, len(lastpos) + 1)  # 0 = MRU
+    stack = lastpos[depth < max_assoc]
+    when = stack if positions is None else positions[stack]
+    return part[stack[np.argsort(when)]]
 
 
 def _link_occurrences(
@@ -538,40 +514,6 @@ def _map_links(
     return inv[links[0]], inv[links[1]]
 
 
-def _count_family(
-    fam: _Family,
-    part: np.ndarray,
-    seg_lens: np.ndarray,
-    seg_sets: np.ndarray,
-    links: tuple[np.ndarray, np.ndarray] | None,
-    vmax: int | None,
-    nsyn: int,
-    telemetry: dict,
-) -> None:
-    """Run the kernel on one family's staged problem and fold it in.
-
-    Bin-counts the distances into the histogram (less the ``nsyn``
-    synthetic cold references), leaves the LRU stacks deferred
-    (``fam.pending``) and puts the kernel's telemetry in ``telemetry``
-    (the family's ``stackdist`` journal event).
-    """
-    A = fam.max_assoc
-    dist, info = stack_distances(part, seg_lens, A, vmax=vmax, links=links)
-    hist = fam.hist
-    counts = np.bincount(dist, minlength=A + 1)
-    for depth, cnt in enumerate(counts.tolist()):
-        if cnt:
-            hist[depth] += cnt
-    hist[A] -= nsyn
-    fam.pending = (part, seg_lens, seg_sets, info["recurs_idx"])
-    telemetry.update(
-        refs=int(info["refs"]),
-        path=info["path"],
-        window=int(info["window"]),
-        residues=int(info["residues"]),
-    )
-
-
 def simulate_many(
     configs: Sequence[CacheConfig],
     starts: Sequence[int] | Iterable[int],
@@ -594,5 +536,5 @@ def simulate_many(
     set_counts = sorted({c.sets for c in configs})
     max_assoc = max(c.assoc for c in configs)
     sim = CheetahSimulator(configs[0].line_size, set_counts, max_assoc)
-    sim.simulate(starts, sizes)
+    sim.simulate(starts, sizes, final=True)
     return {c: sim.result(c) for c in configs}

@@ -138,12 +138,15 @@ class DesignSpaceSimulator:
         sizes: Sequence[int] | Iterable[int],
         *,
         memoize: bool = True,
+        final: bool = False,
     ) -> None:
         """Feed a range trace to every line size (appendable).
 
         ``memoize=False`` keeps this batch's line streams out of the
         process-wide :mod:`~repro.cache.linestream` memo, for one chunk
-        of a longer trace that will never be seen again.
+        of a longer trace that will never be seen again.  ``final=True``
+        promises that no batch follows (see
+        :meth:`CheetahSimulator.consume`).
         """
         starts_arr = as_int64_array(starts)
         sizes_arr = as_int64_array(sizes)
@@ -175,7 +178,7 @@ class DesignSpaceSimulator:
                     )
                     previous = line_size
                 t0 = time.perf_counter()
-                self.simulators[line_size].consume(stream)
+                self.simulators[line_size].consume(stream, final=final)
                 self.consume_seconds[line_size] += time.perf_counter() - t0
 
     # ------------------------------------------------------------------

@@ -138,17 +138,17 @@ def _feed_chunks(
     """Feed chunks ``first..`` to ``space``: the one sweep chunk loop.
 
     A multi-chunk trace's line streams stay out of the process-wide memo
-    (they would outlive their chunk), and its deferred LRU stacks are
-    settled after every chunk, before ``boundary(next_chunk)`` runs.
+    (they would outlive their chunk).  Every chunk but the last leaves
+    the carry for the next one; ``boundary(next_chunk)`` runs after it.
     """
     n_chunks = chunks.n_chunks
     for index in range(first, n_chunks):
-        space.simulate(*chunks.chunk(index), memoize=n_chunks == 1)
-        if index + 1 < n_chunks:
-            for sim in space.simulators.values():
-                sim.settle()
-            if boundary is not None:
-                boundary(index + 1)
+        more = index + 1 < n_chunks
+        space.simulate(
+            *chunks.chunk(index), memoize=n_chunks == 1, final=not more
+        )
+        if more and boundary is not None:
+            boundary(index + 1)
 
 
 def simulate_group_from_chunks(
@@ -278,39 +278,41 @@ def decode_group_state(value) -> tuple[int, dict[int, list[int]]] | None:
 
 
 def encode_chunk_state(
-    next_chunk: int, full_state: tuple[int, dict[int, dict]]
+    next_chunk: int, full_state: tuple[int, dict[int, list[int]], list[int]]
 ) -> list:
-    """JSON form of a mid-trace snapshot (histograms **and** LRU stacks).
+    """JSON form of a mid-trace snapshot: ``[next_chunk, accesses,
+    {set count: histogram}, carry]``.
 
     Stored between chunks of a chunked-trace sweep so a killed run
     resumes from the last finished chunk rather than the last finished
-    group.  The stacks are truncated at ``max_assoc`` per set, so the
-    payload is bounded by the design space, not the trace.
+    group.  The carry (:meth:`CheetahSimulator.full_state`) holds at
+    most ``max(set_counts) * max_assoc`` lines, so the payload is
+    bounded by the design space, not the trace.
     """
-    accesses, families = full_state
+    accesses, hists, carry = full_state
     return [
         int(next_chunk),
         int(accesses),
-        {
-            str(nsets): [list(snap["hist"]), [list(s) for s in snap["stacks"]]]
-            for nsets, snap in families.items()
-        },
+        {str(nsets): list(hist) for nsets, hist in hists.items()},
+        list(carry),
     ]
 
 
-def decode_chunk_state(value) -> tuple[int, int, dict[int, dict]] | None:
-    """Inverse of :func:`encode_chunk_state`; None for foreign values."""
+def decode_chunk_state(
+    value,
+) -> tuple[int, int, dict[int, list[int]], list[int]] | None:
+    """Inverse of :func:`encode_chunk_state`; None for foreign values
+    (including the per-set-stack snapshots of earlier releases, so a
+    sweep meeting one restarts at chunk 0)."""
     if (
         not isinstance(value, (list, tuple))
-        or len(value) != 3
+        or len(value) != 4
         or not isinstance(value[2], dict)
+        or not isinstance(value[3], list)
     ):
         return None
-    families = {
-        int(nsets): {"hist": list(snap[0]), "stacks": [list(s) for s in snap[1]]}
-        for nsets, snap in value[2].items()
-    }
-    return int(value[0]), int(value[1]), families
+    hists = {int(nsets): list(hist) for nsets, hist in value[2].items()}
+    return int(value[0]), int(value[1]), hists, list(value[3])
 
 
 class _SweepCheckpoint:
@@ -387,7 +389,7 @@ class _SweepCheckpoint:
 
     def lookup_chunks(
         self, spec: Mapping[int, tuple[list[int], int]], n_chunks: int
-    ) -> tuple[int, dict[int, tuple[int, dict[int, dict]]]]:
+    ) -> tuple[int, dict[int, tuple[int, dict[int, list[int]], list[int]]]]:
         """``(next_chunk, {line_size: full state})`` to resume from, when
         every group of ``spec`` holds a snapshot at the same chunk over
         its own set counts; else ``(0, {})`` (e.g. line-outer snapshots
@@ -564,9 +566,9 @@ def _chunk_passes(
         else (0, {})
     )
     space = DesignSpaceSimulator(spec)
-    for line_size, (accesses, families) in snapshots.items():
+    for line_size, (accesses, hists, carry) in snapshots.items():
         space.simulators[line_size] = CheetahSimulator.from_full_state(
-            line_size, spec[line_size][1], accesses, families
+            line_size, spec[line_size][1], accesses, hists, carry
         )
     boundary = partial(ck.store_chunks, spec, space=space) if ck else None
     _feed_chunks(space, chunks, first, boundary)
@@ -605,7 +607,9 @@ def _perline_passes(
         ) as extra:
             sim = CheetahSimulator(line_size, set_counts, max_assoc)
             for index in range(chunks.n_chunks):
-                sim.simulate(*chunks.chunk(index))
+                sim.simulate(
+                    *chunks.chunk(index), final=index + 1 == chunks.n_chunks
+                )
             extra["kernel_s"] = round(sim.kernel_seconds, 6)
         yield line_size, sim.state()
 
@@ -699,7 +703,7 @@ def sampled_sweep_design_space(
                 if w.warm_lo < w.lo:
                     sim.simulate(*read(w.warm_lo, w.lo))
                 acc0, hists0 = sim.state()
-                sim.simulate(*read(w.lo, w.hi))
+                sim.simulate(*read(w.lo, w.hi), final=True)
                 acc1, hists1 = sim.state()
                 delta = {
                     nsets: [

@@ -7,9 +7,9 @@ than behind production mode switches:
   single-pass simulator, one Python ``_touch`` per line per family;
 * :class:`~repro.oracles.scalar.ScalarCheetahSimulator` — the
   pre-kernel engine, vectorized pre-passes feeding a per-reference LRU
-  loop, on the production simulator's own stack families;
-* :func:`~repro.oracles.scalar.access_line` — one scalar line touch on
-  any :class:`~repro.cache.cheetah.CheetahSimulator`;
+  loop over its own per-set stacks;
+* :func:`~repro.oracles.scalar.access_line` — one line touch, as a
+  one-line batch, on any :class:`~repro.cache.cheetah.CheetahSimulator`;
 * :class:`~repro.oracles.emulator.ScalarEmulator` — the frame-walking
   emulator, one block lookup and one data address at a time, with its
   :class:`~repro.oracles.emulator.EventTraceBuilder` and the

@@ -6,12 +6,12 @@ vectorized dedup and period-2 alternation pre-passes feeding a
 per-reference Python LRU loop.  That engine lives on here, unchanged:
 
 * :class:`ScalarCheetahSimulator` is a ``CheetahSimulator`` whose batches
-  run the survivor loop instead of the kernel.  It shares the production
-  simulator's stack families, so the two can be compared histogram for
-  histogram and state for state;
+  run the survivor loop over its own per-set LRU stacks (the seed
+  engine's :class:`~repro.oracles.legacy._StackFamily`) instead of the
+  kernel, so the two can be compared histogram for histogram;
 * :func:`access_line` feeds one line reference to any
-  ``CheetahSimulator`` through the per-line ``_touch`` step, so tests can
-  interleave single touches with kernel batches.
+  ``CheetahSimulator`` as a one-line batch, so tests can interleave
+  single touches with larger batches.
 
 ``benchmarks/bench_cheetah_perf.py`` times the kernel against this
 engine (``kernel_speedup``).  Do not optimize it.
@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.cheetah import CheetahSimulator, _ensure_stacks, _Family
+from repro.cache.cheetah import CheetahSimulator
 from repro.cache.linestream import LineStream
+from repro.oracles.legacy import _StackFamily
 
 __all__ = ["ScalarCheetahSimulator", "access_line"]
 
@@ -30,44 +31,48 @@ __all__ = ["ScalarCheetahSimulator", "access_line"]
 class ScalarCheetahSimulator(CheetahSimulator):
     """A :class:`CheetahSimulator` counting on the scalar survivor loop."""
 
-    def consume(self, stream: LineStream) -> None:
+    def __init__(self, line_size, set_counts, max_assoc=8):
+        super().__init__(line_size, set_counts, max_assoc)
+        self._bind_stacks()
+
+    def _bind_stacks(self) -> None:
+        # Each stack family shares its histogram list with the parent
+        # class, so misses(), state() and results() read the loop's counts.
+        self._families = {
+            nsets: _StackFamily(
+                nsets, self.max_assoc, [[] for _ in range(nsets)], hist
+            )
+            for nsets, hist in self._hists.items()
+        }
+
+    def reset(self) -> None:
+        super().reset()
+        self._bind_stacks()
+
+    def full_state(self):
+        raise TypeError("the scalar oracle exports no resumable state")
+
+    @classmethod
+    def from_full_state(cls, *args, **kwargs):
+        raise TypeError("the scalar oracle resumes from no carried state")
+
+    def consume(self, stream: LineStream, *, final: bool = False) -> None:
         """Feed a pre-expanded line stream through the survivor loop."""
         self._check_unsealed()
         self.accesses += stream.accesses
+        self._sealed = final
         if len(stream.lines) == 0:
             return
         for fam in self._families.values():
-            _ensure_stacks(fam)
             _process_family(fam, stream)
 
 
 def access_line(sim: CheetahSimulator, line: int) -> None:
     """Feed one line reference to every stack family of ``sim``."""
-    sim._check_unsealed()
-    sim.accesses += 1
-    for fam in sim._families.values():
-        _ensure_stacks(fam)
-        _touch(fam, line)
+    sim.consume(LineStream(lines=np.array([line], dtype=np.int64), accesses=1))
 
 
-def _touch(fam: _Family, line: int) -> None:
-    """Record one line touch in a stack family (scalar path)."""
-    stack = fam.stacks[line % fam.nsets]
-    try:
-        depth = stack.index(line)
-    except ValueError:
-        fam.hist[fam.max_assoc] += 1
-        stack.insert(0, line)
-        if len(stack) > fam.max_assoc:
-            stack.pop()
-        return
-    fam.hist[depth] += 1
-    if depth:
-        del stack[depth]
-        stack.insert(0, line)
-
-
-def _process_family(fam: _Family, stream: LineStream) -> None:
+def _process_family(fam: _StackFamily, stream: LineStream) -> None:
     """Batch-process one family: vectorized pre-passes + survivor loop."""
     hist = fam.hist
     hist[0] += stream.repeats

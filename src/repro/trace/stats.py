@@ -115,7 +115,7 @@ def miss_curve(
         CacheConfig(sets, assoc, line_size)  # validates power of two
         set_counts.append(sets)
     sim = CheetahSimulator(line_size, sorted(set(set_counts)), assoc)
-    sim.simulate(trace.starts, trace.sizes)
+    sim.simulate(trace.starts, trace.sizes, final=True)
     out: dict[float, float] = {}
     for size_kb, sets in zip(sizes_kb, set_counts):
         misses = sim.misses(sets, assoc)

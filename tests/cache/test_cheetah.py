@@ -1,5 +1,6 @@
 """Unit tests for repro.cache.cheetah (single-pass multi-config simulator)."""
 
+import gc
 import random
 
 import pytest
@@ -84,6 +85,15 @@ class TestApi:
         sim = CheetahSimulator(16, [8], max_assoc=2)
         with pytest.raises(ConfigurationError, match="outside"):
             sim.misses(8, 3)
+
+    def test_construction_allocates_no_per_set_objects(self):
+        # Histograms only: LRU state lives in one carried array, so a
+        # 1024-set family costs no per-set Python objects.
+        gc.collect()
+        before = len(gc.get_objects())
+        sim = CheetahSimulator(64, [1024], 8)
+        assert len(gc.get_objects()) - before < 16
+        assert sim.misses(1024, 8) == 0
 
     def test_duplicate_set_counts_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicates"):

@@ -1,17 +1,20 @@
 """Incremental feeding vs one batch pass: the engines must agree exactly.
 
-The stack-distance kernel carries LRU state across ``consume`` calls
-through lazily rebuilt truncated stacks and synthetic-prefix splicing;
-these tests pin the regression surface: any interleaving of scalar
-single-line touches (:func:`repro.oracles.access_line`), ``simulate``
-and ``consume`` over a trace must produce state bit-identical to one
-pure batch ``simulate`` over the concatenation — and the scalar
-survivor-loop oracle (:class:`repro.oracles.ScalarCheetahSimulator`)
-must agree with the kernel batch for batch.
+The stack-distance kernel carries LRU state across ``consume`` calls as
+one carried prefix per line size (the finest family's truncated stacks,
+oldest first) that the next batch prepends to its stream; these tests
+pin the regression surface: any interleaving of single-line touches
+(:func:`repro.oracles.access_line`), ``simulate`` and ``consume`` over a
+trace must produce state bit-identical to one pure batch ``simulate``
+over the concatenation — and the scalar survivor-loop oracle
+(:class:`repro.oracles.ScalarCheetahSimulator`) must agree with the
+kernel batch for batch.
 """
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.cache.cheetah import CheetahSimulator
 from repro.cache.linestream import line_stream
@@ -81,9 +84,8 @@ def test_access_line_interleaved_with_batches(seed):
     sim = CheetahSimulator(LINE, SETS, max_assoc=ASSOC)
     reference = []
     for starts, sizes in batches:
-        # A burst of single-line touches between batches: the kernel
-        # must fold the scalar stacks in as a synthetic prefix, then
-        # hand updated stacks back for the next scalar burst.
+        # A burst of one-line batches between larger ones: every batch
+        # starts from the carry the previous one left.
         for line in rng.integers(0, 2_000, 20).tolist():
             access_line(sim, line)
             reference.append((line * LINE, 1))
@@ -132,3 +134,94 @@ def test_state_round_trip_answers_identical_queries():
         access_line(rebuilt, 0)
     with pytest.raises(ConfigurationError):
         rebuilt.simulate([0], [1])
+
+
+@st.composite
+def dup_heavy_lines(draw):
+    """Line streams dominated by cross-set alternations.
+
+    An alternation ``a b a b ...`` pairs ``a`` with ``b = a ^ 2**bit``:
+    the two share a set in every family of at most ``2**bit`` sets and
+    sit in sibling sets above that, so finer families see long runs of
+    within-set repeats (and compact them) that span references of the
+    sibling set.  Short sprays of scattered lines separate them.
+    """
+    segments = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(0, 2047),
+                    st.integers(0, 11),
+                    st.integers(2, 16),
+                ).map(lambda t: [t[0], t[0] ^ (1 << t[1])] * t[2]),
+                st.lists(st.integers(0, 4095), min_size=1, max_size=12),
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    return [line for segment in segments for line in segment]
+
+
+@given(
+    lines=dup_heavy_lines(),
+    set_counts=st.sampled_from([[1, 2, 8, 64], [64, 256, 1024], [4, 8, 16]]),
+    max_assoc=st.integers(1, 8),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_random_batch_cuts_equal_one_pass(lines, set_counts, max_assoc, data):
+    """2-6 batches cut anywhere (optionally resumed through a snapshot at
+    every cut) equal one pass and the scalar oracle."""
+    starts = np.asarray(lines, dtype=np.int64) * LINE
+    sizes = np.ones(len(starts), dtype=np.int64)
+    cuts = data.draw(
+        st.lists(st.integers(0, len(starts)), min_size=1, max_size=5)
+    )
+    resume = data.draw(st.booleans())
+    bounds = [0, *sorted(cuts), len(starts)]
+    whole = CheetahSimulator(LINE, set_counts, max_assoc)
+    whole.simulate(starts, sizes, final=True)
+    scalar = ScalarCheetahSimulator(LINE, set_counts, max_assoc)
+    sim = CheetahSimulator(LINE, set_counts, max_assoc)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if resume and lo:
+            sim = CheetahSimulator.from_full_state(
+                LINE, max_assoc, *sim.full_state()
+            )
+        sim.simulate(starts[lo:hi], sizes[lo:hi])
+        scalar.simulate(starts[lo:hi], sizes[lo:hi])
+    assert sim.state() == whole.state() == scalar.state()
+
+
+def test_scalar_oracle_neither_exports_nor_resumes_a_carry():
+    # Its own per-set stacks are not the carry, so a snapshot round trip
+    # would silently restart it from cold stacks.
+    scalar = ScalarCheetahSimulator(LINE, [1, 2], max_assoc=2)
+    scalar.simulate(np.arange(4) * LINE, np.ones(4, dtype=np.int64))
+    with pytest.raises(TypeError):
+        scalar.full_state()
+    with pytest.raises(TypeError):
+        ScalarCheetahSimulator.from_full_state(
+            LINE, 2, 4, {1: [0, 0, 4], 2: [0, 0, 4]}, [2, 3]
+        )
+
+
+def test_compacted_run_takes_its_last_position():
+    # For 2 sets, lines 0 1 0 hold a within-set run of line 0 (set 0)
+    # around the set-1 reference, and the dup-heavy partition is
+    # compacted.  The single-set family saw line 1 *inside* that run, so
+    # the carry must order line 0 after line 1; ordering the run by its
+    # first reference would make the next batch's touch of line 1 a
+    # depth-0 hit instead of depth 1.
+    first, second = [0, 1, 0], [1]
+    sim = CheetahSimulator(LINE, [1, 2], max_assoc=2)
+    sim.simulate(np.asarray(first) * LINE, np.ones(3, dtype=np.int64))
+    assert sim.full_state()[2] == [1, 0]
+    sim.simulate(np.asarray(second) * LINE, [1])
+    whole = CheetahSimulator(LINE, [1, 2], max_assoc=2)
+    whole.simulate(
+        np.asarray(first + second) * LINE, np.ones(4, dtype=np.int64)
+    )
+    assert sim.state() == whole.state()
+    assert sim.misses(1, 1) == 4 and sim.misses(1, 2) == 2

@@ -78,19 +78,19 @@ def per_line_oracle(
 def feed(space, starts, sizes, bounds, resume):
     """Feed ``space`` one chunk per ``bounds`` interval, as a sweep does:
     a lone chunk goes through the memo, several chunks stay out of it and
-    settle (or round-trip through a checkpoint snapshot) at every
-    boundary."""
+    carry LRU state (or round-trip it through a checkpoint snapshot) to
+    the next chunk; the last chunk is final."""
     memoize = len(bounds) == 2
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo and resume:
             for line_size, sim in list(space.simulators.items()):
-                accesses, families = sim.full_state()
+                accesses, hists, carry = sim.full_state()
                 space.simulators[line_size] = CheetahSimulator.from_full_state(
-                    line_size, sim.max_assoc, accesses, families
+                    line_size, sim.max_assoc, accesses, hists, carry
                 )
-        space.simulate(starts[lo:hi], sizes[lo:hi], memoize=memoize)
-        for sim in space.simulators.values():
-            sim.settle()
+        space.simulate(
+            starts[lo:hi], sizes[lo:hi], memoize=memoize, final=hi == bounds[-1]
+        )
 
 
 class TestEquivalence:

@@ -1,5 +1,7 @@
 """Chunked-trace sweeps: bit-identity, resume, sampling, shipping."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ from repro.cache.linestream import (
 from repro.cache.sweep import (
     CHECKPOINT_NAMESPACE,
     _feed_chunks,
+    decode_chunk_state,
     encode_chunk_state,
     group_state_key,
     sampled_sweep_design_space,
     sweep_design_space,
 )
+from repro.errors import ConfigurationError
 from repro.runtime.executor import ExecutorPolicy
 from repro.runtime.journal import RunJournal
 from repro.service.store import ResultStore
@@ -133,24 +137,30 @@ class TestChunkMemory:
         assert line_stream_cache_stats()["resident_entries"] > 0
         clear_line_stream_cache()
 
-    def test_stacks_settled_at_every_boundary(self, tmp_path, arrays):
+    def test_carry_is_bounded_at_every_boundary(self, tmp_path, arrays):
         starts, sizes = arrays
         space = DesignSpaceSimulator.from_configs(CONFIGS)
-        unsettled = []
+        carries = []
 
         def boundary(next_chunk):
-            unsettled.extend(
-                next_chunk
-                for sim in space.simulators.values()
-                for fam in sim._families.values()
-                if fam.pending is not None
-            )
+            for sim in space.simulators.values():
+                carry = sim.full_state()[2]
+                bound = max(sim.set_counts) * sim.max_assoc
+                carries.append((next_chunk, len(carry), bound))
 
         with write_chunked(
             tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
         ) as trace:
             _feed_chunks(space, trace, boundary=boundary)
-        assert unsettled == []
+            n_chunks = trace.n_chunks
+        assert [chunk for chunk, _, _ in carries] == [
+            chunk for chunk in range(1, n_chunks) for _ in space.simulators
+        ]
+        assert all(0 < size <= bound for _, size, bound in carries)
+        # The last chunk was final: nothing is carried past it.
+        for sim in space.simulators.values():
+            with pytest.raises(ConfigurationError):
+                sim.full_state()
         reference = DesignSpaceSimulator.from_configs(CONFIGS)
         reference.simulate(starts, sizes)
         assert space.results() == reference.results()
@@ -165,8 +175,11 @@ class TestFullStateRoundTrip:
 
         half = CheetahSimulator(16, sets, 2)
         half.simulate(starts[:2500], sizes[:2500])
-        accesses, families = half.full_state()
-        resumed = CheetahSimulator.from_full_state(16, 2, accesses, families)
+        accesses, hists, carry = half.full_state()
+        assert 0 < len(carry) <= 16 * 2
+        resumed = CheetahSimulator.from_full_state(
+            16, 2, accesses, hists, carry
+        )
         resumed.simulate(starts[2500:], sizes[2500:])
 
         for nsets in sets:
@@ -174,6 +187,24 @@ class TestFullStateRoundTrip:
                 assert resumed.misses(nsets, assoc) == straight.misses(
                     nsets, assoc
                 )
+
+    def test_snapshot_codec_round_trip(self, arrays):
+        starts, sizes = arrays
+        sim = CheetahSimulator(16, [8, 16], 2)
+        sim.simulate(starts[:2500], sizes[:2500])
+        state = sim.full_state()
+        encoded = encode_chunk_state(3, state)
+        assert len(encoded) == 4
+        assert decode_chunk_state(json.loads(json.dumps(encoded))) == (
+            3, *state
+        )
+
+    def test_rejects_an_impossible_carry(self):
+        hists = {8: [0, 0, 0]}
+        with pytest.raises(ConfigurationError):
+            CheetahSimulator.from_full_state(16, 2, 0, hists, list(range(17)))
+        with pytest.raises(ConfigurationError):
+            CheetahSimulator.from_full_state(16, 2, 0, hists, [5, 5])
 
 
 class TestChunkCheckpointResume:
@@ -211,6 +242,47 @@ class TestChunkCheckpointResume:
             if e["event"] == "pass" and e.get("resumed_at_chunk") == 2
         ]
         assert len(resumed) == 2  # both line-size groups resumed
+
+    def test_old_per_set_stack_snapshot_restarts_from_zero(
+        self, tmp_path, arrays, exact
+    ):
+        """A 3-field snapshot (histograms plus per-set stacks, as earlier
+        releases stored) decodes as foreign: the sweep starts over."""
+        starts, sizes = arrays
+        with write_chunked(
+            tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
+        ) as trace:
+            cache = ResultStore(
+                tmp_path / "ck.sqlite", namespace=CHECKPOINT_NAMESPACE
+            )
+            for line_size in (16, 32):
+                group = [c for c in CONFIGS if c.line_size == line_size]
+                set_counts = sorted({c.sets for c in group})
+                max_assoc = max(c.assoc for c in group)
+                old = [
+                    2,
+                    123,
+                    {
+                        str(nsets): [[0] * (max_assoc + 1), [[]] * nsets]
+                        for nsets in set_counts
+                    },
+                ]
+                assert decode_chunk_state(old) is None
+                key = group_state_key(
+                    trace.trace_id, line_size, set_counts, max_assoc,
+                    prefix="sweepchunk",
+                )
+                cache.put(key, old)
+            journal = RunJournal()
+            got = sweep_design_space(
+                CONFIGS, trace, checkpoint=cache, journal=journal
+            )
+        for config in CONFIGS:
+            assert got[config].misses == exact[config].misses
+            assert got[config].accesses == exact[config].accesses
+        passes = [e for e in journal.events if e["event"] == "pass"]
+        assert len(passes) == 2
+        assert not any(e.get("resumed_at_chunk") for e in passes)
 
     def test_snapshots_at_different_chunks_restart_from_zero(
         self, tmp_path, arrays, exact
