@@ -201,8 +201,9 @@ def run_parent(args) -> int:
         trace = write_trace(
             trace_path, args.ranges, args.seed, args.chunk_ranges
         )
+        n_chunks = trace.n_chunks
         print(
-            f"  {trace.n_chunks} chunks, "
+            f"  {n_chunks} chunks, "
             f"{trace_path.stat().st_size / 1e6:.1f} MB on disk, "
             f"digest {trace.digest[:12]}..."
         )
@@ -317,7 +318,10 @@ def run_parent(args) -> int:
 
     child_journal = RunJournal.load(args.journal)
     summary = child_journal.summary()
-    assert summary["streaming"]["chunked_passes"] >= 1, summary
+    if n_chunks > 1:
+        # A one-chunk sweep is not journaled as chunked.
+        chunked = summary.get("streaming", {}).get("chunked_passes", 0)
+        assert chunked >= 1, summary
     assert summary["memory"]["max_rss_bytes"] <= summary["memory"][
         "rss_budget_bytes"
     ], summary

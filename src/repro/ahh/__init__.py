@@ -24,7 +24,6 @@ from repro.ahh.batch import (
     collisions_batch,
     collisions_batch_cache_size,
 )
-from repro.ahh.diagnostics import FitReport, u_of_l_fit
 from repro.ahh.extended import (
     ExtendedItraceModeler,
     MissBreakdown,
@@ -66,8 +65,6 @@ __all__ = [
     "ItraceModeler",
     "UtraceModeler",
     "derive_trace_parameters",
-    "FitReport",
-    "u_of_l_fit",
     "ExtendedItraceModeler",
     "MissBreakdown",
     "standalone_miss_estimate",

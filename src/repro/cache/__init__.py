@@ -36,7 +36,6 @@ from repro.cache.simulator import (
     simulate_trace,
 )
 from repro.cache.sweep import sampled_sweep_design_space, sweep_design_space
-from repro.cache.writepolicy import WriteResult, simulate_write_policy
 
 __all__ = [
     "CacheConfig",
@@ -50,8 +49,6 @@ __all__ = [
     "sampled_sweep_design_space",
     "satisfies_inclusion",
     "cache_cost",
-    "simulate_write_policy",
-    "WriteResult",
     "LineStream",
     "line_stream",
     "expand_lines",

@@ -28,7 +28,6 @@ from repro.core.dilation import (
 from repro.core.estimator import DilationEstimator
 from repro.core.hierarchy_eval import MissPenalties, SystemEvaluation, evaluate_system
 from repro.core.interpolate import interpolate_linear_in
-from repro.core.ports import block_port_stalls, port_stall_cycles
 
 __all__ = [
     "DilationInfo",
@@ -40,6 +39,4 @@ __all__ = [
     "MissPenalties",
     "SystemEvaluation",
     "evaluate_system",
-    "block_port_stalls",
-    "port_stall_cycles",
 ]

@@ -11,8 +11,6 @@
 """
 
 from repro.experiments.configs import PaperCacheConfigs
-from repro.experiments.export import save_csv, to_csv
-from repro.experiments.multiref import MultiReferencePipeline
 from repro.experiments.pipeline import (
     ExperimentPipeline,
     ProcessorArtifacts,
@@ -40,9 +38,6 @@ __all__ = [
     "run_figure5",
     "run_figure6",
     "run_figure7",
-    "MultiReferencePipeline",
-    "to_csv",
-    "save_csv",
     "build_report",
     "save_report",
     "error_summary",

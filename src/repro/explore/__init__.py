@@ -14,7 +14,6 @@ from repro.explore.evaluators import (
     exhaustive_evaluation_hours,
     hierarchical_evaluation_hours,
 )
-from repro.explore.heuristics import GreedyProcessorWalker, GuidedCacheWalker
 from repro.explore.pareto import ParetoPoint, ParetoSet
 from repro.explore.spec import (
     CacheDesignSpace,
@@ -43,8 +42,6 @@ __all__ = [
     "MemoryDesign",
     "MemoryWalker",
     "ProcessorWalker",
-    "GreedyProcessorWalker",
-    "GuidedCacheWalker",
     "Spacewalker",
     "SystemDesign",
 ]

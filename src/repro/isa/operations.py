@@ -100,10 +100,6 @@ class Operation:
     def is_memory(self) -> bool:
         return self.opclass is OpClass.MEMORY
 
-    @property
-    def is_branch(self) -> bool:
-        return self.opclass is OpClass.BRANCH
-
     def mnemonic(self) -> str:
         """Human-readable mnemonic, e.g. ``LD``, ``ST``, ``ADD``."""
         if self.is_load:

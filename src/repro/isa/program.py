@@ -83,9 +83,10 @@ class Procedure:
     def block(self, block_id: int) -> BasicBlock:
         """The block with id ``block_id`` (raises if absent).
 
-        Looked up in an id -> block map built on first use and dropped
-        by :meth:`invalidate_cfg_cache`.  Where ids repeat (an invalid
-        procedure), the first block in layout order wins.
+        Looked up in an id -> block map built on first use, so
+        ``blocks`` must not change after the first lookup.  Where ids
+        repeat (an invalid procedure), the first block in layout order
+        wins.
         """
         if self._by_id is None:
             by_id: dict[int, BasicBlock] = {}
@@ -100,19 +101,17 @@ class Procedure:
             ) from None
 
     def successors(self, block_id: int) -> list[ControlFlowEdge]:
-        """Outgoing edges of ``block_id`` (cached after first call)."""
+        """Outgoing edges of ``block_id``.
+
+        Grouped by source on first call, so ``edges`` must not change
+        after it.
+        """
         if self._succ is None:
             succ: dict[int, list[ControlFlowEdge]] = {}
             for edge in self.edges:
                 succ.setdefault(edge.src, []).append(edge)
             self._succ = succ
         return self._succ.get(block_id, [])
-
-    def invalidate_cfg_cache(self) -> None:
-        """Drop the successor and block-id caches after mutating
-        ``edges`` or ``blocks``."""
-        self._succ = None
-        self._by_id = None
 
     @property
     def num_operations(self) -> int:

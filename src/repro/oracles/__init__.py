@@ -19,7 +19,10 @@ than behind production mode switches:
   cycles spread gap by gap;
 * :class:`~repro.oracles.encoding.InstructionCodec` — the bit-level
   instruction encoder/decoder, whose encoded lengths check the
-  assembler's template widths.
+  assembler's template widths;
+* :func:`~repro.oracles.unique_lines.measured_unique_lines` — unique
+  lines counted on a whole trace, the measured reference for the AHH
+  u(L) formula.
 
 No production module imports this package (a test pins that).
 """
@@ -36,6 +39,7 @@ from repro.oracles.encoding import (
 )
 from repro.oracles.legacy import LegacyCheetahSimulator
 from repro.oracles.scalar import ScalarCheetahSimulator, access_line
+from repro.oracles.unique_lines import measured_unique_lines
 
 __all__ = [
     "DecodedInstruction",
@@ -47,4 +51,5 @@ __all__ = [
     "ScalarDataAddressModel",
     "ScalarEmulator",
     "access_line",
+    "measured_unique_lines",
 ]

@@ -28,12 +28,6 @@ from repro.trace.datamodel import DataAddressModel, StreamSpec
 from repro.trace.emulator import Emulator, emulate
 from repro.trace.events import EventKind, EventTrace
 from repro.trace.generator import TraceGenerator
-from repro.trace.io import (
-    load_events,
-    load_range_trace,
-    save_events,
-    save_range_trace,
-)
 from repro.trace.ranges import KIND_DATA, KIND_INSTR, RangeTrace
 from repro.trace.sampling import (
     SampledEstimate,
@@ -63,10 +57,6 @@ __all__ = [
     "SampledEstimate",
     "plan_windows",
     "extrapolate",
-    "save_events",
-    "load_events",
-    "save_range_trace",
-    "load_range_trace",
     "ChunkedTrace",
     "ChunkedTraceWriter",
     "write_chunked",

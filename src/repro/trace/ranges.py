@@ -20,9 +20,9 @@ from repro.cache.config import WORD_BYTES
 from repro.cache.linestream import LineStream, expand_lines, line_stream
 from repro.errors import TraceError
 
-#: Kind tags.  Data reads and writes are distinct kinds so write-policy
-#: simulation can tell them apart; consumers that only care about the
-#: instruction/data split treat every non-instruction kind as data.
+#: Kind tags.  Data reads and writes are distinct kinds so the trace
+#: keeps which references are stores; consumers that only care about
+#: the instruction/data split treat every non-instruction kind as data.
 KIND_INSTR: int = 0
 KIND_DATA: int = 1
 KIND_WRITE: int = 2
@@ -115,10 +115,6 @@ class RangeTrace:
         return RangeTrace(
             self.starts[mask], self.sizes[mask], self.kinds[mask]
         )
-
-    @property
-    def write_component(self) -> "RangeTrace":
-        return self.component(KIND_WRITE)
 
     def head(self, n_ranges: int) -> "RangeTrace":
         """Initial segment of the trace (used by sampling)."""

@@ -14,7 +14,6 @@ from repro.vliwcomp.compile import (
     compile_program,
 )
 from repro.vliwcomp.depgraph import DependenceGraph, build_dependence_graph
-from repro.vliwcomp.ifconvert import IfConversionStats, if_convert
 from repro.vliwcomp.regalloc import SPILL_STREAM, estimate_spills
 from repro.vliwcomp.scheduler import BlockSchedule, schedule_block
 
@@ -29,6 +28,4 @@ __all__ = [
     "CompiledBlock",
     "CompiledProgram",
     "compile_program",
-    "if_convert",
-    "IfConversionStats",
 ]

@@ -13,7 +13,7 @@ from repro.ahh.modeler import derive_trace_parameters
 from repro.cache.config import CacheConfig
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.machine.presets import P1111, P3221, P6332, TARGET_PROCESSORS
-from repro.trace.stats import measured_unique_lines, summarize
+from repro.oracles import measured_unique_lines
 from repro.workloads.suite import load_benchmark
 
 
@@ -130,12 +130,3 @@ class TestEstimationAgainstGroundTruth:
         assert value > 0
         assert set(fresh._artifacts) == {fresh.reference}  # only the reference
 
-
-class TestTraceSummaries:
-    def test_summaries_are_sane(self, pipeline):
-        art = pipeline.reference_artifacts()
-        code = summarize(art.instruction_trace)
-        data = summarize(art.data_trace)
-        assert code.reuse_factor > 2  # loops revisit code
-        assert code.footprint_bytes <= art.binary.text_size
-        assert data.unique_words > 0

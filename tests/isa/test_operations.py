@@ -40,10 +40,9 @@ class TestOperation:
         with pytest.raises(ValueError, match="both"):
             Operation(OpClass.MEMORY, is_load=True, is_store=True)
 
-    def test_is_memory_and_is_branch(self):
+    def test_is_memory(self):
         assert make_load(0).is_memory
-        assert not make_load(0).is_branch
-        assert make_branch().is_branch
+        assert not make_branch().is_memory
         assert not make_int(0).is_memory
 
     def test_operations_are_hashable_and_frozen(self):

@@ -70,6 +70,15 @@ class TestDataTrace:
         assert np.array_equal(dtrace.starts, events.data_addrs)
 
 
+class TestPipelineTraces:
+    def test_real_data_trace_has_tagged_writes(self, tiny_pipeline):
+        dtrace = tiny_pipeline.reference_artifacts().data_trace
+        writes = int((dtrace.kinds == KIND_WRITE).sum())
+        reads = int((dtrace.kinds == KIND_DATA).sum())
+        assert writes > 0 and reads > 0
+        assert reads > writes  # load_fraction > 0.5
+
+
 class TestUnifiedTrace:
     def test_interleaving_structure(self, bound):
         _, events, generator = bound

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+from repro.isa.operations import OpClass
 from repro.isa.validate import validate_program
 from repro.workloads.profiles import StreamProfile, WorkloadProfile
 from repro.workloads.synth import generate_workload
@@ -86,4 +87,4 @@ class TestGeneration:
     def test_every_block_ends_with_branch(self):
         generated = generate_workload(profile())
         for _, blk in generated.program.all_blocks():
-            assert blk.operations[-1].is_branch
+            assert blk.operations[-1].opclass is OpClass.BRANCH
