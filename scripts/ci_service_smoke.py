@@ -12,7 +12,9 @@ ephemeral port — then drives it exactly as a user would:
    where they are computed);
 3. submit the *same* grid again and assert the rerun is served
    entirely from the content-addressed store (``from_store == total``,
-   zero new simulation), already ``done`` in the submit response;
+   zero new simulation), already ``done`` in the submit response; then
+   a third time, and assert it gets the second submission's job back
+   without adding a job to ``GET /jobs``;
 4. query ``/results`` and assert it matches the job's result documents;
 5. submit a sweep with a malformed execution knob (``"job_retries":
    "x"``) and assert it is refused with HTTP 400 and never becomes a
@@ -128,6 +130,16 @@ def main() -> int:
                 [d["misses"] for d in rerun["results"]]
                 == [d["misses"] for d in result["results"]],
                 "stored results identical to simulated results",
+            )
+
+            listed = len(client.jobs())
+            check(
+                client.submit(SPEC) == submitted.id,
+                "third submission gets the answered job back",
+            )
+            check(
+                len(client.jobs()) == listed,
+                "a reused answer adds no job to GET /jobs",
             )
 
             items = client.results(prefix=f"misses:{result['trace_key']}:")

@@ -129,6 +129,12 @@ def default_owner() -> str:
     return f"pid={os.getpid()}"
 
 
+def check_max_attempts(max_attempts: int) -> None:
+    """Refuse an attempt budget below one."""
+    if max_attempts < 1:
+        raise ServiceError(f"max_attempts must be >= 1, got {max_attempts}")
+
+
 def job_requires(spec: dict[str, Any]) -> list[str]:
     """The capability tags a job spec demands (``[]`` = any worker)."""
     requires = spec.get("requires") or []
@@ -156,18 +162,17 @@ class JobQueue:
         spec: dict[str, Any],
         max_attempts: int = 3,
         result: Any = None,
+        answer_key: str | None = None,
     ) -> JobRecord:
         """Write a new job row and return its record.
 
         Without ``result`` the job is ``queued``.  With one it is
         written ``done`` at once (``attempts=0``, submitted, started
         and finished all now): a job answered at submission, which is
-        never leased, executed or fenced.
+        never leased, executed or fenced.  Its ``answer_key`` lets
+        :meth:`answered` hand the row to a resubmission of the spec.
         """
-        if max_attempts < 1:
-            raise ServiceError(
-                f"max_attempts must be >= 1, got {max_attempts}"
-            )
+        check_max_attempts(max_attempts)
         job_id = uuid.uuid4().hex[:16]
         try:
             text = json.dumps(spec)
@@ -195,8 +200,8 @@ class JobQueue:
         with self.store.transaction() as conn:
             conn.execute(
                 "INSERT INTO jobs (id, spec, state, attempts, max_attempts,"
-                " result, submitted, started, finished)"
-                " VALUES (?, ?, ?, 0, ?, ?, ?, ?, ?)",
+                " result, submitted, started, finished, answer_key)"
+                " VALUES (?, ?, ?, 0, ?, ?, ?, ?, ?, ?)",
                 (
                     job_id,
                     text,
@@ -206,9 +211,23 @@ class JobQueue:
                     now,
                     ended,
                     ended,
+                    answer_key,
                 ),
             )
         return record
+
+    def answered(self, answer_key: str) -> JobRecord | None:
+        """The earliest job answered under ``answer_key``, or None.
+
+        One read of the ``jobs_answer`` index; a key cleared by a
+        store deletion no longer matches any row.
+        """
+        row = self.store.connection().execute(
+            "SELECT * FROM jobs WHERE answer_key = ?"
+            " ORDER BY submitted LIMIT 1",
+            (answer_key,),
+        ).fetchone()
+        return None if row is None else _decode(row)
 
     def get(self, job_id: str) -> JobRecord:
         """The job's current durable state."""

@@ -13,7 +13,8 @@ speaking a small JSON API:
 ===============================  ======================================
 ``POST /jobs``                   submit a job spec → ``{"id", "state",
                                  "job"}``; a sweep whose every config
-                                 is stored comes back ``done``
+                                 is stored comes back ``done``, and a
+                                 repeat of it gets the same job back
 ``GET /jobs``                    recent jobs (``?state=`` filter)
 ``GET /jobs/<id>``               one job's status, attempts and result
 ``POST /workers``                register a worker (capability tags)
@@ -50,6 +51,7 @@ in-process.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import threading
@@ -73,8 +75,13 @@ from repro.runtime.journal import (
     set_active_journal,
     use_journal,
 )
-from repro.service.jobs import execute_job, parse_spec
-from repro.service.queue import DEFAULT_LEASE, JobQueue, JobRecord
+from repro.service.jobs import canonical, execute_job, parse_spec
+from repro.service.queue import (
+    DEFAULT_LEASE,
+    JobQueue,
+    JobRecord,
+    check_max_attempts,
+)
 from repro.service.store import ResultStore
 
 #: Request body ceiling (8 MiB: result uploads carry whole sweep grids).
@@ -231,12 +238,28 @@ class EvalService:
         A sweep whose every config result is already stored is answered
         here: its row is written ``done`` with the result document that
         execution would return, and no worker, lease or analytics run
-        is involved.  Any other job is enqueued and wakes every idle
-        worker.
+        is involved.  The row carries the spec's answer key, so a
+        resubmission of the same spec (keys in any order) gets that row
+        back from one indexed read, writing nothing, until a store
+        deletion clears the key.  Any other job is enqueued and wakes
+        every idle worker.
         """
-        result = parse_spec(spec).stored_document(self.store)
-        job = self.queue.insert(spec, max_attempts=max_attempts, result=result)
-        if result is not None:
+        check_max_attempts(max_attempts)
+        key = _answer_key(spec)
+        job = self.queue.answered(key)
+        if job is None:
+            request = parse_spec(spec)
+            # One transaction from lookup to insert: a deletion cannot
+            # land between them and leave a key on a stale answer.
+            with self.store.transaction():
+                result = request.stored_document(self.store)
+                job = self.queue.insert(
+                    spec,
+                    max_attempts=max_attempts,
+                    result=result,
+                    answer_key=None if result is None else key,
+                )
+        if job.state == "done":
             # No service_dedup event: a run recorded by a concurrently
             # executing job would count these hits as its own.
             self.journal.record(
@@ -806,6 +829,12 @@ class _Handler(BaseHTTPRequestHandler):
             if state == "queued":
                 service._notify_queued()
             self._send_json({"id": job_id, "state": state})
+
+
+def _answer_key(spec: Any) -> str:
+    """The key a spec's answered job is found by: the sha256 of its
+    canonical JSON, so key order does not matter."""
+    return hashlib.sha256(canonical(spec).encode()).hexdigest()
 
 
 def _clamped_lease(value: Any, default: float) -> float:

@@ -8,7 +8,11 @@ database": one sqlite file shared by any number of processes, holding
   atomic per-key upserts instead of whole-file rewrites;
 * ``jobs`` — the job queue's persistent state (owned by
   :mod:`repro.service.queue`, created here so one connection bootstraps
-  the whole schema);
+  the whole schema).  A job answered at submit carries an
+  ``answer_key`` (the digest of its spec) so a resubmission is answered
+  by that row; :meth:`ResultStore.delete` and :meth:`ResultStore.gc`
+  clear every key in the transaction that deletes results, so an answer
+  never outlives the results it was built from;
 * ``runs`` / ``run_rows`` — the analytics subsystem's durable run
   tables (owned by :mod:`repro.analytics.runs`): one row per recorded
   execution plus one row per (design, benchmark, repetition) measured.
@@ -75,7 +79,8 @@ CREATE TABLE IF NOT EXISTS jobs (
     submitted     REAL NOT NULL,
     started       REAL,
     finished      REAL,
-    lease_expires REAL
+    lease_expires REAL,
+    answer_key    TEXT
 );
 CREATE INDEX IF NOT EXISTS jobs_state ON jobs (state, submitted);
 CREATE TABLE IF NOT EXISTS workers (
@@ -139,10 +144,15 @@ CREATE INDEX IF NOT EXISTS run_rows_design
 #: ADD COLUMN IF NOT EXISTS).  Whole new tables (``runs`` /
 #: ``run_rows``, the analytics run model) migrate via the idempotent
 #: CREATE IF NOT EXISTS statements in ``_SCHEMA``, which rerun on every
-#: open — only retrofitted *columns* need an entry here.
+#: open — only retrofitted *columns*, and indexes over them, need an
+#: entry here.  Only answered jobs carry an ``answer_key``, so its index
+#: leaves out the rest.
 _MIGRATIONS = (
     "ALTER TABLE jobs ADD COLUMN lease_expires REAL",
     "ALTER TABLE runs ADD COLUMN benchmark TEXT",
+    "ALTER TABLE jobs ADD COLUMN answer_key TEXT",
+    "CREATE INDEX IF NOT EXISTS jobs_answer ON jobs (answer_key, submitted)"
+    " WHERE answer_key IS NOT NULL",
 )
 
 
@@ -396,12 +406,17 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def delete(self, key: str, namespace: str | None = None) -> bool:
-        """Remove one entry; True when it existed."""
+        """Remove one entry; True when it existed.
+
+        Removing one invalidates every job's answer (see
+        :func:`_forget_answers`).
+        """
         with self.transaction() as conn:
             cur = conn.execute(
                 "DELETE FROM results WHERE namespace = ? AND key = ?",
                 (self._ns(namespace), key),
             )
+            _forget_answers(conn, cur.rowcount)
         return cur.rowcount > 0
 
     def gc(
@@ -415,7 +430,8 @@ class ResultStore:
         ``older_than`` is an age in seconds against each row's last
         update, so periodically re-derived results survive while
         abandoned ones age out.  With no arguments, clears the default
-        namespace.
+        namespace.  Removing any entry invalidates every job's answer
+        (see :func:`_forget_answers`).
         """
         sql = "DELETE FROM results WHERE namespace = ? AND key GLOB ?"
         args: list[Any] = [self._ns(namespace), _glob_prefix(prefix)]
@@ -424,6 +440,7 @@ class ResultStore:
             args.append(time.time() - older_than)
         with self.transaction() as conn:
             cur = conn.execute(sql, args)
+            _forget_answers(conn, cur.rowcount)
         return cur.rowcount
 
     def vacuum(self) -> None:
@@ -454,6 +471,20 @@ class ResultStore:
             "namespaces": self.namespaces(),
             "db_bytes": size,
         }
+
+
+def _forget_answers(conn: sqlite3.Connection, deleted: int) -> None:
+    """Clear every job's ``answer_key`` once ``deleted`` results are gone.
+
+    An answered job's result document was read from stored results; a
+    resubmission must not be handed that document after any of them
+    is removed, so it takes the full submit path again.  Which answers
+    read the removed rows is not recorded, so all of them go.
+    """
+    if deleted > 0:
+        conn.execute(
+            "UPDATE jobs SET answer_key = NULL WHERE answer_key IS NOT NULL"
+        )
 
 
 def _glob_prefix(prefix: str) -> str:

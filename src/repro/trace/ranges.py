@@ -80,23 +80,6 @@ class RangeTrace:
         """Sum of range sizes (the trace 'volume')."""
         return int(self.sizes.sum()) if len(self) else 0
 
-    @property
-    def total_words(self) -> int:
-        """Word references the trace represents when fully expanded."""
-        if not len(self):
-            return 0
-        first = self.starts // WORD_BYTES
-        last = (self.starts + self.sizes - 1) // WORD_BYTES
-        return int((last - first + 1).sum())
-
-    def line_accesses(self, line_size: int) -> int:
-        """Line touches a simulator with ``line_size``-byte lines performs."""
-        if not len(self):
-            return 0
-        first = self.starts // line_size
-        last = (self.starts + self.sizes - 1) // line_size
-        return int((last - first + 1).sum())
-
     def component(self, kind: int) -> "RangeTrace":
         """Sub-trace of one exact kind, order preserved."""
         mask = self.kinds == kind
@@ -114,12 +97,6 @@ class RangeTrace:
         mask = self.kinds != KIND_INSTR
         return RangeTrace(
             self.starts[mask], self.sizes[mask], self.kinds[mask]
-        )
-
-    def head(self, n_ranges: int) -> "RangeTrace":
-        """Initial segment of the trace (used by sampling)."""
-        return RangeTrace(
-            self.starts[:n_ranges], self.sizes[:n_ranges], self.kinds[:n_ranges]
         )
 
     def word_addresses(self) -> np.ndarray:

@@ -3,9 +3,12 @@
 A sweep whose every config result is already stored is written ``done``
 by ``POST /jobs`` itself: no queue row, lease, worker, analytics run or
 client poll.  Its result document must be the one execution returns.
+A resubmission of an answered spec gets that same job back and writes
+no row, until a store deletion invalidates the answer.
 """
 
 import json
+import sqlite3
 import threading
 import time
 from contextlib import contextmanager
@@ -16,8 +19,15 @@ from repro.analytics.runs import list_runs
 from repro.cli import main
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
-from repro.service.jobs import build_trace_arrays, execute_job
+from repro.service.jobs import (
+    NS_METRICS,
+    build_trace_arrays,
+    execute_job,
+    parse_spec,
+    result_key,
+)
 from repro.service.server import EvalService, _Handler, make_server
+from repro.service.store import ResultStore
 from repro.service.worker import RemoteStore
 
 SYNTH = {
@@ -129,6 +139,222 @@ class TestSubmitTimeCompletion:
         assert [d["source"] for d in result["results"]] == (
             ["store"] * 2 + ["simulated"] * 4
         )
+
+
+def job_rows(svc):
+    return svc.store.connection().execute(
+        "SELECT COUNT(*) FROM jobs"
+    ).fetchone()[0]
+
+
+def reversed_keys(value):
+    """``value`` with every object's keys in reverse order."""
+    if isinstance(value, dict):
+        return {k: reversed_keys(value[k]) for k in reversed(list(value))}
+    if isinstance(value, list):
+        return [reversed_keys(v) for v in value]
+    return value
+
+
+@pytest.fixture
+def answered(tmp_path):
+    """A broker-mode service, and a job answered at submit."""
+    svc = EvalService(tmp_path / "service.sqlite", workers=0)
+    execute_job(sweep_spec(), svc.store, record=False)
+    job = svc.submit_job(sweep_spec())
+    assert job.state == "done"
+    return svc, job
+
+
+class TestAnswerReuse:
+    def test_resubmission_gets_the_same_job(self, answered):
+        svc, first = answered
+        for _ in range(3):
+            again = svc.submit_job(sweep_spec())
+            assert again.id == first.id
+            assert again.to_dict() == first.to_dict()
+        assert svc.queue.get(first.id).to_dict() == first.to_dict()
+
+    def test_resubmissions_write_no_rows(self, answered):
+        svc, first = answered
+        before = job_rows(svc)
+        for _ in range(50):
+            assert svc.submit_job(sweep_spec()).id == first.id
+        assert job_rows(svc) == before
+
+    def test_key_order_does_not_matter(self, answered):
+        svc, first = answered
+        spec = reversed_keys(sweep_spec())
+        assert list(spec) != list(sweep_spec())
+        assert svc.submit_job(spec).id == first.id
+
+    def test_each_reuse_journals_one_event(self, answered):
+        svc, first = answered
+        mark = len(svc.journal.events)
+        svc.submit_job(sweep_spec())
+        events = svc.journal.events[mark:]
+        assert [e["event"] for e in events] == ["service_job"]
+        assert (events[0]["id"], events[0]["where"]) == (first.id, "submit")
+
+    def test_a_different_spec_is_not_answered(self, answered):
+        svc, first = answered
+        job = svc.submit_job(sweep_spec(sets=(8, 16, 32)))
+        assert job.state == "queued"
+        assert job.id != first.id
+
+    def test_executed_job_is_not_reused(self, tmp_path):
+        """Only a job answered at submit carries the key: the first
+        resubmission after an execution writes the answered row."""
+        with EvalService(tmp_path / "service.sqlite", workers=1) as svc:
+            executed = svc.submit_job(sweep_spec())
+            assert svc.drain(timeout=60)
+            first = svc.submit_job(sweep_spec())
+            second = svc.submit_job(sweep_spec())
+        assert first.id != executed.id
+        assert second.id == first.id
+
+    def test_max_attempts_zero_is_http_400(self, served):
+        svc, client = served
+        client.wait(client.submit(sweep_spec()), timeout=60)
+        first = client.submit(sweep_spec())
+        rows = job_rows(svc)
+        with pytest.raises(ServiceError, match="HTTP 400"):
+            client.submit(sweep_spec(), max_attempts=0)
+        assert job_rows(svc) == rows
+        assert client.submit(sweep_spec()) == first
+
+    def test_spec_that_is_not_json_is_refused(self, answered):
+        svc, _ = answered
+        with pytest.raises(ServiceError, match="JSON"):
+            svc.submit_job(sweep_spec(tag={1, 2}))
+
+
+class TestAnswerInvalidation:
+    def drop_one(self, store, how):
+        request = parse_spec(sweep_spec())
+        key = result_key(request.result_trace, request.configs[0])
+        if how == "delete":
+            assert store.delete(key, namespace=NS_METRICS)
+        else:
+            assert store.gc(namespace=NS_METRICS, prefix=key) == 1
+
+    @pytest.mark.parametrize("how", ["delete", "gc"])
+    def test_deleted_result_requeues_and_reanswers(self, tmp_path, how):
+        with EvalService(tmp_path / "service.sqlite", workers=1) as svc:
+            execute_job(sweep_spec(), svc.store, record=False)
+            stale = svc.submit_job(sweep_spec())
+            assert stale.state == "done"
+            self.drop_one(svc.store, how)
+            requeued = svc.submit_job(sweep_spec())
+            assert requeued.state == "queued"
+            assert svc.drain(timeout=60)
+            result = svc.queue.get(requeued.id).result
+            assert (result["from_store"], result["simulated"]) == (3, 1)
+            fresh = svc.submit_job(sweep_spec())
+            assert fresh.state == "done"
+            assert fresh.id not in (stale.id, requeued.id)
+            assert svc.submit_job(sweep_spec()).id == fresh.id
+        assert fresh.result["results"] == stale.result["results"]
+
+    def test_deleting_nothing_keeps_answers(self, answered):
+        svc, first = answered
+        assert not svc.store.delete("misses:absent", namespace=NS_METRICS)
+        assert svc.store.gc(namespace=NS_METRICS, prefix="absent") == 0
+        assert svc.submit_job(sweep_spec()).id == first.id
+
+
+#: The ``jobs`` table as databases made before answer keys have it.
+OLD_JOBS_DDL = """
+CREATE TABLE jobs (
+    id            TEXT PRIMARY KEY,
+    spec          TEXT NOT NULL,
+    state         TEXT NOT NULL,
+    attempts      INTEGER NOT NULL DEFAULT 0,
+    max_attempts  INTEGER NOT NULL DEFAULT 3,
+    result        TEXT,
+    error         TEXT,
+    owner         TEXT,
+    submitted     REAL NOT NULL,
+    started       REAL,
+    finished      REAL,
+    lease_expires REAL
+);
+CREATE INDEX jobs_state ON jobs (state, submitted);
+"""
+
+
+class TestOldDatabase:
+    @pytest.fixture
+    def old_db(self, tmp_path):
+        """A database whose ``jobs`` rows were written without answer
+        keys: one executed job, one answered at submit, one failed."""
+        db = tmp_path / "old.sqlite"
+        document = execute_job(
+            sweep_spec(), ResultStore(tmp_path / "other.sqlite"), record=False
+        )
+        conn = sqlite3.connect(db)
+        conn.executescript(OLD_JOBS_DDL)
+        rows = [
+            ("executed", "done", 1, json.dumps(document), None),
+            ("answered", "done", 0, json.dumps(document), None),
+            ("failed", "failed", 3, None, "RuntimeError('boom')"),
+        ]
+        for n, (job_id, state, attempts, result, error) in enumerate(rows):
+            conn.execute(
+                "INSERT INTO jobs (id, spec, state, attempts, max_attempts,"
+                " result, error, submitted, started, finished)"
+                " VALUES (?, ?, ?, ?, 3, ?, ?, ?, ?, ?)",
+                (
+                    job_id,
+                    json.dumps(sweep_spec()),
+                    state,
+                    attempts,
+                    result,
+                    error,
+                    float(n),
+                    float(n),
+                    float(n),
+                ),
+            )
+        conn.commit()
+        conn.close()
+        return db, document
+
+    def test_opens_with_the_answer_index(self, old_db):
+        db, _ = old_db
+        svc = EvalService(db, workers=0)
+        conn = svc.store.connection()
+        columns = {row["name"] for row in conn.execute("PRAGMA table_info(jobs)")}
+        indexes = {row["name"] for row in conn.execute("PRAGMA index_list(jobs)")}
+        assert "answer_key" in columns
+        assert "jobs_answer" in indexes
+        EvalService(db, workers=0)  # a second open migrates nothing
+
+    def test_old_ids_still_answer_get(self, old_db):
+        db, document = old_db
+        with serving(db) as (_, _, url):
+            client = ServiceClient(url)
+            assert client.job("executed").result == document
+            assert client.job("answered").result == document
+            assert client.job("failed").error == "RuntimeError('boom')"
+            assert {job.id for job in client.jobs()} == {
+                "executed", "answered", "failed"
+            }
+
+    def test_answers_after_upgrade(self, old_db):
+        db, document = old_db
+        with serving(db) as (svc, _, url):
+            client = ServiceClient(url)
+            client.wait(client.submit(sweep_spec()), timeout=60)
+            first = client.submit_job(sweep_spec())
+            assert first.state == "done"
+            assert first.id not in ("executed", "answered", "failed")
+            assert [d["misses"] for d in first.result["results"]] == [
+                d["misses"] for d in document["results"]
+            ]
+            rows = job_rows(svc)
+            assert client.submit(sweep_spec()) == first.id
+            assert job_rows(svc) == rows
 
 
 class TestOneRoundTrip:

@@ -29,21 +29,12 @@ class TestConstruction:
         trace = RangeTrace.empty()
         assert len(trace) == 0
         assert trace.total_bytes == 0
-        assert trace.total_words == 0
 
 
 class TestDerivedQuantities:
-    def test_total_bytes_and_words(self):
+    def test_total_bytes(self):
         trace = RangeTrace.build([0, 100], [32, 8], KIND_INSTR)
         assert trace.total_bytes == 40
-        # [0,32) = 8 words; [100,108) covers words 25 and 26 = 2 words.
-        assert trace.total_words == 10
-
-    def test_line_accesses(self):
-        trace = RangeTrace.build([8], [32], KIND_INSTR)
-        # Bytes [8, 40): lines 0, 1, 2 at 16B lines; 1 line at 64B.
-        assert trace.line_accesses(16) == 3
-        assert trace.line_accesses(64) == 1
 
     def test_word_addresses_expansion(self):
         trace = RangeTrace.build([4, 100], [8, 4], KIND_INSTR)
@@ -64,12 +55,6 @@ class TestComponents:
         data = mixed.data_component
         assert instr.starts.tolist() == [0, 32]
         assert data.starts.tolist() == [1000, 2000]
-
-    def test_head(self):
-        mixed = self.make_mixed()
-        head = mixed.head(2)
-        assert len(head) == 2
-        assert head.starts.tolist() == [0, 1000]
 
     def test_concatenate(self):
         mixed = self.make_mixed()
