@@ -9,9 +9,10 @@ asserts a >= 5x end-to-end speedup on ``Spacewalker.walk`` *and* that
 both paths produce identical Pareto frontiers (same designs, costs and
 times within 1e-9).  Four report-only sections ride along (no gate): a
 skyline-vs-sequential Pareto micro-benchmark; the compile of epic's
-12 design-space processors through one shared block memo vs one fresh
-memo per processor, which asserts every compiled block identical and
-counts the garbage-collector-tracked objects the compile leaves; the
+12 design-space processors in one array pass each vs the per-block
+compiler of ``repro.oracles.compiler``, which asserts every compiled
+block identical (instructions included) and counts the
+garbage-collector-tracked objects the compile leaves; the
 assembly of those 12 compiled programs by the per-instruction oracle
 and by the production assembler, which asserts every assembled block
 identical; and the emulation of the ten suite programs on the
@@ -64,6 +65,7 @@ from repro.machine.mdes import MachineDescription
 from repro.iformat.assembler import assemble
 from repro.machine.presets import REFERENCE_PROCESSOR
 from repro.oracles import assembler as oracle_assembler
+from repro.oracles import compiler as oracle_compiler
 from repro.oracles.emulator import ScalarEmulator
 from repro.trace.emulator import Emulator
 from repro.vliwcomp.compile import BlockMemo, compile_program
@@ -257,35 +259,41 @@ def collections_during(run) -> list[int]:
 
 
 def bench_compile(program, *, reps: int) -> dict:
-    """Compile the 12 design-space processors through one block memo and
-    through one fresh memo each; every compiled block must match."""
+    """Compile the 12 design-space processors in one array pass each,
+    through one shared block memo, and with the per-block oracle; every
+    compiled block must match, instructions included."""
     mdeses = design_space_mdeses()
 
-    def run_memo():
+    def run_array():
         memo = BlockMemo(program)
-        return memo, [compile_program(program, m, memo=memo) for m in mdeses]
+        return [compile_program(program, m, memo=memo) for m in mdeses]
 
-    def run_fresh():
-        return [compile_program(program, m) for m in mdeses]
+    def run_oracle():
+        return [oracle_compiler.compile_program(program, m) for m in mdeses]
 
-    memo_seconds = _best_time(run_memo, reps)
-    fresh_seconds = _best_time(run_fresh, reps)
-    memo, shared = run_memo()
-    fresh = run_fresh()
-    for mdes, got, want in zip(mdeses, shared, fresh):
+    seconds = _best_time(run_array, reps)
+    oracle_seconds = _best_time(run_oracle, reps)
+    compiled = run_array()
+    for mdes, got, want in zip(mdeses, compiled, run_oracle()):
         assert got.blocks == want.blocks, (
-            f"memo changed a compiled block on {mdes.processor.name}"
+            f"array compile changed a compiled block on {mdes.processor.name}"
         )
+        for key, block in want.blocks.items():
+            assert got.blocks[key].schedule.instructions == (
+                block.schedule.instructions
+            ), f"instructions differ on {mdes.processor.name} at {key}"
+            assert got.blocks[key].schedule.mix == block.schedule.mix, (
+                f"mixes differ on {mdes.processor.name} at {key}"
+            )
 
     return {
         "processors": len(mdeses),
-        "blocks": sum(len(compiled.blocks) for compiled in shared),
-        "schedules_run": memo.schedules_run,
-        "memo_seconds": round(memo_seconds, 6),
-        "fresh_seconds": round(fresh_seconds, 6),
-        "speedup": round(fresh_seconds / memo_seconds, 2),
-        "tracked_objects": tracked_objects_left(run_memo),
-        "gc_collections": collections_during(run_memo),
+        "blocks": sum(len(one.blocks) for one in compiled),
+        "seconds": round(seconds, 6),
+        "oracle_seconds": round(oracle_seconds, 6),
+        "speedup": round(oracle_seconds / seconds, 2),
+        "tracked_objects": tracked_objects_left(run_array),
+        "gc_collections": collections_during(run_array),
         "blocks_identical": True,
     }
 
@@ -426,9 +434,9 @@ def render(report: dict) -> str:
             f"{sky['skyline_seconds']:.3f}s ({sky['speedup']:.1f}x, "
             f"{sky['frontier_size']} retained, identical)",
             f"  [report] compile of {comp['processors']} processors "
-            f"({comp['blocks']:,} blocks, {comp['schedules_run']:,} "
-            f"scheduled): fresh memos {comp['fresh_seconds']:.3f}s -> "
-            f"one memo {comp['memo_seconds']:.3f}s "
+            f"({comp['blocks']:,} blocks): per-block oracle "
+            f"{comp['oracle_seconds']:.3f}s -> array pass "
+            f"{comp['seconds']:.3f}s "
             f"({comp['speedup']:.2f}x, blocks identical; "
             f"{comp['tracked_objects']:,} tracked objects left, "
             f"collections {comp['gc_collections']})",

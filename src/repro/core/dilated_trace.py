@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.cache.config import WORD_BYTES
 from repro.errors import ModelError
-from repro.iformat.linker import Binary, BlockImage
+from repro.iformat.linker import Binary
 
 
 def dilate_binary(binary: Binary, dilation: float) -> Binary:
@@ -33,25 +33,25 @@ def dilate_binary(binary: Binary, dilation: float) -> Binary:
     if dilation <= 0:
         raise ModelError(f"dilation must be positive, got {dilation}")
     base = binary.base
+    starts, sizes = binary.starts, binary.sizes
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    if order == list(range(len(starts))):
+        index = binary.index
+    else:
+        keys = list(binary.index)
+        index = {keys[i]: position for position, i in enumerate(order)}
     dilated = Binary(
         program_name=binary.program_name,
         processor_name=f"{binary.processor_name}*d={dilation:g}",
         base=base,
+        index=index,
     )
     prev_end = base
-    for image in sorted(binary.images, key=lambda im: im.start):
-        offset = image.start - base
-        start = base + _round_word(dilation * offset)
-        start = max(start, prev_end)
-        size = max(WORD_BYTES, _round_word(dilation * image.size))
-        dilated.add(
-            BlockImage(
-                proc_name=image.proc_name,
-                block_id=image.block_id,
-                start=start,
-                size=size,
-            )
-        )
+    for i in order:
+        start = max(base + _round_word(dilation * (starts[i] - base)), prev_end)
+        size = max(WORD_BYTES, _round_word(dilation * sizes[i]))
+        dilated.starts.append(start)
+        dilated.sizes.append(size)
         prev_end = start + size
     return dilated
 

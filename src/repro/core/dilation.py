@@ -66,16 +66,18 @@ def measure_dilation(reference: Binary, target: Binary) -> DilationInfo:
         )
     if reference.text_size == 0:
         raise ModelError("reference binary has no text")
-    keys: list[tuple[str, int]] = []
-    ratios: list[float] = []
-    for image in reference.images:
-        tgt = target.block_image(image.proc_name, image.block_id)
-        keys.append((image.proc_name, image.block_id))
-        ratios.append(tgt.size / image.size)
+    ref_sizes = np.asarray(reference.sizes, dtype=float)
+    if target.index is reference.index:
+        tgt_sizes = np.asarray(target.sizes, dtype=float)
+    else:
+        tgt_sizes = np.asarray(
+            [target.sizes[target.index[key]] for key in reference.index],
+            dtype=float,
+        )
     return DilationInfo(
         text_dilation=target.text_size / reference.text_size,
-        block_keys=tuple(keys),
-        block_dilations=np.asarray(ratios, dtype=float),
+        block_keys=tuple(reference.index),
+        block_dilations=tgt_sizes / ref_sizes,
     )
 
 

@@ -16,8 +16,9 @@ processor, two memoized parts:
 Processor cycles take the reference trace's visit counts: the block
 visit sequence depends only on (program, seed, budget), never on the
 compiled program (see :mod:`repro.trace.emulator`).  Compilations share
-one block memo for the pipeline's lifetime, so each processor reuses
-the block schedules that earlier processors already computed.
+one block memo for the pipeline's lifetime: the program's operations as
+flat arrays and its dependence graphs, so each processor reuses the
+graphs that earlier processors with the same hoisting capacity built.
 
 The pipeline answers the three miss questions of Section 6:
 
@@ -122,7 +123,8 @@ class ExperimentPipeline:
         # "2111" and must not reuse its binary or skip its checks.
         self._binaries: dict[VliwProcessor, ProcessorBinary] = {}
         self._artifacts: dict[VliwProcessor, ProcessorArtifacts] = {}
-        # Block schedules shared by every compilation of the workload.
+        # Flat operations and graphs shared by every compilation of the
+        # workload.
         self._blocks = BlockMemo(workload.program)
         self._dilation_infos: dict[VliwProcessor, DilationInfo] = {}
         self._cycles: dict[VliwProcessor, int] = {}

@@ -72,7 +72,7 @@ def assemble(
     for key, cblock in compiled.blocks.items():
         schedule = cblock.schedule
         mix = schedule.mix
-        n_instr = len(schedule.instructions)
+        n_instr = schedule.num_instructions
         noops = max(0, schedule.cycles - n_instr * (1 + noop_run))
         size = sum(map(mul, mix.values(), map(width_of, mix)))
         size += noops * noop_bytes

@@ -42,37 +42,59 @@ class BlockImage:
 
 @dataclass
 class Binary:
-    """A linked executable's text map for one processor."""
+    """A linked executable's text map for one processor.
+
+    Block ``i`` in emission order starts at ``starts[i]`` and spans
+    ``sizes[i]`` bytes; ``index`` maps each block's (procedure name,
+    block id) key to its ``i``, in emission order.  A binary linked in
+    layout order shares its program's index
+    (:meth:`~repro.isa.program.Program.block_index`), so it holds only
+    the two int lists; placement records are made on demand.
+    """
 
     program_name: str
     processor_name: str
     base: int
-    images: list[BlockImage] = field(default_factory=list)
-    _index: dict[tuple[str, int], int] = field(default_factory=dict)
+    index: dict[tuple[str, int], int] = field(default_factory=dict)
+    starts: list[int] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)
 
     def add(self, image: BlockImage) -> None:
-        """Register a block placement (duplicates rejected)."""
+        """Register a block placement on a binary built block by block
+        (duplicates rejected)."""
         key = (image.proc_name, image.block_id)
-        if key in self._index:
+        if key in self.index:
             raise TraceError(f"duplicate block image {key}")
-        self._index[key] = len(self.images)
-        self.images.append(image)
+        self.index[key] = len(self.starts)
+        self.starts.append(image.start)
+        self.sizes.append(image.size)
+
+    @property
+    def images(self) -> list[BlockImage]:
+        """Every block's placement record, in emission order."""
+        return [
+            BlockImage(name, block_id, start, size)
+            for (name, block_id), start, size in zip(
+                self.index, self.starts, self.sizes
+            )
+        ]
 
     def block_image(self, proc_name: str, block_id: int) -> BlockImage:
         """The placement record of one block."""
-        return self.images[self._index[(proc_name, block_id)]]
+        start, size = self.block_range(proc_name, block_id)
+        return BlockImage(proc_name, block_id, start, size)
 
     def block_range(self, proc_name: str, block_id: int) -> tuple[int, int]:
         """(start address, size in bytes) of a block."""
-        image = self.block_image(proc_name, block_id)
-        return image.start, image.size
+        i = self.index[(proc_name, block_id)]
+        return self.starts[i], self.sizes[i]
 
     @property
     def text_size(self) -> int:
         """Linked text size in bytes, including alignment padding."""
-        if not self.images:
+        if not self.starts:
             return 0
-        return self.images[-1].end - self.base
+        return self.starts[-1] + self.sizes[-1] - self.base
 
     @property
     def text_end(self) -> int:
@@ -104,11 +126,16 @@ def link(
             f"got {packet_bytes}"
         )
     plan = _emission_plan(program, layout)
+    index = program.block_index()
+    # Program order with no repeated key: share the program's index.
+    shared = layout is None and len(index) == program.num_blocks
     binary = Binary(
         program_name=program.name,
         processor_name=processor_name,
         base=base,
+        index=index if shared else {},
     )
+    index, starts, sizes = binary.index, binary.starts, binary.sizes
     cursor = base
     for proc_name, block_order in plan:
         proc = program.procedure(proc_name)
@@ -119,16 +146,14 @@ def link(
                 cursor = _align(cursor, packet_bytes)
             else:
                 cursor = _align(cursor, WORD_BYTES)
-            size = assembled.blocks[(proc_name, block_id)].size_bytes
-            size = _align(size, WORD_BYTES)
-            binary.add(
-                BlockImage(
-                    proc_name=proc_name,
-                    block_id=block_id,
-                    start=cursor,
-                    size=size,
-                )
-            )
+            key = (proc_name, block_id)
+            if not shared:
+                if key in index:
+                    raise TraceError(f"duplicate block image {key}")
+                index[key] = len(starts)
+            size = _align(assembled.blocks[key].size_bytes, WORD_BYTES)
+            starts.append(cursor)
+            sizes.append(size)
             cursor += size
     return binary
 

@@ -126,6 +126,9 @@ class Program:
     procedures: dict[str, Procedure] = field(default_factory=dict)
     entry: str = "main"
 
+    def __post_init__(self) -> None:
+        self._block_index: dict[tuple[str, int], int] | None = None
+
     def add(self, procedure: Procedure) -> None:
         """Register a procedure; names must be unique."""
         if procedure.name in self.procedures:
@@ -133,6 +136,23 @@ class Program:
                 f"duplicate procedure name {procedure.name!r}"
             )
         self.procedures[procedure.name] = procedure
+        self._block_index = None
+
+    def block_index(self) -> dict[tuple[str, int], int]:
+        """Each block's (procedure name, block id) key, in layout order,
+        mapped to its position.
+
+        Built on first use and shared by every compiled program and
+        binary of this program, so blocks must not change after it
+        (``add`` starts a new index).  Where keys repeat (an invalid
+        program), the last position wins.
+        """
+        if self._block_index is None:
+            self._block_index = {
+                (name, blk.block_id): position
+                for position, (name, blk) in enumerate(self.all_blocks())
+            }
+        return self._block_index
 
     def procedure(self, name: str) -> Procedure:
         """The procedure named ``name`` (raises if absent)."""

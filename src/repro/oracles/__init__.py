@@ -14,6 +14,11 @@ than behind production mode switches:
   emulator, one block lookup and one data address at a time, with its
   :class:`~repro.oracles.emulator.EventTraceBuilder` and the
   per-reference :class:`~repro.oracles.emulator.ScalarDataAddressModel`;
+* :func:`~repro.oracles.compiler.compile_program` — the per-block
+  compiler: one dependence graph, list schedule and spill sweep per
+  block, with :func:`~repro.oracles.compiler.build_dependence_graph`,
+  :func:`~repro.oracles.compiler.list_schedule` and
+  :func:`~repro.oracles.compiler.schedule_block` as its parts;
 * :func:`~repro.oracles.assembler.assemble` — the per-instruction
   assembler, one template selection per VLIW instruction and the stall
   cycles spread gap by gap;

@@ -5,6 +5,9 @@ Plays the role of the Trimaran/Elcor compiler in the paper's tool chain
 producing per-block schedules (instructions = sets of concurrently issued
 operations) plus the spill and speculation side effects that perturb the
 data trace on wider machines (the error sources quantified in Table 2).
+Each processor is compiled in one array pass over all of a program's
+blocks; the per-block compiler is the oracle in
+:mod:`repro.oracles.compiler`.
 """
 
 from repro.vliwcomp.compile import (
@@ -13,16 +16,17 @@ from repro.vliwcomp.compile import (
     CompiledProgram,
     compile_program,
 )
-from repro.vliwcomp.depgraph import DependenceGraph, build_dependence_graph
-from repro.vliwcomp.regalloc import SPILL_STREAM, estimate_spills
-from repro.vliwcomp.scheduler import BlockSchedule, schedule_block
+from repro.vliwcomp.depgraph import BlockGraphs, FlatOps, build_graphs
+from repro.vliwcomp.regalloc import SPILL_STREAM, spill_ops
+from repro.vliwcomp.scheduler import BlockSchedule, schedule_graphs
 
 __all__ = [
-    "DependenceGraph",
-    "build_dependence_graph",
+    "BlockGraphs",
+    "FlatOps",
+    "build_graphs",
     "BlockSchedule",
-    "schedule_block",
-    "estimate_spills",
+    "schedule_graphs",
+    "spill_ops",
     "SPILL_STREAM",
     "BlockMemo",
     "CompiledBlock",

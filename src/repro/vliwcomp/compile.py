@@ -1,6 +1,6 @@
 """Compile a program for a particular VLIW processor.
 
-``compile_program`` runs, per basic block:
+``compile_program`` runs, for every basic block at once:
 
 1. *speculation* — on speculation-capable machines with issue-width
    headroom, loads from likely successor blocks are hoisted (duplicated)
@@ -15,33 +15,32 @@ The result feeds three consumers: the assembler (instruction encoding and
 code size), the emulator's trace decoration (spill/speculative data
 references) and the hierarchy evaluator (processor cycles).
 
-Every compilation goes through a :class:`BlockMemo`, which schedules
-each distinct operation list once per region of machines it is valid
-for; a design-space exploration shares one memo across all of its
-processors (see :class:`BlockMemo` for the region rule).
+Every compilation goes through a :class:`BlockMemo`, the program's
+operations as flat arrays and its dependence graphs; a design-space
+exploration shares one across all of its processors.  Each processor
+then takes one array pass: one lockstep schedule of every block, the
+spill estimate, and one more lockstep schedule of the blocks that
+spill.  The per-block compiler this replaces is the oracle
+:func:`repro.oracles.compiler.compile_program`.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from operator import le
-from typing import NamedTuple
+from functools import cached_property
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.isa.operations import OP_CLASSES, Operation, make_load, make_store
 from repro.isa.program import BasicBlock, Procedure, Program
 from repro.machine.mdes import MachineDescription
-from repro.vliwcomp.depgraph import DependenceGraph, build_dependence_graph
-from repro.vliwcomp.regalloc import (
-    SPILL_STREAM,
-    bounded_spill_ops,
-    register_budget,
-)
-from repro.vliwcomp.scheduler import BlockSchedule, list_schedule
+from repro.vliwcomp.depgraph import BlockGraphs, FlatOps, build_graphs, flat_ops
+from repro.vliwcomp.regalloc import SPILL_STREAM, register_budget, spill_ops
+from repro.vliwcomp.scheduler import BlockSchedule, schedule_graphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompiledBlock:
     """One basic block compiled for one processor."""
 
@@ -102,80 +101,42 @@ def speculation_capacity(issue_width: int) -> int:
     return max(0, (issue_width - 4 + 1) // 2)
 
 
-#: A region of machines, flat: per coordinate (unit count per class,
-#: then register budget) the lowest value it admits, then per coordinate
-#: the highest.
-Region = tuple[int, ...]
-
-#: Upper end of a region coordinate that has none.
-_UNBOUNDED = sys.maxsize
-
-_CLASS_INDEX = {cls: index for index, cls in enumerate(OP_CLASSES)}
-
-
-def _covers(region: Region, point: tuple[int, ...]) -> bool:
-    return all(map(le, region, point)) and all(
-        map(le, point, region[len(point):])
-    )
-
-
-class BlockEntry(NamedTuple):
-    """One distinct operation list of a program and what the machines
-    compiled so far have made of it.
-
-    ``schedules`` pairs each schedule with the region of unit counts it
-    holds for; ``compiled`` pairs each compiled block with the region of
-    unit counts and register budgets it holds for.  An entry is never
-    changed: a new result replaces it with a longer copy (``_replace``).
-    """
-
-    operations: tuple[Operation, ...]
-    graph: DependenceGraph
-    unit_of: tuple[int, ...]
-    distinct_dests: int
-    speculative_streams: tuple[int, ...]
-    predicted_successor: int | None
-    schedules: tuple[tuple[Region, BlockSchedule], ...] = ()
-    compiled: tuple[tuple[Region, CompiledBlock], ...] = ()
-
-
 class BlockMemo:
-    """Compiled blocks of one :class:`Program`, shared across processors.
+    """One :class:`Program`'s operations as flat arrays, shared across
+    the processors it is compiled for.
 
-    An entry is keyed by (procedure, block id, hoisted-load count,
-    latency table), which fixes a block's operation list within one
-    program; spill code adds its op count to the key.  Each entry keeps
-    the dependence graph and every schedule computed so far,
-    tagged with the region of machines it is valid for:
-
-    * a class is *binding* when, in some cycle, more of its ops were
-      ready than it had units;
-    * a schedule holds for every machine with the same unit count on
-      each binding class and at least the peak ready count on every
-      other class.  The ready set of a cycle depends only on earlier
-      issue decisions; those match on binding classes because the units
-      do, and on the other classes every ready op issues on both
-      machines;
-    * a compiled block also needs the same spill count: the same
-      register budget when it spilled, else a budget of at least its
-      peak live count (bounded by its distinct destinations).
-
-    The memo serves the one program it was made for and refuses any
-    other.
+    It keeps the program's blocks in layout order and their operations
+    as one :class:`~repro.vliwcomp.depgraph.FlatOps`, all built by the
+    first compile (so its span pays for them).  Hoisted loads are
+    appended ops, so a hoisted-load capacity fixes every block's
+    operation list: per capacity the memo keeps those lists, and per
+    (capacity, latency table) one dependence graph of every block.  The
+    memo serves the one program it was made for and refuses any other.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        #: Schedules computed (each lookup that no region covered).
-        self.schedules_run = 0
-        self._entries: dict[tuple, BlockEntry] = {}
-        self._speculative: dict[
-            tuple[str, int], tuple[tuple[Operation, ...], int | None]
-        ] = {}
+        self._graphs: dict[tuple[int, tuple[int, ...]], BlockGraphs] = {}
+        self._operations: dict[int, list[tuple]] = {}
 
-    def entries(self) -> list[BlockEntry]:
-        """Every entry, one per distinct operation list."""
-        return list(self._entries.values())
+    @cached_property
+    def blocks(self) -> list[BasicBlock]:
+        """The program's blocks in layout order, built on first use."""
+        return [blk for _, blk in self.program.all_blocks()]
+
+    @cached_property
+    def keys(self) -> list[tuple[str, int]]:
+        """Each block's (procedure name, block id), shared with the
+        program's block index when no key repeats."""
+        index = self.program.block_index()
+        if len(index) == len(self.blocks):
+            return list(index)
+        return [(name, blk.block_id) for name, blk in self.program.all_blocks()]
+
+    @cached_property
+    def ops(self) -> FlatOps:
+        """Every block's operations as flat arrays."""
+        return flat_ops([blk.operations for blk in self.blocks])
 
     def check(self, program: Program) -> None:
         """Refuse any program but the one the memo was made for."""
@@ -185,138 +146,80 @@ class BlockMemo:
                 f"compile program {program.name!r}"
             )
 
-    def compile_block(
-        self,
-        proc: Procedure,
-        blk: BasicBlock,
-        mdes: MachineDescription,
-        capacity: int,
-        latencies: tuple[int, ...],
-        point: tuple[int, ...],
-    ) -> CompiledBlock:
-        """``blk`` compiled for the machine at ``point`` (unit counts
-        per class, then register budget)."""
-        hoisted = 0
-        if capacity:
-            loads, predicted = self._hoistable_loads(proc, blk)
-            hoisted = min(capacity, len(loads))
-        key = (proc.name, blk.block_id, hoisted, latencies)
-        entry = self._entries.get(key)
-        if entry is None:
-            if hoisted:
-                loads = loads[:hoisted]
-                entry = self._add(
-                    key,
-                    (*blk.operations, *loads),
-                    mdes,
-                    tuple(op.stream for op in loads),
-                    predicted,
-                )
-            else:
-                entry = self._add(key, tuple(blk.operations), mdes)
-        for region, block in entry.compiled:
-            if _covers(region, point):
-                return block
-        return self._compile(key, entry, mdes, point)
+    @cached_property
+    def successors(self) -> list[tuple[int, tuple[Operation, ...]] | None]:
+        """Per block, its likeliest successor's position and speculative
+        copies of that successor's loads (None without a successor)."""
+        position = {id(blk): k for k, blk in enumerate(self.blocks)}
+        return [
+            None if succ is None
+            else (position[id(succ)], _speculative_loads(succ))
+            for succ in (
+                _likely_successor(proc, blk.block_id)
+                for proc in self.program.procedures.values()
+                for blk in proc.blocks
+            )
+        ]
 
-    def _hoistable_loads(
-        self, proc: Procedure, blk: BasicBlock
-    ) -> tuple[tuple[Operation, ...], int | None]:
-        """Speculative copies of the loads ``blk`` could hoist with
-        unbounded capacity, from its likeliest successor, and that
-        successor's id (the static prediction; None without one).  Made
-        once per block: a machine that hoists ``k`` takes the first
-        ``k``."""
-        name = (proc.name, blk.block_id)
-        found = self._speculative.get(name)
+    def operations(self, capacity: int) -> list[tuple]:
+        """Per block, its operations with up to ``capacity`` hoisted
+        loads, the hoisted loads' streams and the successor they came
+        from (None when nothing was hoisted)."""
+        found = self._operations.get(capacity)
         if found is None:
-            successor = _likely_successor(proc, blk.block_id)
-            if successor is None:
-                found = (), None
-            else:
-                found = _speculative_loads(successor), successor.block_id
-            self._speculative[name] = found
+            hoists = self.successors if capacity else [None] * len(self.blocks)
+            found = self._operations[capacity] = [
+                (tuple(blk.operations), (), None)
+                if hoist is None or not hoist[1]
+                else (
+                    (*blk.operations, *hoist[1][:capacity]),
+                    tuple(op.stream for op in hoist[1][:capacity]),
+                    self.blocks[hoist[0]].block_id,
+                )
+                for blk, hoist in zip(self.blocks, hoists)
+            ]
         return found
 
-    def _add(
-        self,
-        key: tuple,
-        operations: tuple[Operation, ...],
-        mdes: MachineDescription,
-        speculative_streams: tuple[int, ...] = (),
-        predicted_successor: int | None = None,
-    ) -> BlockEntry:
-        entry = BlockEntry(
-            operations=operations,
-            graph=build_dependence_graph(operations, mdes),
-            unit_of=tuple(_CLASS_INDEX[op.opclass] for op in operations),
-            distinct_dests=len({d for op in operations for d in op.dests}),
-            speculative_streams=speculative_streams,
-            predicted_successor=predicted_successor,
-        )
-        self._entries[key] = entry
-        return entry
+    def graphs(self, capacity: int, latencies: tuple[int, ...]) -> BlockGraphs:
+        """Dependence graphs of every block with up to ``capacity``
+        hoisted loads, for one latency table."""
+        key = (capacity, latencies)
+        if key not in self._graphs:
+            ops = self.ops
+            if capacity:
+                ops = ops.take(*self._hoisted_positions(capacity))
+            self._graphs[key] = build_graphs(ops, latencies)
+        return self._graphs[key]
 
-    def _schedule(
-        self, key: tuple, units: tuple[int, ...]
-    ) -> tuple[BlockSchedule, Region]:
-        entry = self._entries[key]
-        for region, schedule in entry.schedules:
-            if _covers(region, units):
-                return schedule, region
-        schedule, peak = list_schedule(entry.graph, entry.unit_of, units)
-        self.schedules_run += 1
-        region = (
-            *(u if p > u else p for p, u in zip(peak, units)),
-            *(u if p > u else _UNBOUNDED for p, u in zip(peak, units)),
-        )
-        self._entries[key] = entry._replace(
-            schedules=(*entry.schedules, (region, schedule))
-        )
-        return schedule, region
-
-    def _compile(
-        self,
-        key: tuple,
-        entry: BlockEntry,
-        mdes: MachineDescription,
-        point: tuple[int, ...],
-    ) -> CompiledBlock:
-        units, budget = point[:-1], point[-1]
-        n_units = len(units)
-        schedule, region = self._schedule(key, units)
-        low, high = region[:n_units], region[n_units:]
-        spills, live = bounded_spill_ops(
-            entry.operations, schedule, mdes, entry.distinct_dests
-        )
-        operations = entry.operations
-        if spills:
-            spill_key = (*key, spills)
-            if spill_key not in self._entries:
-                self._add(spill_key, (*operations, *_spill_ops(spills)), mdes)
-            schedule, spilled = self._schedule(spill_key, units)
-            operations = self._entries[spill_key].operations
-            region = (
-                *map(max, low, spilled[:n_units]),
-                budget,
-                *map(min, high, spilled[n_units:]),
-                budget,
+    def _hoisted_positions(self, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat positions of each block's ops followed by the first
+        ``capacity`` loads of its successor, and the new block bounds."""
+        bounds = self.ops.bounds
+        loads = np.flatnonzero(
+            np.fromiter(
+                (op.is_load for blk in self.blocks for op in blk.operations),
+                bool,
+                int(bounds[-1]),
             )
-        else:
-            region = (*low, live, *high, _UNBOUNDED)
-        block = CompiledBlock(
-            block_id=key[1],
-            operations=operations,
-            schedule=schedule,
-            speculative_streams=entry.speculative_streams,
-            spill_ops=spills,
-            predicted_successor=entry.predicted_successor,
         )
-        entry = self._entries[key]
-        self._entries[key] = entry._replace(
-            compiled=(*entry.compiled, (region, block))
+        first = np.searchsorted(loads, bounds)
+        source = np.array(
+            [-1 if hoist is None else hoist[0] for hoist in self.successors],
+            dtype=np.int64,
         )
-        return block
+        head = np.diff(bounds)
+        sizes = head + np.where(
+            source < 0, 0, np.minimum(np.diff(first)[source], capacity)
+        )
+        grown = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=grown[1:])
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        offset = np.arange(grown[-1]) - grown[block]
+        positions = bounds[block] + offset
+        hoist = offset >= head[block]
+        block = block[hoist]
+        positions[hoist] = loads[first[source[block]] + offset[hoist] - head[block]]
+        return positions, grown
 
 
 def compile_program(
@@ -339,13 +242,60 @@ def compile_program(
         else 0
     )
     latencies = tuple(mdes.latencies[cls] for cls in OP_CLASSES)
-    units = tuple(processor.units[cls] for cls in OP_CLASSES)
-    point = (*units, register_budget(mdes))
+    units = [processor.units[cls] for cls in OP_CLASSES]
+    graphs = memo.graphs(capacity, latencies)
+    done = schedule_graphs(graphs, units)
+    bounds = graphs.ops.bounds
     compiled = CompiledProgram(program=program, mdes=mdes)
-    for proc in program.procedures.values():
-        for blk in proc.blocks:
-            compiled.blocks[(proc.name, blk.block_id)] = memo.compile_block(
-                proc, blk, mdes, capacity, latencies, point
+    blocks = compiled.blocks
+    for key, blk, (operations, streams, successor), lo, hi, cycles, count, mix in zip(
+        memo.keys,
+        memo.blocks,
+        memo.operations(capacity),
+        bounds[:-1].tolist(),
+        bounds[1:].tolist(),
+        done.cycles,
+        done.num_instructions,
+        done.mixes,
+    ):
+        blocks[key] = CompiledBlock(
+            blk.block_id,
+            operations,
+            BlockSchedule(done.ordinals[lo:hi], cycles, count, mix),
+            streams,
+            0,
+            successor,
+        )
+
+    # Blocks that spill are rescheduled once with their spill ops
+    # appended.
+    spills = spill_ops(graphs, done.ordinals, register_budget(mdes))
+    spilled = np.flatnonzero(spills)
+    spilled = [
+        (memo.keys[k], blocks[memo.keys[k]], count)
+        for k, count in zip(spilled.tolist(), spills[spilled].tolist())
+    ]
+    if spilled:
+        operations = [
+            (*block.operations, *_spill_ops(count)) for _, block, count in spilled
+        ]
+        again = schedule_graphs(
+            build_graphs(flat_ops(operations), latencies), units
+        )
+        at = np.cumsum([0, *map(len, operations)]).tolist()
+        for i, (key, block, count) in enumerate(spilled):
+            blocks[key] = CompiledBlock(
+                block.block_id,
+                operations[i],
+                BlockSchedule(
+                    again.ordinals[at[i]: at[i + 1]],
+                    again.cycles[i],
+                    again.num_instructions[i],
+                    again.mixes[i],
+                ),
+                block.speculative_streams,
+                count,
+                block.predicted_successor,
             )
     return compiled
 

@@ -1,127 +1,216 @@
-"""Dependence graph construction for basic-block scheduling.
+"""Dependence graphs of every block of a program at once.
 
 Edges carry minimum issue-cycle separations: a RAW edge from producer to
 consumer is the producer's latency; WAW edges force one cycle of
 separation; WAR edges allow same-cycle issue (reads happen before writes
 within a VLIW instruction).  Memory operations on the same stream are kept
 in order (a conservative store/load ordering, as a real compiler without
-memory disambiguation would).
+memory disambiguation would), and a branch issues no earlier than any
+operation before it in its block.
 
-A graph depends only on the operation list and the latency table, so
-processors that share a latency table can share graphs: the block memo
-of :mod:`repro.vliwcomp.compile` builds one per distinct operation list.
+A program's operations are held as flat arrays, one per field
+(:class:`FlatOps`).  :func:`build_graphs` derives the edges of every
+block with sorts and ``searchsorted``, then the critical-path heights
+with one reverse sweep per in-block position.  A graph depends only on
+the operations and the latency table, so the compiler builds one per
+(hoisted-load capacity, latency table) and every processor sharing both
+reuses it.  The per-block builder this replaces is the oracle
+:func:`repro.oracles.compiler.build_dependence_graph`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
-from repro.isa.operations import OpClass, Operation
-from repro.machine.mdes import MachineDescription
+import numpy as np
+
+from repro.errors import ConfigurationError
+from repro.isa.operations import OP_CLASSES, OpClass, Operation
+
+_MEMORY = OP_CLASSES.index(OpClass.MEMORY)
+_BRANCH = OP_CLASSES.index(OpClass.BRANCH)
 
 
-@dataclass(frozen=True)
-class DependenceGraph:
-    """DAG over the operation indexes of one basic block, read-only.
+class FlatOps(NamedTuple):
+    """Operations of consecutive blocks, one array per field.
 
-    Op ``succ[i][k]`` may issue no earlier than ``issue(i) +
-    delay[i][k]``; ``n_preds[j]`` counts the edges into op ``j``.
-    ``height[i]`` is the critical-path height used as the
-    list-scheduling priority.  Every field is a tuple of ints (no pair
-    tuples), so a memo of thousands of graphs gives the garbage
-    collector little to track.
+    Block ``k`` holds ops ``bounds[k]:bounds[k + 1]``.  ``opclass`` is
+    an index into :data:`OP_CLASSES`; ``dests`` and ``srcs`` hold one
+    row of registers per op, padded with -1.
     """
 
-    n_ops: int
-    succ: tuple[tuple[int, ...], ...]
-    delay: tuple[tuple[int, ...], ...]
-    n_preds: tuple[int, ...]
-    height: tuple[int, ...]
+    opclass: np.ndarray
+    stream: np.ndarray
+    dests: np.ndarray
+    srcs: np.ndarray
+    bounds: np.ndarray
 
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Every edge as ``(i, j, delay)``, by source op."""
-        for i, (succ, delay) in enumerate(zip(self.succ, self.delay)):
-            for j, d in zip(succ, delay):
-                yield i, j, d
+    def take(self, positions: np.ndarray, bounds: np.ndarray) -> "FlatOps":
+        """The ops at ``positions``, grouped into blocks by ``bounds``."""
+        return FlatOps(
+            self.opclass[positions],
+            self.stream[positions],
+            self.dests[positions],
+            self.srcs[positions],
+            bounds,
+        )
 
 
-_MEMORY = OpClass.MEMORY
-_BRANCH = OpClass.BRANCH
-
-
-def build_dependence_graph(
-    operations: Sequence[Operation], mdes: MachineDescription
-) -> DependenceGraph:
-    """Build the scheduling DAG for one block's operation list."""
-    n = len(operations)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    delay: list[list[int]] = [[] for _ in range(n)]
-    n_preds = [0] * n
-    # Result latency of each op, looked up once per block.
-    latency = [mdes.latencies[op.opclass] for op in operations]
-    last_writer: dict[int, int] = {}
-    readers_since_write: dict[int, list[int]] = {}
-    last_mem_by_stream: dict[int, int] = {}
-
-    for i, op in enumerate(operations):
-        opclass = op.opclass
-        # Each edge p -> i: op i may issue no earlier than issue(p) + d.
-        for src in op.srcs:
-            producer = last_writer.get(src)
-            if producer is not None:
-                succ[producer].append(i)
-                delay[producer].append(latency[producer])
-                n_preds[i] += 1
-            readers = readers_since_write.get(src)
-            if readers is None:
-                readers_since_write[src] = [i]
-            else:
-                readers.append(i)
-        for dst in op.dests:
-            writer = last_writer.get(dst)
-            if writer is not None:
-                succ[writer].append(i)
-                delay[writer].append(1)  # WAW
-                n_preds[i] += 1
-            for reader in readers_since_write.get(dst, ()):
-                if reader != i:
-                    succ[reader].append(i)
-                    delay[reader].append(0)  # WAR: same cycle legal
-                    n_preds[i] += 1
-            last_writer[dst] = i
-            readers_since_write[dst] = []
-        if opclass is _MEMORY:
-            prev = last_mem_by_stream.get(op.stream)
-            if prev is not None:
-                # Keep same-stream memory operations ordered (one cycle).
-                succ[prev].append(i)
-                delay[prev].append(1)
-                n_preds[i] += 1
-            last_mem_by_stream[op.stream] = i
-        if opclass is _BRANCH:
-            # The branch ends the block: every earlier op must issue no
-            # later than the branch's cycle.
-            for earlier in succ[:i]:
-                earlier.append(i)
-            for earlier in delay[:i]:
-                earlier.append(0)
-            n_preds[i] += i
-
-    # Critical-path heights by a reverse sweep: operation indexes are
-    # already topologically ordered (edges only go forward in the list).
-    height = [0] * n
-    for i in range(n - 1, -1, -1):
-        best = latency[i]
-        for j, d in zip(succ[i], delay[i]):
-            candidate = d + height[j]
-            if candidate > best:
-                best = candidate
-        height[i] = best
-    return DependenceGraph(
-        n_ops=n,
-        succ=tuple(map(tuple, succ)),
-        delay=tuple(map(tuple, delay)),
-        n_preds=tuple(n_preds),
-        height=tuple(height),
+def flat_ops(blocks: Sequence[Sequence[Operation]]) -> FlatOps:
+    """Flatten the operation lists of ``blocks``, in order."""
+    ops = [op for block in blocks for op in block]
+    bounds = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([len(block) for block in blocks], out=bounds[1:])
+    return FlatOps(
+        np.fromiter(
+            map(OP_CLASSES.index, [op.opclass for op in ops]),
+            np.int64,
+            len(ops),
+        ),
+        np.fromiter((op.stream for op in ops), np.int64, len(ops)),
+        _padded([op.dests for op in ops]),
+        _padded([op.srcs for op in ops]),
+        bounds,
     )
+
+
+def _padded(rows: list[tuple[int, ...]]) -> np.ndarray:
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    registers = [r for row in rows for r in row]
+    if min(registers, default=0) < 0:
+        raise ConfigurationError("register numbers must be non-negative")
+    out = np.full((len(rows), int(counts.max(initial=0))), -1, dtype=np.int64)
+    out[np.repeat(np.arange(len(rows)), counts), _ranks(counts)] = registers
+    return out
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for each count ``c``, concatenated."""
+    total = int(counts.sum())
+    return np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+class BlockGraphs(NamedTuple):
+    """Dependence DAGs of the blocks of one :class:`FlatOps`, read-only.
+
+    Edges are grouped by source op: op ``succ[e]`` may issue no earlier
+    than ``issue(i) + delay[e]`` for each ``e`` in
+    ``succ_bounds[i]:succ_bounds[i + 1]``.  ``n_preds[j]`` counts the
+    edges into op ``j``; ``height`` is each op's critical-path height,
+    the list-scheduling priority.  ``reads`` and ``writes`` pair each
+    register operand's op with its (block, register) id, and
+    ``distinct_dests[k]`` counts the registers block ``k`` writes.
+    """
+
+    ops: FlatOps
+    block: np.ndarray
+    succ_bounds: np.ndarray
+    succ: np.ndarray
+    delay: np.ndarray
+    n_preds: np.ndarray
+    height: np.ndarray
+    reads: tuple[np.ndarray, np.ndarray]
+    writes: tuple[np.ndarray, np.ndarray]
+    distinct_dests: np.ndarray
+
+    @property
+    def n_ops(self) -> int:
+        return len(self.block)
+
+
+def build_graphs(ops: FlatOps, latencies: Sequence[int]) -> BlockGraphs:
+    """Dependence graphs of every block of ``ops``; ``latencies`` holds
+    the result latency of each class, indexed like :data:`OP_CLASSES`."""
+    n = len(ops.opclass)
+    sizes = np.diff(ops.bounds)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    position = np.arange(n) - ops.bounds[block]
+    span = int(sizes.max(initial=0)) + 1
+    latency = np.asarray(latencies, dtype=np.int64)[ops.opclass]
+
+    # Register operands as (op, (block, register) id) pairs, and sort
+    # keys ordering them by (block, register, position).
+    r_op, r_reg = _operands(ops.srcs)
+    w_op, w_reg = _operands(ops.dests)
+    registers, ids = np.unique(np.concatenate((r_reg, w_reg)), return_inverse=True)
+    pair_of = block[np.concatenate((r_op, w_op))] * len(registers) + ids
+    pairs, pair_ids = np.unique(pair_of, return_inverse=True)
+    r_pair, w_pair = pair_ids[: len(r_op)], pair_ids[len(r_op):]
+    r_key = r_pair * span + position[r_op]
+    order = np.argsort(w_pair * span + position[w_op], kind="stable")
+    w_op, w_pair = w_op[order], w_pair[order]
+    w_key = w_pair * span + position[w_op]
+
+    # RAW: the last write of the register before the read.
+    before = np.searchsorted(w_key, r_key, side="left")
+    raw = np.flatnonzero(before > 0)
+    raw = raw[w_pair[before[raw] - 1] == r_pair[raw]]
+    raw_src = w_op[before[raw] - 1]
+    # WAW: consecutive writes of one register.
+    waw = np.flatnonzero(w_pair[1:] == w_pair[:-1])
+    # WAR: a read to the register's next write, unless the reading op
+    # writes the register itself (its read is consumed by its write).
+    after = np.searchsorted(w_key, r_key, side="right")
+    war = np.flatnonzero((after < len(w_key)) & (after == before))
+    war = war[w_pair[after[war]] == r_pair[war]]
+    # Same-stream memory ops, in order.
+    memory = np.flatnonzero(ops.opclass == _MEMORY)
+    _, stream_ids = np.unique(ops.stream[memory], return_inverse=True)
+    memory = memory[
+        np.argsort(block[memory] * (len(memory) + 1) + stream_ids, kind="stable")
+    ]
+    chain = np.flatnonzero(
+        (block[memory[1:]] == block[memory[:-1]])
+        & (ops.stream[memory[1:]] == ops.stream[memory[:-1]])
+    )
+    # Branches: every earlier op of the block.
+    branch = np.flatnonzero(ops.opclass == _BRANCH)
+    reach = position[branch]
+    branch_src = np.repeat(ops.bounds[block[branch]], reach) + _ranks(reach)
+
+    src = np.concatenate((raw_src, w_op[waw], r_op[war], memory[chain], branch_src))
+    dst = np.concatenate(
+        (r_op[raw], w_op[waw + 1], w_op[after[war]], memory[chain + 1],
+         np.repeat(branch, reach))
+    )
+    delay = np.concatenate(
+        (latency[raw_src], np.ones(len(waw), dtype=np.int64),
+         np.zeros(len(war), dtype=np.int64), np.ones(len(chain), dtype=np.int64),
+         np.zeros(len(branch_src), dtype=np.int64))
+    )
+    order = np.argsort(src, kind="stable")
+    src, dst, delay = src[order], dst[order], delay[order]
+    succ_bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=succ_bounds[1:])
+
+    # Heights by one reverse sweep per in-block position: every edge
+    # goes forward within its block.
+    height = latency.copy()
+    by_position = np.argsort(position[src], kind="stable")
+    steps = np.searchsorted(position[src][by_position], np.arange(span + 1))
+    for p in range(span - 1, -1, -1):
+        edges = by_position[steps[p]: steps[p + 1]]
+        np.maximum.at(height, src[edges], delay[edges] + height[dst[edges]])
+
+    written = w_pair[np.flatnonzero(np.diff(w_pair, prepend=-1))]
+    return BlockGraphs(
+        ops=ops,
+        block=block,
+        succ_bounds=succ_bounds,
+        succ=dst,
+        delay=delay,
+        n_preds=np.bincount(dst, minlength=n),
+        height=height,
+        reads=(r_op, r_pair),
+        writes=(w_op, w_pair),
+        distinct_dests=np.bincount(
+            pairs[written] // max(len(registers), 1), minlength=len(sizes)
+        ),
+    )
+
+
+def _operands(registers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(op, register) of every operand in a padded register table, by
+    op then operand order."""
+    ops, slots = np.nonzero(registers >= 0)
+    return ops, registers[ops, slots]

@@ -6,16 +6,16 @@ machines and extra speculative loads (Section 4.1).  This module models the
 spill side: live ranges are measured on the *schedule* — a wider machine
 packs operations into fewer cycles, overlapping more live ranges, so spill
 pressure rises naturally with issue width without any ad-hoc width factor.
+The per-block estimator is the oracle
+:func:`repro.oracles.compiler.estimate_spills`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import numpy as np
 
-from repro.isa.operations import Operation
 from repro.machine.mdes import MachineDescription
-from repro.vliwcomp.scheduler import BlockSchedule
+from repro.vliwcomp.depgraph import BlockGraphs
 
 #: Stream id reserved for spill traffic; the data-address model gives this
 #: stream a small stack-like region with high locality (the paper argues
@@ -26,87 +26,44 @@ SPILL_STREAM: int = -1
 _RESERVED_REGISTERS = 8
 
 
-@dataclass(frozen=True)
-class SpillEstimate:
-    """Spill loads/stores a block needs on a given processor."""
-
-    max_live: int
-    spill_stores: int
-    spill_loads: int
-
-    @property
-    def total_ops(self) -> int:
-        return self.spill_stores + self.spill_loads
-
-
-def estimate_spills(
-    operations: Sequence[Operation],
-    schedule: BlockSchedule,
-    mdes: MachineDescription,
-) -> SpillEstimate:
-    """Estimate spill traffic for one scheduled block.
-
-    A virtual register is live from its definition's issue cycle to its
-    last use's issue cycle.  When the peak overlap exceeds the integer
-    register file (minus reserved registers), each excess value is spilled:
-    one store at the definition and one load at the (last) use.
-    """
-    issue_of = _issue_cycles(schedule)
-    def_cycle: dict[int, int] = {}
-    last_use_cycle: dict[int, int] = {}
-    for index, cycle in issue_of.items():
-        op = operations[index]
-        for src in op.srcs:
-            if src in def_cycle:
-                last_use_cycle[src] = max(last_use_cycle.get(src, 0), cycle)
-        for dst in op.dests:
-            # First definition wins; redefinitions reuse the same name.
-            def_cycle.setdefault(dst, cycle)
-
-    events: list[tuple[int, int]] = []
-    for reg, start in def_cycle.items():
-        end = last_use_cycle.get(reg, start)
-        events.append((start, +1))
-        events.append((end + 1, -1))
-    events.sort()
-    live = 0
-    max_live = 0
-    for _, delta in events:
-        live += delta
-        if live > max_live:
-            max_live = live
-
-    excess = max(0, max_live - register_budget(mdes))
-    return SpillEstimate(
-        max_live=max_live, spill_stores=excess, spill_loads=excess
-    )
-
-
 def register_budget(mdes: MachineDescription) -> int:
     """Integer registers left for values once the reserved ones are out."""
     return max(1, mdes.processor.int_registers - _RESERVED_REGISTERS)
 
 
-def bounded_spill_ops(
-    operations: Sequence[Operation],
-    schedule: BlockSchedule,
-    mdes: MachineDescription,
-    distinct_dests: int,
-) -> tuple[int, int]:
-    """Spill operations of one scheduled block and an upper bound on its
-    peak live count.  At most ``distinct_dests`` values are ever live, so
-    a block with no more of them than the register budget spills nothing
-    without the event sweep of :func:`estimate_spills`."""
-    if distinct_dests <= register_budget(mdes):
-        return 0, distinct_dests
-    estimate = estimate_spills(operations, schedule, mdes)
-    return estimate.total_ops, estimate.max_live
+def spill_ops(
+    graphs: BlockGraphs, ordinals: np.ndarray, budget: int
+) -> np.ndarray:
+    """Spill operations each scheduled block of ``graphs`` needs.
 
-
-def _issue_cycles(schedule: BlockSchedule) -> dict[int, int]:
-    """Map operation index -> issue cycle (instruction ordinal)."""
-    out: dict[int, int] = {}
-    for cycle, instr in enumerate(schedule.instructions):
-        for index in instr:
-            out[index] = cycle
-    return out
+    A virtual register is live from its first definition's instruction
+    to its last later use's.  When the peak overlap exceeds ``budget``,
+    each excess value is spilled: one store at the definition and one
+    load at the (last) use.  A block that writes no more registers than
+    the budget never spills, so only the others are swept.
+    """
+    n_blocks = len(graphs.distinct_dests)
+    if not (graphs.distinct_dests > budget).any():
+        return np.zeros(n_blocks, dtype=np.int64)
+    w_op, w_pair = graphs.writes
+    r_op, r_pair = graphs.reads
+    n_pairs = int(max(w_pair.max(initial=-1), r_pair.max(initial=-1))) + 1
+    unset = np.iinfo(np.int64).max
+    start = np.full(n_pairs, unset, dtype=np.int64)
+    np.minimum.at(start, w_pair, ordinals[w_op])
+    end = start.copy()
+    use = ordinals[r_op] > start[r_pair]
+    np.maximum.at(end, r_pair[use], ordinals[r_op[use]])
+    live = np.flatnonzero(start < unset)
+    block = np.zeros(n_pairs, dtype=np.int64)
+    block[w_pair] = graphs.block[w_op]
+    # +1 at each definition, -1 after each last use; at equal times the
+    # ends come first.
+    when = np.concatenate((start[live], end[live] + 1))
+    delta = np.repeat(np.array([1, -1]), len(live))
+    where = np.concatenate((block[live], block[live]))
+    order = np.lexsort((delta, when, where))
+    count = np.cumsum(delta[order])
+    peak = np.zeros(n_blocks, dtype=np.int64)
+    np.maximum.at(peak, where[order], count)
+    return 2 * np.maximum(peak - budget, 0)

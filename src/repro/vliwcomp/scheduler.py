@@ -1,209 +1,208 @@
-"""Resource-constrained list scheduling of one basic block.
+"""Resource-constrained list scheduling of every block at once.
 
 Classic cycle-driven list scheduling: at each cycle, ready operations
 (all predecessors issued early enough) are chosen greedily by
 critical-path height, subject to the per-class function-unit counts of
-the target processor.  The output records which operations share each
-VLIW instruction, the block's issue-cycle count (used for processor-cycle
-estimation) and its instruction *mix*: how many instructions issue each
-per-class op-count vector, the quantity the instruction-format assembler
-encodes.
+the target processor.  :func:`schedule_graphs` runs it on all blocks of
+a :class:`~repro.vliwcomp.depgraph.BlockGraphs` in lockstep: one loop
+over global cycles, each a few array steps that rank the ready ops
+within (block, class) and issue up to the unit count.  Blocks are
+independent, so each one gets exactly the schedule it would get alone
+(the per-block scheduler is the oracle
+:func:`repro.oracles.compiler.list_schedule`).
+
+A schedule records each op's instruction ordinal, the block's
+issue-cycle count (used for processor-cycle estimation) and its
+instruction *mix*: how many instructions issue each per-class op-count
+vector, the quantity the instruction-format assembler encodes.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from repro.errors import ScheduleError
-from repro.isa.operations import MIX_FIELD_BITS, OP_CLASSES, Operation, pack_mix
-from repro.machine.mdes import MachineDescription
-from repro.vliwcomp.depgraph import DependenceGraph, build_dependence_graph
+from repro.isa.operations import MIX_FIELD_BITS, OP_CLASSES, pack_mix
+from repro.vliwcomp.depgraph import BlockGraphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BlockSchedule:
     """Schedule of one block on one processor.
 
-    ``instructions`` holds, per issue cycle that issues at least one
-    operation, the tuple of operation indexes issued.  ``cycles`` is the
-    total issue-cycle span including stall (empty) cycles; ``cycles >=
-    len(instructions)`` and the gap is the stall-cycle count the
-    instruction format's multi-no-op bits must cover.
+    ``ordinals[i]`` is the VLIW instruction that issues op ``i``;
+    instructions count only the cycles that issue at least one op.
+    ``cycles`` is the total issue-cycle span including stall (empty)
+    cycles; ``cycles >= num_instructions`` and the gap is the
+    stall-cycle count the instruction format's multi-no-op bits must
+    cover.
 
     ``mix`` maps each distinct packed per-class op count of an
-    instruction (see :func:`~repro.isa.operations.pack_mix`) to the number
-    of instructions that issue it.  It follows from ``instructions``, so
-    it takes no part in equality; it is never changed.
+    instruction (see :func:`~repro.isa.operations.pack_mix`) to the
+    number of instructions that issue it.  Schedules are equal when
+    their ops issue alike; nothing here is ever changed.
     """
 
-    instructions: tuple[tuple[int, ...], ...]
+    ordinals: np.ndarray
     cycles: int
-    mix: dict[int, int] = field(compare=False, repr=False)
+    num_instructions: int
+    mix: dict[int, int]
 
     @property
-    def num_instructions(self) -> int:
-        return len(self.instructions)
+    def instructions(self) -> tuple[tuple[int, ...], ...]:
+        """Per instruction, the indexes of the ops it issues."""
+        issued: list[list[int]] = [[] for _ in range(self.num_instructions)]
+        for index, ordinal in enumerate(self.ordinals.tolist()):
+            issued[ordinal].append(index)
+        return tuple(map(tuple, issued))
 
     @property
     def stall_cycles(self) -> int:
-        return self.cycles - len(self.instructions)
+        return self.cycles - self.num_instructions
 
     def ops_per_instruction(self) -> float:
         """Average operations packed per issued instruction."""
-        if not self.instructions:
+        if not self.num_instructions:
             return 0.0
-        total = sum(len(instr) for instr in self.instructions)
-        return total / len(self.instructions)
+        return len(self.ordinals) / self.num_instructions
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockSchedule):
+            return NotImplemented
+        return self.cycles == other.cycles and np.array_equal(
+            self.ordinals, other.ordinals
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.cycles, self.ordinals.tobytes()))
 
 
-def schedule_block(
-    operations: list[Operation],
-    mdes: MachineDescription,
-    graph: DependenceGraph | None = None,
-) -> BlockSchedule:
-    """List-schedule ``operations`` onto ``mdes.processor``.
+class Schedules(NamedTuple):
+    """Schedules of every block of one graph: each op's instruction
+    ordinal within its block, and per block the issue cycles, the
+    instruction count and the mix."""
 
-    ``graph`` is the operations' prebuilt dependence graph (built here
-    when absent); it is only read.
-
-    Raises :class:`ScheduleError` if no progress can be made (which would
-    indicate a dependence-graph bug, since every processor has at least
-    one unit per class).
-    """
-    if graph is None:
-        graph = build_dependence_graph(operations, mdes)
-    schedule, _ = list_schedule(
-        graph,
-        [OP_CLASSES.index(op.opclass) for op in operations],
-        [mdes.processor.units[cls] for cls in OP_CLASSES],
-    )
-    return schedule
+    ordinals: np.ndarray
+    cycles: list[int]
+    num_instructions: list[int]
+    mixes: list[dict[int, int]]
 
 
-def list_schedule(
-    graph: DependenceGraph, unit_of: Sequence[int], units: Sequence[int]
-) -> tuple[BlockSchedule, tuple[int, ...]]:
-    """List-schedule a block given as its graph and per-op unit classes.
+#: The packed mix of one op of each class, indexed like ``OP_CLASSES``.
+_MIX_UNIT = np.array(
+    [pack_mix([0] * index + [1]) for index in range(len(OP_CLASSES))],
+    dtype=np.uint64,
+)
 
-    ``unit_of[i]`` is op ``i``'s class as an index into
-    :data:`OP_CLASSES`; ``units`` holds the unit count of each class.
-    Returns the schedule and, per class, the peak number of its ops that
-    were ready in one cycle.  A class whose peak exceeds its units is
-    *binding*; on any machine with the same units on every binding class
-    and at least the peak on every other class, each cycle issues the
-    same ops, so the schedule is the same.
+
+def instruction_mixes(
+    opclass: np.ndarray, instruction: np.ndarray, n_instructions: int
+) -> np.ndarray:
+    """Packed mix (:func:`~repro.isa.operations.pack_mix`) of each
+    instruction, given every op's class index and instruction.  Packed
+    in ``uint64``: the last class fills the top bits."""
+    mixes = np.zeros(n_instructions, dtype=np.uint64)
+    np.add.at(mixes, instruction, _MIX_UNIT[opclass])
+    return mixes
+
+
+def schedule_graphs(graphs: BlockGraphs, units: Sequence[int]) -> Schedules:
+    """List-schedule every block of ``graphs``; ``units`` holds the unit
+    count of each class, indexed like :data:`OP_CLASSES`.
+
+    Raises :class:`ScheduleError` if a unit count does not fit an
+    instruction mix, or if no progress can be made (which would indicate
+    a dependence-graph bug, since every processor has at least one unit
+    per class).
     """
     if max(units) >> MIX_FIELD_BITS:
         raise ScheduleError(
             f"unit counts {tuple(units)} do not fit an instruction mix "
             f"({MIX_FIELD_BITS} bits per class)"
         )
-    n = graph.n_ops
-    if not n:
-        empty = BlockSchedule(instructions=(), cycles=0, mix={})
-        return empty, (0,) * len(units)
-    height = graph.height
-    succ_of = graph.succ
-    delay_of = graph.delay
-    # Ops in priority order (highest critical path first, index breaking
-    # ties: the sort is stable); the waiting list holds positions in
-    # this order, kept sorted.
-    order = sorted(range(n), key=height.__getitem__, reverse=True)
-    rank = [0] * n
-    for position, i in enumerate(order):
-        rank[i] = position
-
-    # An op waits until every predecessor has issued in an earlier
-    # cycle; it is then ready once the edge delays have elapsed
-    # (``earliest``).
-    unissued_preds = list(graph.n_preds)
-    earliest = [0] * n
-    waiting = sorted(rank[i] for i in range(n) if not unissued_preds[i])
-    n_units = len(units)
-    peak = [0] * n_units
-    mix_unit = _MIX_UNIT
-    remaining = n
-    instructions: list[tuple[int, ...]] = []
-    mix: dict[int, int] = {}
+    n = graphs.n_ops
+    opclass = graphs.ops.opclass
+    group = graphs.block * len(OP_CLASSES) + opclass
+    # Unissued ops in priority order: by (block, class), then highest
+    # critical path first, index breaking ties.
+    pending = np.lexsort((-graphs.height, group))
+    limit = np.asarray(units, dtype=np.int64)[opclass]
+    succ_bounds, succ_of = graphs.succ_bounds, graphs.succ
+    out_degree = np.diff(succ_bounds)
+    left = graphs.n_preds.copy()
+    # An op may issue once every predecessor has issued in an earlier
+    # cycle and the edge delays have elapsed: from cycle ``ready``, and
+    # ``eligible`` holds that cycle once no predecessor is left.  (Ops
+    # freed in a cycle are first considered in the next one.)
+    ready = np.zeros(n, dtype=np.int64)
+    never = np.iinfo(np.int64).max
+    eligible = np.where(left == 0, 0, never)
+    issue = np.full(n, -1, dtype=np.int64)
+    budget = 4 * (int(np.diff(graphs.ops.bounds).max(initial=0))
+                  + int(graphs.height.max(initial=1))) + 16
     cycle = 0
-    last_issue = 0
-    max_cycles = _cycle_budget(n, height)
+    while len(pending):
+        when = eligible[pending]
+        candidates = np.flatnonzero(when <= cycle)
+        if not len(candidates):
+            cycle = int(when.min())
+            if cycle > budget:
+                raise ScheduleError(
+                    f"scheduler exceeded {budget} cycles; dependence "
+                    "graph is inconsistent"
+                )
+            continue
+        ops = pending[candidates]
+        # Rank each candidate within its (block, class) group.
+        grouped = group[ops]
+        rank = np.arange(len(ops)) - np.searchsorted(grouped, grouped)
+        issued = ops[rank < limit[ops]]
+        issue[issued] = cycle
+        count = out_degree[issued]
+        edges = np.repeat(succ_bounds[issued] - np.cumsum(count) + count, count)
+        edges += np.arange(len(edges))
+        succ = succ_of[edges]
+        np.maximum.at(ready, succ, cycle + graphs.delay[edges])
+        np.subtract.at(left, succ, 1)
+        freed = succ[left[succ] == 0]
+        eligible[freed] = ready[freed]
+        pending = pending[issue[pending] < 0]
+        cycle += 1
+    return _tabulate(graphs, issue)
 
-    while remaining:
-        if cycle > max_cycles or not waiting:
-            raise ScheduleError(
-                f"scheduler exceeded {max_cycles} cycles for a "
-                f"{n}-operation block; dependence graph is inconsistent"
-            )
-        # ``ready[c]`` counts the ready ops of class ``c`` so far this
-        # cycle; the first ``units[c]`` of them (in priority order) issue.
-        ready = [0] * n_units
-        issued: list[int] = []
-        issued_mix = 0
-        still_waiting: list[int] = []
-        next_cycle = max_cycles + 1
-        for position in waiting:
-            i = order[position]
-            start = earliest[i]
-            if start > cycle:
-                still_waiting.append(position)
-                if start < next_cycle:
-                    next_cycle = start
-                continue
-            unit = unit_of[i]
-            count = ready[unit] + 1
-            ready[unit] = count
-            if count > peak[unit]:
-                peak[unit] = count
-            if count <= units[unit]:
-                issued.append(i)
-                issued_mix += mix_unit[unit]
-            else:
-                still_waiting.append(position)
-                next_cycle = cycle + 1
-        issued.sort()
-        after = cycle + 1
-        for i in issued:
-            delays = delay_of[i]
-            edge = 0
-            for succ in succ_of[i]:
-                need = cycle + delays[edge]
-                edge += 1
-                if need > earliest[succ]:
-                    earliest[succ] = need
-                left = unissued_preds[succ] - 1
-                unissued_preds[succ] = left
-                if not left:
-                    insort(still_waiting, rank[succ])
-                    start = earliest[succ]
-                    if start < after:
-                        start = after
-                    if start < next_cycle:
-                        next_cycle = start
-        instructions.append(tuple(issued))
-        mix[issued_mix] = mix.get(issued_mix, 0) + 1
-        remaining -= len(issued)
-        last_issue = cycle
-        waiting = still_waiting
-        # No op can be ready before ``next_cycle``: skip the idle cycles.
-        cycle = next_cycle
 
-    return (
-        BlockSchedule(
-            instructions=tuple(instructions), cycles=last_issue + 1, mix=mix
-        ),
-        tuple(peak),
+def _tabulate(graphs: BlockGraphs, issue: np.ndarray) -> Schedules:
+    """Per-op instruction ordinals and per-block cycles, instruction
+    counts and mixes, from every op's issue cycle."""
+    n_blocks = len(graphs.distinct_dests)
+    block = graphs.block
+    cycles = np.zeros(n_blocks, dtype=np.int64)
+    np.maximum.at(cycles, block, issue + 1)
+    # One instruction per (block, issue cycle) pair.
+    span = int(cycles.max(initial=0)) + 1
+    slots, instruction = np.unique(block * span + issue, return_inverse=True)
+    slot_block = slots // span
+    first = np.searchsorted(slot_block, np.arange(n_blocks))
+    ordinals = instruction - first[block]
+    mixes = instruction_mixes(graphs.ops.opclass, instruction, len(slots))
+    # Count each block's instructions per distinct mix.
+    order = np.lexsort((mixes, slot_block))
+    slot_block, mixes = slot_block[order], mixes[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (slot_block[1:] != slot_block[:-1]) | (mixes[1:] != mixes[:-1])
+    runs = np.flatnonzero(new)
+    counts = np.diff(runs, append=len(order))
+    per_block: list[dict[int, int]] = [{} for _ in range(n_blocks)]
+    for b, mix, count in zip(
+        slot_block[runs].tolist(), mixes[runs].tolist(), counts.tolist()
+    ):
+        per_block[b][mix] = count
+    return Schedules(
+        ordinals=ordinals,
+        cycles=cycles.tolist(),
+        num_instructions=np.bincount(slot_block, minlength=n_blocks).tolist(),
+        mixes=per_block,
     )
-
-
-#: The packed mix of one op of each class, indexed like ``OP_CLASSES``.
-_MIX_UNIT = tuple(
-    pack_mix([0] * index + [1]) for index in range(len(OP_CLASSES))
-)
-
-
-def _cycle_budget(n_ops: int, heights: Sequence[int]) -> int:
-    """Upper bound on legal schedule length (safety net)."""
-    return 4 * (n_ops + max(heights, default=1)) + 16

@@ -21,7 +21,7 @@ from repro.machine.presets import P1111, P6332
 from repro.machine.processor import make_processor
 from repro.oracles import assembler as oracle
 from repro.vliwcomp.compile import CompiledBlock, CompiledProgram, compile_program
-from repro.vliwcomp.scheduler import schedule_block
+from repro.oracles.compiler import schedule_block
 
 
 class TestAssemble:

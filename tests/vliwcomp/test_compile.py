@@ -2,6 +2,7 @@
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -9,6 +10,7 @@ from repro.isa.operations import OpClass
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P3221, P6332
 from repro.machine.processor import make_processor
+from repro.oracles.compiler import compile_program as oracle_compile
 from repro.vliwcomp.compile import (
     BlockMemo,
     compile_program,
@@ -99,8 +101,9 @@ class TestCompileProgram:
 
 class TestSharedBlockMemo:
     """One block memo shared across processors changes no compiled
-    block, schedules fewer blocks than it compiles, and never changes an
-    entry in place."""
+    block: each equals a fresh compile and the per-block oracle's, and
+    the memo's graphs are built once per (capacity, latency table) and
+    never changed by a compile."""
 
     MDESES = (
         MachineDescription(P1111),
@@ -136,33 +139,34 @@ class TestSharedBlockMemo:
 
         memo = BlockMemo(tiny.program)
         self._assert_compiles_match(tiny, memo, fresh)
-        n_blocks = sum(len(compiled.blocks) for compiled in fresh)
-        schedules = memo.schedules_run
-        assert schedules < n_blocks  # processors shared schedules
-        snapshot = copy.deepcopy(memo.entries())
-        # Second pass: every block now comes from the memo.
+        # A second pass through the same memo changes nothing either.
         self._assert_compiles_match(tiny, memo, fresh)
-        assert memo.schedules_run == schedules
-        assert memo.entries() == snapshot
+        for mdes, want in zip(self.MDESES, fresh):
+            assert oracle_compile(tiny.program, mdes).blocks == want.blocks
 
-    def test_entries_are_immutable(self, tiny):
+    def test_graphs_are_shared_and_unchanged(self, tiny):
         memo = BlockMemo(tiny.program)
         for mdes in self.MDESES:
             compile_program(tiny.program, mdes, memo=memo)
-        schedules = memo.schedules_run
-        for entry in memo.entries():
-            with pytest.raises(AttributeError):
-                entry.compiled = ()
-            for field in (entry.operations, entry.unit_of, entry.schedules,
-                          entry.compiled, entry.graph.height):
-                assert isinstance(field, tuple)
-            for per_op in (entry.graph.succ, entry.graph.delay):
-                assert all(isinstance(row, tuple) for row in per_op)
-            assert isinstance(entry.graph.n_preds, tuple)
-        # A recompile finds every block and schedules nothing.
+        graphs = dict(memo._graphs)
+        # One graph per (capacity, latency table): 5 capacities with the
+        # default latencies, one more for the other table.
+        assert len(graphs) == len({
+            (speculation_capacity(m.processor.issue_width),
+             tuple(sorted(m.latencies.items(), key=lambda kv: kv[0].value)))
+            for m in self.MDESES
+        })
+        snapshot = copy.deepcopy(graphs)
         for mdes in self.MDESES:
             compile_program(tiny.program, mdes, memo=memo)
-        assert memo.schedules_run == schedules
+        assert memo._graphs.keys() == graphs.keys()
+        for key, built in graphs.items():
+            assert memo._graphs[key] is built
+            for got, want in zip(built, snapshot[key]):
+                if isinstance(got, tuple):
+                    assert all(map(np.array_equal, got, want))
+                else:
+                    assert np.array_equal(got, want)
 
     def test_memo_refuses_another_program(self, tiny):
         memo = BlockMemo(tiny.program)

@@ -1,15 +1,28 @@
-"""Unit tests for repro.vliwcomp.depgraph."""
+"""Unit tests for the dependence graphs: the per-block oracle
+(repro.oracles.compiler) and the whole-program arrays
+(repro.vliwcomp.depgraph) that must match it."""
 
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.isa.operations import (
+    OP_CLASSES,
     OpClass,
+    Operation,
     make_branch,
+    make_float,
     make_int,
     make_load,
     make_store,
 )
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111
-from repro.vliwcomp.depgraph import build_dependence_graph
+from repro.oracles.compiler import build_dependence_graph
+from repro.vliwcomp.depgraph import build_graphs, flat_ops
 
 
 def edges_of(graph):
@@ -109,3 +122,84 @@ class TestFlatForm:
         for _, j, _ in graph.edges():
             counts[j] += 1
         assert graph.n_preds == tuple(counts)
+
+
+def random_block(rng, n):
+    """A random block over a small register pool: reuse, ops reading
+    their own dest, duplicate srcs, same-stream memory ops and
+    mid-block branches."""
+    ops = []
+    for _ in range(n):
+        kind = rng.choice(["int", "float", "load", "store", "branch"])
+        srcs = tuple(rng.randrange(6) for _ in range(rng.randrange(3)))
+        dest = rng.randrange(6)
+        stream = rng.randrange(3)
+        if kind == "int":
+            ops.append(make_int(dest, srcs))
+        elif kind == "float":
+            ops.append(make_float(dest, srcs))
+        elif kind == "load":
+            ops.append(make_load(dest, srcs[0] if srcs else dest, stream))
+        elif kind == "store":
+            ops.append(make_store(dest, srcs[0] if srcs else dest, stream))
+        else:
+            ops.append(make_branch(srcs))
+    return ops
+
+
+class TestWholeProgramGraphs:
+    """The array graphs of many blocks equal the per-block oracle's:
+    the same edge multisets, predecessor counts and heights."""
+
+    @pytest.mark.parametrize("latency_scale", [1, 2])
+    def test_random_blocks_match_oracle(self, latency_scale):
+        rng = random.Random(5 + latency_scale)
+        latencies = {
+            cls: latency_scale * lat
+            for cls, lat in MachineDescription(P1111).latencies.items()
+        }
+        mdes = MachineDescription(P1111, latencies=latencies)
+        blocks = [random_block(rng, rng.randrange(0, 40)) for _ in range(60)]
+        graphs = build_graphs(
+            flat_ops(blocks), [latencies[cls] for cls in OP_CLASSES]
+        )
+        bounds = graphs.ops.bounds
+        for k, ops in enumerate(blocks):
+            lo, hi = bounds[k], bounds[k + 1]
+            want = build_dependence_graph(ops, mdes)
+            got = Counter(
+                (i - lo, int(graphs.succ[e]) - lo, int(graphs.delay[e]))
+                for i in range(lo, hi)
+                for e in range(graphs.succ_bounds[i], graphs.succ_bounds[i + 1])
+            )
+            assert got == Counter(want.edges()), k
+            assert graphs.n_preds[lo:hi].tolist() == list(want.n_preds)
+            assert graphs.height[lo:hi].tolist() == list(want.height)
+            distinct = len({d for op in ops for d in op.dests})
+            assert graphs.distinct_dests[k] == distinct
+
+    def test_multiple_dests_and_wide_srcs(self):
+        ops = [
+            Operation(OpClass.INT, dests=(1, 2), srcs=(3, 4, 5)),
+            Operation(OpClass.INT, dests=(3,), srcs=(1, 2, 1)),
+            Operation(OpClass.FLOAT, dests=(2, 4), srcs=(3,)),
+        ]
+        mdes = MachineDescription(P1111)
+        graphs = build_graphs(
+            flat_ops([ops]), [mdes.latencies[cls] for cls in OP_CLASSES]
+        )
+        got = Counter(
+            (i, int(graphs.succ[e]), int(graphs.delay[e]))
+            for i in range(len(ops))
+            for e in range(graphs.succ_bounds[i], graphs.succ_bounds[i + 1])
+        )
+        assert got == Counter(build_dependence_graph(ops, mdes).edges())
+
+    def test_negative_registers_rejected(self):
+        with pytest.raises(ConfigurationError):
+            flat_ops([[make_int(-1)]])
+
+    def test_empty_program(self):
+        graphs = build_graphs(flat_ops([[], []]), [1, 3, 2, 1])
+        assert graphs.n_ops == 0
+        assert np.array_equal(graphs.distinct_dests, [0, 0])

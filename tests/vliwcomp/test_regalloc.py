@@ -1,16 +1,15 @@
-"""Unit tests for repro.vliwcomp.regalloc."""
+"""Unit tests for spill estimation: the per-block sweep oracle
+(repro.oracles.compiler.estimate_spills) and the array estimate of
+repro.vliwcomp.regalloc that compile_program uses."""
 
 from repro.isa.operations import make_int
+from repro.isa.program import BasicBlock, Procedure, Program
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111
 from repro.machine.processor import make_processor
-from repro.vliwcomp.regalloc import (
-    SPILL_STREAM,
-    bounded_spill_ops,
-    estimate_spills,
-    register_budget,
-)
-from repro.vliwcomp.scheduler import schedule_block
+from repro.oracles.compiler import estimate_spills, schedule_block
+from repro.vliwcomp.compile import compile_program
+from repro.vliwcomp.regalloc import SPILL_STREAM, register_budget
 
 
 class TestEstimateSpills:
@@ -56,8 +55,8 @@ class TestEstimateSpills:
 
 class TestSpillBound:
     """A block with no more distinct destinations than the register
-    budget skips the event sweep; around that edge the bounded count
-    equals the sweep's."""
+    budget skips the array sweep; around that edge the compiled spill
+    count equals the per-block sweep's."""
 
     @staticmethod
     def _all_live(n_values):
@@ -75,11 +74,11 @@ class TestSpillBound:
             ops = self._all_live(n_dests - 1)  # + the final op's dest
             distinct = len({d for op in ops for d in op.dests})
             assert distinct == n_dests
-            schedule = schedule_block(ops, mdes)
-            sweep = estimate_spills(ops, schedule, mdes)
+            sweep = estimate_spills(ops, schedule_block(ops, mdes), mdes)
             # Every value is live at once: the bound is tight.
             assert sweep.max_live == n_dests
-            spills, live = bounded_spill_ops(ops, schedule, mdes, distinct)
-            assert spills == sweep.total_ops
-            assert live == n_dests
+            program = Program(name="one")
+            program.add(Procedure(name="main", blocks=[BasicBlock(0, ops)]))
+            block = compile_program(program, mdes).block("main", 0)
+            assert block.spill_ops == sweep.total_ops
         assert sweep.total_ops == 2  # budget + 1 values spill one

@@ -1,11 +1,13 @@
-"""Unit tests for repro.vliwcomp.scheduler."""
+"""Unit tests for repro.vliwcomp.scheduler: the lockstep scheduler of
+every block at once, checked against a rescanning reference."""
 
 import random
 
-import hypothesis.strategies as st
-import pytest
-from hypothesis import given, settings
+import numpy as np
 
+import pytest
+
+from repro.errors import ScheduleError
 from repro.isa.operations import (
     OP_CLASSES,
     OpClass,
@@ -16,15 +18,17 @@ from repro.isa.operations import (
     make_load,
     make_store,
 )
-from repro.isa.program import BasicBlock, ControlFlowEdge, Procedure, Program
-
 from repro.explore.spec import SystemDesignSpace
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P4221, P6332
 from repro.machine.processor import make_processor
+from repro.oracles.compiler import (
+    build_dependence_graph,
+    schedule_from_instructions,
+)
 from repro.vliwcomp.compile import BlockMemo, compile_program
-from repro.vliwcomp.depgraph import build_dependence_graph
-from repro.vliwcomp.scheduler import BlockSchedule, schedule_block
+from repro.vliwcomp.depgraph import build_graphs, flat_ops
+from repro.vliwcomp.scheduler import BlockSchedule, schedule_graphs
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
 
@@ -36,11 +40,28 @@ def preds_of(graph):
     return preds
 
 
+def latencies_of(mdes):
+    return [mdes.latencies[cls] for cls in OP_CLASSES]
+
+
+def units_of(mdes):
+    return [mdes.processor.units[cls] for cls in OP_CLASSES]
+
+
+def schedule_block(operations, mdes):
+    """One block's schedule from the lockstep scheduler."""
+    graphs = build_graphs(flat_ops([operations]), latencies_of(mdes))
+    done = schedule_graphs(graphs, units_of(mdes))
+    return BlockSchedule(
+        done.ordinals, done.cycles[0], done.num_instructions[0], done.mixes[0]
+    )
+
+
 def scan_schedule(operations, mdes):
     """Reference list scheduler: every cycle rescans every unscheduled
     op and its predecessors for readiness."""
     if not operations:
-        return BlockSchedule(instructions=(), cycles=0, mix={})
+        return schedule_from_instructions(0, (), 0, {})
     graph = build_dependence_graph(operations, mdes)
     preds = preds_of(graph)
     n = len(operations)
@@ -80,10 +101,8 @@ def scan_schedule(operations, mdes):
             instructions.append(tuple(sorted(issued)))
             last_issue = cycle
         cycle += 1
-    return BlockSchedule(
-        instructions=tuple(instructions),
-        cycles=last_issue + 1,
-        mix=mix_of(operations, instructions),
+    return schedule_from_instructions(
+        n, instructions, last_issue + 1, mix_of(operations, instructions)
     )
 
 
@@ -277,74 +296,41 @@ class TestMatchesReferenceScan:
                 assert block.schedule.mix == want.mix, (processor.name, key)
 
 
-@st.composite
-def memo_programs(draw):
-    """A one-procedure chain of 1-4 random blocks of 1-60 ops.
+class TestLockstep:
+    """Many blocks scheduled together get each the schedule it gets
+    alone, and a broken graph or an oversized unit count is refused."""
 
-    Ops mix every class, mid-block branches and loads/stores on three
-    streams; up to 70 destination registers make small register files
-    spill.  Each block falls through to the next, so speculating
-    machines hoist its successor's loads."""
-    blocks = []
-    for block_id in range(draw(st.integers(1, 4))):
-        ops = []
-        for _ in range(draw(st.integers(1, 60))):
-            kind = draw(
-                st.sampled_from(["int", "float", "load", "store", "branch"])
-            )
-            dest = draw(st.integers(0, 70))
-            srcs = tuple(draw(st.lists(st.integers(0, 90), max_size=2)))
-            stream = draw(st.integers(0, 2))
-            if kind == "int":
-                ops.append(make_int(dest, srcs))
-            elif kind == "float":
-                ops.append(make_float(dest, srcs))
-            elif kind == "load":
-                ops.append(make_load(dest, srcs[0] if srcs else 0, stream))
-            elif kind == "store":
-                ops.append(make_store(dest, srcs[0] if srcs else 0, stream))
-            else:
-                ops.append(make_branch(srcs))
-        blocks.append(BasicBlock(block_id=block_id, operations=ops))
-    edges = [
-        ControlFlowEdge(i, i + 1, 1.0) for i in range(len(blocks) - 1)
-    ]
-    program = Program(name="random")
-    program.add(Procedure(name="main", blocks=blocks, edges=edges))
-    return program
-
-
-memo_processors = st.builds(
-    make_processor,
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.integers(1, 4),
-    int_registers=st.sampled_from([8, 16, 32, 64]),
-    has_predication=st.booleans(),
-    has_speculation=st.booleans(),
-)
-
-
-class TestBlockMemoProperty:
-    """A block memo shared across processors changes no compiled block."""
-
-    @given(
-        program=memo_programs(),
-        processors=st.lists(memo_processors, min_size=2, max_size=8),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_shared_memo_equals_fresh_compile_and_scan(
-        self, program, processors
-    ):
-        memo = BlockMemo(program)
-        for processor in processors:
+    def test_blocks_scheduled_together_match_alone(self):
+        rng = random.Random(3)
+        blocks = [random_ops(rng, n=rng.randrange(1, 40)) for _ in range(30)]
+        blocks.insert(7, [])
+        for processor in (P1111, P4221, P6332):
             mdes = MachineDescription(processor)
-            shared = compile_program(program, mdes, memo=memo)
-            fresh = compile_program(program, mdes)
-            assert shared.blocks == fresh.blocks, processor
-            for block in shared.blocks.values():
-                assert_same_schedule(
-                    block.schedule,
-                    scan_schedule(list(block.operations), mdes),
+            graphs = build_graphs(flat_ops(blocks), latencies_of(mdes))
+            done = schedule_graphs(graphs, units_of(mdes))
+            bounds = graphs.ops.bounds
+            for k, ops in enumerate(blocks):
+                together = BlockSchedule(
+                    done.ordinals[bounds[k]: bounds[k + 1]],
+                    done.cycles[k],
+                    done.num_instructions[k],
+                    done.mixes[k],
                 )
+                assert_same_schedule(together, scan_schedule(ops, mdes))
+
+    def test_unit_count_overflowing_the_mix_is_refused(self):
+        mdes = MachineDescription(P1111)
+        graphs = build_graphs(flat_ops([random_ops(random.Random(1))]),
+                              latencies_of(mdes))
+        with pytest.raises(ScheduleError, match="mix"):
+            schedule_graphs(graphs, [1 << 16, 1, 1, 1])
+
+    def test_inconsistent_graph_exceeds_the_cycle_budget(self):
+        mdes = MachineDescription(P1111)
+        graphs = build_graphs(flat_ops([random_ops(random.Random(2))]),
+                              latencies_of(mdes))
+        # An edge no op will ever satisfy: op 0 never becomes ready.
+        broken = graphs._replace(n_preds=graphs.n_preds + (
+            np.arange(graphs.n_ops) == 0))
+        with pytest.raises(ScheduleError, match="cycles"):
+            schedule_graphs(broken, units_of(mdes))
