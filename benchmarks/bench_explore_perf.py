@@ -7,19 +7,22 @@ epic workload, with all shared simulation passes pre-primed so the
 timing isolates the exploration layer itself.  The acceptance gate
 asserts a >= 5x end-to-end speedup on ``Spacewalker.walk`` *and* that
 both paths produce identical Pareto frontiers (same designs, costs and
-times within 1e-9).  Four report-only sections ride along (no gate): a
+times within 1e-9).  Five report-only sections ride along (no gate): a
 skyline-vs-sequential Pareto micro-benchmark; the compile of epic's
 12 design-space processors in one array pass each vs the per-block
 compiler of ``repro.oracles.compiler``, which asserts every compiled
 block identical (instructions included) and counts the
-garbage-collector-tracked objects the compile leaves; the
-assembly of those 12 compiled programs by the per-instruction oracle
-and by the production assembler, which asserts every assembled block
-identical; and the emulation of the ten suite programs on the
-reference processor by the frame-walking oracle and by the production
-emulator, which asserts every event trace identical.  The report also records the host probe
-of ``perfbench/hostspeed.py``, so timings from different hosts can be
-compared.  Results are written to
+garbage-collector-tracked objects that compiling, assembling and
+linking the 12 processors leave; the assembly of those 12 compiled
+programs by the per-instruction oracle and by the production
+assembler, which asserts every assembled block identical; the
+emulation of the ten suite programs on the reference processor by the
+frame-walking oracle and by the production emulator, which asserts
+every event trace identical; and the nine AHH parameters of the ten
+suite programs' reference traces, derived in one array pass and word
+by word by ``repro.oracles.granules``, which asserts them equal.  The
+report also records the host probe of ``perfbench/hostspeed.py``, so
+timings from different hosts can be compared.  Results are written to
 ``benchmarks/results/BENCH_explore.json``.
 
 Runs two ways:
@@ -28,8 +31,8 @@ Runs two ways:
 * ``python benchmarks/bench_explore_perf.py [--smoke] [--json PATH]``
 
 ``--smoke`` does a single timing rep and drops the speedup gate (the
-frontier, compiled-block, assembled-block and event-trace identity
-checks always run) —
+frontier, compiled-block, assembled-block, event-trace and
+AHH-parameter identity checks always run) —
 used by CI to produce the JSON artifact without gating on runner timing
 noise.
 """
@@ -52,6 +55,8 @@ import numpy as np
 
 from benchmarks.conftest import BENCH_SETTINGS, RESULTS_DIR
 from repro.ahh.batch import clear_collisions_batch_cache
+from repro.ahh.modeler import derive_trace_parameters
+from repro.cache.config import WORD_BYTES
 from repro.experiments.runner import get_pipeline
 from repro.explore.pareto import ParetoSet
 from repro.explore.spacewalker import Spacewalker
@@ -63,9 +68,11 @@ from repro.explore.spec import (
 from perfbench.hostspeed import REFERENCE_PROBE_S, HostProbe
 from repro.machine.mdes import MachineDescription
 from repro.iformat.assembler import assemble
+from repro.iformat.linker import link
 from repro.machine.presets import REFERENCE_PROCESSOR
 from repro.oracles import assembler as oracle_assembler
 from repro.oracles import compiler as oracle_compiler
+from repro.oracles import granules as oracle_granules
 from repro.oracles.emulator import ScalarEmulator
 from repro.trace.emulator import Emulator
 from repro.vliwcomp.compile import BlockMemo, compile_program
@@ -261,7 +268,9 @@ def collections_during(run) -> list[int]:
 def bench_compile(program, *, reps: int) -> dict:
     """Compile the 12 design-space processors in one array pass each,
     through one shared block memo, and with the per-block oracle; every
-    compiled block must match, instructions included."""
+    compiled block must match, instructions included.  The tracked
+    objects and collections are those of compiling, assembling and
+    linking the 12 processors together."""
     mdeses = design_space_mdeses()
 
     def run_array():
@@ -271,29 +280,40 @@ def bench_compile(program, *, reps: int) -> dict:
     def run_oracle():
         return [oracle_compiler.compile_program(program, m) for m in mdeses]
 
+    def run_chain():
+        return [
+            link(
+                program,
+                assemble(one),
+                packet_bytes=one.mdes.processor.issue_width * WORD_BYTES,
+            )
+            for one in run_array()
+        ]
+
     seconds = _best_time(run_array, reps)
     oracle_seconds = _best_time(run_oracle, reps)
     compiled = run_array()
     for mdes, got, want in zip(mdeses, compiled, run_oracle()):
-        assert got.blocks == want.blocks, (
+        got_blocks, want_blocks = got.blocks, want.blocks
+        assert got_blocks == want_blocks, (
             f"array compile changed a compiled block on {mdes.processor.name}"
         )
-        for key, block in want.blocks.items():
-            assert got.blocks[key].schedule.instructions == (
+        for key, block in want_blocks.items():
+            assert got_blocks[key].schedule.instructions == (
                 block.schedule.instructions
             ), f"instructions differ on {mdes.processor.name} at {key}"
-            assert got.blocks[key].schedule.mix == block.schedule.mix, (
+            assert got_blocks[key].schedule.mix == block.schedule.mix, (
                 f"mixes differ on {mdes.processor.name} at {key}"
             )
 
     return {
         "processors": len(mdeses),
-        "blocks": sum(len(one.blocks) for one in compiled),
+        "blocks": sum(len(one.keys) for one in compiled),
         "seconds": round(seconds, 6),
         "oracle_seconds": round(oracle_seconds, 6),
         "speedup": round(oracle_seconds / seconds, 2),
-        "tracked_objects": tracked_objects_left(run_array),
-        "gc_collections": collections_during(run_array),
+        "tracked_objects": tracked_objects_left(run_chain),
+        "gc_collections": collections_during(run_chain),
         "blocks_identical": True,
     }
 
@@ -323,7 +343,7 @@ def bench_assemble(program, *, reps: int) -> dict:
 
     return {
         "processors": len(compiled),
-        "blocks": sum(len(one.blocks) for one in compiled),
+        "blocks": sum(len(one.keys) for one in compiled),
         "oracle_seconds": round(oracle_seconds, 6),
         "production_seconds": round(production_seconds, 6),
         "speedup": round(oracle_seconds / production_seconds, 2),
@@ -374,6 +394,52 @@ def bench_emulate(*, reps: int) -> dict:
     }
 
 
+def bench_ahh_params(*, reps: int) -> dict:
+    """Derive the nine AHH parameters of every suite program's reference
+    traces in one array pass and word by word with
+    ``repro.oracles.granules``; the parameters must be equal."""
+    cases = []
+    for name in BENCHMARK_NAMES:
+        pipeline = get_pipeline(name, BENCH_SETTINGS)
+        ref = pipeline.reference_artifacts()
+        cases.append(
+            (
+                name,
+                (
+                    ref.instruction_trace,
+                    ref.unified_trace,
+                    pipeline.i_granule,
+                    pipeline.u_granule,
+                ),
+            )
+        )
+
+    def run_with(derive):
+        return [derive(*args) for _, args in cases]
+
+    oracle_seconds = _best_time(
+        lambda: run_with(oracle_granules.derive_trace_parameters), reps
+    )
+    production_seconds = _best_time(
+        lambda: run_with(derive_trace_parameters), reps
+    )
+    for (name, _), got, want in zip(
+        cases,
+        run_with(derive_trace_parameters),
+        run_with(oracle_granules.derive_trace_parameters),
+    ):
+        assert got == want, f"{name}: AHH parameters differ from the oracle's"
+
+    return {
+        "programs": len(cases),
+        "unified_ranges": sum(len(args[1]) for _, args in cases),
+        "oracle_seconds": round(oracle_seconds, 6),
+        "production_seconds": round(production_seconds, 6),
+        "speedup": round(oracle_seconds / production_seconds, 2),
+        "parameters_identical": True,
+    }
+
+
 def host_probe_seconds() -> float:
     """One perfbench host-probe point: the median of three kernel runs
     with the garbage collector off."""
@@ -391,6 +457,7 @@ def run_benchmark(*, reps: int = 5) -> dict:
     compile_space = bench_compile(pipeline.workload.program, reps=reps)
     assemble_space = bench_assemble(pipeline.workload.program, reps=reps)
     emulate_suite = bench_emulate(reps=reps)
+    ahh_params = bench_ahh_params(reps=reps)
     return {
         "workload": "epic",
         "timing_reps": reps,
@@ -403,6 +470,7 @@ def run_benchmark(*, reps: int = 5) -> dict:
         "compile_design_space": compile_space,
         "assemble_design_space": assemble_space,
         "emulate_suite": emulate_suite,
+        "ahh_params": ahh_params,
     }
 
 
@@ -417,6 +485,7 @@ def render(report: dict) -> str:
     comp = report["compile_design_space"]
     asm = report["assemble_design_space"]
     emu = report["emulate_suite"]
+    ahh = report["ahh_params"]
     return "\n".join(
         [
             f"exploration-layer benchmark — workload={report['workload']} "
@@ -437,8 +506,9 @@ def render(report: dict) -> str:
             f"({comp['blocks']:,} blocks): per-block oracle "
             f"{comp['oracle_seconds']:.3f}s -> array pass "
             f"{comp['seconds']:.3f}s "
-            f"({comp['speedup']:.2f}x, blocks identical; "
-            f"{comp['tracked_objects']:,} tracked objects left, "
+            f"({comp['speedup']:.2f}x, blocks identical; compile, "
+            f"assemble and link leave {comp['tracked_objects']:,} tracked "
+            f"objects, "
             f"collections {comp['gc_collections']})",
             f"  [report] assembly of {asm['processors']} processors "
             f"({asm['blocks']:,} blocks): per-instruction oracle "
@@ -450,6 +520,11 @@ def render(report: dict) -> str:
             f"oracle {emu['oracle_seconds']:.3f}s -> "
             f"production {emu['production_seconds']:.3f}s "
             f"({emu['speedup']:.1f}x, traces identical)",
+            f"  [report] AHH parameters of {ahh['programs']} suite programs "
+            f"({ahh['unified_ranges']:,} unified ranges): word-by-word "
+            f"oracle {ahh['oracle_seconds']:.3f}s -> array pass "
+            f"{ahh['production_seconds']:.3f}s "
+            f"({ahh['speedup']:.1f}x, parameters identical)",
         ]
     )
 

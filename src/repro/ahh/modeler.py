@@ -7,6 +7,11 @@ trace into fixed-size granules and then separately sort the instruction
 and data addresses" — so a granule closes when the *combined* reference
 count reaches the unified granule size.
 
+Both modelers buffer the segments they are fed and measure every
+granule at :meth:`finalize` in one array pass
+(:func:`~repro.ahh.granules.granule_table`); the word-at-a-time
+modelers they replace are the oracles in :mod:`repro.oracles.granules`.
+
 Default granule sizes scale the paper's 10,000 / 200,000 down to match
 the shorter synthetic traces (Section 4 scaling note in DESIGN.md).
 """
@@ -15,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ahh.granules import GranuleAccumulator, granule_statistics
+from repro.ahh.granules import AverageStats, GranuleAccumulator, granule_table
 from repro.ahh.params import ComponentParameters, TraceParameters
 from repro.cache.config import WORD_BYTES
 from repro.errors import ConfigurationError, ModelError
-from repro.trace.ranges import KIND_DATA, KIND_INSTR, RangeTrace
+from repro.trace.ranges import KIND_INSTR, RangeTrace
 
 #: Default instruction-trace granule, in word references.
 DEFAULT_I_GRANULE = 2_000
@@ -42,23 +47,18 @@ class ItraceModeler:
 
     def finalize(self) -> ComponentParameters:
         """Average the accumulated granules into (u(1), p1, lav)."""
-        stats = self._acc.finalize()
-        return ComponentParameters(
-            u1=stats.u1,
-            p1=stats.p1,
-            lav=stats.lav,
-            granule_size=self._acc.granule_size,
-            granules=stats.granules,
-        )
+        return _parameters(self._acc.finalize(), self._acc.granule_size)
 
 
 class UtraceModeler:
     """Measure per-component (u(1), p1, lav) of a unified range trace.
 
-    Granule boundaries are shared: a granule closes when the combined
-    instruction + data word-reference count reaches the granule size; the
-    instruction and data address sets of that granule are then processed
-    separately (Section 4.3).
+    Granule boundaries are shared: a granule closes at the first range
+    that brings the combined instruction + data word-reference count to
+    the granule size; the instruction and data address sets of that
+    granule are then processed separately (Section 4.3).  Segments fed
+    with :meth:`process_trace` are buffered and measured together by
+    :meth:`finalize`, so any cut of a trace gives the same parameters.
     """
 
     def __init__(self, granule_size: int = DEFAULT_U_GRANULE):
@@ -67,58 +67,76 @@ class UtraceModeler:
                 f"granule size must be >= 2, got {granule_size}"
             )
         self.granule_size = granule_size
-        self._i_words: list[int] = []
-        self._d_words: list[int] = []
-        self._count = 0
-        self._i_stats: list = []
-        self._d_stats: list = []
+        self._segments: list[RangeTrace] = []
 
     def process_trace(self, trace: RangeTrace) -> None:
         """Feed a trace segment in event order."""
-        starts = trace.starts.tolist()
-        sizes = trace.sizes.tolist()
-        kinds = trace.kinds.tolist()
-        for start, size, kind in zip(starts, sizes, kinds):
-            first = start // WORD_BYTES
-            last = (start + size - 1) // WORD_BYTES
-            words = range(first, last + 1)
-            if kind == KIND_INSTR:
-                self._i_words.extend(words)
-            else:
-                self._d_words.extend(words)
-            self._count += last - first + 1
-            if self._count >= self.granule_size:
-                self._close_granule()
-
-    def _close_granule(self) -> None:
-        self._i_stats.append(granule_statistics(self._i_words))
-        self._d_stats.append(granule_statistics(self._d_words))
-        self._i_words.clear()
-        self._d_words.clear()
-        self._count = 0
+        self._segments.append(trace)
 
     def finalize(self) -> tuple[ComponentParameters, ComponentParameters]:
         """Return (instruction component, data component) parameters."""
-        if self._count >= self.granule_size // 2:
-            self._close_granule()
-        if not self._i_stats:
-            raise ModelError(
-                "no complete unified granule; trace shorter than half a "
-                f"granule ({self.granule_size} references)"
-            )
-        return (
-            _average(self._i_stats, self.granule_size),
-            _average(self._d_stats, self.granule_size),
+        return unified_parameters(
+            RangeTrace.concatenate(self._segments), self.granule_size
         )
 
 
-def _average(stats: list, granule_size: int) -> ComponentParameters:
-    u1 = float(np.mean([g.unique for g in stats]))
-    ratios = [g.isolated / g.unique for g in stats if g.unique > 0]
-    p1 = float(np.mean(ratios)) if ratios else 0.0
-    lav = float(np.mean([g.mean_run_length for g in stats]))
+def unified_parameters(
+    trace: RangeTrace, granule_size: int
+) -> tuple[ComponentParameters, ComponentParameters]:
+    """(instruction, data) parameters of a unified trace, every granule
+    measured in one array pass.
+
+    The trace's words come from one ``repeat``/``arange`` expansion.
+    Granule ends are found by a ``searchsorted`` walk over the
+    cumulative word counts of the ranges: a granule ends at the first
+    range whose words bring it to ``granule_size``, and a trailing
+    granule counts when it holds at least half that.
+    """
+    first = trace.starts // WORD_BYTES
+    counts = (trace.starts + trace.sizes - 1) // WORD_BYTES - first + 1
+    total = np.cumsum(counts)
+    ends: list[int] = []
+    done = 0
+    while True:
+        end = int(np.searchsorted(total, done + granule_size))
+        if end == len(total):
+            break
+        ends.append(end)
+        done = int(total[end])
+    if len(total) and int(total[-1]) - done >= granule_size // 2:
+        ends.append(len(total) - 1)
+    if not ends:
+        raise ModelError(
+            "no complete unified granule; trace shorter than half a "
+            f"granule ({granule_size} references)"
+        )
+    kept = ends[-1] + 1
+    counts = counts[:kept]
+    granule = np.repeat(
+        np.searchsorted(np.asarray(ends), np.arange(kept)), counts
+    )
+    words = np.repeat(first[:kept] - (total[:kept] - counts), counts)
+    words += np.arange(len(words))
+    instr = np.repeat(trace.kinds[:kept] == KIND_INSTR, counts)
+    return (
+        _parameters(
+            granule_table(words[instr], granule[instr], len(ends)).averages(),
+            granule_size,
+        ),
+        _parameters(
+            granule_table(words[~instr], granule[~instr], len(ends)).averages(),
+            granule_size,
+        ),
+    )
+
+
+def _parameters(stats: AverageStats, granule_size: int) -> ComponentParameters:
     return ComponentParameters(
-        u1=u1, p1=p1, lav=lav, granule_size=granule_size, granules=len(stats)
+        u1=stats.u1,
+        p1=stats.p1,
+        lav=stats.lav,
+        granule_size=granule_size,
+        granules=stats.granules,
     )
 
 

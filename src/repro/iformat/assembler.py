@@ -6,22 +6,25 @@ absorbed by the previous instruction's multi-no-op field; runs of empty
 cycles longer than the field encodes become explicit no-op instructions.
 Blocks are sized from their schedule's instruction *mix* (each distinct
 per-class op count and how many instructions issue it) and the no-ops
-in closed form; the per-instruction assembler is the oracle in
-:mod:`repro.oracles.assembler`.
+in closed form, all blocks of a program at once: one template is
+selected per distinct packed mix of the compiled program's mix runs,
+and the widths are summed per block with one ``add.at``.  The
+per-instruction assembler is the oracle in :mod:`repro.oracles.assembler`.
 
-The output — a relocatable object per procedure with per-block sizes — is
-what the linker lays out and what the dilation measurement compares
-across processors.
+The output — per-block sizes, instruction counts and no-op counts as
+arrays in layout order, with :class:`AssembledBlock` records made on
+demand — is what the linker lays out and what the dilation measurement
+compares across processors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import mul
+from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.iformat.format_synth import InstructionFormat, synthesize_format
-from repro.isa.operations import unpack_mix
 from repro.vliwcomp.compile import CompiledProgram
 
 
@@ -34,18 +37,65 @@ class AssembledBlock(NamedTuple):
     explicit_noops: int
 
 
-@dataclass
+@dataclass(eq=False)
 class AssembledProgram:
-    """All procedures of a program, assembled for one processor."""
+    """All procedures of a program, assembled for one processor.
+
+    Block ``k`` is ``keys[k]`` (layout order; ``index`` maps each key
+    back to its ``k``): ``sizes[k]`` bytes, ``instructions[k]``
+    instructions and ``explicit_noops[k]`` explicit no-ops.
+    :class:`AssembledBlock` records are made on demand by
+    :attr:`blocks`.
+    """
 
     iformat: InstructionFormat
-    # (procedure name, block id) -> AssembledBlock, in layout order.
-    blocks: dict[tuple[str, int], AssembledBlock] = field(default_factory=dict)
+    keys: list[tuple[str, int]]
+    index: dict[tuple[str, int], int]
+    sizes: np.ndarray
+    instructions: np.ndarray
+    explicit_noops: np.ndarray
+
+    @classmethod
+    def from_blocks(
+        cls,
+        iformat: InstructionFormat,
+        blocks: dict[tuple[str, int], AssembledBlock],
+    ) -> "AssembledProgram":
+        """The arrays of assembled blocks given one by one, in the
+        mapping's order."""
+        keys = list(blocks)
+        table = np.array(
+            [(b.size_bytes, b.instructions, b.explicit_noops)
+             for b in blocks.values()],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        return cls(
+            iformat=iformat,
+            keys=keys,
+            index={key: k for k, key in enumerate(keys)},
+            sizes=table[:, 0],
+            instructions=table[:, 1],
+            explicit_noops=table[:, 2],
+        )
+
+    @property
+    def blocks(self) -> dict[tuple[str, int], AssembledBlock]:
+        """Every block's record by key, in layout order, made on demand
+        (a new dict on each call)."""
+        return {
+            key: AssembledBlock(key[1], size, instructions, noops)
+            for key, size, instructions, noops in zip(
+                self.keys,
+                self.sizes.tolist(),
+                self.instructions.tolist(),
+                self.explicit_noops.tolist(),
+            )
+        }
 
     @property
     def text_bytes(self) -> int:
         """Total encoded text size (pre-linking, no alignment padding)."""
-        return sum(b.size_bytes for b in self.blocks.values())
+        return int(self.sizes.sum())
 
 
 def assemble(
@@ -57,46 +107,34 @@ def assemble(
     program's processor.
 
     A block's size is the sum over its schedule's instruction mix of
-    count x template width.  Its stall cycles are spread evenly over
-    the gaps after its ``n`` instructions, so the gaps differ by at most
-    one cycle and each multi-no-op field absorbs up to ``max_noop_run``
-    of them: the explicit no-ops come to ``max(0, stalls - n *
-    max_noop_run)``.
+    count x template width: the width is looked up once per distinct
+    packed mix of the program, and every block summed at once.  Its
+    stall cycles are spread evenly over the gaps after its ``n``
+    instructions, so the gaps differ by at most one cycle and each
+    multi-no-op field absorbs up to ``max_noop_run`` of them: the
+    explicit no-ops come to ``max(0, stalls - n * max_noop_run)``.
     """
     if iformat is None:
         iformat = synthesize_format(compiled.mdes)
-    width_of = _MixWidths(iformat).__getitem__
     noop_bytes = iformat.noop_instruction_bytes()
-    noop_run = iformat.max_noop_run
-    blocks = {}
-    for key, cblock in compiled.blocks.items():
-        schedule = cblock.schedule
-        mix = schedule.mix
-        n_instr = schedule.num_instructions
-        noops = max(0, schedule.cycles - n_instr * (1 + noop_run))
-        size = sum(map(mul, mix.values(), map(width_of, mix)))
-        size += noops * noop_bytes
-        if not size:
-            # An empty block (no operations) still occupies one no-op
-            # so that it has a distinct address.
-            size = noop_bytes
-        blocks[key] = AssembledBlock(cblock.block_id, size, n_instr, noops)
-    return AssembledProgram(iformat=iformat, blocks=blocks)
-
-
-class _MixWidths(dict):
-    """One format's table of instruction width in bytes per packed mix
-    (:func:`~repro.isa.operations.pack_mix`), filled as mixes are first
-    looked up."""
-
-    def __init__(self, iformat: InstructionFormat):
-        super().__init__()
-        self._iformat = iformat
-
-    def __missing__(self, mix: int) -> int:
-        iformat = self._iformat
-        width = iformat.template_width_bytes(
-            iformat.template_for(unpack_mix(mix))
-        )
-        self[mix] = width
-        return width
+    mixes, which = np.unique(compiled.mix_packed, return_inverse=True)
+    widths = iformat.mix_widths_bytes(mixes)
+    n_blocks = len(compiled.keys)
+    sizes = np.zeros(n_blocks, dtype=np.int64)
+    np.add.at(sizes, compiled.mix_block, compiled.mix_count * widths[which])
+    instructions = compiled.num_instructions
+    noops = np.maximum(
+        0, compiled.cycles - instructions * (1 + iformat.max_noop_run)
+    )
+    sizes += noops * noop_bytes
+    # An empty block (no operations) still occupies one no-op so that
+    # it has a distinct address.
+    sizes[sizes == 0] = noop_bytes
+    return AssembledProgram(
+        iformat=iformat,
+        keys=compiled.keys,
+        index=compiled.index,
+        sizes=sizes,
+        instructions=instructions,
+        explicit_noops=noops,
+    )

@@ -24,8 +24,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from repro.errors import EncodingError
-from repro.isa.operations import OP_CLASSES, OpClass
+from repro.isa.operations import MIX_FIELD_BITS, OP_CLASSES, OpClass
 from repro.machine.mdes import MachineDescription
 
 #: Multi-no-op field width: up to 2**value - 1 empty cycles encoded free.
@@ -146,6 +148,44 @@ class InstructionFormat:
                 f"{ {c.value: n for c, n in op_counts.items() if n} }"
             )
         return best
+
+    def mix_widths_bytes(self, mixes: np.ndarray) -> np.ndarray:
+        """Byte width of the template :meth:`template_for` selects for
+        each packed instruction mix (see
+        :func:`~repro.isa.operations.pack_mix`), all at once: the first
+        covering template in selection order.  A mix no template covers
+        raises :class:`EncodingError`, as :meth:`template_for` does."""
+        mixes = np.asarray(mixes, dtype=np.uint64)
+        shifts = np.arange(len(OP_CLASSES), dtype=np.uint64) * np.uint64(
+            MIX_FIELD_BITS
+        )
+        counts = (mixes[:, None] >> shifts) & np.uint64((1 << MIX_FIELD_BITS) - 1)
+        slots, widths = self._by_preference
+        covers = (counts[:, None, :] <= slots[None, :, :]).all(axis=2)
+        covered = covers.any(axis=1)
+        if not covered.all():
+            self.template_for(tuple(counts[np.argmin(covered)].tolist()))
+        return widths[covers.argmax(axis=1)]
+
+    @cached_property
+    def _by_preference(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every template's slots and byte width, in selection order:
+        fewest bits, then most slots, then library order."""
+        order = sorted(
+            range(len(self.templates)),
+            key=lambda i: (
+                self.template_width_bits(self.templates[i]),
+                -self.templates[i].total_slots,
+                i,
+            ),
+        )
+        ranked = [self.templates[i] for i in order]
+        return (
+            np.array([t.slots for t in ranked], dtype=np.uint64).reshape(
+                -1, len(OP_CLASSES)
+            ),
+            np.array([self.template_width_bytes(t) for t in ranked], dtype=np.int64),
+        )
 
     @cached_property
     def _selected(self) -> dict[tuple[int, ...], Template]:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cache.config import WORD_BYTES
 from repro.errors import TraceError
 from repro.iformat.assembler import AssembledProgram
@@ -135,26 +137,45 @@ def link(
         base=base,
         index=index if shared else {},
     )
-    index, starts, sizes = binary.index, binary.starts, binary.sizes
-    cursor = base
+    # Entries and branch targets start on a packet boundary.
+    aligned: list[bool] = []
     for proc_name, block_order in plan:
-        proc = program.procedure(proc_name)
-        targets = _branch_targets(proc, block_order)
-        for layout_pos, block_id in enumerate(block_order):
-            is_entry = layout_pos == 0
-            if is_entry or block_id in targets:
-                cursor = _align(cursor, packet_bytes)
-            else:
-                cursor = _align(cursor, WORD_BYTES)
-            key = (proc_name, block_id)
-            if not shared:
-                if key in index:
+        targets = _branch_targets(program.procedure(proc_name), block_order)
+        aligned += [
+            not position or block_id in targets
+            for position, block_id in enumerate(block_order)
+        ]
+    if not shared:
+        for proc_name, block_order in plan:
+            for block_id in block_order:
+                key = (proc_name, block_id)
+                if key in binary.index:
                     raise TraceError(f"duplicate block image {key}")
-                index[key] = len(starts)
-            size = _align(assembled.blocks[key].size_bytes, WORD_BYTES)
-            starts.append(cursor)
-            sizes.append(size)
-            cursor += size
+                binary.index[key] = len(binary.index)
+    if shared and assembled.index is index:
+        rows = np.arange(len(index))
+    else:
+        position = assembled.index
+        rows = np.fromiter(
+            (position[key] for key in binary.index), np.int64, len(binary.index)
+        )
+    sizes = _aligned(assembled.sizes[rows], WORD_BYTES)
+    if not len(sizes):
+        return binary
+    # Every size is whole words, so only the packet-aligned blocks pad:
+    # each starts a segment laid out back to back.
+    first = np.flatnonzero(aligned)
+    cursor = base
+    segment_starts = []
+    for size in np.add.reduceat(sizes, first).tolist():
+        cursor = _align(cursor, packet_bytes)
+        segment_starts.append(cursor)
+        cursor += size
+    before = np.cumsum(sizes) - sizes
+    lengths = np.diff(first, append=len(sizes))
+    starts = np.repeat(np.array(segment_starts) - before[first], lengths) + before
+    binary.starts[:] = starts.tolist()
+    binary.sizes[:] = sizes.tolist()
     return binary
 
 
@@ -204,3 +225,7 @@ def _branch_targets(proc, block_order: list[int]) -> set[int]:
 
 def _align(value: int, quantum: int) -> int:
     return (value + quantum - 1) // quantum * quantum
+
+
+def _aligned(values: np.ndarray, quantum: int) -> np.ndarray:
+    return (values + quantum - 1) // quantum * quantum

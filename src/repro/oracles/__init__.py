@@ -22,6 +22,11 @@ than behind production mode switches:
 * :func:`~repro.oracles.assembler.assemble` — the per-instruction
   assembler, one template selection per VLIW instruction and the stall
   cycles spread gap by gap;
+* :func:`~repro.oracles.granules.derive_trace_parameters` — the AHH
+  parameters word by word: the streaming
+  :class:`~repro.oracles.granules.GranuleAccumulator` and the
+  range-by-range :class:`~repro.oracles.granules.UnifiedModeler`, each
+  granule measured as it closes;
 * :class:`~repro.oracles.encoding.InstructionCodec` — the bit-level
   instruction encoder/decoder, whose encoded lengths check the
   assembler's template widths;

@@ -22,10 +22,13 @@ def assemble(
     """Assemble every block of ``compiled``, one instruction at a time."""
     if iformat is None:
         iformat = synthesize_format(compiled.mdes)
-    assembled = AssembledProgram(iformat=iformat)
-    for key, cblock in compiled.blocks.items():
-        assembled.blocks[key] = assemble_block(cblock, iformat)
-    return assembled
+    return AssembledProgram.from_blocks(
+        iformat,
+        {
+            key: assemble_block(cblock, iformat)
+            for key, cblock in compiled.blocks.items()
+        },
+    )
 
 
 def assemble_block(

@@ -307,7 +307,7 @@ def compile_program(program: Program, mdes: MachineDescription) -> CompiledProgr
         if processor.has_speculation
         else 0
     )
-    compiled = CompiledProgram(program=program, mdes=mdes)
+    blocks: dict[tuple[str, int], CompiledBlock] = {}
     for proc in program.procedures.values():
         for blk in proc.blocks:
             operations = tuple(blk.operations)
@@ -325,7 +325,7 @@ def compile_program(program: Program, mdes: MachineDescription) -> CompiledProgr
             if spills:
                 operations = (*operations, *_spill_ops(spills))
                 schedule = schedule_block(list(operations), mdes)
-            compiled.blocks[(proc.name, blk.block_id)] = CompiledBlock(
+            blocks[(proc.name, blk.block_id)] = CompiledBlock(
                 block_id=blk.block_id,
                 operations=operations,
                 schedule=schedule,
@@ -333,4 +333,4 @@ def compile_program(program: Program, mdes: MachineDescription) -> CompiledProgr
                 spill_ops=spills,
                 predicted_successor=predicted,
             )
-    return compiled
+    return CompiledProgram.from_blocks(program, mdes, blocks)

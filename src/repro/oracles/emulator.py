@@ -32,7 +32,7 @@ from repro.isa.program import Program
 from repro.isa.validate import validate_program
 from repro.trace.datamodel import DataAddressModel, StreamSpec
 from repro.trace.events import EventTrace
-from repro.vliwcomp.compile import CompiledProgram
+from repro.vliwcomp.compile import CompiledBlock, CompiledProgram
 from repro.vliwcomp.regalloc import SPILL_STREAM
 
 __all__ = [
@@ -256,6 +256,8 @@ class ScalarEmulator:
         data = ScalarDataAddressModel(self.streams, seed=self.seed)
         builder = EventTraceBuilder()
         program = self.program
+        # The compiled blocks, each made once.
+        blocks = None if compiled is None else compiled.blocks
 
         stack = [_Frame(program.entry, program.entry_procedure.entry.block_id)]
         while stack and builder.n_visits < max_visits:
@@ -275,8 +277,8 @@ class ScalarEmulator:
                             op.stream,
                             is_write=op.is_store,
                         )
-                if compiled is not None:
-                    self._decorate(builder, data, compiled, frame)
+                if blocks is not None:
+                    self._decorate(builder, data, blocks, frame)
                 builder.end_visit()
                 frame.state = _CALLS
                 frame.call_index = 0
@@ -300,11 +302,11 @@ class ScalarEmulator:
         self,
         builder: EventTraceBuilder,
         data: ScalarDataAddressModel,
-        compiled: CompiledProgram,
+        blocks: dict[tuple[str, int], CompiledBlock],
         frame: _Frame,
     ) -> None:
         """Append spill and speculative references for this visit."""
-        cblock = compiled.blocks.get((frame.proc_name, frame.block_id))
+        cblock = blocks.get((frame.proc_name, frame.block_id))
         if cblock is None:
             raise TraceError(
                 f"compiled program lacks block "

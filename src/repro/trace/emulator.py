@@ -163,10 +163,11 @@ class _RefTemplates:
     memory operations in order (draws), then, when decorating, the
     compiled block's spill operations (alternating store/load draws on
     the spill stream) and its speculative loads (peeks, or wrong-path
-    reads on even positions when the visit's branch was mispredicted).
-    ``predicted[i]`` is the plan index of the compiler's predicted
-    successor (read only for blocks with one); ``missing[i]`` marks a
-    block the compiled program lacks.
+    reads on even positions when the visit's branch was mispredicted),
+    both read from the compiled program's arrays.  ``predicted[i]`` is
+    the plan index of the compiler's predicted successor (read only for
+    blocks with one); ``missing[i]`` marks a block the compiled program
+    lacks.
     """
 
     def __init__(
@@ -179,46 +180,90 @@ class _RefTemplates:
         streams: list[int] = []
         kinds: list[int] = []
         writes: list[bool] = []
-        self.counts = np.zeros(n_blocks, dtype=np.int64)
-        self.predicted = np.full(n_blocks, _NOT_IN_PLAN, dtype=np.int64)
-        self.missing = np.zeros(n_blocks, dtype=bool)
-        for index, (proc_name, blk) in enumerate(program.all_blocks()):
+        counts = np.zeros(n_blocks, dtype=np.int64)
+        for index, (_, blk) in enumerate(program.all_blocks()):
             before = len(streams)
             for op in blk.operations:
                 if op.is_memory:
                     streams.append(op.stream)
                     kinds.append(DRAW)
                     writes.append(op.is_store)
-            if compiled is not None:
-                cblock = compiled.blocks.get((proc_name, blk.block_id))
-                if cblock is None:
-                    self.missing[index] = True
-                else:
-                    for spill in range(cblock.spill_ops):
-                        streams.append(SPILL_STREAM)
-                        kinds.append(DRAW)
-                        writes.append(spill % 2 == 0)
-                    predicted = cblock.predicted_successor
-                    if predicted is not None:
-                        self.predicted[index] = plan.index(
-                            proc_name, predicted
-                        )
-                    for position, stream in enumerate(
-                        cblock.speculative_streams
-                    ):
-                        streams.append(stream)
-                        kinds.append(
-                            _PEEK_OR_WRONG
-                            if predicted is not None and position % 2 == 0
-                            else PEEK
-                        )
-                        writes.append(False)
-            self.counts[index] = len(streams) - before
+            counts[index] = len(streams) - before
+        self.predicted = np.full(n_blocks, _NOT_IN_PLAN, dtype=np.int64)
+        self.missing = np.zeros(n_blocks, dtype=bool)
+        parts = [
+            (
+                np.repeat(np.arange(n_blocks), counts),
+                np.asarray(streams, dtype=np.int32),
+                np.asarray(kinds, dtype=np.int8),
+                np.asarray(writes, dtype=bool),
+            )
+        ]
+        if compiled is not None:
+            parts += self._decorations(plan, compiled)
+        block = np.concatenate([part[0] for part in parts])
+        order = np.argsort(block, kind="stable")
+        self.counts = np.bincount(block, minlength=n_blocks)
         self.starts = np.zeros(n_blocks, dtype=np.int64)
         np.cumsum(self.counts[:-1], out=self.starts[1:])
-        self.streams = np.asarray(streams, dtype=np.int32)
-        self.kinds = np.asarray(kinds, dtype=np.int8)
-        self.writes = np.asarray(writes, dtype=bool)
+        self.streams = np.concatenate([part[1] for part in parts])[order]
+        self.kinds = np.concatenate([part[2] for part in parts])[order]
+        self.writes = np.concatenate([part[3] for part in parts])[order]
+
+    def _decorations(self, plan: _BlockPlan, compiled: CompiledProgram) -> list:
+        """The spill and speculative rows (block, stream, kind, write)
+        of every block in the compiled program, and its predictions."""
+        if compiled.keys == plan.keys:
+            rows = np.arange(len(plan.keys))
+            plan_of = rows
+        else:
+            rows = np.fromiter(
+                (compiled.index.get(key, -1) for key in plan.keys),
+                np.int64,
+                len(plan.keys),
+            )
+            plan_of = np.fromiter(
+                (plan.index(*key) for key in compiled.keys),
+                np.int64,
+                len(compiled.keys),
+            )
+        self.missing = rows < 0
+        block = np.flatnonzero(~self.missing)
+        rows = rows[block]
+        predicted = compiled.predicted[rows]
+        guessed = predicted >= 0
+        self.predicted[block[guessed]] = plan_of[predicted[guessed]]
+
+        spills = compiled.spill_ops[rows]
+        spill_rank = _ranks(spills)
+        spill_rows = (
+            np.repeat(block, spills),
+            np.full(len(spill_rank), SPILL_STREAM, dtype=np.int32),
+            np.full(len(spill_rank), DRAW, dtype=np.int8),
+            spill_rank % 2 == 0,
+        )
+        bounds = compiled.speculative_bounds
+        hoisted = bounds[rows + 1] - bounds[rows]
+        rank = _ranks(hoisted)
+        at = np.repeat(bounds[rows], hoisted) + rank
+        speculative_rows = (
+            np.repeat(block, hoisted),
+            compiled.speculative[at].astype(np.int32),
+            np.where(
+                np.repeat(guessed, hoisted) & (rank % 2 == 0),
+                _PEEK_OR_WRONG,
+                PEEK,
+            ).astype(np.int8),
+            np.zeros(len(at), dtype=bool),
+        )
+        return [spill_rows, speculative_rows]
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for each count ``c``, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
 
 
 class Emulator:

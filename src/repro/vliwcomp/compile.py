@@ -13,7 +13,10 @@
 
 The result feeds three consumers: the assembler (instruction encoding and
 code size), the emulator's trace decoration (spill/speculative data
-references) and the hierarchy evaluator (processor cycles).
+references) and the hierarchy evaluator (processor cycles).  It is kept
+as per-block arrays in layout order, from the scheduler through the
+linker; a :class:`CompiledBlock` record is made only when one is asked
+for.
 
 Every compilation goes through a :class:`BlockMemo`, the program's
 operations as flat arrays and its dependence graphs; a design-space
@@ -26,8 +29,9 @@ spill.  The per-block compiler this replaces is the oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,9 +39,15 @@ from repro.errors import ConfigurationError
 from repro.isa.operations import OP_CLASSES, Operation, make_load, make_store
 from repro.isa.program import BasicBlock, Procedure, Program
 from repro.machine.mdes import MachineDescription
-from repro.vliwcomp.depgraph import BlockGraphs, FlatOps, build_graphs, flat_ops
+from repro.vliwcomp.depgraph import (
+    _MEMORY,
+    BlockGraphs,
+    FlatOps,
+    build_graphs,
+    flat_ops,
+)
 from repro.vliwcomp.regalloc import SPILL_STREAM, register_budget, spill_ops
-from repro.vliwcomp.scheduler import BlockSchedule, schedule_graphs
+from repro.vliwcomp.scheduler import BlockSchedule, runs_mix, schedule_graphs
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,17 +74,125 @@ class CompiledBlock:
         return self.schedule.num_instructions
 
 
-@dataclass
+@dataclass(eq=False)
 class CompiledProgram:
-    """A whole program compiled for one processor."""
+    """A whole program compiled for one processor, as per-block arrays.
+
+    Block ``k`` is ``keys[k]`` (layout order; ``index`` maps each key
+    back to its ``k``).  Its ops ``op_bounds[k]:op_bounds[k + 1]``
+    issue in the instructions ``ordinals`` holds for them; it takes
+    ``cycles[k]`` issue cycles and ``num_instructions[k]`` instructions,
+    has ``spill_ops[k]`` spill ops appended, and the loads it hoisted
+    from its predicted successor, block ``predicted[k]`` (-1 for none),
+    read the streams ``speculative[speculative_bounds[k]:
+    speculative_bounds[k + 1]]``.  The mixes are runs: ``mix_count[r]``
+    instructions of block ``mix_block[r]`` issue packed mix
+    ``mix_packed[r]``, ordered by block.  :class:`CompiledBlock` records
+    are made on demand by :meth:`block` and :attr:`blocks`, with the
+    operations from ``operations_of(k)``.
+    """
 
     program: Program
     mdes: MachineDescription
-    blocks: dict[tuple[str, int], CompiledBlock] = field(default_factory=dict)
+    keys: list[tuple[str, int]]
+    index: dict[tuple[str, int], int]
+    op_bounds: np.ndarray
+    ordinals: np.ndarray
+    cycles: np.ndarray
+    num_instructions: np.ndarray
+    spill_ops: np.ndarray
+    predicted: np.ndarray
+    speculative: np.ndarray
+    speculative_bounds: np.ndarray
+    mix_block: np.ndarray
+    mix_packed: np.ndarray
+    mix_count: np.ndarray
+    operations_of: Callable[[int], tuple[Operation, ...]]
+
+    @classmethod
+    def from_blocks(
+        cls,
+        program: Program,
+        mdes: MachineDescription,
+        blocks: dict[tuple[str, int], CompiledBlock],
+    ) -> "CompiledProgram":
+        """The arrays of compiled blocks given one by one, in the
+        mapping's order; a predicted successor must be among them."""
+        keys = list(blocks)
+        index = {key: k for k, key in enumerate(keys)}
+        records = list(blocks.values())
+        schedules = [block.schedule for block in records]
+        mixes = [sorted(schedule.mix.items()) for schedule in schedules]
+        try:
+            predicted = [
+                -1 if block.predicted_successor is None
+                else index[(name, block.predicted_successor)]
+                for (name, _), block in zip(keys, records)
+            ]
+        except KeyError as missing:
+            raise ConfigurationError(
+                f"predicted successor {missing} is not a compiled block"
+            ) from None
+        return cls(
+            program=program,
+            mdes=mdes,
+            keys=keys,
+            index=index,
+            op_bounds=_bounds([len(s.ordinals) for s in schedules]),
+            ordinals=np.concatenate(
+                [np.asarray(s.ordinals, dtype=np.int64) for s in schedules]
+                or [np.zeros(0, dtype=np.int64)]
+            ),
+            cycles=_ints([s.cycles for s in schedules]),
+            num_instructions=_ints([s.num_instructions for s in schedules]),
+            spill_ops=_ints([block.spill_ops for block in records]),
+            predicted=_ints(predicted),
+            speculative=_ints(
+                [s for block in records for s in block.speculative_streams]
+            ),
+            speculative_bounds=_bounds(
+                [len(block.speculative_streams) for block in records]
+            ),
+            mix_block=np.repeat(
+                np.arange(len(mixes), dtype=np.int64), [len(m) for m in mixes]
+            ),
+            mix_packed=np.array(
+                [packed for mix in mixes for packed, _ in mix], dtype=np.uint64
+            ),
+            mix_count=_ints([count for mix in mixes for _, count in mix]),
+            operations_of=[block.operations for block in records].__getitem__,
+        )
 
     def block(self, proc_name: str, block_id: int) -> CompiledBlock:
-        """The compiled form of one basic block."""
-        return self.blocks[(proc_name, block_id)]
+        """The compiled form of one basic block, made on demand."""
+        return self.block_at(self.index[(proc_name, block_id)])
+
+    def block_at(self, k: int) -> CompiledBlock:
+        """The compiled form of block ``k`` in layout order."""
+        lo, hi = self.op_bounds[k: k + 2].tolist()
+        first, last = self.speculative_bounds[k: k + 2].tolist()
+        predicted = int(self.predicted[k])
+        return CompiledBlock(
+            block_id=self.keys[k][1],
+            operations=self.operations_of(k),
+            schedule=BlockSchedule(
+                self.ordinals[lo:hi],
+                int(self.cycles[k]),
+                int(self.num_instructions[k]),
+                runs_mix(self.mix_block, self.mix_packed, self.mix_count, k),
+            ),
+            speculative_streams=tuple(self.speculative[first:last].tolist()),
+            spill_ops=int(self.spill_ops[k]),
+            predicted_successor=(
+                None if predicted < 0 else self.keys[predicted][1]
+            ),
+        )
+
+    @property
+    def blocks(self) -> dict[tuple[str, int], CompiledBlock]:
+        """Every block's compiled form by key, in layout order, made on
+        demand (a new dict on each call)."""
+        return {key: self.block_at(k) for k, key in enumerate(self.keys)}
 
     @property
     def processor_name(self) -> str:
@@ -82,11 +200,22 @@ class CompiledProgram:
 
     def total_instructions(self) -> int:
         """VLIW instructions across all blocks (static count)."""
-        return sum(b.num_instructions for b in self.blocks.values())
+        return int(self.num_instructions.sum())
 
     def total_operations(self) -> int:
         """Operations across all blocks, including spill/speculative ones."""
-        return sum(len(b.operations) for b in self.blocks.values())
+        return len(self.ordinals)
+
+
+def _ints(values: list[int]) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+def _bounds(sizes) -> np.ndarray:
+    """Row bounds of consecutive groups of the given sizes."""
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    return bounds
 
 
 def speculation_capacity(issue_width: int) -> int:
@@ -101,6 +230,18 @@ def speculation_capacity(issue_width: int) -> int:
     return max(0, (issue_width - 4 + 1) // 2)
 
 
+class Hoisting(NamedTuple):
+    """Every block's operations with up to one capacity of hoisted
+    loads: the ops, and per block the hoisted loads' streams
+    (``streams[stream_bounds[k]:stream_bounds[k + 1]]``) and the block
+    they came from (``predicted[k]``, -1 when nothing was hoisted)."""
+
+    ops: FlatOps
+    streams: np.ndarray
+    stream_bounds: np.ndarray
+    predicted: np.ndarray
+
+
 class BlockMemo:
     """One :class:`Program`'s operations as flat arrays, shared across
     the processors it is compiled for.
@@ -109,15 +250,16 @@ class BlockMemo:
     as one :class:`~repro.vliwcomp.depgraph.FlatOps`, all built by the
     first compile (so its span pays for them).  Hoisted loads are
     appended ops, so a hoisted-load capacity fixes every block's
-    operation list: per capacity the memo keeps those lists, and per
-    (capacity, latency table) one dependence graph of every block.  The
-    memo serves the one program it was made for and refuses any other.
+    operations: per capacity the memo keeps them as a
+    :class:`Hoisting`, and per (capacity, latency table) one dependence
+    graph of every block.  The memo serves the one program it was made
+    for and refuses any other.
     """
 
     def __init__(self, program: Program):
         self.program = program
         self._graphs: dict[tuple[int, tuple[int, ...]], BlockGraphs] = {}
-        self._operations: dict[int, list[tuple]] = {}
+        self._hoisting: dict[int, Hoisting] = {}
 
     @cached_property
     def blocks(self) -> list[BasicBlock]:
@@ -138,6 +280,17 @@ class BlockMemo:
         """Every block's operations as flat arrays."""
         return flat_ops([blk.operations for blk in self.blocks])
 
+    @cached_property
+    def loads(self) -> np.ndarray:
+        """Flat positions of every load."""
+        return np.flatnonzero(
+            np.fromiter(
+                (op.is_load for blk in self.blocks for op in blk.operations),
+                bool,
+                int(self.ops.bounds[-1]),
+            )
+        )
+
     def check(self, program: Program) -> None:
         """Refuse any program but the one the memo was made for."""
         if program is not self.program:
@@ -147,37 +300,41 @@ class BlockMemo:
             )
 
     @cached_property
-    def successors(self) -> list[tuple[int, tuple[Operation, ...]] | None]:
-        """Per block, its likeliest successor's position and speculative
-        copies of that successor's loads (None without a successor)."""
+    def successor(self) -> np.ndarray:
+        """Per block, its likeliest successor's position (-1 for none)."""
         position = {id(blk): k for k, blk in enumerate(self.blocks)}
-        return [
-            None if succ is None
-            else (position[id(succ)], _speculative_loads(succ))
-            for succ in (
-                _likely_successor(proc, blk.block_id)
-                for proc in self.program.procedures.values()
-                for blk in proc.blocks
-            )
-        ]
-
-    def operations(self, capacity: int) -> list[tuple]:
-        """Per block, its operations with up to ``capacity`` hoisted
-        loads, the hoisted loads' streams and the successor they came
-        from (None when nothing was hoisted)."""
-        found = self._operations.get(capacity)
-        if found is None:
-            hoists = self.successors if capacity else [None] * len(self.blocks)
-            found = self._operations[capacity] = [
-                (tuple(blk.operations), (), None)
-                if hoist is None or not hoist[1]
-                else (
-                    (*blk.operations, *hoist[1][:capacity]),
-                    tuple(op.stream for op in hoist[1][:capacity]),
-                    self.blocks[hoist[0]].block_id,
+        return np.fromiter(
+            (
+                -1 if succ is None else position[id(succ)]
+                for succ in (
+                    _likely_successor(proc, blk.block_id)
+                    for proc in self.program.procedures.values()
+                    for blk in proc.blocks
                 )
-                for blk, hoist in zip(self.blocks, hoists)
-            ]
+            ),
+            np.int64,
+            len(self.blocks),
+        )
+
+    def operations(
+        self, k: int, capacity: int, spills: int
+    ) -> tuple[Operation, ...]:
+        """Block ``k``'s operations with up to ``capacity`` hoisted
+        loads and ``spills`` spill ops appended."""
+        operations = tuple(self.blocks[k].operations)
+        successor = int(self.successor[k])
+        if capacity and successor >= 0:
+            operations += _speculative_loads(self.blocks[successor])[:capacity]
+        if spills:
+            operations += tuple(_spill_ops(spills))
+        return operations
+
+    def hoisting(self, capacity: int) -> Hoisting:
+        """Every block's operations with up to ``capacity`` hoisted
+        loads of its likeliest successor."""
+        found = self._hoisting.get(capacity)
+        if found is None:
+            found = self._hoisting[capacity] = self._hoist(capacity)
         return found
 
     def graphs(self, capacity: int, latencies: tuple[int, ...]) -> BlockGraphs:
@@ -185,41 +342,42 @@ class BlockMemo:
         hoisted loads, for one latency table."""
         key = (capacity, latencies)
         if key not in self._graphs:
-            ops = self.ops
-            if capacity:
-                ops = ops.take(*self._hoisted_positions(capacity))
-            self._graphs[key] = build_graphs(ops, latencies)
+            self._graphs[key] = build_graphs(self.hoisting(capacity).ops, latencies)
         return self._graphs[key]
 
-    def _hoisted_positions(self, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat positions of each block's ops followed by the first
-        ``capacity`` loads of its successor, and the new block bounds."""
-        bounds = self.ops.bounds
-        loads = np.flatnonzero(
-            np.fromiter(
-                (op.is_load for blk in self.blocks for op in blk.operations),
-                bool,
-                int(bounds[-1]),
+    def _hoist(self, capacity: int) -> Hoisting:
+        """Each block's ops followed by the first ``capacity`` loads of
+        its successor."""
+        ops = self.ops
+        bounds = ops.bounds
+        n_blocks = len(bounds) - 1
+        if not capacity:
+            return Hoisting(
+                ops,
+                np.zeros(0, dtype=np.int64),
+                np.zeros(n_blocks + 1, dtype=np.int64),
+                np.full(n_blocks, -1, dtype=np.int64),
             )
-        )
+        loads = self.loads
         first = np.searchsorted(loads, bounds)
-        source = np.array(
-            [-1 if hoist is None else hoist[0] for hoist in self.successors],
-            dtype=np.int64,
-        )
+        source = self.successor
         head = np.diff(bounds)
-        sizes = head + np.where(
+        hoisted = np.where(
             source < 0, 0, np.minimum(np.diff(first)[source], capacity)
         )
-        grown = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=grown[1:])
-        block = np.repeat(np.arange(len(sizes)), sizes)
+        grown = _bounds(head + hoisted)
+        block = np.repeat(np.arange(n_blocks), head + hoisted)
         offset = np.arange(grown[-1]) - grown[block]
         positions = bounds[block] + offset
         hoist = offset >= head[block]
         block = block[hoist]
         positions[hoist] = loads[first[source[block]] + offset[hoist] - head[block]]
-        return positions, grown
+        return Hoisting(
+            ops.take(positions, grown),
+            ops.stream[positions[hoist]],
+            _bounds(hoisted),
+            np.where(hoisted > 0, source, -1),
+        )
 
 
 def compile_program(
@@ -243,61 +401,115 @@ def compile_program(
     )
     latencies = tuple(mdes.latencies[cls] for cls in OP_CLASSES)
     units = [processor.units[cls] for cls in OP_CLASSES]
+    hoisting = memo.hoisting(capacity)
     graphs = memo.graphs(capacity, latencies)
     done = schedule_graphs(graphs, units)
-    bounds = graphs.ops.bounds
-    compiled = CompiledProgram(program=program, mdes=mdes)
-    blocks = compiled.blocks
-    for key, blk, (operations, streams, successor), lo, hi, cycles, count, mix in zip(
-        memo.keys,
-        memo.blocks,
-        memo.operations(capacity),
-        bounds[:-1].tolist(),
-        bounds[1:].tolist(),
-        done.cycles,
-        done.num_instructions,
-        done.mixes,
-    ):
-        blocks[key] = CompiledBlock(
-            blk.block_id,
-            operations,
-            BlockSchedule(done.ordinals[lo:hi], cycles, count, mix),
-            streams,
-            0,
-            successor,
-        )
-
-    # Blocks that spill are rescheduled once with their spill ops
-    # appended.
     spills = spill_ops(graphs, done.ordinals, register_budget(mdes))
+    bounds = graphs.ops.bounds
+    mixes = (done.mix_block, done.mix_packed, done.mix_count)
     spilled = np.flatnonzero(spills)
-    spilled = [
-        (memo.keys[k], blocks[memo.keys[k]], count)
-        for k, count in zip(spilled.tolist(), spills[spilled].tolist())
-    ]
-    if spilled:
-        operations = [
-            (*block.operations, *_spill_ops(count)) for _, block, count in spilled
-        ]
-        again = schedule_graphs(
-            build_graphs(flat_ops(operations), latencies), units
+    if len(spilled):
+        # Blocks that spill are rescheduled once with their spill ops
+        # appended.
+        grown = _with_spills(graphs.ops, spilled, spills[spilled])
+        again = schedule_graphs(build_graphs(grown, latencies), units)
+        bounds, ordinals = _splice(
+            bounds, done.ordinals, spilled, grown.bounds, again.ordinals
         )
-        at = np.cumsum([0, *map(len, operations)]).tolist()
-        for i, (key, block, count) in enumerate(spilled):
-            blocks[key] = CompiledBlock(
-                block.block_id,
-                operations[i],
-                BlockSchedule(
-                    again.ordinals[at[i]: at[i + 1]],
-                    again.cycles[i],
-                    again.num_instructions[i],
-                    again.mixes[i],
-                ),
-                block.speculative_streams,
-                count,
-                block.predicted_successor,
-            )
-    return compiled
+        cycles = done.cycles.copy()
+        cycles[spilled] = again.cycles
+        num_instructions = done.num_instructions.copy()
+        num_instructions[spilled] = again.num_instructions
+        kept = spills[done.mix_block] == 0
+        mix_block = np.concatenate((done.mix_block[kept], spilled[again.mix_block]))
+        order = np.argsort(mix_block, kind="stable")
+        mixes = (
+            mix_block[order],
+            np.concatenate((done.mix_packed[kept], again.mix_packed))[order],
+            np.concatenate((done.mix_count[kept], again.mix_count))[order],
+        )
+    else:
+        ordinals, cycles = done.ordinals, done.cycles
+        num_instructions = done.num_instructions
+    return CompiledProgram(
+        program=program,
+        mdes=mdes,
+        keys=memo.keys,
+        index=program.block_index(),
+        op_bounds=bounds,
+        ordinals=ordinals,
+        cycles=cycles,
+        num_instructions=num_instructions,
+        spill_ops=spills,
+        predicted=hoisting.predicted,
+        speculative=hoisting.streams,
+        speculative_bounds=hoisting.stream_bounds,
+        mix_block=mixes[0],
+        mix_packed=mixes[1],
+        mix_count=mixes[2],
+        operations_of=lambda k: memo.operations(k, capacity, int(spills[k])),
+    )
+
+
+def _with_spills(ops: FlatOps, blocks: np.ndarray, counts: np.ndarray) -> FlatOps:
+    """The ops of ``blocks``, each followed by its count of spill ops
+    (:func:`_spill_ops`), as flat arrays."""
+    head = np.diff(ops.bounds)[blocks]
+    grown = _bounds(head + counts)
+    block = np.repeat(np.arange(len(blocks)), head + counts)
+    offset = np.arange(grown[-1]) - grown[block]
+    spill = offset >= head[block]
+    positions = ops.bounds[blocks][block] + offset
+    positions[spill] = 0
+    i = offset[spill] - head[block[spill]]
+    register = _SPILL_REG_BASE + 2 * i
+    store = i % 2 == 0
+    taken = ops.take(positions, grown)
+    opclass = taken.opclass
+    opclass[spill] = _MEMORY
+    stream = taken.stream
+    stream[spill] = SPILL_STREAM
+    dests = _widened(taken.dests, 1)
+    dests[spill] = -1
+    dests[spill, 0] = np.where(store, -1, register)
+    srcs = _widened(taken.srcs, 2)
+    srcs[spill] = -1
+    srcs[spill, 0] = np.where(store, register, register + 1)
+    srcs[spill, 1] = np.where(store, register + 1, -1)
+    return FlatOps(opclass, stream, dests, srcs, grown)
+
+
+def _widened(registers: np.ndarray, width: int) -> np.ndarray:
+    """A padded register table with at least ``width`` columns."""
+    if registers.shape[1] >= width:
+        return registers
+    out = np.full((len(registers), width), -1, dtype=np.int64)
+    out[:, : registers.shape[1]] = registers
+    return out
+
+
+def _splice(
+    bounds: np.ndarray,
+    ordinals: np.ndarray,
+    blocks: np.ndarray,
+    block_bounds: np.ndarray,
+    block_ordinals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-op ordinals with the rows of ``blocks`` replaced by theirs
+    (``block_ordinals`` grouped by ``block_bounds``), and the new
+    bounds."""
+    sizes = np.diff(bounds)
+    kept = np.ones(len(sizes), dtype=bool)
+    kept[blocks] = False
+    sizes[blocks] = np.diff(block_bounds)
+    grown = _bounds(sizes)
+    out = np.empty(grown[-1], dtype=ordinals.dtype)
+    old = np.repeat(kept, np.diff(bounds))
+    shift = np.repeat(grown[:-1] - bounds[:-1], np.diff(bounds))
+    out[(np.arange(len(ordinals)) + shift)[old]] = ordinals[old]
+    to = np.repeat(grown[blocks] - block_bounds[:-1], np.diff(block_bounds))
+    out[np.arange(len(block_ordinals)) + to] = block_ordinals
+    return grown, out
 
 
 def _likely_successor(proc: Procedure, block_id: int) -> BasicBlock | None:

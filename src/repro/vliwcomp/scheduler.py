@@ -14,7 +14,10 @@ independent, so each one gets exactly the schedule it would get alone
 A schedule records each op's instruction ordinal, the block's
 issue-cycle count (used for processor-cycle estimation) and its
 instruction *mix*: how many instructions issue each per-class op-count
-vector, the quantity the instruction-format assembler encodes.
+vector, the quantity the instruction-format assembler encodes.  For
+every block at once these are arrays (:class:`Schedules`, the mixes as
+(block, packed mix, count) runs); :class:`BlockSchedule` is one block's
+schedule, made on demand.
 """
 
 from __future__ import annotations
@@ -82,13 +85,29 @@ class BlockSchedule:
 
 class Schedules(NamedTuple):
     """Schedules of every block of one graph: each op's instruction
-    ordinal within its block, and per block the issue cycles, the
-    instruction count and the mix."""
+    ordinal within its block, per block the issue cycles and the
+    instruction count, and the mixes as runs: ``mix_count[r]``
+    instructions of block ``mix_block[r]`` issue packed mix
+    ``mix_packed[r]``, ordered by block, then mix."""
 
     ordinals: np.ndarray
-    cycles: list[int]
-    num_instructions: list[int]
-    mixes: list[dict[int, int]]
+    cycles: np.ndarray
+    num_instructions: np.ndarray
+    mix_block: np.ndarray
+    mix_packed: np.ndarray
+    mix_count: np.ndarray
+
+
+def runs_mix(
+    mix_block: np.ndarray,
+    mix_packed: np.ndarray,
+    mix_count: np.ndarray,
+    block: int,
+) -> dict[int, int]:
+    """One block's mix, packed mix to instruction count, from mix runs
+    ordered by block."""
+    lo, hi = np.searchsorted(mix_block, (block, block + 1))
+    return dict(zip(mix_packed[lo:hi].tolist(), mix_count[lo:hi].tolist()))
 
 
 #: The packed mix of one op of each class, indexed like ``OP_CLASSES``.
@@ -194,15 +213,11 @@ def _tabulate(graphs: BlockGraphs, issue: np.ndarray) -> Schedules:
     new = np.ones(len(order), dtype=bool)
     new[1:] = (slot_block[1:] != slot_block[:-1]) | (mixes[1:] != mixes[:-1])
     runs = np.flatnonzero(new)
-    counts = np.diff(runs, append=len(order))
-    per_block: list[dict[int, int]] = [{} for _ in range(n_blocks)]
-    for b, mix, count in zip(
-        slot_block[runs].tolist(), mixes[runs].tolist(), counts.tolist()
-    ):
-        per_block[b][mix] = count
     return Schedules(
         ordinals=ordinals,
-        cycles=cycles.tolist(),
-        num_instructions=np.bincount(slot_block, minlength=n_blocks).tolist(),
-        mixes=per_block,
+        cycles=cycles,
+        num_instructions=np.bincount(slot_block, minlength=n_blocks),
+        mix_block=slot_block[runs],
+        mix_packed=mixes[runs],
+        mix_count=np.diff(runs, append=len(order)),
     )

@@ -9,10 +9,13 @@ from repro.core.hierarchy_eval import (
     processor_cycles,
 )
 from repro.errors import ConfigurationError
+from repro.explore.spec import SystemDesignSpace
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P6332
+from repro.oracles.compiler import compile_program as oracle_compile
 from repro.trace.emulator import emulate
-from repro.vliwcomp.compile import compile_program
+from repro.vliwcomp.compile import BlockMemo, compile_program
+from repro.workloads.suite import load_benchmark
 
 
 class TestMissPenalties:
@@ -88,3 +91,41 @@ class TestEvaluateSystem:
         assert evaluation.total_cycles == (
             evaluation.processor_cycles + 800
         )
+
+
+def per_visit_cycles(compiled, events) -> int:
+    """The per-visit sum ``processor_cycles`` replaced: each visited
+    block's issue cycles, looked up block by block, times its visits."""
+    total = 0
+    for index, count in enumerate(events.visit_frequencies().tolist()):
+        if count:
+            proc_name, block_id = events.blocks[index]
+            total += count * compiled.block(proc_name, block_id).issue_cycles
+    return total
+
+
+class TestProcessorCyclesParity:
+    """The dot product equals the per-visit sum on every design-space
+    processor, over a trace that leaves blocks unvisited."""
+
+    def test_every_epic_processor(self):
+        workload = load_benchmark("epic", scale=0.5)
+        events = emulate(workload.program, workload.streams, seed=5, max_visits=4000)
+        assert len(events.blocks) < workload.program.num_blocks
+        memo = BlockMemo(workload.program)
+        for processor in SystemDesignSpace().processors:
+            compiled = compile_program(
+                workload.program, MachineDescription(processor), memo=memo
+            )
+            assert processor_cycles(compiled, events) == per_visit_cycles(
+                compiled, events
+            ), processor.name
+
+    def test_oracle_compiled_program(self, tiny):
+        events = emulate(tiny.program, tiny.streams, seed=2, max_visits=30)
+        assert len(events.blocks) < tiny.program.num_blocks
+        for processor in (P1111, P6332):
+            compiled = oracle_compile(tiny.program, MachineDescription(processor))
+            assert processor_cycles(compiled, events) == per_visit_cycles(
+                compiled, events
+            )

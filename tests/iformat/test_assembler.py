@@ -64,8 +64,9 @@ class TestAssemble:
     def test_instruction_counts_match_schedule(self, tiny):
         compiled = compile_program(tiny.program, MachineDescription(P1111))
         assembled = assemble(compiled)
+        blocks = compiled.blocks
         for key, ablock in assembled.blocks.items():
-            assert ablock.instructions == compiled.blocks[key].num_instructions
+            assert ablock.instructions == blocks[key].num_instructions
 
 
 def _compiled(ops, mdes, block_id=0):
@@ -77,10 +78,8 @@ def _compiled(ops, mdes, block_id=0):
         speculative_streams=(),
         spill_ops=0,
     )
-    return CompiledProgram(
-        program=Program(name="random"),
-        mdes=mdes,
-        blocks={("main", block_id): block},
+    return CompiledProgram.from_blocks(
+        Program(name="random"), mdes, {("main", block_id): block}
     )
 
 

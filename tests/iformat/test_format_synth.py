@@ -7,7 +7,7 @@ import pytest
 from repro.errors import EncodingError
 from repro.explore.spec import SystemDesignSpace
 from repro.iformat.format_synth import Template, synthesize_format
-from repro.isa.operations import OP_CLASSES, OpClass
+from repro.isa.operations import OP_CLASSES, OpClass, pack_mix
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P2111, P6332
 
@@ -100,14 +100,16 @@ class TestSelection:
     )
     def test_memo_matches_linear_scan(self, processor):
         """Every op count up to one past the widest template: the memoized
-        selection is the scan's, and an uncoverable count raises on
-        every call, not just the first."""
+        selection and the array selection of packed mixes are the
+        scan's, and an uncoverable count raises on every call, not just
+        the first."""
         iformat = synthesize_format(MachineDescription(processor))
         widest = [
             max(t.slots[i] for t in iformat.templates)
             for i in range(len(OP_CLASSES))
         ]
         uncoverable = 0
+        covered, widths = [], []
         for key in itertools.product(*(range(w + 2) for w in widest)):
             counts = {cls: n for cls, n in zip(OP_CLASSES, key) if n}
             try:
@@ -117,10 +119,16 @@ class TestSelection:
                 for _ in range(2):
                     with pytest.raises(EncodingError, match="no template"):
                         iformat.select_template(counts)
+                with pytest.raises(EncodingError, match="no template"):
+                    iformat.mix_widths_bytes([pack_mix(key)])
                 continue
             assert iformat.select_template(counts) == expected, key
             assert iformat.select_template(counts) is expected, key
+            covered.append(pack_mix(key))
+            widths.append(iformat.template_width_bytes(expected))
         assert uncoverable > 0
+        # The array selection of every covered mix at once.
+        assert iformat.mix_widths_bytes(covered).tolist() == widths
         for template in iformat.templates:
             bits = iformat.template_width_bits(template)
             for _ in range(2):

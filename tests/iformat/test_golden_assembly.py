@@ -53,8 +53,9 @@ def suite_digest(assemble_program) -> str:
         for index, mdes in enumerate(mdeses):
             compiled = compile_program(program, mdes, memo=memo)
             assembled = assemble_program(compiled)
-            for key in sorted(assembled.blocks):
-                block = assembled.blocks[key]
+            blocks = assembled.blocks
+            for key in sorted(blocks):
+                block = blocks[key]
                 record = (
                     name,
                     index,

@@ -10,10 +10,13 @@ from repro.machine.accelerator import (
     accelerated_cycles,
     accelerator_cost,
 )
+from repro.explore.spec import SystemDesignSpace
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111
+from repro.oracles.compiler import compile_program as oracle_compile
 from repro.trace.emulator import emulate
-from repro.vliwcomp.compile import compile_program
+from repro.vliwcomp.compile import BlockMemo, compile_program
+from repro.workloads.suite import load_benchmark
 
 
 class TestSystolicArray:
@@ -101,3 +104,51 @@ class TestAcceleratedCycles:
         assert accelerated_cycles(
             compiled, events, tiny_array
         ) >= accelerated_cycles(compiled, events, big_array)
+
+
+class TestOnDemandBlocks:
+    """``accelerated_cycles`` reads each visited block through
+    ``compiled.block(...)``; the array-backed compiled program gives the
+    values the per-block one gave."""
+
+    #: (processor, plain cycles, FLOAT 8x4 array, INT 2x2 half-offload
+    #: array) on epic at scale 0.5, emulation seed 5, 4,000 visits, as
+    #: computed when every compiled block was stored as a record.
+    PINNED = [
+        ("1111", 38429, 35026, 34156), ("1121", 38439, 35039, 34197),
+        ("1211", 38434, 35034, 34206), ("1221", 38424, 35024, 34197),
+        ("2111", 38334, 34956, 34115), ("2121", 38309, 34931, 34090),
+        ("2211", 38319, 34941, 34115), ("2221", 41458, 38083, 37245),
+        ("4111", 41512, 38137, 37284), ("4121", 41473, 38098, 37260),
+        ("4211", 41497, 38122, 37269), ("4221", 42996, 39631, 38794),
+    ]
+    ARRAYS = (
+        SystolicArray("f", OpClass.FLOAT, rows=8, cols=4),
+        SystolicArray("i", OpClass.INT, rows=2, cols=2, offload_fraction=0.5),
+    )
+
+    def test_epic_design_space_unchanged(self):
+        workload = load_benchmark("epic", scale=0.5)
+        events = emulate(workload.program, workload.streams, seed=5, max_visits=4000)
+        memo = BlockMemo(workload.program)
+        got = []
+        for processor in SystemDesignSpace().processors:
+            compiled = compile_program(
+                workload.program, MachineDescription(processor), memo=memo
+            )
+            got.append((
+                processor.name,
+                processor_cycles(compiled, events),
+                *(accelerated_cycles(compiled, events, a) for a in self.ARRAYS),
+            ))
+        assert got == self.PINNED
+
+    def test_matches_the_oracle_compiled_program(self, tiny):
+        events = emulate(tiny.program, tiny.streams, seed=1, max_visits=1500)
+        mdes = MachineDescription(P1111)
+        compiled = compile_program(tiny.program, mdes)
+        oracle = oracle_compile(tiny.program, mdes)
+        for array in self.ARRAYS:
+            assert accelerated_cycles(compiled, events, array) == (
+                accelerated_cycles(oracle, events, array)
+            )

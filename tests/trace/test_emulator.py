@@ -1,5 +1,7 @@
 """Unit tests for repro.trace.emulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.machine.presets import P1111, P3221, P6332, REFERENCE_PROCESSOR
 from repro.machine.processor import make_processor
 from repro.oracles.emulator import ScalarEmulator
 from repro.trace.emulator import Emulator, emulate
-from repro.vliwcomp.compile import BlockMemo, compile_program
+from repro.vliwcomp.compile import BlockMemo, CompiledProgram, compile_program
 from repro.vliwcomp.regalloc import SPILL_STREAM
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
@@ -155,11 +157,20 @@ class TestValidationPath:
     def test_compiled_program_lacking_a_visited_block(self, tiny):
         """Decoration needs every visited block's compiled form; the
         error names the block that has none."""
-        compiled = compile_program(tiny.program, MachineDescription(P6332))
+        full = compile_program(tiny.program, MachineDescription(P6332))
         events = emulate(tiny.program, tiny.streams, seed=3, max_visits=800)
         # The block table is in first-visit order: take the latest newcomer.
         proc_name, block_id = events.blocks[-1]
-        del compiled.blocks[(proc_name, block_id)]
+        # A compiled program holds only compiled blocks, so the blocks
+        # predicting the dropped one predict nothing.
+        blocks = {
+            key: block if (key[0], block.predicted_successor) != (
+                proc_name, block_id
+            ) else dataclasses.replace(block, predicted_successor=None)
+            for key, block in full.blocks.items()
+            if key != (proc_name, block_id)
+        }
+        compiled = CompiledProgram.from_blocks(tiny.program, full.mdes, blocks)
         first = int(np.argmax(events.visit_blocks == len(events.blocks) - 1))
         assert first > 0
         expected = f"lacks block \\({proc_name!r}, {block_id}\\)"

@@ -1,11 +1,16 @@
 """Unit tests for repro.vliwcomp.compile."""
 
 import copy
+import gc
 
 import numpy as np
 import pytest
 
+from repro.cache.config import WORD_BYTES
 from repro.errors import ConfigurationError
+from repro.explore.spec import SystemDesignSpace
+from repro.iformat.assembler import assemble
+from repro.iformat.linker import link
 from repro.isa.operations import OpClass
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P3221, P6332
@@ -17,7 +22,7 @@ from repro.vliwcomp.compile import (
     speculation_capacity,
 )
 from repro.vliwcomp.regalloc import SPILL_STREAM
-from repro.workloads.suite import tiny_workload
+from repro.workloads.suite import load_benchmark, tiny_workload
 
 
 class TestSpeculationCapacity:
@@ -177,12 +182,82 @@ class TestSharedBlockMemo:
 
     def _assert_compiles_match(self, tiny, memo, fresh):
         for mdes, want in zip(self.MDESES, fresh):
-            got = compile_program(tiny.program, mdes, memo=memo)
-            assert got.blocks.keys() == want.blocks.keys()
+            got = compile_program(tiny.program, mdes, memo=memo).blocks
+            assert got.keys() == want.blocks.keys()
             for key, block in want.blocks.items():
-                other = got.blocks[key]
+                other = got[key]
                 assert other.operations == block.operations
                 assert other.schedule == block.schedule
                 assert other.spill_ops == block.spill_ops
                 assert other.speculative_streams == block.speculative_streams
                 assert other.predicted_successor == block.predicted_successor
+
+
+class TestCompiledArrays:
+    """A compiled program is per-processor arrays: its blocks, made on
+    demand, equal the per-block oracle's on every epic design-space
+    processor and iterate in layout order, and compiling, assembling
+    and linking all 12 processors leaves few tracked objects."""
+
+    @pytest.fixture(scope="class")
+    def epic(self):
+        program = load_benchmark("epic").program
+        memo = BlockMemo(program)
+        mdeses = [MachineDescription(p) for p in SystemDesignSpace().processors]
+        return program, [
+            (compile_program(program, mdes, memo=memo), oracle_compile(program, mdes))
+            for mdes in mdeses
+        ]
+
+    def test_blocks_equal_the_oracle(self, epic):
+        program, pairs = epic
+        for got, want in pairs:
+            for name, blk in program.all_blocks():
+                block = got.block(name, blk.block_id)
+                other = want.block(name, blk.block_id)
+                where = (got.processor_name, name, blk.block_id)
+                assert block.schedule.instructions == (
+                    other.schedule.instructions
+                ), where
+                assert block.schedule.cycles == other.schedule.cycles, where
+                assert block.schedule.mix == other.schedule.mix, where
+                assert block.spill_ops == other.spill_ops, where
+                assert block.predicted_successor == (
+                    other.predicted_successor
+                ), where
+                assert block.speculative_streams == (
+                    other.speculative_streams
+                ), where
+                assert block.operations == other.operations, where
+        assert any((got.predicted >= 0).any() for got, _ in pairs)
+
+    def test_blocks_iterate_in_layout_order(self, epic):
+        program, pairs = epic
+        layout = [(name, blk.block_id) for name, blk in program.all_blocks()]
+        for got, want in pairs:
+            assert list(got.blocks) == layout == got.keys
+            assert list(want.blocks) == layout
+            assert got.blocks == want.blocks
+
+    def test_compile_assemble_link_leave_few_tracked_objects(self):
+        # Every result is arrays per processor: no per-block records.
+        program = load_benchmark("epic").program
+        mdeses = [MachineDescription(p) for p in SystemDesignSpace().processors]
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            memo = BlockMemo(program)
+            results = []
+            for mdes in mdeses:
+                compiled = compile_program(program, mdes, memo=memo)
+                assembled = assemble(compiled)
+                packet = mdes.processor.issue_width * WORD_BYTES
+                results.append((compiled, assembled, link(program, assembled, packet)))
+            left = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(results) == 12
+        assert left < 5_000

@@ -102,9 +102,10 @@ machines = st.builds(
 
 
 def assert_blocks_match(got, want):
-    assert got.blocks.keys() == want.blocks.keys()
+    got = got.blocks
+    assert got.keys() == want.blocks.keys()
     for key, block in want.blocks.items():
-        other = got.blocks[key]
+        other = got[key]
         assert other.schedule.instructions == block.schedule.instructions, key
         assert other.schedule.cycles == block.schedule.cycles, key
         assert other.schedule.mix == block.schedule.mix, key

@@ -76,8 +76,9 @@ def suite_digest(compile_benchmark) -> str:
     for name in BENCHMARK_NAMES:
         program = load_benchmark(name, scale=SCALE).program
         for index, compiled in enumerate(compile_benchmark(program, mdeses)):
-            for key in sorted(compiled.blocks):
-                block = compiled.blocks[key]
+            blocks = compiled.blocks
+            for key in sorted(blocks):
+                block = blocks[key]
                 record = (
                     name,
                     index,

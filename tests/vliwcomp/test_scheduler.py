@@ -28,7 +28,7 @@ from repro.oracles.compiler import (
 )
 from repro.vliwcomp.compile import BlockMemo, compile_program
 from repro.vliwcomp.depgraph import build_graphs, flat_ops
-from repro.vliwcomp.scheduler import BlockSchedule, schedule_graphs
+from repro.vliwcomp.scheduler import BlockSchedule, runs_mix, schedule_graphs
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
 
@@ -48,12 +48,17 @@ def units_of(mdes):
     return [mdes.processor.units[cls] for cls in OP_CLASSES]
 
 
+def block_mix(done, block):
+    """Block ``block``'s mix from a lockstep schedule's mix runs."""
+    return runs_mix(done.mix_block, done.mix_packed, done.mix_count, block)
+
+
 def schedule_block(operations, mdes):
     """One block's schedule from the lockstep scheduler."""
     graphs = build_graphs(flat_ops([operations]), latencies_of(mdes))
     done = schedule_graphs(graphs, units_of(mdes))
     return BlockSchedule(
-        done.ordinals, done.cycles[0], done.num_instructions[0], done.mixes[0]
+        done.ordinals, done.cycles[0], done.num_instructions[0], block_mix(done, 0)
     )
 
 
@@ -314,7 +319,7 @@ class TestLockstep:
                     done.ordinals[bounds[k]: bounds[k + 1]],
                     done.cycles[k],
                     done.num_instructions[k],
-                    done.mixes[k],
+                    block_mix(done, k),
                 )
                 assert_same_schedule(together, scan_schedule(ops, mdes))
 
