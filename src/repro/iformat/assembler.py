@@ -55,29 +55,6 @@ class AssembledProgram:
     instructions: np.ndarray
     explicit_noops: np.ndarray
 
-    @classmethod
-    def from_blocks(
-        cls,
-        iformat: InstructionFormat,
-        blocks: dict[tuple[str, int], AssembledBlock],
-    ) -> "AssembledProgram":
-        """The arrays of assembled blocks given one by one, in the
-        mapping's order."""
-        keys = list(blocks)
-        table = np.array(
-            [(b.size_bytes, b.instructions, b.explicit_noops)
-             for b in blocks.values()],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        return cls(
-            iformat=iformat,
-            keys=keys,
-            index={key: k for k, key in enumerate(keys)},
-            sizes=table[:, 0],
-            instructions=table[:, 1],
-            explicit_noops=table[:, 2],
-        )
-
     @property
     def blocks(self) -> dict[tuple[str, int], AssembledBlock]:
         """Every block's record by key, in layout order, made on demand

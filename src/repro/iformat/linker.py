@@ -21,7 +21,7 @@ import numpy as np
 from repro.cache.config import WORD_BYTES
 from repro.errors import TraceError
 from repro.iformat.assembler import AssembledProgram
-from repro.isa.program import Program
+from repro.isa.program import Program, branch_targets
 
 #: Base address of the text segment; word aligned and far below the data
 #: segment base so instruction and data addresses never collide.
@@ -127,9 +127,9 @@ def link(
             f"packet size must be a positive multiple of {WORD_BYTES}, "
             f"got {packet_bytes}"
         )
-    plan = _emission_plan(program, layout)
     index = program.block_index()
-    # Program order with no repeated key: share the program's index.
+    # Program order with no repeated key: share the program's index and
+    # its branch targets.
     shared = layout is None and len(index) == program.num_blocks
     binary = Binary(
         program_name=program.name,
@@ -138,14 +138,15 @@ def link(
         index=index if shared else {},
     )
     # Entries and branch targets start on a packet boundary.
-    aligned: list[bool] = []
-    for proc_name, block_order in plan:
-        targets = _branch_targets(program.procedure(proc_name), block_order)
-        aligned += [
-            not position or block_id in targets
-            for position, block_id in enumerate(block_order)
+    if shared:
+        aligned = program.branch_targets()
+    else:
+        plan = _emission_plan(program, layout)
+        aligned = [
+            flag
+            for name, order in plan
+            for flag in branch_targets(program.procedure(name), order)
         ]
-    if not shared:
         for proc_name, block_order in plan:
             for block_id in block_order:
                 key = (proc_name, block_id)
@@ -206,21 +207,6 @@ def _emission_plan(
             )
         plan.append((proc_name, list(block_order)))
     return plan
-
-
-def _branch_targets(proc, block_order: list[int]) -> set[int]:
-    """Blocks that are destinations of non-fall-through control flow.
-
-    A fall-through edge goes to the next block in *emission* order;
-    anything else (loop back-edges, taken branches) makes the
-    destination a branch target needing packet alignment.
-    """
-    order = {block_id: i for i, block_id in enumerate(block_order)}
-    targets: set[int] = set()
-    for edge in proc.edges:
-        if order[edge.dst] != order[edge.src] + 1:
-            targets.add(edge.dst)
-    return targets
 
 
 def _align(value: int, quantum: int) -> int:

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from repro.errors import ConfigurationError
 
 
 class OpClass(enum.Enum):
@@ -141,3 +145,94 @@ def make_store(value_src: int, addr_src: int = 0, stream: int = 0) -> Operation:
 def make_branch(srcs: tuple[int, ...] = ()) -> Operation:
     """Convenience constructor for a branch."""
     return Operation(OpClass.BRANCH, srcs=srcs)
+
+
+#: Load/store kind of a flat op (:attr:`FlatOps.kind`).
+NO_ACCESS, LOAD, STORE = 0, 1, 2
+
+
+class FlatOps(NamedTuple):
+    """Operations of consecutive blocks, one array per field.
+
+    Block ``k`` holds ops ``bounds[k]:bounds[k + 1]``.  ``opclass`` is
+    an index into :data:`OP_CLASSES` and ``kind`` one of
+    :data:`NO_ACCESS`, :data:`LOAD` and :data:`STORE`; ``dests`` and
+    ``srcs`` hold one row of registers per op, in operand order, padded
+    with -1.  :class:`Operation` records are made only on demand, by
+    :meth:`operations`.
+    """
+
+    opclass: np.ndarray
+    stream: np.ndarray
+    kind: np.ndarray
+    dests: np.ndarray
+    srcs: np.ndarray
+    bounds: np.ndarray
+
+    def take(self, positions: np.ndarray, bounds: np.ndarray) -> "FlatOps":
+        """The ops at ``positions``, grouped into blocks by ``bounds``."""
+        return FlatOps(
+            self.opclass[positions],
+            self.stream[positions],
+            self.kind[positions],
+            self.dests[positions],
+            self.srcs[positions],
+            bounds,
+        )
+
+    def operations(
+        self, k: int, speculative: range = range(0)
+    ) -> tuple[Operation, ...]:
+        """Block ``k``'s operations as records, made on demand; those at
+        the in-block positions ``speculative`` are marked speculative."""
+        lo, hi = self.bounds[k: k + 2].tolist()
+        rows = zip(*(field[lo:hi].tolist() for field in self[:5]))
+        return tuple(
+            Operation(
+                OP_CLASSES[opclass],
+                dests=tuple(r for r in dests if r >= 0),
+                srcs=tuple(r for r in srcs if r >= 0),
+                is_load=kind == LOAD,
+                is_store=kind == STORE,
+                stream=stream,
+                speculative=i in speculative,
+            )
+            for i, (opclass, stream, kind, dests, srcs) in enumerate(rows)
+        )
+
+
+def flat_ops(blocks: Sequence[Sequence[Operation]]) -> FlatOps:
+    """Flatten the operation lists of ``blocks``, in order."""
+    ops = [op for block in blocks for op in block]
+    classes = [op.opclass for op in ops]
+    bounds = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([len(block) for block in blocks], out=bounds[1:])
+    return FlatOps(
+        np.fromiter(map(OP_CLASSES.index, classes), np.int64, len(ops)),
+        np.fromiter((op.stream for op in ops), np.int64, len(ops)),
+        np.fromiter(
+            (LOAD * op.is_load + STORE * op.is_store for op in ops),
+            np.int64,
+            len(ops),
+        ),
+        _padded([op.dests for op in ops]),
+        _padded([op.srcs for op in ops]),
+        bounds,
+    )
+
+
+def _padded(rows: list[tuple[int, ...]]) -> np.ndarray:
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    registers = [r for row in rows for r in row]
+    if min(registers, default=0) < 0:
+        raise ConfigurationError("register numbers must be non-negative")
+    out = np.full((len(rows), int(counts.max(initial=0))), -1, dtype=np.int64)
+    out[np.repeat(np.arange(len(rows)), counts), ranks(counts)] = registers
+    return out
+
+
+def ranks(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for each count ``c``, concatenated: each row's position
+    in its group, for consecutive groups of the given sizes."""
+    total = int(counts.sum())
+    return np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)

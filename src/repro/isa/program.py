@@ -8,15 +8,20 @@ The control-flow representation is deliberately simple: each basic block
 ends in an implicit two-way branch (or fall-through), and procedures may
 call other procedures from designated call sites.  This is rich enough to
 drive realistic block-visit sequences, which is all the memory-hierarchy
-evaluation in the paper consumes.
+evaluation in the paper consumes.  A program's operations are flat
+arrays (:attr:`Program.ops`); a block's :class:`Operation` records are
+a view of them, made on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import ProgramStructureError
-from repro.isa.operations import Operation
+from repro.isa.operations import FlatOps, Operation, flat_ops
 
 
 @dataclass(frozen=True)
@@ -33,22 +38,44 @@ class ControlFlowEdge:
     probability: float
 
 
-@dataclass
 class BasicBlock:
     """A straight-line sequence of operations.
 
     ``block_id`` is unique within the procedure.  ``calls`` lists the names
     of procedures invoked when this block executes (in order); calls happen
     conceptually at the end of the block, before the terminating branch.
+
+    The operations are block ``row`` of the flat arrays ``ops``: the
+    blocks of a generated program are the rows of one
+    :class:`~repro.isa.operations.FlatOps`, in layout order.  A block
+    given an :class:`Operation` list flattens it once into arrays of
+    its own.  :attr:`operations` is a read-only view of the arrays.
     """
 
-    block_id: int
-    operations: list[Operation] = field(default_factory=list)
-    calls: list[str] = field(default_factory=list)
+    __slots__ = ("block_id", "calls", "ops", "row")
+
+    def __init__(
+        self,
+        block_id: int,
+        operations: Sequence[Operation] = (),
+        calls: Sequence[str] = (),
+        *,
+        ops: FlatOps | None = None,
+        row: int = 0,
+    ):
+        self.block_id = block_id
+        self.calls = list(calls)
+        self.ops = flat_ops([operations]) if ops is None else ops
+        self.row = row
+
+    @property
+    def operations(self) -> tuple[Operation, ...]:
+        """The block's operations, made from its arrays on each call."""
+        return self.ops.operations(self.row)
 
     @property
     def num_operations(self) -> int:
-        return len(self.operations)
+        return int(self.ops.bounds[self.row + 1] - self.ops.bounds[self.row])
 
     def memory_operations(self) -> list[Operation]:
         """The load/store operations in this block, in order."""
@@ -128,6 +155,8 @@ class Program:
 
     def __post_init__(self) -> None:
         self._block_index: dict[tuple[str, int], int] | None = None
+        self._ops: FlatOps | None = None
+        self._targets: np.ndarray | None = None
 
     def add(self, procedure: Procedure) -> None:
         """Register a procedure; names must be unique."""
@@ -136,7 +165,37 @@ class Program:
                 f"duplicate procedure name {procedure.name!r}"
             )
         self.procedures[procedure.name] = procedure
-        self._block_index = None
+        self._block_index = self._ops = self._targets = None
+
+    @property
+    def ops(self) -> FlatOps:
+        """Every block's operations as one :class:`FlatOps`, block ``k``
+        the ``k``-th of :meth:`all_blocks`: the one its blocks share as
+        their rows (a generated program's), else flattened on first use,
+        like :meth:`block_index`."""
+        if self._ops is None:
+            blocks = [blk for _, blk in self.all_blocks()]
+            shared = blocks[0].ops if blocks else flat_ops([])
+            if len(shared.bounds) == len(blocks) + 1 and all(
+                blk.ops is shared and blk.row == k
+                for k, blk in enumerate(blocks)
+            ):
+                self._ops = shared
+            else:
+                self._ops = flat_ops([blk.operations for blk in blocks])
+        return self._ops
+
+    def branch_targets(self) -> np.ndarray:
+        """Per block in layout order, whether control reaches it other
+        than by falling through (:func:`branch_targets`).  Built on
+        first use, like :meth:`block_index`."""
+        if self._targets is None:
+            flags: list[bool] = []
+            for proc in self.procedures.values():
+                order = [blk.block_id for blk in proc.blocks]
+                flags += branch_targets(proc, order)
+            self._targets = np.array(flags, dtype=bool)
+        return self._targets
 
     def block_index(self) -> dict[tuple[str, int], int]:
         """Each block's (procedure name, block id) key, in layout order,
@@ -188,3 +247,12 @@ class Program:
             f"Program(name={self.name!r}, procedures={len(self.procedures)}, "
             f"blocks={self.num_blocks}, ops={self.num_operations})"
         )
+
+
+def branch_targets(proc: Procedure, block_order: list[int]) -> list[bool]:
+    """Per block of ``block_order``, an emission order of ``proc``'s
+    blocks, whether it is the first or the destination of an edge that
+    does not go to the next block in that order."""
+    order = {block_id: i for i, block_id in enumerate(block_order)}
+    targets = {e.dst for e in proc.edges if order[e.dst] != order[e.src] + 1}
+    return [not i or block in targets for i, block in enumerate(block_order)]

@@ -9,8 +9,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.errors import ProgramStructureError
+from repro.isa.operations import (
+    LOAD, NO_ACCESS, OP_CLASSES, STORE, FlatOps, OpClass,
+)
 from repro.isa.program import Procedure, Program
+
+_CLASSES = range(len(OP_CLASSES))
+_KINDS = (NO_ACCESS, LOAD, STORE)
+_MEMORY = OP_CLASSES.index(OpClass.MEMORY)
 
 #: Tolerance for branch-probability sums.
 _PROB_TOL = 1e-9
@@ -96,7 +105,8 @@ def _reaches_return(proc: Procedure, return_blocks: set[int]) -> bool:
 
 
 def validate_program(program: Program) -> None:
-    """Validate every procedure and the program entry point.
+    """Validate every procedure, the program entry point and the
+    operations (:func:`validate_ops`, on the program's flat arrays).
 
     Also rejects call-graph recursion: the emulator uses an explicit call
     stack without a depth limit, so recursive programs (which the paper's
@@ -110,6 +120,31 @@ def validate_program(program: Program) -> None:
     for proc in program.procedures.values():
         validate_procedure(proc, program)
     _reject_recursion(program)
+    validate_ops(program.ops, program.name)
+
+
+def validate_ops(ops: FlatOps, name: str = "") -> None:
+    """Check the op-level invariants on flat arrays: a known class and
+    load/store kind per op, a load/store kind only on memory ops, and
+    non-negative registers, each row padded with -1 after them."""
+    stray = (ops.kind != NO_ACCESS) & (ops.opclass != _MEMORY)
+    for problem, bad in (
+        ("an unknown op class", ~np.isin(ops.opclass, _CLASSES)),
+        ("an unknown load/store kind", ~np.isin(ops.kind, _KINDS)),
+        ("a load/store kind on a non-memory op", stray),
+        ("a negative register", _negative(ops.dests) | _negative(ops.srcs)),
+    ):
+        if bad.any():
+            raise ProgramStructureError(
+                f"program {name!r}: op {int(np.argmax(bad))} has {problem}"
+            )
+
+
+def _negative(registers: np.ndarray) -> np.ndarray:
+    """Per row of a padded register table, whether a register is below
+    -1 or follows a -1."""
+    gap = (registers[:, :-1] < 0) & (registers[:, 1:] >= 0)
+    return (registers < -1).any(axis=1) | gap.any(axis=1)
 
 
 def _reject_recursion(program: Program) -> None:

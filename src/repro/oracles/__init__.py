@@ -14,14 +14,20 @@ than behind production mode switches:
   emulator, one block lookup and one data address at a time, with its
   :class:`~repro.oracles.emulator.EventTraceBuilder` and the
   per-reference :class:`~repro.oracles.emulator.ScalarDataAddressModel`;
+* :func:`~repro.oracles.synth.generate_workload` — the per-op workload
+  generator, one :class:`~repro.isa.operations.Operation` at a time
+  from the same random draws as the array generator;
 * :func:`~repro.oracles.compiler.compile_program` — the per-block
   compiler: one dependence graph, list schedule and spill sweep per
   block, with :func:`~repro.oracles.compiler.build_dependence_graph`,
   :func:`~repro.oracles.compiler.list_schedule` and
-  :func:`~repro.oracles.compiler.schedule_block` as its parts;
+  :func:`~repro.oracles.compiler.schedule_block` as its parts, and
+  :func:`~repro.oracles.compiler.compiled_from_blocks` turning its
+  block records into a compiled program's arrays;
 * :func:`~repro.oracles.assembler.assemble` — the per-instruction
   assembler, one template selection per VLIW instruction and the stall
-  cycles spread gap by gap;
+  cycles spread gap by gap (its records become arrays through
+  :func:`~repro.oracles.assembler.assembled_from_blocks`);
 * :func:`~repro.oracles.granules.derive_trace_parameters` — the AHH
   parameters word by word: the streaming
   :class:`~repro.oracles.granules.GranuleAccumulator` and the

@@ -10,6 +10,8 @@ its schedule's instruction mix and the no-op overflow in closed form.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.iformat.assembler import AssembledBlock, AssembledProgram
 from repro.iformat.format_synth import InstructionFormat, synthesize_format
 from repro.isa.operations import OP_CLASSES
@@ -22,7 +24,7 @@ def assemble(
     """Assemble every block of ``compiled``, one instruction at a time."""
     if iformat is None:
         iformat = synthesize_format(compiled.mdes)
-    return AssembledProgram.from_blocks(
+    return assembled_from_blocks(
         iformat,
         {
             key: assemble_block(cblock, iformat)
@@ -62,4 +64,26 @@ def assemble_block(
         size_bytes=size,
         instructions=n_instr,
         explicit_noops=noops,
+    )
+
+
+def assembled_from_blocks(
+    iformat: InstructionFormat,
+    blocks: dict[tuple[str, int], AssembledBlock],
+) -> AssembledProgram:
+    """The arrays of assembled blocks given one by one, in the mapping's
+    order."""
+    keys = list(blocks)
+    table = np.array(
+        [(b.size_bytes, b.instructions, b.explicit_noops)
+         for b in blocks.values()],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    return AssembledProgram(
+        iformat=iformat,
+        keys=keys,
+        index={key: k for k, key in enumerate(keys)},
+        sizes=table[:, 0],
+        instructions=table[:, 1],
+        explicit_noops=table[:, 2],
     )

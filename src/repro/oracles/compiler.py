@@ -23,25 +23,27 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import ScheduleError
+from repro.errors import ConfigurationError, ScheduleError
 from repro.isa.operations import (
     MIX_FIELD_BITS,
     OP_CLASSES,
     OpClass,
     Operation,
+    make_load,
+    make_store,
     pack_mix,
 )
-from repro.isa.program import Program
+from repro.isa.program import BasicBlock, Program
 from repro.machine.mdes import MachineDescription
 from repro.vliwcomp.compile import (
+    _SPILL_REG_BASE,
     CompiledBlock,
+    _bounds,
     CompiledProgram,
     _likely_successor,
-    _speculative_loads,
-    _spill_ops,
     speculation_capacity,
 )
-from repro.vliwcomp.regalloc import register_budget
+from repro.vliwcomp.regalloc import SPILL_STREAM, register_budget
 from repro.vliwcomp.scheduler import BlockSchedule
 
 
@@ -333,4 +335,93 @@ def compile_program(program: Program, mdes: MachineDescription) -> CompiledProgr
                 spill_ops=spills,
                 predicted_successor=predicted,
             )
-    return CompiledProgram.from_blocks(program, mdes, blocks)
+    return compiled_from_blocks(program, mdes, blocks)
+
+
+def _speculative_loads(successor: BasicBlock) -> tuple[Operation, ...]:
+    """Speculative copies of ``successor``'s loads, in program order."""
+    return tuple(
+        Operation(
+            op.opclass,
+            dests=op.dests,
+            srcs=op.srcs,
+            is_load=True,
+            stream=op.stream,
+            speculative=True,
+        )
+        for op in successor.operations
+        if op.is_load
+    )
+
+
+def _spill_ops(count: int) -> list[Operation]:
+    """``count`` spill operations, alternating store/load pairs."""
+    ops: list[Operation] = []
+    for i in range(count):
+        reg = _SPILL_REG_BASE + 2 * i
+        if i % 2 == 0:
+            ops.append(
+                make_store(value_src=reg, addr_src=reg + 1, stream=SPILL_STREAM)
+            )
+        else:
+            ops.append(
+                make_load(dest=reg, addr_src=reg + 1, stream=SPILL_STREAM)
+            )
+    return ops
+
+
+def compiled_from_blocks(
+    program: Program,
+    mdes: MachineDescription,
+    blocks: dict[tuple[str, int], CompiledBlock],
+) -> CompiledProgram:
+    """The arrays of compiled blocks given one by one, in the mapping's
+    order; a predicted successor must be among them."""
+    keys = list(blocks)
+    index = {key: k for k, key in enumerate(keys)}
+    records = list(blocks.values())
+    schedules = [block.schedule for block in records]
+    mixes = [sorted(schedule.mix.items()) for schedule in schedules]
+    try:
+        predicted = [
+            -1 if block.predicted_successor is None
+            else index[(name, block.predicted_successor)]
+            for (name, _), block in zip(keys, records)
+        ]
+    except KeyError as missing:
+        raise ConfigurationError(
+            f"predicted successor {missing} is not a compiled block"
+        ) from None
+    return CompiledProgram(
+        program=program,
+        mdes=mdes,
+        keys=keys,
+        index=index,
+        op_bounds=_bounds([len(s.ordinals) for s in schedules]),
+        ordinals=np.concatenate(
+            [np.asarray(s.ordinals, dtype=np.int64) for s in schedules]
+            or [np.zeros(0, dtype=np.int64)]
+        ),
+        cycles=_ints([s.cycles for s in schedules]),
+        num_instructions=_ints([s.num_instructions for s in schedules]),
+        spill_ops=_ints([block.spill_ops for block in records]),
+        predicted=_ints(predicted),
+        speculative=_ints(
+            [s for block in records for s in block.speculative_streams]
+        ),
+        speculative_bounds=_bounds(
+            [len(block.speculative_streams) for block in records]
+        ),
+        mix_block=np.repeat(
+            np.arange(len(mixes), dtype=np.int64), [len(m) for m in mixes]
+        ),
+        mix_packed=np.array(
+            [packed for mix in mixes for packed, _ in mix], dtype=np.uint64
+        ),
+        mix_count=_ints([count for mix in mixes for _, count in mix]),
+        operations_of=[block.operations for block in records].__getitem__,
+    )
+
+
+def _ints(values: list[int]) -> np.ndarray:
+    return np.array(values, dtype=np.int64)

@@ -34,6 +34,7 @@ import random
 import numpy as np
 
 from repro.errors import TraceError
+from repro.isa.operations import OP_CLASSES, STORE, OpClass, ranks
 from repro.isa.program import Program
 from repro.isa.validate import validate_program
 from repro.trace.datamodel import (
@@ -160,14 +161,14 @@ class _RefTemplates:
     """Every block's data references as flat (stream, kind, write) rows.
 
     Block ``i``'s rows are ``[starts[i], starts[i] + counts[i])``: its
-    memory operations in order (draws), then, when decorating, the
-    compiled block's spill operations (alternating store/load draws on
-    the spill stream) and its speculative loads (peeks, or wrong-path
-    reads on even positions when the visit's branch was mispredicted),
-    both read from the compiled program's arrays.  ``predicted[i]`` is
-    the plan index of the compiler's predicted successor (read only for
-    blocks with one); ``missing[i]`` marks a block the compiled program
-    lacks.
+    memory operations in order (draws, from the program's flat arrays),
+    then, when decorating, the compiled block's spill operations
+    (alternating store/load draws on the spill stream) and its
+    speculative loads (peeks, or wrong-path reads on even positions
+    when the visit's branch was mispredicted), both read from the
+    compiled program's arrays.  ``predicted[i]`` is the plan index of
+    the compiler's predicted successor (read only for blocks with one);
+    ``missing[i]`` marks a block the compiled program lacks.
     """
 
     def __init__(
@@ -177,26 +178,17 @@ class _RefTemplates:
         compiled: CompiledProgram | None,
     ):
         n_blocks = len(plan.keys)
-        streams: list[int] = []
-        kinds: list[int] = []
-        writes: list[bool] = []
-        counts = np.zeros(n_blocks, dtype=np.int64)
-        for index, (_, blk) in enumerate(program.all_blocks()):
-            before = len(streams)
-            for op in blk.operations:
-                if op.is_memory:
-                    streams.append(op.stream)
-                    kinds.append(DRAW)
-                    writes.append(op.is_store)
-            counts[index] = len(streams) - before
+        ops = program.ops
+        memory = np.flatnonzero(ops.opclass == OP_CLASSES.index(OpClass.MEMORY))
+        block = np.searchsorted(ops.bounds, memory, side="right") - 1
         self.predicted = np.full(n_blocks, _NOT_IN_PLAN, dtype=np.int64)
         self.missing = np.zeros(n_blocks, dtype=bool)
         parts = [
             (
-                np.repeat(np.arange(n_blocks), counts),
-                np.asarray(streams, dtype=np.int32),
-                np.asarray(kinds, dtype=np.int8),
-                np.asarray(writes, dtype=bool),
+                block,
+                ops.stream[memory].astype(np.int32),
+                np.full(len(memory), DRAW, dtype=np.int8),
+                ops.kind[memory] == STORE,
             )
         ]
         if compiled is not None:
@@ -235,7 +227,7 @@ class _RefTemplates:
         self.predicted[block[guessed]] = plan_of[predicted[guessed]]
 
         spills = compiled.spill_ops[rows]
-        spill_rank = _ranks(spills)
+        spill_rank = ranks(spills)
         spill_rows = (
             np.repeat(block, spills),
             np.full(len(spill_rank), SPILL_STREAM, dtype=np.int32),
@@ -244,7 +236,7 @@ class _RefTemplates:
         )
         bounds = compiled.speculative_bounds
         hoisted = bounds[rows + 1] - bounds[rows]
-        rank = _ranks(hoisted)
+        rank = ranks(hoisted)
         at = np.repeat(bounds[rows], hoisted) + rank
         speculative_rows = (
             np.repeat(block, hoisted),
@@ -257,13 +249,6 @@ class _RefTemplates:
             np.zeros(len(at), dtype=bool),
         )
         return [spill_rows, speculative_rows]
-
-
-def _ranks(counts: np.ndarray) -> np.ndarray:
-    """``0..c-1`` for each count ``c``, concatenated."""
-    return np.arange(int(counts.sum())) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
 
 
 class Emulator:

@@ -36,16 +36,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.isa.operations import OP_CLASSES, Operation, make_load, make_store
+from repro.isa.operations import LOAD, OP_CLASSES, STORE, FlatOps, Operation
 from repro.isa.program import BasicBlock, Procedure, Program
 from repro.machine.mdes import MachineDescription
-from repro.vliwcomp.depgraph import (
-    _MEMORY,
-    BlockGraphs,
-    FlatOps,
-    build_graphs,
-    flat_ops,
-)
+from repro.vliwcomp.depgraph import _MEMORY, BlockGraphs, build_graphs
 from repro.vliwcomp.regalloc import SPILL_STREAM, register_budget, spill_ops
 from repro.vliwcomp.scheduler import BlockSchedule, runs_mix, schedule_graphs
 
@@ -109,60 +103,6 @@ class CompiledProgram:
     mix_count: np.ndarray
     operations_of: Callable[[int], tuple[Operation, ...]]
 
-    @classmethod
-    def from_blocks(
-        cls,
-        program: Program,
-        mdes: MachineDescription,
-        blocks: dict[tuple[str, int], CompiledBlock],
-    ) -> "CompiledProgram":
-        """The arrays of compiled blocks given one by one, in the
-        mapping's order; a predicted successor must be among them."""
-        keys = list(blocks)
-        index = {key: k for k, key in enumerate(keys)}
-        records = list(blocks.values())
-        schedules = [block.schedule for block in records]
-        mixes = [sorted(schedule.mix.items()) for schedule in schedules]
-        try:
-            predicted = [
-                -1 if block.predicted_successor is None
-                else index[(name, block.predicted_successor)]
-                for (name, _), block in zip(keys, records)
-            ]
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"predicted successor {missing} is not a compiled block"
-            ) from None
-        return cls(
-            program=program,
-            mdes=mdes,
-            keys=keys,
-            index=index,
-            op_bounds=_bounds([len(s.ordinals) for s in schedules]),
-            ordinals=np.concatenate(
-                [np.asarray(s.ordinals, dtype=np.int64) for s in schedules]
-                or [np.zeros(0, dtype=np.int64)]
-            ),
-            cycles=_ints([s.cycles for s in schedules]),
-            num_instructions=_ints([s.num_instructions for s in schedules]),
-            spill_ops=_ints([block.spill_ops for block in records]),
-            predicted=_ints(predicted),
-            speculative=_ints(
-                [s for block in records for s in block.speculative_streams]
-            ),
-            speculative_bounds=_bounds(
-                [len(block.speculative_streams) for block in records]
-            ),
-            mix_block=np.repeat(
-                np.arange(len(mixes), dtype=np.int64), [len(m) for m in mixes]
-            ),
-            mix_packed=np.array(
-                [packed for mix in mixes for packed, _ in mix], dtype=np.uint64
-            ),
-            mix_count=_ints([count for mix in mixes for _, count in mix]),
-            operations_of=[block.operations for block in records].__getitem__,
-        )
-
     def block(self, proc_name: str, block_id: int) -> CompiledBlock:
         """The compiled form of one basic block, made on demand."""
         return self.block_at(self.index[(proc_name, block_id)])
@@ -207,10 +147,6 @@ class CompiledProgram:
         return len(self.ordinals)
 
 
-def _ints(values: list[int]) -> np.ndarray:
-    return np.array(values, dtype=np.int64)
-
-
 def _bounds(sizes) -> np.ndarray:
     """Row bounds of consecutive groups of the given sizes."""
     bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -243,14 +179,13 @@ class Hoisting(NamedTuple):
 
 
 class BlockMemo:
-    """One :class:`Program`'s operations as flat arrays, shared across
-    the processors it is compiled for.
+    """One :class:`Program`'s compile inputs, shared across the
+    processors it is compiled for.
 
-    It keeps the program's blocks in layout order and their operations
-    as one :class:`~repro.vliwcomp.depgraph.FlatOps`, all built by the
-    first compile (so its span pays for them).  Hoisted loads are
-    appended ops, so a hoisted-load capacity fixes every block's
-    operations: per capacity the memo keeps them as a
+    It reads the program's operations from its flat arrays
+    (:attr:`Program.ops <repro.isa.program.Program.ops>`).  Hoisted
+    loads are appended ops, so a hoisted-load capacity fixes every
+    block's operations: per capacity the memo keeps them as a
     :class:`Hoisting`, and per (capacity, latency table) one dependence
     graph of every block.  The memo serves the one program it was made
     for and refuses any other.
@@ -262,34 +197,13 @@ class BlockMemo:
         self._hoisting: dict[int, Hoisting] = {}
 
     @cached_property
-    def blocks(self) -> list[BasicBlock]:
-        """The program's blocks in layout order, built on first use."""
-        return [blk for _, blk in self.program.all_blocks()]
-
-    @cached_property
     def keys(self) -> list[tuple[str, int]]:
         """Each block's (procedure name, block id), shared with the
         program's block index when no key repeats."""
         index = self.program.block_index()
-        if len(index) == len(self.blocks):
+        if len(index) == self.program.num_blocks:
             return list(index)
         return [(name, blk.block_id) for name, blk in self.program.all_blocks()]
-
-    @cached_property
-    def ops(self) -> FlatOps:
-        """Every block's operations as flat arrays."""
-        return flat_ops([blk.operations for blk in self.blocks])
-
-    @cached_property
-    def loads(self) -> np.ndarray:
-        """Flat positions of every load."""
-        return np.flatnonzero(
-            np.fromiter(
-                (op.is_load for blk in self.blocks for op in blk.operations),
-                bool,
-                int(self.ops.bounds[-1]),
-            )
-        )
 
     def check(self, program: Program) -> None:
         """Refuse any program but the one the memo was made for."""
@@ -302,32 +216,29 @@ class BlockMemo:
     @cached_property
     def successor(self) -> np.ndarray:
         """Per block, its likeliest successor's position (-1 for none)."""
-        position = {id(blk): k for k, blk in enumerate(self.blocks)}
-        return np.fromiter(
-            (
-                -1 if succ is None else position[id(succ)]
-                for succ in (
-                    _likely_successor(proc, blk.block_id)
-                    for proc in self.program.procedures.values()
-                    for blk in proc.blocks
-                )
-            ),
-            np.int64,
-            len(self.blocks),
+        blocks = self.program.all_blocks()
+        position = {id(blk): k for k, (_, blk) in enumerate(blocks)}
+        likely = [
+            _likely_successor(self.program.procedure(name), blk.block_id)
+            for name, blk in blocks
+        ]
+        return np.array(
+            [-1 if succ is None else position[id(succ)] for succ in likely],
+            dtype=np.int64,
         )
 
     def operations(
         self, k: int, capacity: int, spills: int
     ) -> tuple[Operation, ...]:
         """Block ``k``'s operations with up to ``capacity`` hoisted
-        loads and ``spills`` spill ops appended."""
-        operations = tuple(self.blocks[k].operations)
-        successor = int(self.successor[k])
-        if capacity and successor >= 0:
-            operations += _speculative_loads(self.blocks[successor])[:capacity]
+        loads, marked speculative, and ``spills`` spill ops appended,
+        made from the arrays."""
+        ops = self.hoisting(capacity).ops
+        head, grown = self.program.ops.bounds[k: k + 2], ops.bounds[k: k + 2]
+        hoisted = range(head[1] - head[0], grown[1] - grown[0])
         if spills:
-            operations += tuple(_spill_ops(spills))
-        return operations
+            ops, k = _with_spills(ops, np.array([k]), np.array([spills])), 0
+        return ops.operations(k, speculative=hoisted)
 
     def hoisting(self, capacity: int) -> Hoisting:
         """Every block's operations with up to ``capacity`` hoisted
@@ -348,7 +259,7 @@ class BlockMemo:
     def _hoist(self, capacity: int) -> Hoisting:
         """Each block's ops followed by the first ``capacity`` loads of
         its successor."""
-        ops = self.ops
+        ops = self.program.ops
         bounds = ops.bounds
         n_blocks = len(bounds) - 1
         if not capacity:
@@ -358,7 +269,7 @@ class BlockMemo:
                 np.zeros(n_blocks + 1, dtype=np.int64),
                 np.full(n_blocks, -1, dtype=np.int64),
             )
-        loads = self.loads
+        loads = np.flatnonzero(ops.kind == LOAD)
         first = np.searchsorted(loads, bounds)
         source = self.successor
         head = np.diff(bounds)
@@ -452,8 +363,9 @@ def compile_program(
 
 
 def _with_spills(ops: FlatOps, blocks: np.ndarray, counts: np.ndarray) -> FlatOps:
-    """The ops of ``blocks``, each followed by its count of spill ops
-    (:func:`_spill_ops`), as flat arrays."""
+    """The ops of ``blocks``, each followed by its count of spill ops,
+    as flat arrays: alternating stores and loads of spill registers on
+    the spill stream, a store first."""
     head = np.diff(ops.bounds)[blocks]
     grown = _bounds(head + counts)
     block = np.repeat(np.arange(len(blocks)), head + counts)
@@ -469,6 +381,8 @@ def _with_spills(ops: FlatOps, blocks: np.ndarray, counts: np.ndarray) -> FlatOp
     opclass[spill] = _MEMORY
     stream = taken.stream
     stream[spill] = SPILL_STREAM
+    kind = taken.kind
+    kind[spill] = np.where(store, STORE, LOAD)
     dests = _widened(taken.dests, 1)
     dests[spill] = -1
     dests[spill, 0] = np.where(store, -1, register)
@@ -476,7 +390,7 @@ def _with_spills(ops: FlatOps, blocks: np.ndarray, counts: np.ndarray) -> FlatOp
     srcs[spill] = -1
     srcs[spill, 0] = np.where(store, register, register + 1)
     srcs[spill, 1] = np.where(store, register + 1, -1)
-    return FlatOps(opclass, stream, dests, srcs, grown)
+    return FlatOps(opclass, stream, kind, dests, srcs, grown)
 
 
 def _widened(registers: np.ndarray, width: int) -> np.ndarray:
@@ -521,39 +435,7 @@ def _likely_successor(proc: Procedure, block_id: int) -> BasicBlock | None:
     return proc.block(likely.dst)
 
 
-def _speculative_loads(successor: BasicBlock) -> tuple[Operation, ...]:
-    """Speculative copies of ``successor``'s loads, in program order."""
-    return tuple(
-        Operation(
-            op.opclass,
-            dests=op.dests,
-            srcs=op.srcs,
-            is_load=True,
-            stream=op.stream,
-            speculative=True,
-        )
-        for op in successor.operations
-        if op.is_load
-    )
-
-
 #: Virtual-register base for spill temporaries, far above any register the
 #: workload generator emits, so spill ops add no false dependences beyond
 #: their own same-stream ordering.
 _SPILL_REG_BASE = 1_000_000
-
-
-def _spill_ops(count: int) -> list[Operation]:
-    """``count`` spill operations, alternating store/load pairs."""
-    ops: list[Operation] = []
-    for i in range(count):
-        reg = _SPILL_REG_BASE + 2 * i
-        if i % 2 == 0:
-            ops.append(
-                make_store(value_src=reg, addr_src=reg + 1, stream=SPILL_STREAM)
-            )
-        else:
-            ops.append(
-                make_load(dest=reg, addr_src=reg + 1, stream=SPILL_STREAM)
-            )
-    return ops

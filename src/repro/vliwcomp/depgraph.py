@@ -9,12 +9,13 @@ memory disambiguation would), and a branch issues no earlier than any
 operation before it in its block.
 
 A program's operations are held as flat arrays, one per field
-(:class:`FlatOps`).  :func:`build_graphs` derives the edges of every
-block with sorts and ``searchsorted``, then the critical-path heights
-with one reverse sweep per in-block position.  A graph depends only on
-the operations and the latency table, so the compiler builds one per
-(hoisted-load capacity, latency table) and every processor sharing both
-reuses it.  The per-block builder this replaces is the oracle
+(:class:`~repro.isa.operations.FlatOps`).  :func:`build_graphs` derives
+the edges of every block with sorts and ``searchsorted``, then the
+critical-path heights with one reverse sweep per in-block position.  A
+graph depends only on the operations and the latency table, so the
+compiler builds one per (hoisted-load capacity, latency table) and
+every processor sharing both reuses it.  The per-block builder this
+replaces is the oracle
 :func:`repro.oracles.compiler.build_dependence_graph`.
 """
 
@@ -24,70 +25,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.isa.operations import OP_CLASSES, OpClass, Operation
+from repro.isa.operations import OP_CLASSES, FlatOps, OpClass, ranks
 
 _MEMORY = OP_CLASSES.index(OpClass.MEMORY)
 _BRANCH = OP_CLASSES.index(OpClass.BRANCH)
-
-
-class FlatOps(NamedTuple):
-    """Operations of consecutive blocks, one array per field.
-
-    Block ``k`` holds ops ``bounds[k]:bounds[k + 1]``.  ``opclass`` is
-    an index into :data:`OP_CLASSES`; ``dests`` and ``srcs`` hold one
-    row of registers per op, padded with -1.
-    """
-
-    opclass: np.ndarray
-    stream: np.ndarray
-    dests: np.ndarray
-    srcs: np.ndarray
-    bounds: np.ndarray
-
-    def take(self, positions: np.ndarray, bounds: np.ndarray) -> "FlatOps":
-        """The ops at ``positions``, grouped into blocks by ``bounds``."""
-        return FlatOps(
-            self.opclass[positions],
-            self.stream[positions],
-            self.dests[positions],
-            self.srcs[positions],
-            bounds,
-        )
-
-
-def flat_ops(blocks: Sequence[Sequence[Operation]]) -> FlatOps:
-    """Flatten the operation lists of ``blocks``, in order."""
-    ops = [op for block in blocks for op in block]
-    bounds = np.zeros(len(blocks) + 1, dtype=np.int64)
-    np.cumsum([len(block) for block in blocks], out=bounds[1:])
-    return FlatOps(
-        np.fromiter(
-            map(OP_CLASSES.index, [op.opclass for op in ops]),
-            np.int64,
-            len(ops),
-        ),
-        np.fromiter((op.stream for op in ops), np.int64, len(ops)),
-        _padded([op.dests for op in ops]),
-        _padded([op.srcs for op in ops]),
-        bounds,
-    )
-
-
-def _padded(rows: list[tuple[int, ...]]) -> np.ndarray:
-    counts = np.fromiter(map(len, rows), np.int64, len(rows))
-    registers = [r for row in rows for r in row]
-    if min(registers, default=0) < 0:
-        raise ConfigurationError("register numbers must be non-negative")
-    out = np.full((len(rows), int(counts.max(initial=0))), -1, dtype=np.int64)
-    out[np.repeat(np.arange(len(rows)), counts), _ranks(counts)] = registers
-    return out
-
-
-def _ranks(counts: np.ndarray) -> np.ndarray:
-    """``0..c-1`` for each count ``c``, concatenated."""
-    total = int(counts.sum())
-    return np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 class BlockGraphs(NamedTuple):
@@ -166,7 +107,7 @@ def build_graphs(ops: FlatOps, latencies: Sequence[int]) -> BlockGraphs:
     # Branches: every earlier op of the block.
     branch = np.flatnonzero(ops.opclass == _BRANCH)
     reach = position[branch]
-    branch_src = np.repeat(ops.bounds[block[branch]], reach) + _ranks(reach)
+    branch_src = np.repeat(ops.bounds[block[branch]], reach) + ranks(reach)
 
     src = np.concatenate((raw_src, w_op[waw], r_op[war], memory[chain], branch_src))
     dst = np.concatenate(

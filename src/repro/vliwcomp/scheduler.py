@@ -146,8 +146,11 @@ def schedule_graphs(graphs: BlockGraphs, units: Sequence[int]) -> Schedules:
     opclass = graphs.ops.opclass
     group = graphs.block * len(OP_CLASSES) + opclass
     # Unissued ops in priority order: by (block, class), then highest
-    # critical path first, index breaking ties.
-    pending = np.lexsort((-graphs.height, group))
+    # critical path first, index breaking ties: one stable sort of one
+    # key.
+    hmax = int(graphs.height.max(initial=0))
+    priority = group * (hmax + 1) + (hmax - graphs.height)
+    pending = np.argsort(priority, kind="stable")
     limit = np.asarray(units, dtype=np.int64)[opclass]
     succ_bounds, succ_of = graphs.succ_bounds, graphs.succ
     out_degree = np.diff(succ_bounds)

@@ -1,4 +1,4 @@
-"""Seeded synthetic workload generation.
+"""Seeded synthetic workload generation, straight into flat op arrays.
 
 ``generate_workload`` turns a :class:`~repro.workloads.profiles.WorkloadProfile`
 into a validated :class:`~repro.isa.program.Program` plus its data-stream
@@ -14,15 +14,27 @@ specifications.  Structure:
 
 Everything is driven by one ``random.Random(profile.seed)``, so a profile
 is a complete, reproducible benchmark definition.
+
+Each op is written as one row of ints (class, stream, load/store kind,
+dest, two srcs); the rows of every block become the program's one
+:class:`~repro.isa.operations.FlatOps`, and each block is a row range
+of it, so no :class:`~repro.isa.operations.Operation` is made.  The
+per-op generator, one ``Operation`` at a time from the same draws in
+the same order, is the oracle :func:`repro.oracles.synth.generate_workload`.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.config import WORD_BYTES
-from repro.isa.operations import OpClass, Operation
+from repro.isa.operations import (
+    LOAD, NO_ACCESS, OP_CLASSES, STORE, FlatOps, OpClass,
+)
 from repro.isa.program import BasicBlock, ControlFlowEdge, Procedure, Program
 from repro.isa.validate import validate_program
 from repro.trace.datamodel import StreamSpec
@@ -33,6 +45,15 @@ _INPUT_REG_BASE = 500_000
 
 #: How far back an operation may chain to recent results.
 _DEPENDENCE_WINDOW = 6
+
+_INT, _FLOAT, _MEMORY, _BRANCH = map(
+    OP_CLASSES.index,
+    (OpClass.INT, OpClass.FLOAT, OpClass.MEMORY, OpClass.BRANCH),
+)
+
+#: Ints per op as the generator writes it: class, stream, load/store
+#: kind, dest (-1 for none) and two srcs (-1 for none).
+_FIELDS = 6
 
 
 @dataclass(frozen=True)
@@ -49,10 +70,11 @@ def generate_workload(profile: WorkloadProfile) -> GeneratedWorkload:
     rng = random.Random(profile.seed)
     streams = _build_streams(profile)
     stream_ids = sorted(streams)
-
-    program = Program(name=profile.name, entry="main")
+    writer = _OpWriter(profile, rng)
     worker_names = [f"f{index:03d}" for index in range(profile.n_procedures)]
 
+    # Each procedure as its name, (block id, calls) per block and edges.
+    shapes = []
     for index, name in enumerate(worker_names):
         # Each worker draws from a small rotating subset of the streams.
         assigned = [
@@ -60,9 +82,18 @@ def generate_workload(profile: WorkloadProfile) -> GeneratedWorkload:
             for k in range(min(3, len(stream_ids)))
         ]
         later = worker_names[index + 1 :]
-        program.add(_make_worker(name, profile, rng, assigned, later))
+        shapes.append(_make_worker(name, profile, writer, assigned, later))
+    shapes.append(_make_main(profile, writer, worker_names, stream_ids))
 
-    program.add(_make_main(profile, rng, worker_names, stream_ids))
+    # Every block is its row of the program's arrays.
+    ops, rows = writer.flat(), itertools.count()
+    program = Program(name=profile.name, entry="main")
+    for name, shape, edges in shapes:
+        blocks = [
+            BasicBlock(block_id, calls=calls, ops=ops, row=next(rows))
+            for block_id, calls in shape
+        ]
+        program.add(Procedure(name=name, blocks=blocks, edges=edges))
     validate_program(program)
     return GeneratedWorkload(program=program, streams=streams, profile=profile)
 
@@ -81,57 +112,113 @@ def _build_streams(profile: WorkloadProfile) -> dict[int, StreamSpec]:
     return streams
 
 
+class _OpWriter:
+    """Every block's ops in generation order, as one flat int list of
+    :data:`_FIELDS` ints per op."""
+
+    def __init__(self, profile: WorkloadProfile, rng: random.Random):
+        self.profile = profile
+        self.rng = rng
+        self.rows: list[int] = []
+        self.bounds = [0]
+
+    def block(self, streams: list[int], mean_ops: float) -> None:
+        """Append one block's ops, with local dependence chains, and its
+        closing branch."""
+        profile, rng, rows = self.profile, self.rng, self.rows
+        draw, choice = rng.random, rng.choice
+        density = profile.dependence_density
+        loads = profile.load_fraction
+        spread = max(1.0, mean_ops * 0.5)
+        count = max(1, int(rng.gauss(mean_ops, spread)))
+        int_w, float_w, mem_w = profile.op_mix
+        total_w = int_w + float_w + mem_w
+        computed = int_w + float_w
+        recent: list[int] = []
+        next_input = _INPUT_REG_BASE
+
+        def pick_src() -> int:
+            nonlocal next_input
+            if recent and draw() < density:
+                return choice(recent)
+            next_input += 1
+            return next_input
+
+        # Op ``dest`` of the block writes register ``dest``, if any.
+        for dest in range(count):
+            roll = draw() * total_w
+            if roll < int_w:
+                rows += (_INT, 0, NO_ACCESS, dest, pick_src(), pick_src())
+            elif roll < computed:
+                rows += (_FLOAT, 0, NO_ACCESS, dest, pick_src(), pick_src())
+            else:
+                stream = choice(streams)
+                if draw() < loads:
+                    rows += (_MEMORY, stream, LOAD, dest, pick_src(), -1)
+                else:
+                    rows += (_MEMORY, stream, STORE, -1, pick_src(), pick_src())
+                    continue
+            recent.append(dest)
+            if len(recent) > _DEPENDENCE_WINDOW:
+                del recent[0]
+        branch_src = recent[-1] if recent else pick_src()
+        rows += (_BRANCH, 0, NO_ACCESS, -1, branch_src, -1)
+        self.bounds.append(len(rows) // _FIELDS)
+
+    def flat(self) -> FlatOps:
+        """Every row written so far, as flat arrays; each register table
+        is as wide as its widest op, as
+        :func:`~repro.isa.operations.flat_ops` pads it."""
+        rows = self.rows
+        table = np.fromiter(rows, np.int64, len(rows)).reshape(-1, _FIELDS)
+        opclass, stream, kind = table[:, :3].T.copy()
+        dests, srcs = table[:, 3:4], table[:, 4:]
+        return FlatOps(
+            opclass,
+            stream,
+            kind,
+            dests[:, : (dests >= 0).any(axis=0).sum()].copy(),
+            srcs[:, : (srcs >= 0).any(axis=0).sum()].copy(),
+            np.array(self.bounds, dtype=np.int64),
+        )
+
+
 def _make_main(
     profile: WorkloadProfile,
-    rng: random.Random,
+    writer: _OpWriter,
     worker_names: list[str],
     stream_ids: list[int],
-) -> Procedure:
+) -> tuple:
     """The phase-loop driver procedure."""
-    blocks: list[BasicBlock] = []
+    blocks: list[tuple[int, list[str]]] = []
     edges: list[ControlFlowEdge] = []
     n_phases = len(worker_names)
     for index, worker in enumerate(worker_names):
-        ops = _make_ops(
-            profile, rng, stream_ids[:1], mean_ops=4.0, has_branch=True
-        )
-        blocks.append(
-            BasicBlock(block_id=index, operations=ops, calls=[worker])
-        )
+        writer.block(stream_ids[:1], mean_ops=4.0)
+        blocks.append((index, [worker]))
         edges.append(ControlFlowEdge(index, index + 1, 1.0))
     latch_id = n_phases
     return_id = n_phases + 1
     continue_p = 1.0 - 1.0 / max(2, profile.main_iterations)
-    blocks.append(
-        BasicBlock(
-            block_id=latch_id,
-            operations=_make_ops(
-                profile, rng, stream_ids[:1], mean_ops=3.0, has_branch=True
-            ),
-        )
-    )
+    writer.block(stream_ids[:1], mean_ops=3.0)
+    blocks.append((latch_id, []))
     edges.append(ControlFlowEdge(latch_id, 0, continue_p))
     edges.append(ControlFlowEdge(latch_id, return_id, 1.0 - continue_p))
-    blocks.append(
-        BasicBlock(
-            block_id=return_id,
-            operations=_make_ops(
-                profile, rng, stream_ids[:1], mean_ops=2.0, has_branch=True
-            ),
-        )
-    )
-    return Procedure(name="main", blocks=blocks, edges=edges)
+    writer.block(stream_ids[:1], mean_ops=2.0)
+    blocks.append((return_id, []))
+    return "main", blocks, edges
 
 
 def _make_worker(
     name: str,
     profile: WorkloadProfile,
-    rng: random.Random,
+    writer: _OpWriter,
     assigned_streams: list[int],
     later_workers: list[str],
-) -> Procedure:
+) -> tuple:
+    rng = writer.rng
     n_blocks = rng.randint(*profile.blocks_per_proc)
-    blocks: list[BasicBlock] = []
+    blocks: list[tuple[int, list[str]]] = []
     edges: list[ControlFlowEdge] = []
     for index in range(n_blocks):
         calls: list[str] = []
@@ -140,14 +227,8 @@ def _make_worker(
             and rng.random() < profile.call_density
         ):
             calls.append(rng.choice(later_workers))
-        ops = _make_ops(
-            profile,
-            rng,
-            assigned_streams,
-            mean_ops=profile.mean_ops_per_block,
-            has_branch=True,
-        )
-        blocks.append(BasicBlock(block_id=index, operations=ops, calls=calls))
+        writer.block(assigned_streams, mean_ops=profile.mean_ops_per_block)
+        blocks.append((index, calls))
 
     for index in range(n_blocks - 1):
         roll = rng.random()
@@ -169,66 +250,4 @@ def _make_worker(
             edges.append(ControlFlowEdge(index, skip_to, 1.0 - taken))
         else:
             edges.append(ControlFlowEdge(index, index + 1, 1.0))
-    return Procedure(name=name, blocks=blocks, edges=edges)
-
-
-def _make_ops(
-    profile: WorkloadProfile,
-    rng: random.Random,
-    streams: list[int],
-    mean_ops: float,
-    has_branch: bool,
-) -> list[Operation]:
-    """Generate one block's operation list with local dependence chains."""
-    spread = max(1.0, mean_ops * 0.5)
-    count = max(1, int(rng.gauss(mean_ops, spread)))
-    int_w, float_w, mem_w = profile.op_mix
-    total_w = int_w + float_w + mem_w
-    ops: list[Operation] = []
-    recent: list[int] = []
-    next_reg = 0
-    next_input = _INPUT_REG_BASE
-
-    def pick_src() -> int:
-        nonlocal next_input
-        if recent and rng.random() < profile.dependence_density:
-            return rng.choice(recent[-_DEPENDENCE_WINDOW:])
-        next_input += 1
-        return next_input
-
-    for _ in range(count):
-        roll = rng.random() * total_w
-        dest = next_reg
-        next_reg += 1
-        if roll < int_w:
-            op = Operation(
-                OpClass.INT, dests=(dest,), srcs=(pick_src(), pick_src())
-            )
-        elif roll < int_w + float_w:
-            op = Operation(
-                OpClass.FLOAT, dests=(dest,), srcs=(pick_src(), pick_src())
-            )
-        else:
-            stream = rng.choice(streams)
-            if rng.random() < profile.load_fraction:
-                op = Operation(
-                    OpClass.MEMORY,
-                    dests=(dest,),
-                    srcs=(pick_src(),),
-                    is_load=True,
-                    stream=stream,
-                )
-            else:
-                op = Operation(
-                    OpClass.MEMORY,
-                    srcs=(pick_src(), pick_src()),
-                    is_store=True,
-                    stream=stream,
-                )
-        ops.append(op)
-        if op.dests:
-            recent.append(op.dests[0])
-    if has_branch:
-        branch_src = recent[-1] if recent else pick_src()
-        ops.append(Operation(OpClass.BRANCH, srcs=(branch_src,)))
-    return ops
+    return name, blocks, edges

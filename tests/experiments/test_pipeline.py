@@ -8,10 +8,11 @@ from repro.errors import ConfigurationError
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.explore.spacewalker import Spacewalker
 from repro.explore.spec import SystemDesignSpace
+from repro.isa.operations import Operation
 from repro.machine.presets import P1111, P3221
 from repro.machine.processor import make_processor
 from repro.trace.emulator import Emulator
-from repro.workloads.suite import load_benchmark
+from repro.workloads.suite import load_benchmark, tiny_workload
 
 
 class TestArtifacts:
@@ -97,6 +98,24 @@ class TestColdExplore:
             ) == hierarchy_eval.processor_cycles(art.compiled, art.events), (
                 processor.name
             )
+
+    def test_explore_builds_no_operation(self, monkeypatch):
+        """The program stays flat arrays from the generator through the
+        walk: not one ``Operation`` record is made."""
+        made = []
+        check = Operation.__post_init__
+
+        def counting_check(self):
+            made.append(self)
+            check(self)
+
+        monkeypatch.setattr(Operation, "__post_init__", counting_check)
+        pipeline = ExperimentPipeline(tiny_workload(), max_visits=2_000)
+        assert len(Spacewalker(SystemDesignSpace(), pipeline).walk()) > 0
+        assert made == []
+        # The count sees records made on demand.
+        pipeline.processor_binary(P3221).compiled.block_at(0)
+        assert made
 
 
 class TestDilation:

@@ -20,8 +20,8 @@ from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P6332
 from repro.machine.processor import make_processor
 from repro.oracles import assembler as oracle
-from repro.vliwcomp.compile import CompiledBlock, CompiledProgram, compile_program
-from repro.oracles.compiler import schedule_block
+from repro.vliwcomp.compile import CompiledBlock, compile_program
+from repro.oracles.compiler import compiled_from_blocks, schedule_block
 
 
 class TestAssemble:
@@ -78,7 +78,7 @@ def _compiled(ops, mdes, block_id=0):
         speculative_streams=(),
         spill_ops=0,
     )
-    return CompiledProgram.from_blocks(
+    return compiled_from_blocks(
         Program(name="random"), mdes, {("main", block_id): block}
     )
 

@@ -2,9 +2,19 @@
 
 import pytest
 
+import numpy as np
+
 from repro.errors import ProgramStructureError
-from repro.isa.operations import make_branch, make_int, make_load
+from repro.isa.operations import (
+    flat_ops,
+    make_branch,
+    make_float,
+    make_int,
+    make_load,
+    make_store,
+)
 from repro.isa.program import BasicBlock, ControlFlowEdge, Procedure, Program
+from repro.workloads.suite import tiny_workload
 
 
 def two_block_proc(name="p"):
@@ -23,6 +33,20 @@ class TestBasicBlock:
         blk = BasicBlock(0, [make_int(0), make_load(1), make_branch()])
         assert blk.num_operations == 3
         assert [op.is_load for op in blk.memory_operations()] == [True]
+
+
+    def test_operations_are_a_view_of_the_arrays(self):
+        ops = [
+            make_int(0, (3, 4)),
+            make_float(1, (0,)),
+            make_load(2, 1, stream=5),
+            make_store(2, 0, stream=1),
+            make_branch((2,)),
+        ]
+        blk = BasicBlock(7, ops, calls=["f"])
+        assert blk.operations == tuple(ops)
+        assert blk.ops.bounds.tolist() == [0, 5]
+        assert blk.calls == ["f"]
 
 
 class TestProcedure:
@@ -91,3 +115,43 @@ class TestProgram:
         assert keys == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
         assert prog.num_blocks == 4
         assert prog.num_operations == 6
+
+
+class TestProgramArrays:
+    def test_hand_built_blocks_are_flattened_once(self):
+        prog = Program(name="t", entry="a")
+        prog.add(two_block_proc("a"))
+        prog.add(two_block_proc("b"))
+        ops = prog.ops
+        assert prog.ops is ops
+        want = flat_ops([blk.operations for _, blk in prog.all_blocks()])
+        for field in want._fields:
+            assert np.array_equal(getattr(ops, field), getattr(want, field))
+        prog.add(two_block_proc("c"))
+        assert len(prog.ops.bounds) == 7
+
+    def test_generated_blocks_share_the_program_arrays(self):
+        program = tiny_workload().program
+        ops = program.ops
+        for k, (_, blk) in enumerate(program.all_blocks()):
+            assert blk.ops is ops and blk.row == k
+        assert program.num_operations == len(ops.opclass)
+
+    def test_branch_targets(self):
+        proc = Procedure(
+            name="p",
+            blocks=[BasicBlock(i, [make_branch()]) for i in (0, 1, 2, 3)],
+            edges=[
+                ControlFlowEdge(0, 1, 0.5),
+                ControlFlowEdge(0, 3, 0.5),
+                ControlFlowEdge(1, 2, 1.0),
+                ControlFlowEdge(2, 1, 0.5),
+                ControlFlowEdge(2, 3, 0.5),
+            ],
+        )
+        prog = Program(name="t", entry="p")
+        prog.add(proc)
+        prog.add(two_block_proc("q"))
+        assert prog.branch_targets().tolist() == [
+            True, True, False, True, True, False,
+        ]

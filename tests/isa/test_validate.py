@@ -1,11 +1,13 @@
 """Unit tests for repro.isa.validate."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ProgramStructureError
-from repro.isa.operations import make_branch
+from repro.isa.operations import LOAD, OP_CLASSES, OpClass, make_branch
 from repro.isa.program import BasicBlock, ControlFlowEdge, Procedure, Program
-from repro.isa.validate import validate_procedure, validate_program
+from repro.isa.validate import validate_ops, validate_procedure, validate_program
+from repro.workloads.suite import tiny_workload
 
 
 def linear_proc(name="p", calls=None):
@@ -119,3 +121,52 @@ class TestValidateProgram:
         prog.add(linear_proc("b", calls=["a"]))
         with pytest.raises(ProgramStructureError, match="recursive"):
             validate_program(prog)
+
+
+class TestValidateOps:
+    """The op-level invariants, checked on a generated program's arrays."""
+
+    @pytest.fixture(scope="class")
+    def ops(self):
+        return tiny_workload().program.ops
+
+    def broken(self, ops, field, row, column=None, value=-5):
+        values = getattr(ops, field).copy()
+        if column is None:
+            values[row] = value
+        else:
+            values[row, column] = value
+        return ops._replace(**{field: values})
+
+    def test_generated_ops_pass(self, ops):
+        validate_ops(ops)
+
+    def test_unknown_class(self, ops):
+        with pytest.raises(ProgramStructureError, match="op 3 has an unknown op class"):
+            validate_ops(self.broken(ops, "opclass", 3, value=len(OP_CLASSES)))
+
+    def test_unknown_kind(self, ops):
+        with pytest.raises(ProgramStructureError, match="unknown load/store kind"):
+            validate_ops(self.broken(ops, "kind", 3, value=7))
+
+    def test_kind_only_on_memory_ops(self, ops):
+        branch = int(np.flatnonzero(ops.opclass == OP_CLASSES.index(OpClass.BRANCH))[0])
+        with pytest.raises(ProgramStructureError, match="non-memory op"):
+            validate_ops(self.broken(ops, "kind", branch, value=LOAD))
+
+    @pytest.mark.parametrize("field", ["dests", "srcs"])
+    def test_negative_register(self, ops, field):
+        with pytest.raises(ProgramStructureError, match="negative register"):
+            validate_ops(self.broken(ops, field, 2, column=0))
+
+    def test_register_after_padding(self, ops):
+        row = int(np.flatnonzero(ops.srcs[:, 1] >= 0)[0])
+        with pytest.raises(ProgramStructureError, match=f"op {row} has a negative"):
+            validate_ops(self.broken(ops, "srcs", row, column=0, value=-1))
+
+    def test_program_validation_checks_its_arrays(self):
+        program = tiny_workload().program
+        validate_program(program)
+        program._ops = self.broken(program.ops, "srcs", 0, column=0)
+        with pytest.raises(ProgramStructureError, match="negative register"):
+            validate_program(program)

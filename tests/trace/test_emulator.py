@@ -10,9 +10,10 @@ from repro.explore.spec import SystemDesignSpace
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P3221, P6332, REFERENCE_PROCESSOR
 from repro.machine.processor import make_processor
+from repro.oracles.compiler import compiled_from_blocks
 from repro.oracles.emulator import ScalarEmulator
 from repro.trace.emulator import Emulator, emulate
-from repro.vliwcomp.compile import BlockMemo, CompiledProgram, compile_program
+from repro.vliwcomp.compile import BlockMemo, compile_program
 from repro.vliwcomp.regalloc import SPILL_STREAM
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
@@ -170,7 +171,7 @@ class TestValidationPath:
             for key, block in full.blocks.items()
             if key != (proc_name, block_id)
         }
-        compiled = CompiledProgram.from_blocks(tiny.program, full.mdes, blocks)
+        compiled = compiled_from_blocks(tiny.program, full.mdes, blocks)
         first = int(np.argmax(events.visit_blocks == len(events.blocks) - 1))
         assert first > 0
         expected = f"lacks block \\({proc_name!r}, {block_id}\\)"

@@ -13,6 +13,7 @@ from repro.isa.operations import (
     OP_CLASSES,
     OpClass,
     Operation,
+    flat_ops,
     make_branch,
     make_float,
     make_int,
@@ -22,7 +23,7 @@ from repro.isa.operations import (
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111
 from repro.oracles.compiler import build_dependence_graph
-from repro.vliwcomp.depgraph import build_graphs, flat_ops
+from repro.vliwcomp.depgraph import build_graphs
 
 
 def edges_of(graph):

@@ -11,12 +11,13 @@ from repro.errors import ScheduleError
 from repro.isa.operations import (
     OP_CLASSES,
     OpClass,
-    pack_mix,
+    flat_ops,
     make_branch,
     make_float,
     make_int,
     make_load,
     make_store,
+    pack_mix,
 )
 from repro.explore.spec import SystemDesignSpace
 from repro.machine.mdes import MachineDescription
@@ -27,7 +28,7 @@ from repro.oracles.compiler import (
     schedule_from_instructions,
 )
 from repro.vliwcomp.compile import BlockMemo, compile_program
-from repro.vliwcomp.depgraph import build_graphs, flat_ops
+from repro.vliwcomp.depgraph import build_graphs
 from repro.vliwcomp.scheduler import BlockSchedule, runs_mix, schedule_graphs
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
