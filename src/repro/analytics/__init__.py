@@ -12,12 +12,12 @@ the store's durability, WAL concurrency and backup story.
 
 Layers:
 
-* :mod:`repro.analytics.runs` — the run model: :class:`RunRecorder`
-  (observes a journal window + result documents, never perturbs
-  execution), ``record_run`` / ``list_runs`` / ``get_run`` /
-  ``get_run_rows`` / ``gc_runs``;
-* :mod:`repro.analytics.table` — the canonical ``run_table.csv`` export
-  (column registry doubles as the ``docs/RUN_TABLE_COLUMNS.md`` source);
+* :mod:`repro.analytics.runs` — the run model: the ``RUN_TABLE_COLUMNS``
+  registry (also the ``docs/RUN_TABLE_COLUMNS.md`` source),
+  :class:`RunRecorder` (observes a journal window + result documents,
+  never perturbs execution), ``record_run`` / ``list_runs`` /
+  ``get_run`` / ``get_run_rows`` / ``gc_runs``;
+* :mod:`repro.analytics.table` — the canonical ``run_table.csv`` export;
 * :mod:`repro.analytics.compare` — ``compare_runs``: per-config metric
   deltas and Pareto-frontier diffing between two runs;
 * :mod:`repro.analytics.metrics` — a fixed-capacity time-series ring
@@ -31,6 +31,7 @@ Everything is standard library + numpy; there is no new dependency.
 from repro.analytics.compare import compare_runs
 from repro.analytics.metrics import MetricsRing
 from repro.analytics.runs import (
+    RUN_TABLE_COLUMNS,
     RunRecorder,
     delete_run,
     gc_runs,
@@ -41,7 +42,6 @@ from repro.analytics.runs import (
     supports_runs,
 )
 from repro.analytics.table import (
-    RUN_TABLE_COLUMNS,
     format_cell,
     run_table_csv,
     run_table_rows,

@@ -4,13 +4,19 @@ A *run* is one recorded execution of a sweep / estimate / explore (or
 any caller-defined kind).  The ``runs`` row carries identity, state and
 a journal-derived summary; ``run_rows`` carries one row per
 (design, benchmark, repetition) with the measured metrics and the
-journal-derived execution columns (see ``docs/RUN_TABLE_COLUMNS.md``).
+journal-derived execution columns.  :data:`RUN_TABLE_COLUMNS` is the
+one registry of those columns: the ``run_rows`` insert, the CSV export
+and ``docs/RUN_TABLE_COLUMNS.md`` all derive from it.
 
 :class:`RunRecorder` is strictly **observational**: it reads result
 documents after they exist and a window of already-recorded journal
 events, and writes the run in one transaction at :meth:`finish`.  It
 never sits on the simulation path, so recording cannot perturb results
-(the CI analytics smoke asserts bit-identity and bounds the overhead).
+(the CI analytics smoke asserts bit-identity;
+``scripts/ci_fault_sweep.py``'s ``check_recording_overhead`` bounds the
+cost).  Every row is one tuple in registry order from intake to sqlite:
+result columns when it is added, journal columns appended at finish,
+and one ``executemany`` writes them all.
 
 Two sinks are supported transparently:
 
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 import time
 import uuid
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.cache.area import cache_cost
@@ -51,6 +58,7 @@ def _result_store_type():
 
 __all__ = [
     "RUN_STATES",
+    "RUN_TABLE_COLUMNS",
     "RunRecorder",
     "delete_run",
     "derive_journal_columns",
@@ -83,35 +91,102 @@ _RUN_COLUMNS = (
     "journal",
 )
 
-#: ``run_rows`` column order used by :func:`record_run`.
-_ROW_COLUMNS = (
-    "run_id",
-    "idx",
-    "benchmark",
-    "role",
-    "design",
-    "sets",
-    "assoc",
-    "line_size",
-    "repetition",
-    "accesses",
-    "misses",
-    "miss_rate",
-    "cycles",
-    "cost",
-    "area",
-    "estimated",
-    "error",
-    "source",
-    "wall_s",
-    "kernel_s",
-    "retries",
-    "timeouts",
-    "fallbacks",
-    "cache_hits",
-    "cache_misses",
-    "bytes_shipped",
-    "extra",
+#: (name, source, units, description) for every run-table column, in
+#: CSV order: the single source of truth for the column set.
+#: ``source`` is where the value originates: ``run`` (the runs table),
+#: ``result`` (result documents / the result store) or ``journal``
+#: (derived from RunJournal events).
+RUN_TABLE_COLUMNS: tuple[tuple[str, str, str, str], ...] = (
+    ("run_id", "run", "-", "Run identity (the job id for service jobs)."),
+    ("kind", "run", "-", "Job kind: sweep, estimate or explore."),
+    ("state", "run", "-", "Run outcome: done or failed."),
+    ("idx", "result", "-", "Row position within the run (0-based)."),
+    ("benchmark", "result", "-", "Benchmark name, empty for raw traces."),
+    ("role", "result", "-",
+     "Trace role (icache/dcache/unified), or 'system' for frontier rows."),
+    ("design", "result", "-",
+     "Design string: S<sets>A<assoc>L<line> for caches; "
+     "processor|I...|D...|U... for systems."),
+    ("sets", "result", "count", "Cache sets (empty for system rows)."),
+    ("assoc", "result", "ways", "Associativity (empty for system rows)."),
+    ("line_size", "result", "bytes",
+     "Cache line size (empty for system rows)."),
+    ("repetition", "result", "count",
+     "0-based repetition index for repeated (design, benchmark) rows."),
+    ("accesses", "result", "count", "Trace accesses the row measured."),
+    ("misses", "result", "count",
+     "Cache misses (exact, or extrapolated when estimated=1)."),
+    ("miss_rate", "result", "ratio", "misses / accesses."),
+    ("cycles", "result", "cycles",
+     "Execution time for system rows (explore frontiers)."),
+    ("cost", "result", "cost units",
+     "System cost for frontier rows (processor + caches)."),
+    ("area", "result", "cost units",
+     "Cache area from the CACTI-lite model (sum over caches for "
+     "system rows)."),
+    ("estimated", "result", "0/1",
+     "1 when the row is a sampled/extrapolated estimate."),
+    ("error", "result", "count",
+     "Extrapolation error bar for estimated rows."),
+    ("source", "result", "-",
+     "store (served from cache), simulated, estimate, or frontier."),
+    ("wall_s", "journal", "seconds",
+     "Pass wall time attributed to this row (the line-size group's "
+     "pass time split evenly across its rows)."),
+    ("kernel_s", "journal", "seconds",
+     "Stack-distance kernel time attributed like wall_s."),
+    ("retries", "journal", "count",
+     "Executor retries in this run's journal window (run-level, "
+     "repeated on every row)."),
+    ("timeouts", "journal", "count",
+     "Executor timeouts in the window (run-level)."),
+    ("fallbacks", "journal", "count",
+     "Pool fallbacks in the window (run-level)."),
+    ("cache_hits", "journal", "count",
+     "Checkpoint hits + results served from the store without "
+     "simulation (run-level)."),
+    ("cache_misses", "journal", "count",
+     "Checkpoint misses + configs actually simulated (run-level)."),
+    ("bytes_shipped", "journal", "bytes",
+     "Bytes shipped to workers as trace-file handles in the window "
+     "(run-level)."),
+    ("extra", "result", "JSON",
+     "Row-specific extras (sampling plan detail, dilation, ...)."),
+)
+
+#: The result-sourced columns except ``idx`` (the writer numbers the
+#: rows), in registry order: the layout of every row tuple the recorder
+#: collects.
+_RESULT_COLUMNS = tuple(
+    name
+    for name, source, _, _ in RUN_TABLE_COLUMNS
+    if source == "result" and name != "idx"
+)
+
+#: The journal-derived columns :meth:`RunRecorder.finish` appends to
+#: every row tuple.
+_JOURNAL_COLUMNS = tuple(
+    name for name, source, _, _ in RUN_TABLE_COLUMNS if source == "journal"
+)
+
+#: Every column with a unit holds a number.
+_NUMERIC_COLUMNS = frozenset(
+    name
+    for name, _, units, _ in RUN_TABLE_COLUMNS
+    if units not in ("-", "JSON")
+)
+
+_LINE_SIZE = _RESULT_COLUMNS.index("line_size")
+
+_RUN_SQL = (
+    f"INSERT OR REPLACE INTO runs ({', '.join(_RUN_COLUMNS)}) VALUES"
+    f" ({', '.join('?' * len(_RUN_COLUMNS))})"
+)
+#: The ``run_rows`` insert: run id, row index, then a row tuple.
+_INSERT_COLUMNS = ("run_id", "idx", *_RESULT_COLUMNS, *_JOURNAL_COLUMNS)
+_ROW_SQL = (
+    f"INSERT INTO run_rows ({', '.join(_INSERT_COLUMNS)}) VALUES"
+    f" ({', '.join('?' * len(_INSERT_COLUMNS))})"
 )
 
 
@@ -265,7 +340,8 @@ class RunRecorder:
         self.run_id = run_id or new_run_id()
         self.label = label
         self.benchmark = benchmark
-        self._rows: list[dict[str, Any]] = []
+        # Result-column tuples in _RESULT_COLUMNS order.
+        self._rows: list[tuple] = []
         self._reps: dict[tuple, int] = {}
         self._window = self.journal.open_window()
         self._started = time.time()
@@ -287,6 +363,15 @@ class RunRecorder:
 
     # -- row intake -----------------------------------------------------
 
+    def _repetition(
+        self, design: str, benchmark: str | None, role: str | None
+    ) -> int:
+        """The next repetition of (design, benchmark, role) in this run."""
+        key = (design, benchmark, role)
+        repetition = self._reps.get(key, 0)
+        self._reps[key] = repetition + 1
+        return repetition
+
     def add_row(
         self,
         design: str | None = None,
@@ -306,7 +391,7 @@ class RunRecorder:
         error: float | None = None,
         source: str | None = None,
         **extra: Any,
-    ) -> dict[str, Any]:
+    ) -> None:
         """Append one (design, benchmark, repetition) row.
 
         ``repetition`` auto-increments per (design, benchmark, role)
@@ -315,14 +400,10 @@ class RunRecorder:
         """
         if design is None:
             design = design_label(sets, assoc, line_size)
-        benchmark = benchmark if benchmark is not None else self.benchmark
+        if benchmark is None:
+            benchmark = self.benchmark
         if repetition is None:
-            rep_key = (design, benchmark, role)
-            repetition = self._reps.get(rep_key, 0)
-            self._reps[rep_key] = repetition + 1
-        miss_rate = None
-        if misses is not None and accesses:
-            miss_rate = misses / accesses
+            repetition = self._repetition(design, benchmark, role)
         if (
             area is None
             and sets is not None
@@ -330,27 +411,12 @@ class RunRecorder:
             and line_size is not None
         ):
             area = cache_cost(CacheConfig(sets, assoc, line_size))
-        row = {
-            "benchmark": benchmark,
-            "role": role,
-            "design": design,
-            "sets": sets,
-            "assoc": assoc,
-            "line_size": line_size,
-            "repetition": int(repetition),
-            "accesses": accesses,
-            "misses": misses,
-            "miss_rate": miss_rate,
-            "cycles": cycles,
-            "cost": cost,
-            "area": area,
-            "estimated": bool(estimated),
-            "error": error,
-            "source": source,
-            "extra": dict(extra) if extra else {},
-        }
-        self._rows.append(row)
-        return row
+        self._rows.append((
+            benchmark, role, design, sets, assoc, line_size,
+            int(repetition), accesses, misses, _miss_rate(misses, accesses),
+            cycles, cost, area, 1 if estimated else 0, error, source,
+            json.dumps(extra) if extra else "{}",
+        ))
 
     def add_config_doc(
         self,
@@ -386,19 +452,23 @@ class RunRecorder:
         source: str = "simulated",
     ) -> None:
         """Rows from an in-process ``sweep_design_space`` result map."""
+        if benchmark is None:
+            benchmark = self.benchmark
+        append = self._rows.append
         for config, miss in results.items():
-            self.add_row(
-                benchmark=benchmark,
-                role=role,
-                sets=config.sets,
-                assoc=config.assoc,
-                line_size=config.line_size,
-                accesses=getattr(miss, "accesses", None),
-                misses=getattr(miss, "misses", None),
-                estimated=bool(getattr(miss, "error", None) is not None),
-                error=getattr(miss, "error", None),
-                source=source,
-            )
+            sets, assoc = config.sets, config.assoc
+            line_size = config.line_size
+            design = design_label(sets, assoc, line_size)
+            accesses = getattr(miss, "accesses", None)
+            misses = getattr(miss, "misses", None)
+            error = getattr(miss, "error", None)
+            append((
+                benchmark, role, design, sets, assoc, line_size,
+                self._repetition(design, benchmark, role), accesses,
+                misses, _miss_rate(misses, accesses), None, None,
+                cache_cost(config), 0 if error is None else 1, error,
+                source, "{}",
+            ))
 
     def add_frontier_point(
         self, point: Mapping[str, Any], benchmark: str | None = None
@@ -451,34 +521,30 @@ class RunRecorder:
             )
         finished = time.time()
         self.journal.close_window(self._window)
-        window = list(self._window)
-        derived = derive_journal_columns(window)
-        by_ls = derived.pop("by_line_size")
+        derived = derive_journal_columns(self._window)
         # Per-row attribution: a single-pass simulation serves every
         # config sharing its line size, so the pass wall/kernel time is
         # split evenly across that line size's rows (row sums then
         # reconstruct the totals).  Run-level counters are replicated
         # on every row (documented in RUN_TABLE_COLUMNS.md).
-        ls_rows: dict[str, int] = {}
-        for row in self._rows:
-            ls = str(row.get("line_size"))
-            ls_rows[ls] = ls_rows.get(ls, 0) + 1
-        for row in self._rows:
-            ls = str(row.get("line_size"))
-            slot = by_ls.get(ls)
-            share = ls_rows.get(ls, 1)
-            row["wall_s"] = (
-                round(slot["wall_s"] / share, 9) if slot else None
+        line_sizes = [str(row[_LINE_SIZE]) for row in self._rows]
+        journal_values = {}
+        for line_size, share in Counter(line_sizes).items():
+            slot = derived["by_line_size"].get(line_size)
+            attributed = {
+                name: round(slot[name] / share, 9) if slot else None
+                for name in ("wall_s", "kernel_s")
+            }
+            journal_values[line_size] = tuple(
+                attributed.get(name, derived[name])
+                for name in _JOURNAL_COLUMNS
             )
-            row["kernel_s"] = (
-                round(slot["kernel_s"] / share, 9) if slot else None
+        rows = [
+            (self.run_id, idx, *row, *journal_values[line_size])
+            for idx, (row, line_size) in enumerate(
+                zip(self._rows, line_sizes)
             )
-            row["retries"] = derived["retries"]
-            row["timeouts"] = derived["timeouts"]
-            row["fallbacks"] = derived["fallbacks"]
-            row["cache_hits"] = derived["cache_hits"]
-            row["cache_misses"] = derived["cache_misses"]
-            row["bytes_shipped"] = derived["bytes_shipped"]
+        ]
         run = {
             "id": self.run_id,
             "kind": self.kind,
@@ -490,23 +556,31 @@ class RunRecorder:
             "started": round(self._started, 6),
             "finished": round(finished, 6),
             "wall_s": round(finished - self._started, 6),
-            "rows": len(self._rows),
-            "journal": {**derived, "by_line_size": by_ls},
+            "rows": len(rows),
+            "journal": derived,
         }
         if isinstance(self.store, _result_store_type()):
-            record_run(self.store, run, self._rows)
+            _write_run(self.store, _run_values(run, len(rows)), rows)
         else:
-            self.store.record_run(run, self._rows)
+            self.store.record_run(
+                run, [_row_doc(zip(_INSERT_COLUMNS, row)) for row in rows]
+            )
         self.journal.record(
             "analytics_run",
             id=self.run_id,
             kind=self.kind,
             state=state,
-            rows=len(self._rows),
+            rows=len(rows),
             wall_s=run["wall_s"],
         )
         self._finished = run
         return run
+
+
+def _miss_rate(misses: float | None, accesses: int | None) -> float | None:
+    if misses is not None and accesses:
+        return misses / accesses
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -514,13 +588,17 @@ class RunRecorder:
 # ----------------------------------------------------------------------
 
 
-def record_run(
-    store: ResultStore,
-    run: Mapping[str, Any],
-    rows: Iterable[Mapping[str, Any]] = (),
-) -> dict[str, Any]:
-    """Write one run + its rows in a single transaction (idempotent:
-    re-recording the same run id replaces the previous attempt)."""
+def _number(value: Any, what: str) -> Any:
+    """``value`` itself when it is a number or absent."""
+    if value is None or isinstance(value, (int, float)):
+        return value
+    raise ServiceError(f"{what} must be a number, got {value!r}")
+
+
+def _run_values(run: Any, rows: int) -> tuple:
+    """A run document as its ``runs`` row, checked once."""
+    if not isinstance(run, Mapping):
+        raise ServiceError(f"a run document must be an object, got {run!r}")
     run_id = str(run.get("id") or "")
     if not run_id:
         raise ServiceError("run document needs an 'id'")
@@ -532,67 +610,65 @@ def record_run(
         raise ServiceError(
             f"unknown run state {state!r}; expected one of {RUN_STATES}"
         )
-    rows = [dict(r) for r in rows]
-    run_values = (
-        run_id,
-        kind,
-        run.get("label"),
-        run.get("benchmark"),
-        state,
-        json.dumps(run.get("spec") or {}),
-        run.get("error"),
-        float(run.get("started") or time.time()),
-        run.get("finished"),
-        run.get("wall_s"),
-        len(rows),
+    started, finished, wall_s = (
+        _number(run.get(name), f"run {name!r}")
+        for name in ("started", "finished", "wall_s")
+    )
+    return (
+        run_id, kind, run.get("label"), run.get("benchmark"), state,
+        json.dumps(run.get("spec") or {}), run.get("error"),
+        float(started or time.time()), finished, wall_s, rows,
         json.dumps(run.get("journal") or {}),
     )
-    row_values = []
-    for idx, row in enumerate(rows):
-        row_values.append(
-            (
-                run_id,
-                idx,
-                row.get("benchmark"),
-                row.get("role"),
-                str(row.get("design") or "?"),
-                row.get("sets"),
-                row.get("assoc"),
-                row.get("line_size"),
-                int(row.get("repetition") or 0),
-                row.get("accesses"),
-                row.get("misses"),
-                row.get("miss_rate"),
-                row.get("cycles"),
-                row.get("cost"),
-                row.get("area"),
-                1 if row.get("estimated") else 0,
-                row.get("error"),
-                row.get("source"),
-                row.get("wall_s"),
-                row.get("kernel_s"),
-                row.get("retries"),
-                row.get("timeouts"),
-                row.get("fallbacks"),
-                row.get("cache_hits"),
-                row.get("cache_misses"),
-                row.get("bytes_shipped"),
-                json.dumps(row.get("extra") or {}),
-            )
-        )
-    run_sql = (
-        f"INSERT OR REPLACE INTO runs ({', '.join(_RUN_COLUMNS)}) VALUES"
-        f" ({', '.join('?' * len(_RUN_COLUMNS))})"
-    )
-    row_sql = (
-        f"INSERT INTO run_rows ({', '.join(_ROW_COLUMNS)}) VALUES"
-        f" ({', '.join('?' * len(_ROW_COLUMNS))})"
-    )
+
+
+def _row_values(run_id: str, idx: int, row: Any) -> tuple:
+    """A row document as its ``run_rows`` row, checked once."""
+    if not isinstance(row, Mapping):
+        raise ServiceError(f"a run row must be an object, got {row!r}")
+    for name in _NUMERIC_COLUMNS.intersection(row):
+        _number(row[name], f"run row {name!r}")
+    values = {
+        **row,
+        "run_id": run_id,
+        "idx": idx,
+        "design": str(row.get("design") or "?"),
+        "repetition": int(row.get("repetition") or 0),
+        "estimated": 1 if row.get("estimated") else 0,
+        "extra": json.dumps(row.get("extra") or {}),
+    }
+    return tuple(values.get(name) for name in _INSERT_COLUMNS)
+
+
+def _write_run(store: ResultStore, run: tuple, rows: list[tuple]) -> None:
+    """Replace run ``run[0]`` and its rows in one transaction."""
     with store.transaction() as conn:
-        conn.execute("DELETE FROM run_rows WHERE run_id = ?", (run_id,))
-        conn.execute(run_sql, run_values)
-        if row_values:
-            conn.executemany(row_sql, row_values)
+        conn.execute("DELETE FROM run_rows WHERE run_id = ?", (run[0],))
+        conn.execute(_RUN_SQL, run)
+        conn.executemany(_ROW_SQL, rows)
+
+
+def record_run(
+    store: ResultStore,
+    run: Mapping[str, Any],
+    rows: Iterable[Mapping[str, Any]] = (),
+) -> dict[str, Any]:
+    """Write one run + its row documents in a single transaction
+    (idempotent: re-recording the same run id replaces the previous
+    attempt).
+
+    Rows arrive as documents keyed by run-table column name; every
+    numeric column must hold a number.  Malformed documents raise
+    :class:`ServiceError` before anything is written.
+    """
+    if isinstance(rows, (Mapping, str)) or not isinstance(rows, Iterable):
+        raise ServiceError(f"run rows must be a list of objects, got {rows!r}")
+    rows = list(rows)
+    values = _run_values(run, len(rows))
+    run_id = values[0]
+    _write_run(store, values, [
+        _row_values(run_id, idx, row) for idx, row in enumerate(rows)
+    ])
     return {"id": run_id, "rows": len(rows)}
 
 

@@ -4,13 +4,14 @@ One CSV per run, one line per (design, benchmark, repetition) row, with
 run-level identity columns repeated on every line (the flat layout a
 spreadsheet, pandas, or a plotting script ingests without joins).
 
-:data:`RUN_TABLE_COLUMNS` is the single source of truth for the column
-set: the CSV header, the HTTP/CLI exports and the generated
-``docs/RUN_TABLE_COLUMNS.md`` all derive from it.  Cell formatting is
-round-trip exact: integers print plainly, floats print via ``repr``
-(shortest form that parses back to the identical float), absent values
-print as empty strings — so ``csv.DictReader`` recovers the stored
-values bit-identically (the CI analytics smoke asserts this).
+The column set is :data:`~repro.analytics.runs.RUN_TABLE_COLUMNS`, the
+run model's registry (re-exported here): the CSV header, the HTTP/CLI
+exports and the generated ``docs/RUN_TABLE_COLUMNS.md`` all derive
+from it.  Cell formatting is round-trip exact: integers print plainly,
+floats print via ``repr`` (shortest form that parses back to the
+identical float), absent values print as empty strings — so
+``csv.DictReader`` recovers the stored values bit-identically (the CI
+analytics smoke asserts this).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import io
 import json
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from repro.analytics.runs import get_run, get_run_rows
+from repro.analytics.runs import RUN_TABLE_COLUMNS, get_run, get_run_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.store import ResultStore
@@ -31,68 +32,6 @@ __all__ = [
     "run_table_csv",
     "run_table_rows",
 ]
-
-#: (name, source, units, description) for every run-table column, in
-#: CSV order.  ``source`` is where the value originates: ``run`` (the
-#: runs table), ``result`` (result documents / the result store) or
-#: ``journal`` (derived from RunJournal events).
-RUN_TABLE_COLUMNS: tuple[tuple[str, str, str, str], ...] = (
-    ("run_id", "run", "-", "Run identity (the job id for service jobs)."),
-    ("kind", "run", "-", "Job kind: sweep, estimate or explore."),
-    ("state", "run", "-", "Run outcome: done or failed."),
-    ("idx", "result", "-", "Row position within the run (0-based)."),
-    ("benchmark", "result", "-", "Benchmark name, empty for raw traces."),
-    ("role", "result", "-",
-     "Trace role (icache/dcache/unified), or 'system' for frontier rows."),
-    ("design", "result", "-",
-     "Design string: S<sets>A<assoc>L<line> for caches; "
-     "processor|I...|D...|U... for systems."),
-    ("sets", "result", "count", "Cache sets (empty for system rows)."),
-    ("assoc", "result", "ways", "Associativity (empty for system rows)."),
-    ("line_size", "result", "bytes",
-     "Cache line size (empty for system rows)."),
-    ("repetition", "result", "count",
-     "0-based repetition index for repeated (design, benchmark) rows."),
-    ("accesses", "result", "count", "Trace accesses the row measured."),
-    ("misses", "result", "count",
-     "Cache misses (exact, or extrapolated when estimated=1)."),
-    ("miss_rate", "result", "ratio", "misses / accesses."),
-    ("cycles", "result", "cycles",
-     "Execution time for system rows (explore frontiers)."),
-    ("cost", "result", "cost units",
-     "System cost for frontier rows (processor + caches)."),
-    ("area", "result", "cost units",
-     "Cache area from the CACTI-lite model (sum over caches for "
-     "system rows)."),
-    ("estimated", "result", "0/1",
-     "1 when the row is a sampled/extrapolated estimate."),
-    ("error", "result", "count",
-     "Extrapolation error bar for estimated rows."),
-    ("source", "result", "-",
-     "store (served from cache), simulated, estimate, or frontier."),
-    ("wall_s", "journal", "seconds",
-     "Pass wall time attributed to this row (the line-size group's "
-     "pass time split evenly across its rows)."),
-    ("kernel_s", "journal", "seconds",
-     "Stack-distance kernel time attributed like wall_s."),
-    ("retries", "journal", "count",
-     "Executor retries in this run's journal window (run-level, "
-     "repeated on every row)."),
-    ("timeouts", "journal", "count",
-     "Executor timeouts in the window (run-level)."),
-    ("fallbacks", "journal", "count",
-     "Pool fallbacks in the window (run-level)."),
-    ("cache_hits", "journal", "count",
-     "Checkpoint hits + results served from the store without "
-     "simulation (run-level)."),
-    ("cache_misses", "journal", "count",
-     "Checkpoint misses + configs actually simulated (run-level)."),
-    ("bytes_shipped", "journal", "bytes",
-     "Bytes shipped to workers as trace-file handles in the window "
-     "(run-level)."),
-    ("extra", "result", "JSON",
-     "Row-specific extras (sampling plan detail, dilation, ...)."),
-)
 
 #: Just the column names, in order.
 RUN_TABLE_HEADER = tuple(name for name, _, _, _ in RUN_TABLE_COLUMNS)

@@ -11,6 +11,7 @@ replicates wordlines/bitlines).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from repro.cache.config import CacheConfig
 
@@ -27,6 +28,7 @@ _ADDRESS_BITS = 32
 _WAY_OVERHEAD = 0.15
 
 
+@lru_cache(maxsize=4096)
 def cache_cost(config: CacheConfig) -> float:
     """Area cost of a cache in the same arbitrary units as processor cost.
 

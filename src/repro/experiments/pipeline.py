@@ -134,46 +134,6 @@ class ExperimentPipeline:
         # trace source: ("actual", processor) or a dilation
         # ("dilated:<d>").
         self._sim_banks: dict[Hashable, MemoryEvaluator] = {}
-        # Optional analytics sink: every actual/dilated/estimated miss
-        # measurement also lands as one run-table row when attached.
-        self._recorder = None
-
-    # ------------------------------------------------------------------
-    # Run recording.
-    # ------------------------------------------------------------------
-
-    def attach_recorder(self, recorder) -> "ExperimentPipeline":
-        """Record every miss measurement into ``recorder``.
-
-        ``recorder`` is a :class:`repro.analytics.runs.RunRecorder`
-        (duck-typed: anything with ``add_row``).  Recording is purely
-        additive — it never changes what the measurement methods
-        compute or return.  Detach with ``attach_recorder(None)``.
-        """
-        self._recorder = recorder
-        return self
-
-    def _record_misses(
-        self,
-        source: str,
-        role: str,
-        misses: Mapping[CacheConfig, float],
-        **extra,
-    ) -> None:
-        if self._recorder is None:
-            return
-        for config, count in misses.items():
-            self._recorder.add_row(
-                benchmark=self.workload.name,
-                role=role,
-                sets=config.sets,
-                assoc=config.assoc,
-                line_size=config.line_size,
-                misses=float(count),
-                estimated=source == "estimated",
-                source=source,
-                **extra,
-            )
 
     # ------------------------------------------------------------------
     # Artifact construction.
@@ -318,11 +278,7 @@ class ExperimentPipeline:
         configs = list(configs)
         bank.register(role, configs)
         bank.prime()
-        misses = {c: bank.simulated_misses(role, c) for c in configs}
-        self._record_misses(
-            "actual", role, misses, processor=processor.name
-        )
-        return misses
+        return {c: bank.simulated_misses(role, c) for c in configs}
 
     def prime_actual(
         self,
@@ -385,9 +341,7 @@ class ExperimentPipeline:
         configs = list(configs)
         bank.register(role, configs)
         bank.prime()
-        misses = {c: bank.simulated_misses(role, c) for c in configs}
-        self._record_misses("dilated", role, misses, dilation=dilation)
-        return misses
+        return {c: bank.simulated_misses(role, c) for c in configs}
 
     def estimated_misses(
         self,
@@ -397,11 +351,7 @@ class ExperimentPipeline:
     ) -> dict[CacheConfig, float]:
         """The dilation model's estimates (Section 4.3)."""
         evaluator = self.memory_evaluator()
-        misses = {
-            c: evaluator.misses(role, c, dilation) for c in configs
-        }
-        self._record_misses("estimated", role, misses, dilation=dilation)
-        return misses
+        return {c: evaluator.misses(role, c, dilation) for c in configs}
 
     def _actual_bank(self, processor: VliwProcessor) -> MemoryEvaluator:
         """The simulation bank over ``processor``'s own traces."""

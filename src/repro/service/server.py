@@ -687,12 +687,12 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(
                 "POST /runs expects {'run': {...}, 'rows': [...]}"
             )
-        run = payload["run"]
-        rows = payload.get("rows") or []
-        record_run(self.server.service.store, run, rows)
-        self._send_json(
-            {"id": run.get("id"), "rows": len(rows)}, status=201
+        recorded = record_run(
+            self.server.service.store,
+            payload["run"],
+            payload.get("rows") or [],
         )
+        self._send_json(recorded, status=201)
 
     def _post_worker(self) -> None:
         payload = self._read_json()

@@ -135,8 +135,6 @@ CREATE TABLE IF NOT EXISTS run_rows (
     extra         TEXT NOT NULL DEFAULT '{}',
     PRIMARY KEY (run_id, idx)
 );
-CREATE INDEX IF NOT EXISTS run_rows_design
-    ON run_rows (run_id, design, benchmark, repetition);
 """
 
 #: Columns added after the first released schema; applied as ALTERs so
@@ -146,13 +144,16 @@ CREATE INDEX IF NOT EXISTS run_rows_design
 #: CREATE IF NOT EXISTS statements in ``_SCHEMA``, which rerun on every
 #: open — only retrofitted *columns*, and indexes over them, need an
 #: entry here.  Only answered jobs carry an ``answer_key``, so its index
-#: leaves out the rest.
+#: leaves out the rest.  No query read the old ``run_rows_design`` index
+#: (every ``run_rows`` query filters on ``run_id`` alone, which the
+#: primary key serves), so databases that still hold it lose it.
 _MIGRATIONS = (
     "ALTER TABLE jobs ADD COLUMN lease_expires REAL",
     "ALTER TABLE runs ADD COLUMN benchmark TEXT",
     "ALTER TABLE jobs ADD COLUMN answer_key TEXT",
     "CREATE INDEX IF NOT EXISTS jobs_answer ON jobs (answer_key, submitted)"
     " WHERE answer_key IS NOT NULL",
+    "DROP INDEX IF EXISTS run_rows_design",
 )
 
 

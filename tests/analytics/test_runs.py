@@ -181,6 +181,32 @@ class TestRecorder:
         assert run["id"] == rec.run_id
         assert len(rows) == 1
 
+    def test_sink_rows_record_like_local_rows(self, store, tmp_path):
+        shipped = []
+
+        class Sink:
+            def record_run(self, run, rows):
+                shipped.append((run, rows))
+
+        def record(target):
+            journal = RunJournal()
+            with RunRecorder(
+                target, "sweep", journal=journal, run_id="same"
+            ) as rec:
+                journal.record("pass", line_size=16, wall_s=0.5, kernel_s=0.25)
+                journal.record("retry", attempt=1)
+                rec.add_row(
+                    sets=64, assoc=2, line_size=16, accesses=10, misses=3.0,
+                    estimated=True, dilation=1.5,
+                )
+                rec.add_row(design="system", cycles=7.0, source="frontier")
+
+        record(store)
+        record(Sink())
+        other = ResultStore(tmp_path / "other.sqlite")
+        record_run(other, *shipped[0])
+        assert get_run_rows(other, "same") == get_run_rows(store, "same")
+
     def test_plain_object_not_supported(self):
         assert not supports_runs(object())
         with pytest.raises(ServiceError, match="record_run"):

@@ -2,7 +2,10 @@
 
 import csv
 import io
+import json
 import threading
+import urllib.error
+import urllib.request
 from contextlib import contextmanager
 
 import pytest
@@ -46,6 +49,25 @@ def serving(db):
 def service(tmp_path):
     with serving(tmp_path / "service.sqlite") as served:
         yield served
+
+
+POSTED_RUN = {"id": "posted-bad", "kind": "explore", "started": 1.0}
+
+
+def post_raw(client, path, body):
+    """POST ``body`` as JSON, bypassing the client's argument shaping;
+    returns the HTTP status."""
+    request = urllib.request.Request(
+        client.base_url + path,
+        data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status
+    except urllib.error.HTTPError as exc:
+        return exc.code
 
 
 def run_job(client, spec):
@@ -145,6 +167,42 @@ class TestRunsEndpoints:
         _, client = service
         with pytest.raises(ServiceError, match="400"):
             client.record_run({"kind": "explore"}, [])
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"run": ["x"]},
+            {"run": POSTED_RUN, "rows": [1, 2]},
+            {"run": POSTED_RUN, "rows": {"a": 1}},
+            {"run": {**POSTED_RUN, "started": "yesterday"}},
+            {"run": {**POSTED_RUN, "finished": "later"}},
+            {"run": {**POSTED_RUN, "wall_s": [1.0]}},
+        ],
+        ids=[
+            "run-not-object", "rows-not-objects", "rows-an-object",
+            "started", "finished", "wall_s",
+        ],
+    )
+    def test_malformed_post_run_is_http_400(self, service, body):
+        _, client = service
+        assert post_raw(client, "/runs", body) == 400
+        assert client.runs() == []
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"design": "d", "sets": "x", "misses": "lots"},
+            {"design": "d", "misses": "lots"},
+            {"design": "d", "wall_s": {"s": 1}},
+        ],
+        ids=["sets", "misses", "wall_s"],
+    )
+    def test_non_numeric_row_column_is_http_400(self, service, row):
+        _, client = service
+        with pytest.raises(ServiceError, match="400"):
+            client.record_run(POSTED_RUN, [row])
+        with pytest.raises(ServiceError, match="404"):
+            client.run(POSTED_RUN["id"])
 
 
 class TestMetricsHistoryAndDashboard:

@@ -1,6 +1,7 @@
 """Unit tests for repro.service.store."""
 
 import multiprocessing
+import sqlite3
 import sys
 import threading
 
@@ -193,6 +194,28 @@ class TestDurability:
         store = ResultStore(tmp_path / "deep" / "nest" / "s.sqlite")
         store.put("k", 1)
         assert store.get("k") == 1
+
+    def test_open_drops_the_unread_run_rows_index(self, tmp_path):
+        path = tmp_path / "old.sqlite"
+        ResultStore(path).close()
+        # A database written by an older build carries this index.
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE INDEX run_rows_design"
+            " ON run_rows (run_id, design, benchmark, repetition)"
+        )
+        conn.execute(
+            "INSERT INTO run_rows (run_id, idx, design) VALUES ('r', 0, 'd')"
+        )
+        conn.commit()
+        conn.close()
+        conn = ResultStore(path).connection()
+        indexes = {
+            row["name"] for row in conn.execute("PRAGMA index_list(run_rows)")
+        }
+        assert "run_rows_design" not in indexes
+        (row,) = conn.execute("SELECT design FROM run_rows").fetchall()
+        assert row["design"] == "d"
 
 
 def _store_hammer(path, worker, n_keys):
